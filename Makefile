@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race debug fuzz-smoke fmt bench core-bench-smoke engine-smoke obs-smoke breakdown-smoke chaos-smoke timeline-smoke heatmap-smoke ras-smoke bench-record bench-check
+.PHONY: all build lint test race debug fuzz-smoke fmt bench core-bench-smoke identity-smoke obs-smoke breakdown-smoke chaos-smoke timeline-smoke heatmap-smoke ras-smoke
 
 all: lint test
 
@@ -53,29 +53,27 @@ bench:
 # core-bench-smoke exercises the batched simulation core's contracts
 # without timing assertions (CI machines are noisy): the per-design
 # access-path microbenchmark compiles and completes, the measured loop is
-# allocation-free, a mid-run capacity error stops within one batch, and
-# the quick suite renders byte-identically at -j 1 and -j 4 — the same
-# guarantee engine-smoke makes, rechecked here so a core change cannot
-# land with a benchmark-only green. BENCH_core.json records the measured
-# numbers for this machine.
+# allocation-free, and a mid-run capacity error stops within one batch.
+# BENCH_core.json records the measured numbers for this machine.
 core-bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkAccessPath -benchtime 1x ./internal/sim/
 	$(GO) test -run 'TestMeasuredLoopAllocationFree|TestCapacityErrorStopsWithinOneBatch' ./internal/sim/
-	$(GO) build -o /tmp/tmccsim ./cmd/tmccsim
-	/tmp/tmccsim -all -quick -format csv -j 1 > /tmp/tmcc_core_j1.csv
-	/tmp/tmccsim -all -quick -format csv -j 4 > /tmp/tmcc_core_j4.csv
-	diff -u /tmp/tmcc_core_j1.csv /tmp/tmcc_core_j4.csv
-	@echo "core-bench-smoke: access path alloc-free, batch error stop, -j byte-identity"
+	@echo "core-bench-smoke: access path alloc-free, batch error stop"
 
-# engine-smoke proves the -j guarantee end to end: the full quick
-# experiment suite rendered as CSV must be byte-identical with a parallel
-# engine and with a serial one.
-engine-smoke:
+# identity-smoke is the one flags-off byte-identity gate over the full
+# quick suite: a plain build at -j 1 is the reference, and both a plain
+# build at -j 4 (the engine's -j guarantee) and a -race -tags tmccdebug
+# build at -j 4 (invariant audits and the race detector armed, every
+# fault/RAS hook disarmed) must render it byte-identically.
+identity-smoke:
 	$(GO) build -o /tmp/tmccsim ./cmd/tmccsim
-	/tmp/tmccsim -all -quick -format csv -j 4 -stats > /tmp/tmccsim_j4.csv
-	/tmp/tmccsim -all -quick -format csv -j 1 > /tmp/tmccsim_j1.csv
-	diff -u /tmp/tmccsim_j1.csv /tmp/tmccsim_j4.csv
-	@echo "engine-smoke: -j 1 and -j 4 outputs are byte-identical"
+	$(GO) build -race -tags tmccdebug -o /tmp/tmccsim_chaos ./cmd/tmccsim
+	/tmp/tmccsim -all -quick -format csv -j 1 > /tmp/tmcc_id_j1.csv
+	/tmp/tmccsim -all -quick -format csv -j 4 -stats > /tmp/tmcc_id_j4.csv
+	/tmp/tmccsim_chaos -all -quick -format csv -j 4 > /tmp/tmcc_id_dbg.csv
+	diff -u /tmp/tmcc_id_j1.csv /tmp/tmcc_id_j4.csv
+	diff -u /tmp/tmcc_id_j1.csv /tmp/tmcc_id_dbg.csv
+	@echo "identity-smoke: -j 1, -j 4 and race+tmccdebug outputs are byte-identical"
 
 # obs-smoke proves observation does not perturb the simulation: the quick
 # suite with -metrics/-trace must render byte-identically to a plain run,
@@ -120,8 +118,9 @@ breakdown-smoke:
 	@echo "breakdown-smoke: attribution conserves and leaves plain output untouched"
 
 # chaos-smoke proves the fault-injection contract end to end on a binary
-# with the tmccdebug invariants and the race detector armed:
-#   1. faults off is byte-identical to the plain build's output;
+# with the tmccdebug invariants and the race detector armed (the quick
+# suite's flags-off identity lives in identity-smoke):
+#   1. faults off is byte-identical to the plain build's single run;
 #   2. a seeded all-faults chaos run completes panic-free and two runs with
 #      the same plan+seed produce identical scorecards AND fault counters;
 #   3. a too-small budget exits nonzero with the capacity diagnosis
@@ -133,10 +132,6 @@ chaos-smoke:
 	/tmp/tmccsim -run canneal -kind tmcc -quick > /tmp/tmcc_plain.out
 	/tmp/tmccsim_chaos -run canneal -kind tmcc -quick > /tmp/tmcc_off.out
 	diff -u /tmp/tmcc_plain.out /tmp/tmcc_off.out
-	$(GO) build -tags tmccdebug -o /tmp/tmccsim_dbg ./cmd/tmccsim
-	/tmp/tmccsim -all -quick -format csv > /tmp/tmcc_all_plain.csv
-	/tmp/tmccsim_dbg -all -quick -format csv > /tmp/tmcc_all_dbg.csv
-	diff -u /tmp/tmcc_all_plain.csv /tmp/tmcc_all_dbg.csv
 	/tmp/tmccsim_chaos -run canneal -kind tmcc -quick \
 		-faults '$(CHAOS_PLAN)' -chaos-seed 7 > /tmp/tmcc_chaos1.out 2> /tmp/tmcc_chaos1.err
 	/tmp/tmccsim_chaos -run canneal -kind tmcc -quick \
@@ -212,40 +207,17 @@ heatmap-smoke:
 	@echo "heatmap-smoke: regions conserve, -j byte-identity, plain output untouched"
 
 # ras-smoke proves the self-healing RAS layer end to end on a binary with
-# the tmccdebug invariants and the race detector armed:
-#   1. a 25-plan seeded chaos campaign passes the invariant battery on
-#      every plan (attr conservation, heatmap reconciliation, graceful
-#      errors only, zero panics) and writes no failure artifact — any
-#      failure would have been delta-debugged to a 1-minimal plan there;
-#   2. with the RAS/fault flags off, the full quick suite from the armed
-#      binary is byte-identical to the plain build at -j 1 and -j 4 —
-#      the RAS wiring costs exactly one nil branch.
+# the tmccdebug invariants and the race detector armed: a 25-plan seeded
+# chaos campaign passes the invariant battery on every plan (attr
+# conservation, heatmap reconciliation, graceful errors only, zero panics)
+# and writes no failure artifact — any failure would have been
+# delta-debugged to a 1-minimal plan there. Flags-off byte-identity is
+# identity-smoke's.
 ras-smoke:
-	$(GO) build -o /tmp/tmccsim ./cmd/tmccsim
 	$(GO) build -race -tags tmccdebug -o /tmp/tmccsim_ras ./cmd/tmccsim
 	rm -f /tmp/tmcc_ras_failures.txt
 	/tmp/tmccsim_ras -campaign 25 -campaign-out /tmp/tmcc_ras_failures.txt
 	@if [ -e /tmp/tmcc_ras_failures.txt ]; then \
 		echo "ras-smoke: campaign wrote a failure artifact:"; \
 		cat /tmp/tmcc_ras_failures.txt; exit 1; fi
-	/tmp/tmccsim -all -quick -format csv > /tmp/tmcc_ras_plain.csv
-	/tmp/tmccsim_ras -all -quick -format csv -j 1 > /tmp/tmcc_ras_off_j1.csv
-	/tmp/tmccsim_ras -all -quick -format csv -j 4 > /tmp/tmcc_ras_off_j4.csv
-	diff -u /tmp/tmcc_ras_plain.csv /tmp/tmcc_ras_off_j1.csv
-	diff -u /tmp/tmcc_ras_off_j1.csv /tmp/tmcc_ras_off_j4.csv
-	@echo "ras-smoke: 25-plan campaign green, flags-off byte-identity holds"
-
-# bench-record appends this machine's flags-off quick-suite measurement to
-# the committed perf ledger; review the BENCH_trajectory.json diff to spot
-# regressions PR over PR.
-bench-record:
-	$(GO) run ./cmd/tmccbench
-
-# bench-check measures the same suite and compares against the ledger's
-# newest entry without writing anything: exits nonzero when wall time grew
-# past BENCH_TOLERANCE (a fraction; 0.5 = +50%, loose enough for shared
-# CI runners). No comparable baseline (missing/empty ledger, different
-# machine) passes with a note.
-BENCH_TOLERANCE ?= 0.5
-bench-check:
-	$(GO) run ./cmd/tmccbench -check -tolerance $(BENCH_TOLERANCE)
+	@echo "ras-smoke: 25-plan campaign green"

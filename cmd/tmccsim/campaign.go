@@ -103,11 +103,7 @@ func runBattery(plan fault.Plan, jobs int, seed int64) error {
 		Heat: heatmap.NewRecorder(heatmap.DefaultRegionPages, 0),
 	}
 	eng := engine.New(jobs)
-	eng.SetObserver(ob)
-	eng.SetRAS(ras.Default())
-	if plan.Enabled() {
-		eng.SetFaultPlan(plan)
-	}
+	eng.SetHooks(engine.Hooks{Obs: ob, Faults: plan, RAS: ras.Default()})
 	for _, kind := range campaignKinds {
 		_, err := eng.Run(sim.Options{
 			Benchmark:       campaignBenchmark,

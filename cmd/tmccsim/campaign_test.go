@@ -17,21 +17,23 @@ import (
 // through an engine "armed" that way is byte-identical to a flags-off run.
 func TestEmptyFaultsPlanIsNoOp(t *testing.T) {
 	for _, spec := range []string{"", "   ", "\t", "payload=0", "cte=0,stale=0.0"} {
-		eng := engine.New(1)
-		if err := armFaults(eng, spec, 7); err != nil {
-			t.Fatalf("armFaults(%q): %v", spec, err)
+		plan, err := parseFaults(spec, 7)
+		if err != nil {
+			t.Fatalf("parseFaults(%q): %v", spec, err)
 		}
-		if eng.FaultPlan().Enabled() {
+		if plan.Enabled() {
 			t.Errorf("spec %q armed the engine", spec)
 		}
 	}
 
 	cfg := exp.Config{Seed: 42, Quick: true}
 	runWith := func(spec string) string {
-		eng := engine.New(1)
-		if err := armFaults(eng, spec, 7); err != nil {
-			t.Fatalf("armFaults(%q): %v", spec, err)
+		plan, err := parseFaults(spec, 7)
+		if err != nil {
+			t.Fatalf("parseFaults(%q): %v", spec, err)
 		}
+		eng := engine.New(1)
+		eng.SetHooks(engine.Hooks{Faults: plan})
 		var sb strings.Builder
 		if err := runSingle(&sb, eng, "blackscholes", "tmcc", 0, cfg); err != nil {
 			t.Fatalf("runSingle with -faults %q: %v", spec, err)
@@ -44,7 +46,7 @@ func TestEmptyFaultsPlanIsNoOp(t *testing.T) {
 	}
 
 	// A bad spec still reports its diagnostic instead of arming anything.
-	if err := armFaults(engine.New(1), "payload=oops", 7); err == nil {
+	if _, err := parseFaults("payload=oops", 7); err == nil {
 		t.Error("bad spec parsed")
 	}
 }

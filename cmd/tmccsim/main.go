@@ -102,12 +102,14 @@ func main() {
 	// A panicking run is retried once after a short real-world pause
 	// (internal/ never sleeps itself; the backoff is injected like the clock).
 	eng.SetRetryBackoff(func() { time.Sleep(250 * time.Millisecond) })
-	if err := armFaults(eng, *faults, *chaosSeed); err != nil {
+	plan, err := parseFaults(*faults, *chaosSeed)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	hooks := engine.Hooks{Faults: plan}
 	if *rasOn {
-		eng.SetRAS(ras.Default())
+		hooks.RAS = ras.Default()
 	}
 
 	// Observability: the registry/tracer are created and their output files
@@ -142,8 +144,9 @@ func main() {
 		if needHeatmap {
 			ob.Heat = heatmap.NewRecorder(*heatmapRegion, 0)
 		}
-		eng.SetObserver(ob)
 	}
+	hooks.Obs = ob
+	eng.SetHooks(hooks)
 	var watchStop, watchDone chan struct{}
 	if *watchfile != "" {
 		watchStop, watchDone = make(chan struct{}), make(chan struct{})
@@ -211,7 +214,7 @@ func main() {
 	if *stats {
 		printStats(os.Stderr, eng.Stats(), *jobs, time.Since(start), ob)
 	}
-	if eng.FaultPlan().Enabled() {
+	if eng.Hooks().Faults.Enabled() {
 		fmt.Fprintf(os.Stderr, "faults: %v\n", eng.FaultCounters())
 	}
 	ob.SyncDerived()
@@ -272,24 +275,21 @@ func main() {
 	}
 }
 
-// armFaults parses the -faults flag and arms the engine's fault plan. A
+// parseFaults parses the -faults flag into the plan the engine arms. A
 // whitespace-only spec, and a spec that parses but enables nothing (all
-// probabilities zero), are strict no-ops: the engine stays healthy and
-// the run is byte-identical to one without the flag.
-func armFaults(eng *engine.Engine, spec string, seed int64) error {
+// probabilities zero), are strict no-ops: the zero plan leaves the engine
+// healthy and the run byte-identical to one without the flag.
+func parseFaults(spec string, seed int64) (fault.Plan, error) {
 	f := strings.TrimSpace(spec)
 	if f == "" {
-		return nil
+		return fault.Plan{}, nil
 	}
 	plan, err := fault.ParsePlan(f)
-	if err != nil {
-		return err
+	if err != nil || !plan.Enabled() {
+		return fault.Plan{}, err
 	}
 	plan.Seed = seed
-	if plan.Enabled() {
-		eng.SetFaultPlan(plan)
-	}
-	return nil
+	return plan, nil
 }
 
 // diagnose turns the one actionable failure class into a one-line

@@ -120,8 +120,8 @@ func TestStatsJSONWithObserver(t *testing.T) {
 func TestBreakdownFlameAndWatchFiles(t *testing.T) {
 	eng := exp.Engine()
 	ob := obs.New()
-	eng.SetObserver(ob)
-	defer eng.SetObserver(nil)
+	eng.SetHooks(engine.Hooks{Obs: ob})
+	defer eng.SetHooks(engine.Hooks{})
 
 	if err := run(io.Discard, "fig5", exp.Config{Seed: 44, Quick: true}, "csv"); err != nil {
 		t.Fatalf("run(fig5): %v", err)
@@ -189,8 +189,8 @@ func TestBreakdownFlameAndWatchFiles(t *testing.T) {
 func TestMetricsAndTraceFiles(t *testing.T) {
 	eng := exp.Engine()
 	ob := obs.New()
-	eng.SetObserver(ob)
-	defer eng.SetObserver(nil)
+	eng.SetHooks(engine.Hooks{Obs: ob})
+	defer eng.SetHooks(engine.Hooks{})
 
 	if err := run(io.Discard, "ext-2dwalk", exp.Config{Seed: 43, Quick: true}, "csv"); err != nil {
 		t.Fatalf("run(ext-2dwalk): %v", err)

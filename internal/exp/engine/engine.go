@@ -96,8 +96,8 @@ type call struct {
 
 // Engine is a bounded, memoizing scheduler for simulator runs. The zero
 // value is not usable; call New. All methods are safe for concurrent use,
-// except SetWorkers/SetClock/SetProgress, which must be called while no
-// jobs are in flight.
+// except SetWorkers/SetClock/SetProgress/SetHooks, which must be called
+// while no jobs are in flight.
 type Engine struct {
 	sem  chan struct{}
 	now  func() int64 // nanosecond wall clock, injected by the CLI
@@ -108,16 +108,26 @@ type Engine struct {
 	// real wait, unit tests a recorder — internal/ must not call time.Sleep
 	// directly on the hot path.
 	sleep func()
-	plan  fault.Plan // per-run fault plan; zero value = healthy runs
-	rcfg  ras.Config // per-run RAS policy; zero value = layer off
+	hooks Hooks
 
 	mu     sync.Mutex
 	memo   map[Key]*call
 	stats  Stats
 	faults fault.Counters
 
-	ob  *obs.Observer // threaded into every runner; nil = unobserved
 	eob engineObs
+}
+
+// Hooks is the per-run hook bundle the engine threads into every
+// simulation it executes: the observer, the fault plan, and the RAS
+// policy. None of it is part of the memo key — observation cannot change
+// what a run computes, and one process runs one fault plan and one
+// policy, so chaos and healthy runs must not share a process. The zero
+// value arms nothing.
+type Hooks struct {
+	Obs    *obs.Observer // nil = unobserved
+	Faults fault.Plan    // zero value = healthy runs
+	RAS    ras.Config    // zero value = layer off
 }
 
 // engineObs holds the engine's registered instruments (nil when
@@ -138,14 +148,16 @@ type engineObs struct {
 // engineDurBoundsMS buckets queue-wait and run wall times (milliseconds).
 var engineDurBoundsMS = []int64{1, 10, 100, 1000, 10000}
 
-// SetObserver attaches an observer: the engine registers its own
-// scheduling instruments under "engine." and passes the observer to every
-// simulation it executes (memoized results are shared between observed and
-// unobserved callers — the observer is deliberately not part of the memo
-// key, which is sound because observation cannot change what a run
-// computes). Must be called while no jobs are in flight.
-func (e *Engine) SetObserver(o *obs.Observer) {
-	e.ob = o
+// SetHooks arms the per-run hooks for every subsequent non-memoized run.
+// With an observer, the engine also registers its own scheduling
+// instruments under "engine."; with an enabled fault plan, every run gets
+// its own deterministic injector, seeded from the plan seed and the run's
+// canonical key, so a fixed (plan, job list) pair reproduces the same
+// faults regardless of worker count. Must be called while no jobs are in
+// flight.
+func (e *Engine) SetHooks(h Hooks) {
+	e.hooks = h
+	o := h.Obs
 	if o == nil {
 		e.eob = engineObs{}
 		return
@@ -162,6 +174,9 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 	}
 }
 
+// Hooks returns the armed hook bundle (zero value when nothing is armed).
+func (e *Engine) Hooks() Hooks { return e.hooks }
+
 // New returns an engine with the given worker-pool width; workers <= 0
 // selects runtime.GOMAXPROCS(0).
 func New(workers int) *Engine {
@@ -174,16 +189,16 @@ func New(workers int) *Engine {
 }
 
 // executeRun is the default exec: build a runner — with the engine's
-// observer and, when a fault plan is armed, a per-run injector seeded from
+// hooks and, when a fault plan is armed, a per-run injector seeded from
 // the canonicalized run identity — and run it. Fault counters accumulate
 // under e.mu; they are commutative sums, so the totals are independent of
 // worker count and scheduling.
 func (e *Engine) executeRun(opt sim.Options) (sim.Metrics, error) {
 	var inj *fault.Injector
-	if e.plan.Enabled() {
-		inj = fault.NewInjector(e.plan, fault.RunSalt(fmt.Sprintf("%+v", KeyOf(opt))))
+	if e.hooks.Faults.Enabled() {
+		inj = fault.NewInjector(e.hooks.Faults, fault.RunSalt(fmt.Sprintf("%+v", KeyOf(opt))))
 	}
-	r, err := sim.NewRunnerFull(opt, e.ob, inj, e.rcfg)
+	r, err := sim.NewRunnerFull(opt, e.hooks.Obs, inj, e.hooks.RAS)
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -238,26 +253,6 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// SetFaultPlan arms a fault plan: every subsequent non-memoized run gets
-// its own deterministic injector, seeded from the plan seed and the run's
-// canonical key, so a fixed (plan, job list) pair reproduces the same
-// faults regardless of worker count. The plan is deliberately NOT part of
-// the memo key — chaos runs and healthy runs must not share a process.
-// Must be called while no jobs are in flight.
-func (e *Engine) SetFaultPlan(p fault.Plan) { e.plan = p }
-
-// FaultPlan returns the armed plan (zero value when healthy).
-func (e *Engine) FaultPlan() fault.Plan { return e.plan }
-
-// SetRAS arms the self-healing reliability policies for every subsequent
-// non-memoized run. Like the fault plan, the RAS config is deliberately
-// NOT part of the memo key — one process runs one policy. Must be called
-// while no jobs are in flight.
-func (e *Engine) SetRAS(c ras.Config) { e.rcfg = c }
-
-// RAS returns the armed policy config (zero value when the layer is off).
-func (e *Engine) RAS() ras.Config { return e.rcfg }
-
 // FaultCounters returns the faults fired across all executed runs.
 func (e *Engine) FaultCounters() fault.Counters {
 	e.mu.Lock()
@@ -291,8 +286,8 @@ func (e *Engine) Run(opt sim.Options) (sim.Metrics, error) {
 		// lazily: hit paths only exist for benchmarks actually deduped).
 		// Guarded so unobserved engines skip the name concatenation — the
 		// hit path should stay allocation-free.
-		if e.ob != nil {
-			e.ob.Counter("engine.memo.dedup." + opt.Benchmark).Inc()
+		if e.hooks.Obs != nil {
+			e.hooks.Obs.Counter("engine.memo.dedup." + opt.Benchmark).Inc()
 		}
 		<-c.done
 		return c.m, c.err

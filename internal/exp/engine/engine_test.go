@@ -289,7 +289,7 @@ func TestFaultPlanCountersAccumulateDeterministically(t *testing.T) {
 	}
 	total := func(workers int) fault.Counters {
 		e := New(workers)
-		e.SetFaultPlan(plan)
+		e.SetHooks(Hooks{Faults: plan})
 		if _, err := e.RunAll(jobs); err != nil {
 			t.Fatal(err)
 		}

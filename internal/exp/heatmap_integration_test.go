@@ -39,7 +39,7 @@ func TestHeatmapDeterministicAcrossWorkerCounts(t *testing.T) {
 			At:   attr.NewRecorder(),
 			Heat: heatmap.NewRecorder(0, 0),
 		}
-		eng.SetObserver(ob)
+		eng.SetHooks(engine.Hooks{Obs: ob})
 		if _, err := run(quickCfg()); err != nil {
 			t.Fatalf("fig17 with %d workers: %v", workers, err)
 		}

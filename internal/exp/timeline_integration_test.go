@@ -40,7 +40,7 @@ func TestTimelineDeterministicAcrossWorkerCounts(t *testing.T) {
 			At:  attr.NewRecorder(),
 			TL:  timeline.NewRecorder(100 * config.Microsecond),
 		}
-		eng.SetObserver(ob)
+		eng.SetHooks(engine.Hooks{Obs: ob})
 		if _, err := run(quickCfg()); err != nil {
 			t.Fatalf("fig17 with %d workers: %v", workers, err)
 		}

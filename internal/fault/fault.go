@@ -254,7 +254,7 @@ type injObs struct {
 }
 
 // Observe registers the injector's counters under "fault." with the
-// observer. sim.NewRunnerInjected calls it with the run's observer — the
+// observer. sim.NewRunnerFull calls it with the run's observer — the
 // timeline-derived one when windowing is armed — so injected faults are
 // attributable to the simulated-time window they fired in. Nil-safe on
 // both receiver and observer.

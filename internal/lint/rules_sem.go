@@ -307,7 +307,8 @@ func (s *semChecker) memoField(f *types.Var, path string, t types.Type, seen map
 }
 
 // observerLike names the observability/fault types that are deliberately
-// excluded from the engine memo key (engine.SetObserver, NewRunnerInjected).
+// excluded from the engine memo key: they reach a run only through the
+// per-run hook bundle (engine.Hooks, sim.NewRunnerFull).
 func observerLike(t types.Type) string {
 	n, ok := t.(*types.Named)
 	if !ok || n.Obj().Pkg() == nil {

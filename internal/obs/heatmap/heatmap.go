@@ -12,12 +12,12 @@
 // edges (page counts per tier, summed over sweeps; mean occupancy is
 // sum/sweeps).
 //
-// The recorder is a pure accumulator, mirroring timeline.Recorder:
-// per-run delta accumulation lives in obs.HeatmapView, which folds one
-// Delta per touched region (plus one independently-accumulated group
-// total) under one mutex at run close. Folds are commutative, and
-// Snapshot sorts groups by (benchmark, kind) and regions ascending, so
-// the rendered CSV is byte-identical at any worker count.
+// The recorder is a pure accumulator on the same commutative-fold core
+// as timeline.Recorder (package fold): per-run delta accumulation lives
+// in obs.HeatmapView, which folds one Delta per touched region (plus one
+// independently-accumulated group total) at run close. Folds are
+// commutative, and Snapshot sorts groups by (benchmark, kind) and regions
+// ascending, so the rendered CSV is byte-identical at any worker count.
 //
 // Each group carries TWO accumulation paths — the region map and the
 // group total — fed independently by the view. Σ region counts == total
@@ -37,10 +37,10 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 
 	"tmcc/internal/config"
 	"tmcc/internal/obs/attr"
+	"tmcc/internal/obs/fold"
 )
 
 // DefaultRegionPages is the default region size in 4KB pages: 512 pages
@@ -189,26 +189,16 @@ func (d *Delta) HeatTotal() uint64 {
 	return t
 }
 
-type groupKey struct {
-	bench string
-	kind  string
-}
-
-type group struct {
-	regions map[uint64]*Delta
-	total   Delta
-}
-
 // Recorder accumulates per-region deltas for every (benchmark, kind)
-// group observed in a process. Folds happen only at run close (never per
-// access — per-run accumulation lives in obs.HeatmapView), so one mutex
-// over the whole structure costs nothing measurable. A nil *Recorder
-// ignores every operation.
+// group observed in a process, keyed by region index on the shared
+// commutative-fold core (package fold), plus each group's independently
+// accumulated total. Folds happen only at run close (never per access —
+// per-run accumulation lives in obs.HeatmapView). A nil *Recorder ignores
+// every operation.
 type Recorder struct {
 	regionShift uint
 	width       config.Time
-	mu          sync.Mutex
-	groups      map[groupKey]*group
+	core        fold.Recorder[uint64, Delta]
 }
 
 // NewRecorder returns an empty recorder. regionPages is the region size
@@ -226,7 +216,7 @@ func NewRecorder(regionPages uint64, width config.Time) *Recorder {
 	if width <= 0 {
 		width = DefaultWindow
 	}
-	return &Recorder{regionShift: shift, width: width, groups: map[groupKey]*group{}}
+	return &Recorder{regionShift: shift, width: width}
 }
 
 // RegionOf maps a physical page number onto its region index (0 on nil).
@@ -253,32 +243,12 @@ func (r *Recorder) Width() config.Time {
 	return r.width
 }
 
-// get returns the (bench, kind) group, creating it when missing. Callers
-// hold r.mu.
-func (r *Recorder) get(bench, kind string) *group {
-	k := groupKey{bench, kind}
-	g, ok := r.groups[k]
-	if !ok {
-		g = &group{regions: map[uint64]*Delta{}}
-		r.groups[k] = g
-	}
-	return g
-}
-
 // Add folds one region's delta into the (bench, kind) group; nil-safe.
 func (r *Recorder) Add(bench, kind string, region uint64, d *Delta) {
 	if r == nil || d.Empty() {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.get(bench, kind)
-	acc, ok := g.regions[region]
-	if !ok {
-		acc = new(Delta)
-		g.regions[region] = acc
-	}
-	acc.Fold(d)
+	r.core.Fold(fold.Group{Benchmark: bench, Kind: kind}, region, func(acc *Delta) { acc.Fold(d) })
 }
 
 // AddTotal folds a run's group-total delta into the (bench, kind) group's
@@ -289,9 +259,7 @@ func (r *Recorder) AddTotal(bench, kind string, d *Delta) {
 	if r == nil || d.Empty() {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.get(bench, kind).total.Fold(d)
+	r.core.FoldTotal(fold.Group{Benchmark: bench, Kind: kind}, func(total *Delta) { total.Fold(d) })
 }
 
 // RegionStats is one region's accumulated facts in a snapshot.
@@ -331,32 +299,14 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{RegionPages: 1 << r.regionShift, WidthPS: int64(r.width)}
-	keys := make([]groupKey, 0, len(r.groups))
-	for k := range r.groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bench != keys[j].bench {
-			return keys[i].bench < keys[j].bench
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	for _, k := range keys {
-		g := r.groups[k]
-		gh := GroupHeatmap{Benchmark: k.bench, Kind: k.kind, Total: g.total}
-		regions := make([]uint64, 0, len(g.regions))
-		for reg := range g.regions {
-			regions = append(regions, reg)
-		}
-		sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-		for _, reg := range regions {
-			gh.Regions = append(gh.Regions, RegionStats{Region: reg, Delta: *g.regions[reg]})
+	r.core.Walk(func(g fold.Group, total *Delta, regions []fold.Entry[uint64, Delta]) {
+		gh := GroupHeatmap{Benchmark: g.Benchmark, Kind: g.Kind, Total: *total}
+		for _, e := range regions {
+			gh.Regions = append(gh.Regions, RegionStats{Region: e.Key, Delta: *e.Acc})
 		}
 		s.Groups = append(s.Groups, gh)
-	}
+	})
 	return s
 }
 

@@ -23,20 +23,16 @@ import (
 // accumulated group total, so Σ regions == total stays a real
 // cross-check downstream.
 //
-// Advance mirrors the timeline view's batch hook: one division and one
-// compare per 64-access batch, returning true exactly when a residency
-// sampling edge was crossed (the caller then runs one page sweep).
 // A nil *HeatmapView ignores every operation, keeping the flags-off hot
 // path a single predictable branch.
 type HeatmapView struct {
 	rec   *heatmap.Recorder
 	bench string
 	kind  string
-	width config.Time
 
 	regions map[uint64]*heatmap.Delta
 	total   heatmap.Delta
-	curWin  int64
+	edge    timeline.Edge
 	closed  bool
 }
 
@@ -50,8 +46,8 @@ func (o *Observer) HeatmapView(bench, kind string) *HeatmapView {
 		rec:     o.Heat,
 		bench:   bench,
 		kind:    kind,
-		width:   o.Heat.Width(),
 		regions: map[uint64]*heatmap.Delta{},
+		edge:    timeline.NewEdge(o.Heat.Width()),
 	}
 }
 
@@ -116,18 +112,12 @@ func (v *HeatmapView) CompressedSize(ppn uint64, bytes int64) {
 
 // Advance rolls the view to the residency window holding simulated time
 // now, reporting true when a sampling edge was crossed — the caller then
-// sweeps current page residency into Residency exactly once. Callers
-// pass non-decreasing times; an event exactly on a window edge maps to
-// the earlier window, mirroring the timeline. Nil-safe (false).
+// sweeps current page residency into Residency exactly once. The edge
+// semantics are the timeline's (timeline.Edge). Nil-safe (false).
 func (v *HeatmapView) Advance(now config.Time) bool {
-	if v == nil {
+	if v == nil || !v.edge.Cross(now) {
 		return false
 	}
-	w := timeline.WindowStart(now, v.width)
-	if w == v.curWin {
-		return false
-	}
-	v.curWin = w
 	v.total.Sweeps++
 	return true
 }
@@ -233,7 +223,7 @@ func VerifyHeatmap(hm heatmap.Snapshot, reg Snapshot, at attr.Snapshot) error {
 		}
 		for cl := attr.Class(0); cl < attr.NumClasses; cl++ {
 			h := g.Total.Heat[cl]
-			lc, ok := lifetimeAttrClass(at, g.Benchmark, g.Kind, cl.String())
+			lc, ok := attrClass(at, g.Benchmark, g.Kind, cl.String())
 			if !ok {
 				if h != 0 {
 					return fmt.Errorf("obs: heatmap %s/%s: %d %s accesses but no lifetime attr class",

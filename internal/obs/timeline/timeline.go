@@ -6,9 +6,9 @@
 //
 // The recorder is a pure accumulator. Per-run delta computation lives in
 // obs.TimelineView, which hands finished window deltas to Add; every Add
-// is a commutative fold under one mutex, and Snapshot sorts groups by
-// (benchmark, kind), windows by start, and entries by path — so the
-// rendered series is byte-identical at any worker count.
+// is a commutative fold on the shared fold core, and Snapshot sorts
+// groups by (benchmark, kind), windows by start, and entries by path — so
+// the rendered series is byte-identical at any worker count.
 //
 // Window semantics (pinned by TestWindowStartEdge): a window with start k
 // covers the half-open-below interval (k, k+width] — an event exactly on
@@ -26,12 +26,13 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"tmcc/internal/config"
 	"tmcc/internal/obs/attr"
+	"tmcc/internal/obs/fold"
 )
 
 // DefaultWindow is the default window width: 1ms of simulated time.
@@ -47,6 +48,34 @@ func WindowStart(t, width config.Time) int64 {
 	}
 	return int64((t - 1) / width * width)
 }
+
+// Edge is the forward-only window clock every per-run hook (timeline
+// flush, heatmap residency sweep, RAS policy tick, CTE patrol) uses to
+// detect window edges. It starts in window 0 and only moves forward, so a
+// time behind the current window (a nested background access replaying an
+// earlier timestamp) never re-fires an edge.
+type Edge struct {
+	width config.Time
+	start int64
+}
+
+// NewEdge returns an edge clock over windows of the given width, sitting
+// in window 0.
+func NewEdge(width config.Time) Edge { return Edge{width: width} }
+
+// Cross reports whether t lies in a later window than the current one,
+// and if so moves the clock there.
+func (e *Edge) Cross(t config.Time) bool {
+	w := WindowStart(t, e.width)
+	if w <= e.start {
+		return false
+	}
+	e.start = w
+	return true
+}
+
+// Start returns the start of the current window.
+func (e *Edge) Start() int64 { return e.start }
 
 // CounterDelta is one counter's increment inside one window.
 type CounterDelta struct {
@@ -106,11 +135,6 @@ func (d *Delta) Empty() bool {
 	return len(d.Counters) == 0 && len(d.Hists) == 0 && len(d.Attr) == 0
 }
 
-type groupKey struct {
-	bench string
-	kind  string
-}
-
 // histAccum accumulates one histogram path's deltas within a window.
 type histAccum struct {
 	bounds []int64
@@ -134,20 +158,14 @@ type window struct {
 	attrSeen [attr.NumClasses]bool
 }
 
-type group struct {
-	wins map[int64]*window
-}
-
 // Recorder accumulates per-window deltas for every (benchmark, kind)
-// group observed in a process. Adds happen only at window edges and run
-// ends (never per access), so one mutex over the whole structure costs
-// nothing measurable; folds are commutative, so the accumulated state is
+// group observed in a process, keyed by window start on the shared
+// commutative-fold core (package fold), so the accumulated state is
 // independent of run interleaving. A nil *Recorder ignores every
 // operation and reports zero width.
 type Recorder struct {
-	width  config.Time
-	mu     sync.Mutex
-	groups map[groupKey]*group
+	width config.Time
+	core  fold.Recorder[int64, window]
 }
 
 // NewRecorder returns an empty recorder with the given window width;
@@ -156,7 +174,7 @@ func NewRecorder(width config.Time) *Recorder {
 	if width <= 0 {
 		width = DefaultWindow
 	}
-	return &Recorder{width: width, groups: map[groupKey]*group{}}
+	return &Recorder{width: width}
 }
 
 // Width returns the window width (0 on nil).
@@ -165,15 +183,6 @@ func (r *Recorder) Width() config.Time {
 		return 0
 	}
 	return r.width
-}
-
-// WindowStart maps a simulated time onto its window start under the
-// recorder's width (0 on nil).
-func (r *Recorder) WindowStart(t config.Time) int64 {
-	if r == nil {
-		return 0
-	}
-	return WindowStart(t, r.width)
 }
 
 // Add folds one window delta into the (bench, kind) series; nil-safe.
@@ -185,18 +194,18 @@ func (r *Recorder) Add(bench, kind string, win int64, d *Delta) error {
 	if r == nil || d.Empty() {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := groupKey{bench, kind}
-	g, ok := r.groups[k]
-	if !ok {
-		g = &group{wins: map[int64]*window{}}
-		r.groups[k] = g
+	var err error
+	r.core.Fold(fold.Group{Benchmark: bench, Kind: kind}, win, func(w *window) { err = w.add(d) })
+	if err != nil {
+		return fmt.Errorf("timeline: %s/%s window %d: %w", bench, kind, win, err)
 	}
-	w, ok := g.wins[win]
-	if !ok {
-		w = &window{counters: map[string]uint64{}, hists: map[string]*histAccum{}}
-		g.wins[win] = w
+	return nil
+}
+
+// add folds d into the window.
+func (w *window) add(d *Delta) error {
+	if w.counters == nil {
+		w.counters, w.hists = map[string]uint64{}, map[string]*histAccum{}
 	}
 	for _, cd := range d.Counters {
 		w.counters[cd.Path] += cd.Delta
@@ -210,8 +219,8 @@ func (r *Recorder) Add(bench, kind string, win int64, d *Delta) error {
 			}
 			w.hists[hd.Path] = h
 		}
-		if !boundsEqual(h.bounds, hd.Bounds) || len(h.counts) != len(hd.Counts) {
-			return fmt.Errorf("timeline: %s/%s window %d: histogram %q bucket shape mismatch", bench, kind, win, hd.Path)
+		if !slices.Equal(h.bounds, hd.Bounds) || len(h.counts) != len(hd.Counts) {
+			return fmt.Errorf("histogram %q bucket shape mismatch", hd.Path)
 		}
 		for i, n := range hd.Counts {
 			h.counts[i] += n
@@ -221,7 +230,7 @@ func (r *Recorder) Add(bench, kind string, win int64, d *Delta) error {
 	}
 	for _, ad := range d.Attr {
 		if ad.Class < 0 || ad.Class >= attr.NumClasses || len(ad.CompPS) != int(attr.NumComponents) {
-			return fmt.Errorf("timeline: %s/%s window %d: malformed attr delta (class %d, %d components)", bench, kind, win, ad.Class, len(ad.CompPS))
+			return fmt.Errorf("malformed attr delta (class %d, %d components)", ad.Class, len(ad.CompPS))
 		}
 		a := &w.attrs[ad.Class]
 		w.attrSeen[ad.Class] = true
@@ -232,18 +241,6 @@ func (r *Recorder) Add(bench, kind string, win int64, d *Delta) error {
 		}
 	}
 	return nil
-}
-
-func boundsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Window is one window of a group series in a snapshot: entries sort by
@@ -274,30 +271,12 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{WidthPS: int64(r.width)}
-	keys := make([]groupKey, 0, len(r.groups))
-	for k := range r.groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bench != keys[j].bench {
-			return keys[i].bench < keys[j].bench
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	for _, k := range keys {
-		g := r.groups[k]
-		gs := GroupSeries{Benchmark: k.bench, Kind: k.kind}
-		starts := make([]int64, 0, len(g.wins))
-		for st := range g.wins {
-			starts = append(starts, st)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, st := range starts {
-			w := g.wins[st]
-			ws := Window{StartPS: st}
+	r.core.Walk(func(g fold.Group, _ *window, wins []fold.Entry[int64, window]) {
+		gs := GroupSeries{Benchmark: g.Benchmark, Kind: g.Kind}
+		for _, e := range wins {
+			w := e.Acc
+			ws := Window{StartPS: e.Key}
 			for p, v := range w.counters {
 				ws.Counters = append(ws.Counters, CounterDelta{Path: p, Delta: v})
 			}
@@ -327,7 +306,7 @@ func (r *Recorder) Snapshot() Snapshot {
 			gs.Windows = append(gs.Windows, ws)
 		}
 		s.Groups = append(s.Groups, gs)
-	}
+	})
 	return s
 }
 
@@ -473,7 +452,7 @@ func (s Snapshot) HistTotals() (map[string]HistDelta, error) {
 					}
 					continue
 				}
-				if !boundsEqual(t.Bounds, hd.Bounds) || len(t.Counts) != len(hd.Counts) {
+				if !slices.Equal(t.Bounds, hd.Bounds) || len(t.Counts) != len(hd.Counts) {
 					return nil, fmt.Errorf("timeline: histogram %q bucket shape differs across windows", hd.Path)
 				}
 				t.Count += hd.Count

@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,31 +9,45 @@ import (
 	"tmcc/internal/obs/attr"
 )
 
-// TestWindowStartEdge pins the window semantics: a window with start k
-// covers (k, k+width], so an access exactly on a window edge lands in the
-// EARLIER window, and simulated time 0 (atomic placement) is window 0.
-// Rendering tools and the smoke awk depend on this never changing.
+// TestWindowStartEdge pins the window semantics every per-run hook shares
+// through Edge (timeline flush, heatmap residency sweep, RAS policy tick,
+// CTE patrol): a window with start k covers (k, k+width], so a time exactly
+// on a window edge lands in the EARLIER window; simulated time 0 (atomic
+// placement) and anything before it is window 0; and a time behind the
+// current window never re-fires an edge — ras relies on that for nested
+// background accesses replaying earlier timestamps. Rendering tools and
+// the smoke awk depend on this never changing.
 func TestWindowStartEdge(t *testing.T) {
 	w := config.Millisecond
-	cases := []struct {
-		t    config.Time
-		want int64
+	e := NewEdge(w)
+	steps := []struct {
+		t     config.Time
+		start int64 // WindowStart(t, w)
+		cross bool  // e.Cross(t), fed in table order
+		cur   int64 // e.Start() afterwards
 	}{
-		{0, 0},                          // placement: no time has elapsed
-		{-5, 0},                         // defensive: negative clamps to 0
-		{1, 0},                          // first picosecond of window 0
-		{w - 1, 0},                      //
-		{w, 0},                          // edge access -> EARLIER window
-		{w + 1, int64(w)},               // first tick past the edge
-		{2 * w, int64(w)},               // next edge, same rule
-		{2*w + 1, int64(2 * w)},         //
-		{17*w + w/2, int64(17 * w)},     // mid-window
-		{config.Time(1), 0},             //
-		{3 * config.Microsecond, 20000}, // sub-default width only matters with matching width
+		{0, 0, false, 0},                                  // placement: no time has elapsed
+		{-5, 0, false, 0},                                 // negative clamps to window 0
+		{1, 0, false, 0},                                  // first picosecond of window 0
+		{w - 1, 0, false, 0},                              //
+		{w, 0, false, 0},                                  // edge time -> EARLIER window
+		{w + 1, int64(w), true, int64(w)},                 // first tick past the edge fires
+		{2 * w, int64(w), false, int64(w)},                // next edge, same rule
+		{w + 1, int64(w), false, int64(w)},                // same window again: no re-fire
+		{17*w + w/2, int64(17 * w), true, int64(17 * w)},  // skipped windows fire once
+		{3*w + 1, int64(3 * w), false, int64(17 * w)},     // behind the clock: never re-fires
+		{17*w + w/2, int64(17 * w), false, int64(17 * w)}, // back in the current window
+		{18*w + 1, int64(18 * w), true, int64(18 * w)},    // forward again
 	}
-	for _, c := range cases[:10] {
-		if got := WindowStart(c.t, w); got != c.want {
-			t.Errorf("WindowStart(%d, %d) = %d, want %d", c.t, w, got, c.want)
+	for _, c := range steps {
+		if got := WindowStart(c.t, w); got != c.start {
+			t.Errorf("WindowStart(%d, %d) = %d, want %d", c.t, w, got, c.start)
+		}
+		if got := e.Cross(c.t); got != c.cross {
+			t.Errorf("Cross(%d) = %v, want %v", c.t, got, c.cross)
+		}
+		if got := e.Start(); got != c.cur {
+			t.Errorf("after Cross(%d): Start = %d, want %d", c.t, got, c.cur)
 		}
 	}
 	// The same edge rule at a different width.
@@ -50,52 +63,6 @@ func delta(path string, n uint64) *Delta {
 	return &Delta{Counters: []CounterDelta{{Path: path, Delta: n}}}
 }
 
-// TestRecorderFoldOrderIndependent: two recorders fed the same deltas in
-// different interleavings snapshot identically — the property that makes
-// the timeline byte-identical at any -j.
-func TestRecorderFoldOrderIndependent(t *testing.T) {
-	mk := func() []*Recorder { return []*Recorder{NewRecorder(0), NewRecorder(0)} }
-	rs := mk()
-	adds := []struct {
-		bench, kind string
-		win         int64
-		d           *Delta
-	}{
-		{"canneal", "tmcc", 0, delta("a", 1)},
-		{"canneal", "tmcc", 0, delta("b", 2)},
-		{"canneal", "tmcc", int64(DefaultWindow), delta("a", 3)},
-		{"mcf", "compresso", 0, delta("a", 4)},
-		{"canneal", "tmcc", 0, delta("a", 10)},
-	}
-	for _, a := range adds {
-		if err := rs[0].Add(a.bench, a.kind, a.win, a.d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := len(adds) - 1; i >= 0; i-- {
-		a := adds[i]
-		if err := rs[1].Add(a.bench, a.kind, a.win, a.d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s0, s1 := rs[0].Snapshot(), rs[1].Snapshot()
-	if !reflect.DeepEqual(s0, s1) {
-		t.Fatalf("snapshots differ by add order:\n%+v\n%+v", s0, s1)
-	}
-	// Shape spot-checks: groups sorted by (bench, kind), windows ascending,
-	// counters merged.
-	if len(s0.Groups) != 2 || s0.Groups[0].Benchmark != "canneal" || s0.Groups[1].Benchmark != "mcf" {
-		t.Fatalf("unexpected group order: %+v", s0.Groups)
-	}
-	g := s0.Groups[0]
-	if len(g.Windows) != 2 || g.Windows[0].StartPS != 0 || g.Windows[1].StartPS != int64(DefaultWindow) {
-		t.Fatalf("unexpected windows: %+v", g.Windows)
-	}
-	if got := g.Windows[0].Counters; len(got) != 2 || got[0].Path != "a" || got[0].Delta != 11 || got[1].Delta != 2 {
-		t.Fatalf("window 0 counters = %+v, want a=11 b=2", got)
-	}
-}
-
 // TestNilRecorderInert: every method on a nil recorder is a no-op — the
 // flags-off contract the sim hot loop relies on.
 func TestNilRecorderInert(t *testing.T) {
@@ -105,9 +72,6 @@ func TestNilRecorderInert(t *testing.T) {
 	}
 	if w := r.Width(); w != 0 {
 		t.Errorf("nil Width = %d", w)
-	}
-	if ws := r.WindowStart(12345); ws != 0 {
-		t.Errorf("nil WindowStart = %d", ws)
 	}
 	if s := r.Snapshot(); len(s.Groups) != 0 || s.WidthPS != 0 {
 		t.Errorf("nil Snapshot = %+v", s)

@@ -39,7 +39,7 @@ type TimelineView struct {
 
 	prevReg  Snapshot
 	prevAttr attr.Snapshot
-	curWin   int64
+	edge     timeline.Edge
 	closed   bool
 }
 
@@ -57,6 +57,7 @@ func (o *Observer) TimelineView(bench, kind string) *TimelineView {
 		reg:    NewRegistry(),
 		at:     attr.NewRecorder(),
 		shared: o,
+		edge:   timeline.NewEdge(o.TL.Width()),
 	}
 }
 
@@ -69,20 +70,16 @@ func (v *TimelineView) Observer() *Observer {
 }
 
 // Advance rolls the view to the window holding simulated time now,
-// flushing the accumulated deltas of the window being left. Callers must
-// pass non-decreasing times (the simulator's batch clock is monotone);
-// an event exactly on a window edge maps to the earlier window, so no
-// flush happens until the edge is strictly passed. Nil-safe.
+// flushing the accumulated deltas of the window being left. An event
+// exactly on a window edge maps to the earlier window, so no flush
+// happens until the edge is strictly passed (timeline.Edge). Nil-safe.
 func (v *TimelineView) Advance(now config.Time) {
 	if v == nil {
 		return
 	}
-	w := v.rec.WindowStart(now)
-	if w == v.curWin {
-		return
+	if win := v.edge.Start(); v.edge.Cross(now) {
+		v.flush(win)
 	}
-	v.flush()
-	v.curWin = w
 }
 
 // Close flushes the final partial window and merges the run's private
@@ -93,7 +90,7 @@ func (v *TimelineView) Close() {
 		return
 	}
 	v.closed = true
-	v.flush()
+	v.flush(v.edge.Start())
 	if err := v.shared.Reg.Merge(v.reg.Snapshot()); err != nil {
 		panic(fmt.Sprintf("obs: timeline close: %v", err))
 	}
@@ -103,8 +100,8 @@ func (v *TimelineView) Close() {
 }
 
 // flush diffs the private sinks against their previous snapshots and
-// folds the delta into the shared recorder under the current window.
-func (v *TimelineView) flush() {
+// folds the delta into the shared recorder under window win.
+func (v *TimelineView) flush(win int64) {
 	curReg := v.reg.Snapshot()
 	curAttr := v.at.Snapshot()
 	var d timeline.Delta
@@ -173,7 +170,7 @@ func (v *TimelineView) flush() {
 				TotalPS: cs.TotalPS,
 				CompPS:  append([]int64(nil), cs.CompPS...),
 			}
-			if pc, ok := prevAttrClass(v.prevAttr, v.bench, v.kind, cs.Class); ok {
+			if pc, ok := attrClass(v.prevAttr, v.bench, v.kind, cs.Class); ok {
 				ad.Count -= pc.Count
 				ad.TotalPS -= pc.TotalPS
 				for c := range ad.CompPS {
@@ -190,20 +187,21 @@ func (v *TimelineView) flush() {
 				// aggregate must conserve too.
 				check.Assert(ad.Conserved(),
 					"timeline: %s/%s window %d class %s: window delta violates attr conservation",
-					v.bench, v.kind, v.curWin, cs.Class)
+					v.bench, v.kind, win, cs.Class)
 			}
 			d.Attr = append(d.Attr, ad)
 		}
 	}
 
-	if err := v.rec.Add(v.bench, v.kind, v.curWin, &d); err != nil {
+	if err := v.rec.Add(v.bench, v.kind, win, &d); err != nil {
 		panic(fmt.Sprintf("obs: timeline flush: %v", err))
 	}
 	v.prevReg, v.prevAttr = curReg, curAttr
 }
 
-// prevAttrClass finds a class aggregate in a previous attr snapshot.
-func prevAttrClass(s attr.Snapshot, bench, kind, class string) (attr.ClassSnapshot, bool) {
+// attrClass finds one (benchmark, kind) class aggregate in an attr
+// snapshot.
+func attrClass(s attr.Snapshot, bench, kind, class string) (attr.ClassSnapshot, bool) {
 	for _, gs := range s.Groups {
 		if gs.Benchmark != bench || gs.Kind != kind {
 			continue
@@ -270,7 +268,7 @@ func VerifyTimeline(tl timeline.Snapshot, reg Snapshot, at attr.Snapshot) error 
 			if t.Count == 0 && t.TotalPS == 0 {
 				continue
 			}
-			lc, ok := lifetimeAttrClass(at, g.Benchmark, g.Kind, cl.String())
+			lc, ok := attrClass(at, g.Benchmark, g.Kind, cl.String())
 			if !ok {
 				return fmt.Errorf("obs: timeline attr %s/%s %s missing from lifetime recorder", g.Benchmark, g.Kind, cl)
 			}
@@ -287,9 +285,4 @@ func VerifyTimeline(tl timeline.Snapshot, reg Snapshot, at attr.Snapshot) error 
 		}
 	}
 	return nil
-}
-
-// lifetimeAttrClass finds a class aggregate in the lifetime attr snapshot.
-func lifetimeAttrClass(s attr.Snapshot, bench, kind, class string) (attr.ClassSnapshot, bool) {
-	return prevAttrClass(s, bench, kind, class)
 }

@@ -113,7 +113,7 @@ type State struct {
 	retired uint64
 
 	degraded  bool
-	curWin    int64
+	edge      timeline.Edge
 	winFaults int
 	cleanWins int
 
@@ -137,7 +137,7 @@ func New(cfg Config, pages int, seed int64) *State {
 	if off < 0 {
 		off += int64(pages)
 	}
-	s := &State{cfg: cfg, cursor: int(off)}
+	s := &State{cfg: cfg, edge: timeline.NewEdge(cfg.WindowPS), cursor: int(off)}
 	if cfg.RetireStrikes > 0 {
 		s.strikes = make([]uint8, pages)
 	}
@@ -153,11 +153,9 @@ func (s *State) Tick(now config.Time) TickResult {
 	if s == nil {
 		return TickResult{}
 	}
-	w := timeline.WindowStart(now, s.cfg.WindowPS)
-	if w <= s.curWin {
+	if !s.edge.Cross(now) {
 		return TickResult{}
 	}
-	s.curWin = w
 	var res TickResult
 	switch {
 	case s.degraded:

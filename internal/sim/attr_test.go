@@ -6,6 +6,7 @@ import (
 	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
+	"tmcc/internal/ras"
 )
 
 // runAttributed executes one observed run and returns its metrics plus
@@ -20,9 +21,9 @@ func runAttributed(t *testing.T, kind mc.Kind) (Metrics, attr.GroupSnapshot) {
 		MeasureAccesses: 20000,
 		Seed:            7,
 	}
-	r, err := NewRunnerObserved(opt, ob)
+	r, err := NewRunnerFull(opt, ob, nil, ras.Config{})
 	if err != nil {
-		t.Fatalf("%v: NewRunnerObserved: %v", kind, err)
+		t.Fatalf("%v: NewRunnerFull: %v", kind, err)
 	}
 	m := mustRun(t, r)
 	s := ob.At.Snapshot()
@@ -152,7 +153,7 @@ func TestAttributionOffLeavesNoTrace(t *testing.T) {
 	}
 
 	ob := &obs.Observer{Reg: obs.NewRegistry(), Tr: obs.NewTracer(0)}
-	ro, err := NewRunnerObserved(opt, ob)
+	ro, err := NewRunnerFull(opt, ob, nil, ras.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,29 +40,17 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 	return uint64(usage) + 1
 }
 
-// NewRunner builds a complete simulated system for the options.
-func NewRunner(opt Options) (*Runner, error) { return NewRunnerInjected(opt, nil, nil) }
+// NewRunner builds a complete simulated system for the options, with no
+// per-run hooks armed.
+func NewRunner(opt Options) (*Runner, error) { return NewRunnerFull(opt, nil, nil, ras.Config{}) }
 
-// NewRunnerObserved builds the system with an observer attached. The
-// observer deliberately lives outside Options: Options is the experiment
-// engine's memoization key, and observation must never change what a run
-// computes. A nil observer is exactly NewRunner.
-func NewRunnerObserved(opt Options, ob *obs.Observer) (*Runner, error) {
-	return NewRunnerInjected(opt, ob, nil)
-}
-
-// NewRunnerInjected additionally arms a fault injector. Like the
-// observer, the injector lives outside Options (and so outside the memo
-// key): one process runs one fault plan. A nil injector is exactly
-// NewRunnerObserved — every fault site stays on its no-fault branch.
-func NewRunnerInjected(opt Options, ob *obs.Observer, inj *fault.Injector) (*Runner, error) {
-	return NewRunnerFull(opt, ob, inj, ras.Config{})
-}
-
-// NewRunnerFull additionally arms the RAS reliability policies. Like the
-// observer and the injector, the RAS config lives outside Options (and so
-// outside the memo key): one process runs one policy. The zero config is
-// exactly NewRunnerInjected — every RAS hook stays on its disabled branch.
+// NewRunnerFull builds the system with its per-run hooks: an observer, a
+// fault injector, and the RAS reliability policies. The hooks
+// deliberately live outside Options: Options is the experiment engine's
+// memoization key, and one process runs one observer, fault plan, and
+// policy. A nil observer, a nil injector, and the zero RAS config each
+// leave their hook sites on the disarmed branch, so the run is exactly
+// NewRunner's.
 func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.Config) (*Runner, error) {
 	spec, ok := workload.SpecFor(opt.Benchmark)
 	if !ok {
@@ -199,21 +187,13 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	// Per-PTB hardware state, flat over the (now final) table's PTB slots,
 	// plus the reusable hot-loop scratch (see Runner field docs).
 	r.ptbs = make([]ptbState, r.as.Table.PTBSlots())
-	if rcfg.ScrubPages > 0 && opt.Kind == mc.TMCC && !opt.DisableEmbed && len(r.ptbs) > 0 {
+	if rcfg.ScrubPages > 0 && opt.Kind == mc.TMCC && !opt.DisableEmbed {
 		// Arm the RAS layer's embedded-CTE patrol: a bounded round-robin
 		// sweep over the PTB slots each policy window, refreshing stale
 		// embedded CTEs before a demand access mis-speculates on them. The
-		// cursor's start offset derives from the run seed, like the MC-side
-		// patrol's.
-		width := rcfg.WindowPS
-		if width <= 0 {
-			width = ras.DefaultWindow
-		}
-		off := opt.Seed % int64(len(r.ptbs))
-		if off < 0 {
-			off += int64(len(r.ptbs))
-		}
-		r.rasCTE = &ctePatrol{width: width, quota: rcfg.ScrubPages, cursor: int(off)}
+		// patrol-only policy state supplies the window clock, the per-window
+		// quota, and the seeded cursor, like the MC-side patrol's.
+		r.rasCTE = ras.New(ras.Config{ScrubPages: rcfg.ScrubPages, WindowPS: rcfg.WindowPS}, len(r.ptbs), opt.Seed)
 	}
 	r.walkBuf = make([]pagetable.Step, 0, pagetable.Levels)
 	r.gwalkBuf = make([]pagetable.Step, 0, pagetable.Levels)

@@ -7,6 +7,7 @@ import (
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
 	"tmcc/internal/obs/heatmap"
+	"tmcc/internal/ras"
 )
 
 // TestHeatmapConservationAllKinds runs the CI-sized canneal trace under
@@ -24,15 +25,15 @@ func TestHeatmapConservationAllKinds(t *testing.T) {
 				At:   attr.NewRecorder(),
 				Heat: heatmap.NewRecorder(0, 0),
 			}
-			r, err := NewRunnerObserved(Options{
+			r, err := NewRunnerFull(Options{
 				Benchmark:       "canneal",
 				Kind:            kind,
 				WarmupAccesses:  30000,
 				MeasureAccesses: 30000,
 				Seed:            42,
-			}, ob)
+			}, ob, nil, ras.Config{})
 			if err != nil {
-				t.Fatalf("NewRunnerObserved(canneal,%v): %v", kind, err)
+				t.Fatalf("NewRunnerFull(canneal,%v): %v", kind, err)
 			}
 			if _, err := r.Run(); err != nil {
 				t.Fatalf("Run: %v", err)

@@ -1,10 +1,17 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
+
+	"tmcc/internal/config"
+	"tmcc/internal/fault"
+	"tmcc/internal/obs/heatmap"
 
 	"tmcc/internal/mc"
 	"tmcc/internal/obs"
+	"tmcc/internal/ras"
 )
 
 // tightOpts is the obs acceptance configuration: canneal under TMCC at a
@@ -27,29 +34,95 @@ func tightOpts(t *testing.T) Options {
 	}
 }
 
-// TestObservationDoesNotPerturbResults is the layer's core guarantee: a
-// run observed with a live registry and tracer returns Metrics identical
-// to an unobserved run of the same Options, for every design.
-func TestObservationDoesNotPerturbResults(t *testing.T) {
-	for _, kind := range []mc.Kind{mc.Uncompressed, mc.Compresso, mc.OSInspired, mc.TMCC} {
-		opt := Options{
-			Benchmark:       "canneal",
-			Kind:            kind,
-			WarmupAccesses:  20000,
-			MeasureAccesses: 20000,
-			Seed:            7,
-		}
-		plain, err := NewRunner(opt)
-		if err != nil {
-			t.Fatalf("%v: NewRunner: %v", kind, err)
-		}
-		observed, err := NewRunnerObserved(opt, obs.New())
-		if err != nil {
-			t.Fatalf("%v: NewRunnerObserved: %v", kind, err)
-		}
-		a, b := mustRun(t, plain), mustRun(t, observed)
-		if a != b {
-			t.Errorf("%v: observation changed the results:\nplain:    %+v\nobserved: %+v", kind, a, b)
+// oneCoreDigests are SHA-256 digests of the "%+v" rendering of plain
+// 1-core canneal Metrics (20000/20000 accesses, seed 7), captured from the
+// batch loop as it stood with a dedicated single-core path. The heap loop
+// now runs one core too; matching digests prove that path's removal was
+// bit-exact.
+var oneCoreDigests = map[mc.Kind]string{
+	mc.TMCC:       "2fce1dc28379d269be6b1e570ebf3e2ddc7cabe6bac808750c278f958fd943bf",
+	mc.OSInspired: "e79b7a867807ed5e7b62ecafd9fe40a0480df59dc7a505a9c68de3a760af60a8",
+}
+
+// armedObserver arms every observation sink: registry, tracer, attr,
+// a 1us timeline, and the heatmap.
+func armedObserver() *obs.Observer {
+	ob := timelineObserver(config.Microsecond)
+	ob.Heat = heatmap.NewRecorder(0, 0)
+	return ob
+}
+
+// TestHookBundlesLeaveMetricsIdentical is the per-run hook spine's core
+// guarantee, one row per hook bundle: a run with hooks armed but inert
+// (observation of any kind, a nil injector, the zero RAS config) returns
+// Metrics identical to a plain NewRunner run of the same Options, for
+// every design the row lists. Rows with verify also audit the observer
+// (attr conservation, VerifyTimeline, VerifyHeatmap); the RAS-armed row
+// changes results by design and asserts only the audits.
+func TestHookBundlesLeaveMetricsIdentical(t *testing.T) {
+	if inj := fault.NewInjector(fault.Plan{Seed: 1}, 7); inj != nil {
+		t.Fatal("disabled plan built a live injector")
+	}
+	quick := Options{Benchmark: "canneal", WarmupAccesses: 20000, MeasureAccesses: 20000, Seed: 7}
+	oneCore := quick
+	oneCore.Sys = config.Default()
+	oneCore.Sys.CPU.Cores = 1
+	all := []mc.Kind{mc.Uncompressed, mc.Compresso, mc.OSInspired, mc.TMCC}
+	rows := []struct {
+		name    string
+		opt     Options
+		kinds   []mc.Kind
+		ob      func() *obs.Observer // nil: no observer
+		rcfg    ras.Config
+		inert   bool // armed Metrics must equal the plain run's
+		digests bool // with inert: plain Metrics must match oneCoreDigests
+		verify  bool // the observer's conservation audits must hold
+	}{
+		{name: "observer", opt: quick, kinds: all, ob: obs.New, inert: true},
+		{name: "timeline", opt: quick, kinds: []mc.Kind{mc.Compresso, mc.TMCC},
+			ob: func() *obs.Observer { return timelineObserver(config.Microsecond) }, inert: true},
+		{name: "disarmed", opt: tightOpts(t), kinds: []mc.Kind{mc.TMCC}, inert: true},
+		{name: "1core", opt: oneCore, kinds: []mc.Kind{mc.TMCC, mc.OSInspired},
+			ob: armedObserver, inert: true, digests: true, verify: true},
+		{name: "1core-ras", opt: oneCore, kinds: []mc.Kind{mc.TMCC, mc.OSInspired},
+			ob: armedObserver, rcfg: ras.Default(), verify: true},
+	}
+	for _, row := range rows {
+		for _, kind := range row.kinds {
+			t.Run(row.name+"/"+kind.String(), func(t *testing.T) {
+				opt := row.opt
+				opt.Kind = kind
+				var ob *obs.Observer
+				if row.ob != nil {
+					ob = row.ob()
+				}
+				armed, err := NewRunnerFull(opt, ob, nil, row.rcfg)
+				if err != nil {
+					t.Fatalf("NewRunnerFull: %v", err)
+				}
+				b := mustRun(t, armed)
+				if row.inert {
+					a := mustRunOpt(t, opt)
+					if a != b {
+						t.Errorf("armed hooks changed the results:\nplain: %+v\narmed: %+v", a, b)
+					}
+					if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", a)))); row.digests && got != oneCoreDigests[kind] {
+						t.Errorf("1-core Metrics digest %s, want %s", got, oneCoreDigests[kind])
+					}
+				}
+				if row.verify {
+					reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
+					if err := at.Conserved(); err != nil {
+						t.Errorf("attr conservation: %v", err)
+					}
+					if err := obs.VerifyTimeline(ob.TL.Snapshot(), reg, at); err != nil {
+						t.Errorf("VerifyTimeline: %v", err)
+					}
+					if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
+						t.Errorf("VerifyHeatmap: %v", err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -62,7 +135,7 @@ func TestObservationDoesNotPerturbResults(t *testing.T) {
 // invariant is obs >= metrics, with obs > 0 wherever metrics > 0.
 func TestObsCountersConsistentWithMetrics(t *testing.T) {
 	ob := obs.New()
-	r, err := NewRunnerObserved(tightOpts(t), ob)
+	r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

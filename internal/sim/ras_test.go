@@ -11,26 +11,6 @@ import (
 	"tmcc/internal/ras"
 )
 
-// TestRASOffIsByteIdentical pins the layer's zero-cost contract at the
-// system level: a zero ras.Config threads a nil *ras.State through the
-// controller, and the run is the plain run — every RAS hook is one nil
-// branch that changes nothing.
-func TestRASOffIsByteIdentical(t *testing.T) {
-	opt := tightOpts(t)
-	plain, err := NewRunner(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rassed, err := NewRunnerFull(opt, nil, nil, ras.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustRun(t, plain), mustRun(t, rassed)
-	if a != b {
-		t.Errorf("zero RAS config changed the results:\nplain: %+v\nras:   %+v", a, b)
-	}
-}
-
 // runRAS executes one observed chaos run with the RAS layer armed and
 // verifies the invariant battery the chaos campaign enforces.
 func runRAS(t *testing.T, kind mc.Kind, plan fault.Plan, rcfg ras.Config) (Metrics, *obs.Observer, fault.Counters) {

@@ -10,7 +10,6 @@ import (
 	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
-	"tmcc/internal/obs/timeline"
 	"tmcc/internal/pagetable"
 	"tmcc/internal/workload"
 )
@@ -87,41 +86,11 @@ func (r *Runner) resetStats() {
 // mid-run exhaustion still stops within one batch), and the core with the
 // earliest clock comes from a binary min-heap instead of a linear scan.
 func (r *Runner) runAccesses(n int) {
-	if len(r.cores) == 1 {
-		// Single-core fast path: no interleave to arbitrate.
-		c := r.cores[0]
-		for done := 0; done < n; {
-			if r.mcc.Err() != nil {
-				// Capacity exhausted mid-run: further accesses would use
-				// unreliable placements. Stop here; Run surfaces the error.
-				return
-			}
-			chunk := batchSize
-			if rem := n - done; rem < chunk {
-				chunk = rem
-			}
-			for i := 0; i < chunk; i++ {
-				r.step(c)
-			}
-			done += chunk
-			// Timeline window-edge check, batch-paced like the error check:
-			// one branch when the timeline is off.
-			r.tlv.Advance(c.time)
-			// Heatmap residency edge: when a sampling window was crossed,
-			// sweep current page residency into the view. One branch when
-			// the heatmap is off.
-			if r.hmv.Advance(c.time) {
-				r.mcc.SampleResidency(r.hmSample)
-			}
-			if r.rasCTE != nil {
-				r.patrolCTE(c.time)
-			}
-		}
-		return
-	}
 	r.heapInit()
 	for done := 0; done < n; {
 		if r.mcc.Err() != nil {
+			// Capacity exhausted mid-run: further accesses would use
+			// unreliable placements. Stop here; Run surfaces the error.
 			return
 		}
 		chunk := batchSize
@@ -136,14 +105,17 @@ func (r *Runner) runAccesses(n int) {
 			r.siftDown(0)
 		}
 		done += chunk
-		// The heap root carries the earliest core clock, which is monotone
-		// non-decreasing across batches — a safe timeline edge probe.
-		r.tlv.Advance(r.heap[0].time)
-		if r.hmv.Advance(r.heap[0].time) {
+		// The per-batch hook epilogue. The heap root carries the earliest
+		// core clock, which is monotone non-decreasing across batches — a
+		// safe window-edge probe. Each hook is one branch when disarmed.
+		now := r.heap[0].time
+		r.tlv.Advance(now)
+		if r.hmv.Advance(now) {
+			// A heatmap sampling edge passed: sweep page residency.
 			r.mcc.SampleResidency(r.hmSample)
 		}
 		if r.rasCTE != nil {
-			r.patrolCTE(r.heap[0].time)
+			r.patrolCTE(now)
 		}
 	}
 }
@@ -642,23 +614,16 @@ func pteePPN(pte uint64) uint64 { return (pte >> 12) & (1<<40 - 1) }
 // stale copies before a demand access mis-speculates on them. The visit
 // and repair counts bank their cycle cost into the MC's scrub backlog
 // (ChargeCTEScrub), so the patrol is paid for on the same conserved
-// degraded-attr path as the MC-side payload patrol. Batch-paced like the
-// timeline probes; the times it sees are monotone non-decreasing, so
-// edges never re-fire.
+// degraded-attr path as the MC-side payload patrol.
 func (r *Runner) patrolCTE(now config.Time) {
-	w := timeline.WindowStart(now, r.rasCTE.width)
-	if w <= r.rasCTE.curWin {
+	quota := r.rasCTE.Tick(now).ScrubPages
+	if quota == 0 {
 		return
 	}
-	r.rasCTE.curWin = w
 	visited, repairs := 0, 0
 	max := r.pcfg.MaxEmbeddable()
-	for i := 0; i < r.rasCTE.quota; i++ {
-		slot := r.rasCTE.cursor
-		r.rasCTE.cursor++
-		if r.rasCTE.cursor >= len(r.ptbs) {
-			r.rasCTE.cursor = 0
-		}
+	for i := 0; i < quota; i++ {
+		slot := int(r.rasCTE.NextScrub(len(r.ptbs)))
 		st := &r.ptbs[slot]
 		if !st.init || !st.compressible {
 			continue

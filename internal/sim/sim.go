@@ -26,6 +26,7 @@ import (
 	"tmcc/internal/obs/heatmap"
 	"tmcc/internal/pagetable"
 	"tmcc/internal/ptbcomp"
+	"tmcc/internal/ras"
 	"tmcc/internal/tlb"
 	"tmcc/internal/workload"
 )
@@ -134,16 +135,6 @@ type ptbState struct {
 	entries      [8]cte.Entry
 }
 
-// ctePatrol is the RAS embedded-CTE scrubber's state: window pacing over
-// simulated time (the same window arithmetic the breaker uses) and a
-// wrapping cursor over the PTB slots.
-type ctePatrol struct {
-	width  config.Time
-	quota  int
-	curWin int64
-	cursor int
-}
-
 // batchSize is the per-core access batch: trace generation and address
 // translation run batchSize records ahead of timing, and the sticky
 // capacity-error check in runAccesses happens once per batch.
@@ -239,34 +230,22 @@ type Runner struct {
 	recording bool
 	sob       simObs
 
-	// tlv is the run's timeline view (nil when the timeline is off): the
-	// batch loop advances it once per batch and Run closes it, folding
-	// per-window deltas into the shared recorder and merging the private
-	// lifetime totals back. Nil costs one branch per batch.
-	tlv *obs.TimelineView
-
-	// hmv is the run's address-space heatmap view (nil when the heatmap
-	// is off): memAccess/writeback/prefetch stamp per-page access heat
-	// while recording, the batch loop probes it for residency sampling
-	// edges, and Run closes it. hmSample is the pre-bound Residency
-	// method value handed to the MC's page sweep, built once so the
-	// batch loop never allocates a closure.
+	// The per-run hooks, each nil when disarmed (one branch per site):
+	//   - tlv, the timeline view: advanced at every batch edge, closed by
+	//     Run, which merges its private lifetime totals back;
+	//   - hmv, the heatmap view: stamped with per-page heat while
+	//     recording, swept for residency at its window edges (hmSample is
+	//     the pre-bound Residency method value, so the sweep never
+	//     allocates a closure), closed by Run;
+	//   - inj, the fault injector: the simulator owns the embedded-CTE
+	//     fault site, the MC the payload and DRAM sites;
+	//   - rasCTE, the RAS embedded-CTE patrol's policy state (TMCC with
+	//     embedding and scrubbing only): see patrolCTE.
+	tlv      *obs.TimelineView
 	hmv      *obs.HeatmapView
 	hmSample func(ppn uint64, tier heatmap.Tier)
-
-	// inj is the run's fault injector (nil in healthy runs). The simulator
-	// owns the embedded-CTE fault site — the PTB/CTE-Buffer machinery lives
-	// here — while the MC holds the payload and DRAM sites.
-	inj *fault.Injector
-
-	// rasCTE is the RAS layer's embedded-CTE patrol (nil unless RAS
-	// scrubbing is armed on a TMCC run with embedding): the batch loop
-	// probes it for policy-window edges, and each edge sweeps a bounded
-	// number of PTB slots, refreshing stale embedded CTEs against the MC's
-	// authoritative translations. The patrol's cycle cost banks into the
-	// MC's scrub backlog so the cross-layer scrubber shares one conserved
-	// charging path.
-	rasCTE *ctePatrol
+	inj      *fault.Injector
+	rasCTE   *ras.State
 
 	// ag is the latency-attribution sink for this run's (benchmark,
 	// kind); nil when attribution is off. attrWalk carries the most

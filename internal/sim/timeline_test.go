@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"tmcc/internal/config"
-	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/timeline"
+	"tmcc/internal/ras"
 )
 
 // timelineObserver arms every sink plus a timeline recorder with a window
@@ -17,33 +17,6 @@ func timelineObserver(width config.Time) *obs.Observer {
 	return ob
 }
 
-// TestTimelineDoesNotPerturbResults extends the layer's core guarantee to
-// the windowed path: a run with the timeline armed (private sinks, batch
-// Advance, Close merge) returns Metrics identical to an unobserved run.
-func TestTimelineDoesNotPerturbResults(t *testing.T) {
-	for _, kind := range []mc.Kind{mc.Compresso, mc.TMCC} {
-		opt := Options{
-			Benchmark:       "canneal",
-			Kind:            kind,
-			WarmupAccesses:  20000,
-			MeasureAccesses: 20000,
-			Seed:            7,
-		}
-		plain, err := NewRunner(opt)
-		if err != nil {
-			t.Fatalf("%v: NewRunner: %v", kind, err)
-		}
-		timed, err := NewRunnerObserved(opt, timelineObserver(config.Microsecond))
-		if err != nil {
-			t.Fatalf("%v: NewRunnerObserved: %v", kind, err)
-		}
-		a, b := mustRun(t, plain), mustRun(t, timed)
-		if a != b {
-			t.Errorf("%v: timeline observation changed the results:\nplain: %+v\ntimed: %+v", kind, a, b)
-		}
-	}
-}
-
 // TestTimelineRunConservation is the per-run conservation property: after
 // a tight-budget TMCC run with 1us windows, the timeline must span
 // multiple windows, every window's attr deltas must conserve, and the
@@ -51,7 +24,7 @@ func TestTimelineDoesNotPerturbResults(t *testing.T) {
 // aggregates (VerifyTimeline).
 func TestTimelineRunConservation(t *testing.T) {
 	ob := timelineObserver(config.Microsecond)
-	r, err := NewRunnerObserved(tightOpts(t), ob)
+	r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +73,7 @@ func TestTimelineRunConservation(t *testing.T) {
 // timeline.
 func TestTimelineOffLeavesNoTrace(t *testing.T) {
 	ob := obs.New()
-	r, err := NewRunnerObserved(tightOpts(t), ob)
+	r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
