@@ -71,7 +71,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 }
 
-// deltas returns three distinguishable deltas.
+// deltas returns three distinguishable deltas for fold-order tests.
 func deltas() []*Delta {
 	a := &Delta{CTEHit: 3}
 	a.Heat[attr.ClassDemand] = 10
@@ -84,6 +84,30 @@ func deltas() []*Delta {
 	c.ObserveSize(4000)
 	c.Events[EvEmergency] = 1
 	return []*Delta{a, b, c}
+}
+
+// TestFoldOrderIndependence: folding the same deltas in any order, into
+// the recorder or into a Delta, yields identical snapshots — the property
+// that makes worker-count invariance possible.
+func TestFoldOrderIndependence(t *testing.T) {
+	ds := deltas()
+	orders := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}}
+	var bufs []string
+	for _, ord := range orders {
+		r := NewRecorder(512, 0)
+		for _, i := range ord {
+			r.Add("canneal", "tmcc", 7, ds[i])
+			r.AddTotal("canneal", "tmcc", ds[i])
+		}
+		var b bytes.Buffer
+		if err := r.Snapshot().WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, b.String())
+	}
+	if bufs[0] != bufs[1] || bufs[0] != bufs[2] {
+		t.Errorf("fold order changed the CSV:\n%s\nvs\n%s\nvs\n%s", bufs[0], bufs[1], bufs[2])
+	}
 }
 
 // TestSumRegionsMatchesTotal: when the same deltas feed both paths, the

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,6 +62,51 @@ func TestWindowStartEdge(t *testing.T) {
 
 func delta(path string, n uint64) *Delta {
 	return &Delta{Counters: []CounterDelta{{Path: path, Delta: n}}}
+}
+
+// TestRecorderFoldOrderIndependent: two recorders fed the same deltas in
+// different interleavings snapshot identically — the property that makes
+// the timeline byte-identical at any -j.
+func TestRecorderFoldOrderIndependent(t *testing.T) {
+	rs := []*Recorder{NewRecorder(0), NewRecorder(0)}
+	adds := []struct {
+		bench, kind string
+		win         int64
+		d           *Delta
+	}{
+		{"canneal", "tmcc", 0, delta("a", 1)},
+		{"canneal", "tmcc", 0, delta("b", 2)},
+		{"canneal", "tmcc", int64(DefaultWindow), delta("a", 3)},
+		{"mcf", "compresso", 0, delta("a", 4)},
+		{"canneal", "tmcc", 0, delta("a", 10)},
+	}
+	for _, a := range adds {
+		if err := rs[0].Add(a.bench, a.kind, a.win, a.d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := len(adds) - 1; i >= 0; i-- {
+		a := adds[i]
+		if err := rs[1].Add(a.bench, a.kind, a.win, a.d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s0, s1 := rs[0].Snapshot(), rs[1].Snapshot()
+	if !reflect.DeepEqual(s0, s1) {
+		t.Fatalf("snapshots differ by add order:\n%+v\n%+v", s0, s1)
+	}
+	// Shape spot-checks: groups sorted by (bench, kind), windows ascending,
+	// counters merged.
+	if len(s0.Groups) != 2 || s0.Groups[0].Benchmark != "canneal" || s0.Groups[1].Benchmark != "mcf" {
+		t.Fatalf("unexpected group order: %+v", s0.Groups)
+	}
+	g := s0.Groups[0]
+	if len(g.Windows) != 2 || g.Windows[0].StartPS != 0 || g.Windows[1].StartPS != int64(DefaultWindow) {
+		t.Fatalf("unexpected windows: %+v", g.Windows)
+	}
+	if got := g.Windows[0].Counters; len(got) != 2 || got[0].Path != "a" || got[0].Delta != 11 || got[1].Delta != 2 {
+		t.Fatalf("window 0 counters = %+v, want a=11 b=2", got)
+	}
 }
 
 // TestNilRecorderInert: every method on a nil recorder is a no-op — the

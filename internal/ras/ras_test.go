@@ -105,6 +105,25 @@ func TestBreakerOpensAndClosesWithHysteresis(t *testing.T) {
 	}
 }
 
+func TestTickIgnoresNonMonotonicTimes(t *testing.T) {
+	w := 100 * config.Nanosecond
+	s := New(Config{ScrubPages: 8, WindowPS: w}, 10, 0)
+	if tk := s.Tick(3*w + 1); tk.ScrubPages != 8 {
+		t.Fatalf("edge granted %d scrub pages, want 8", tk.ScrubPages)
+	}
+	// Nested background accesses replay earlier timestamps; they must not
+	// re-cross the edge.
+	if tk := s.Tick(w + 1); tk != (TickResult{}) {
+		t.Errorf("older time re-crossed the window edge: %+v", tk)
+	}
+	if tk := s.Tick(3*w + 1); tk != (TickResult{}) {
+		t.Errorf("same window granted a second quota: %+v", tk)
+	}
+	if tk := s.Tick(4*w + 1); tk.ScrubPages != 8 {
+		t.Errorf("next edge granted %d, want 8", tk.ScrubPages)
+	}
+}
+
 func TestScrubCursorIsSeededAndWraps(t *testing.T) {
 	a := New(Config{ScrubPages: 4}, 5, 3)
 	b := New(Config{ScrubPages: 4}, 5, 3)

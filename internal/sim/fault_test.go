@@ -63,6 +63,17 @@ func TestChaosDeterministicPerKind(t *testing.T) {
 	}
 }
 
+// TestFaultsOffIsByteIdentical pins the zero-cost contract: a disabled
+// plan yields a nil injector, and a nil-injector run is the plain run —
+// every fault site is a single nil check that changes nothing.
+func TestFaultsOffIsByteIdentical(t *testing.T) {
+	inj := fault.NewInjector(fault.Plan{Seed: 1}, 7)
+	if inj != nil {
+		t.Fatal("disabled plan built a live injector")
+	}
+	checkHookBundle(t, hookBundle{opt: tightOpts(t), kinds: []mc.Kind{mc.TMCC}, inj: inj, inert: true})
+}
+
 // TestCTECorruptionNeverChangesDataOutcomes asserts the recovery
 // guarantee for fault site (a): corrupting embedded CTEs must be detected
 // (mis-speculations rise) and recovered — every access still completes,

@@ -52,79 +52,91 @@ func armedObserver() *obs.Observer {
 	return ob
 }
 
-// TestHookBundlesLeaveMetricsIdentical is the per-run hook spine's core
-// guarantee, one row per hook bundle: a run with hooks armed but inert
-// (observation of any kind, a nil injector, the zero RAS config) returns
-// Metrics identical to a plain NewRunner run of the same Options, for
-// every design the row lists. Rows with verify also audit the observer
-// (attr conservation, VerifyTimeline, VerifyHeatmap); the RAS-armed row
-// changes results by design and asserts only the audits.
-func TestHookBundlesLeaveMetricsIdentical(t *testing.T) {
-	if inj := fault.NewInjector(fault.Plan{Seed: 1}, 7); inj != nil {
-		t.Fatal("disabled plan built a live injector")
+// hookBundle is one per-run hook bundle and what a run armed with it must
+// satisfy.
+type hookBundle struct {
+	opt     Options
+	kinds   []mc.Kind
+	ob      func() *obs.Observer // nil: no observer
+	inj     *fault.Injector
+	rcfg    ras.Config
+	inert   bool // armed Metrics must equal the plain run's
+	digests bool // with inert: plain Metrics must match oneCoreDigests
+	verify  bool // the observer's conservation audits must hold
+}
+
+// checkHookBundle runs b for each of its kinds, one subtest per kind.
+func checkHookBundle(t *testing.T, b hookBundle) {
+	t.Helper()
+	for _, kind := range b.kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			opt := b.opt
+			opt.Kind = kind
+			var ob *obs.Observer
+			if b.ob != nil {
+				ob = b.ob()
+			}
+			armed, err := NewRunnerFull(opt, ob, b.inj, b.rcfg)
+			if err != nil {
+				t.Fatalf("NewRunnerFull: %v", err)
+			}
+			got := mustRun(t, armed)
+			if b.inert {
+				plain := mustRunOpt(t, opt)
+				if plain != got {
+					t.Errorf("armed hooks changed the results:\nplain: %+v\narmed: %+v", plain, got)
+				}
+				if d := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", plain)))); b.digests && d != oneCoreDigests[kind] {
+					t.Errorf("1-core Metrics digest %s, want %s", d, oneCoreDigests[kind])
+				}
+			}
+			if b.verify {
+				reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
+				if err := at.Conserved(); err != nil {
+					t.Errorf("attr conservation: %v", err)
+				}
+				if err := obs.VerifyTimeline(ob.TL.Snapshot(), reg, at); err != nil {
+					t.Errorf("VerifyTimeline: %v", err)
+				}
+				if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
+					t.Errorf("VerifyHeatmap: %v", err)
+				}
+			}
+		})
 	}
-	quick := Options{Benchmark: "canneal", WarmupAccesses: 20000, MeasureAccesses: 20000, Seed: 7}
-	oneCore := quick
+}
+
+// quickOpts is canneal at 20000/20000 accesses, seed 7, kind unset.
+func quickOpts() Options {
+	return Options{Benchmark: "canneal", WarmupAccesses: 20000, MeasureAccesses: 20000, Seed: 7}
+}
+
+// TestObservationDoesNotPerturbResults is the layer's core guarantee: a
+// run observed with a live registry and tracer returns Metrics identical
+// to an unobserved run of the same Options, for every design.
+func TestObservationDoesNotPerturbResults(t *testing.T) {
+	checkHookBundle(t, hookBundle{opt: quickOpts(), ob: obs.New, inert: true,
+		kinds: []mc.Kind{mc.Uncompressed, mc.Compresso, mc.OSInspired, mc.TMCC}})
+}
+
+// TestHookBundlesLeaveMetricsIdentical covers the hook spine on one core:
+// with every observation sink armed the Metrics equal the plain run's and
+// match oneCoreDigests, and the observer's audits (attr conservation,
+// VerifyTimeline, VerifyHeatmap) hold with and without RAS armed. The
+// RAS-armed bundle changes results by design and asserts only the audits.
+func TestHookBundlesLeaveMetricsIdentical(t *testing.T) {
+	oneCore := quickOpts()
 	oneCore.Sys = config.Default()
 	oneCore.Sys.CPU.Cores = 1
-	all := []mc.Kind{mc.Uncompressed, mc.Compresso, mc.OSInspired, mc.TMCC}
-	rows := []struct {
-		name    string
-		opt     Options
-		kinds   []mc.Kind
-		ob      func() *obs.Observer // nil: no observer
-		rcfg    ras.Config
-		inert   bool // armed Metrics must equal the plain run's
-		digests bool // with inert: plain Metrics must match oneCoreDigests
-		verify  bool // the observer's conservation audits must hold
-	}{
-		{name: "observer", opt: quick, kinds: all, ob: obs.New, inert: true},
-		{name: "timeline", opt: quick, kinds: []mc.Kind{mc.Compresso, mc.TMCC},
-			ob: func() *obs.Observer { return timelineObserver(config.Microsecond) }, inert: true},
-		{name: "disarmed", opt: tightOpts(t), kinds: []mc.Kind{mc.TMCC}, inert: true},
-		{name: "1core", opt: oneCore, kinds: []mc.Kind{mc.TMCC, mc.OSInspired},
-			ob: armedObserver, inert: true, digests: true, verify: true},
-		{name: "1core-ras", opt: oneCore, kinds: []mc.Kind{mc.TMCC, mc.OSInspired},
-			ob: armedObserver, rcfg: ras.Default(), verify: true},
-	}
-	for _, row := range rows {
-		for _, kind := range row.kinds {
-			t.Run(row.name+"/"+kind.String(), func(t *testing.T) {
-				opt := row.opt
-				opt.Kind = kind
-				var ob *obs.Observer
-				if row.ob != nil {
-					ob = row.ob()
-				}
-				armed, err := NewRunnerFull(opt, ob, nil, row.rcfg)
-				if err != nil {
-					t.Fatalf("NewRunnerFull: %v", err)
-				}
-				b := mustRun(t, armed)
-				if row.inert {
-					a := mustRunOpt(t, opt)
-					if a != b {
-						t.Errorf("armed hooks changed the results:\nplain: %+v\narmed: %+v", a, b)
-					}
-					if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", a)))); row.digests && got != oneCoreDigests[kind] {
-						t.Errorf("1-core Metrics digest %s, want %s", got, oneCoreDigests[kind])
-					}
-				}
-				if row.verify {
-					reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
-					if err := at.Conserved(); err != nil {
-						t.Errorf("attr conservation: %v", err)
-					}
-					if err := obs.VerifyTimeline(ob.TL.Snapshot(), reg, at); err != nil {
-						t.Errorf("VerifyTimeline: %v", err)
-					}
-					if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
-						t.Errorf("VerifyHeatmap: %v", err)
-					}
-				}
-			})
-		}
-	}
+	kinds := []mc.Kind{mc.TMCC, mc.OSInspired}
+	t.Run("1core", func(t *testing.T) {
+		checkHookBundle(t, hookBundle{opt: oneCore, kinds: kinds, ob: armedObserver,
+			inert: true, digests: true, verify: true})
+	})
+	t.Run("1core-ras", func(t *testing.T) {
+		checkHookBundle(t, hookBundle{opt: oneCore, kinds: kinds, ob: armedObserver,
+			rcfg: ras.Default(), verify: true})
+	})
 }
 
 // TestObsCountersConsistentWithMetrics pins the acceptance bar: after an

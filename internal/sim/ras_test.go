@@ -11,6 +11,14 @@ import (
 	"tmcc/internal/ras"
 )
 
+// TestRASOffIsByteIdentical pins the layer's zero-cost contract at the
+// system level: a zero ras.Config threads a nil *ras.State through the
+// controller, and the run is the plain run — every RAS hook is one nil
+// branch that changes nothing.
+func TestRASOffIsByteIdentical(t *testing.T) {
+	checkHookBundle(t, hookBundle{opt: tightOpts(t), kinds: []mc.Kind{mc.TMCC}, rcfg: ras.Config{}, inert: true})
+}
+
 // runRAS executes one observed chaos run with the RAS layer armed and
 // verifies the invariant battery the chaos campaign enforces.
 func runRAS(t *testing.T, kind mc.Kind, plan fault.Plan, rcfg ras.Config) (Metrics, *obs.Observer, fault.Counters) {

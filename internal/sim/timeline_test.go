@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tmcc/internal/config"
+	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/timeline"
 	"tmcc/internal/ras"
@@ -15,6 +16,14 @@ func timelineObserver(width config.Time) *obs.Observer {
 	ob := obs.New()
 	ob.TL = timeline.NewRecorder(width)
 	return ob
+}
+
+// TestTimelineDoesNotPerturbResults extends the layer's core guarantee to
+// the windowed path: a run with the timeline armed (private sinks, batch
+// Advance, Close merge) returns Metrics identical to an unobserved run.
+func TestTimelineDoesNotPerturbResults(t *testing.T) {
+	checkHookBundle(t, hookBundle{opt: quickOpts(), kinds: []mc.Kind{mc.Compresso, mc.TMCC},
+		ob: func() *obs.Observer { return timelineObserver(config.Microsecond) }, inert: true})
 }
 
 // TestTimelineRunConservation is the per-run conservation property: after
