@@ -524,9 +524,9 @@ func printStats(w io.Writer, st engine.Stats, workers int, wall time.Duration, o
 }
 
 // statsJSON renders the machine-readable one-line engine summary (the last
-// -stats line; CI parses it). When an observer rode along, the line also
+// -stats line, for scripts). When an observer rode along, the line also
 // carries the tracer's dropped-span count and the attribution totals, so
-// smoke artifacts capture them without extra files.
+// a run's log captures them without extra files.
 func statsJSON(st engine.Stats, wall time.Duration, ob *obs.Observer) string {
 	out := struct {
 		Executed     uint64  `json:"executed"`

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,9 +43,10 @@ func TestRunUnknownExperiment(t *testing.T) {
 // package, but keep the assertion order-independent: just require counters
 // to render and progress to fire on a fresh engine run).
 func TestStatsOutput(t *testing.T) {
-	var progress int
+	// The hook fires from every worker goroutine.
+	var progress atomic.Int64
 	eng := exp.Engine()
-	eng.SetProgress(func(engine.Run) { progress++ })
+	eng.SetProgress(func(engine.Run) { progress.Add(1) })
 	defer eng.SetProgress(nil)
 
 	cfg := exp.Config{Seed: 42, Quick: true}
@@ -52,7 +54,7 @@ func TestStatsOutput(t *testing.T) {
 	if err := run(&out, "ext-2dwalk", cfg, "csv"); err != nil {
 		t.Fatalf("run(ext-2dwalk): %v", err)
 	}
-	if progress == 0 {
+	if progress.Load() == 0 {
 		t.Error("progress hook never fired")
 	}
 
@@ -66,7 +68,7 @@ func TestStatsOutput(t *testing.T) {
 	}
 }
 
-// TestStatsJSON pins the machine-readable summary line CI parses.
+// TestStatsJSON pins the machine-readable summary line scripts parse.
 func TestStatsJSON(t *testing.T) {
 	st := engine.Stats{Runs: 7, Hits: 3, Coalesced: 2}
 	line := statsJSON(st, 1500*time.Millisecond, nil)

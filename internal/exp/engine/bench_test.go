@@ -43,7 +43,7 @@ func benchRunAll(b *testing.B, workers int) {
 // BenchmarkRunAll compares worker-pool widths on one process. The -j
 // regression this guards against: on a host where GOMAXPROCS caps useful
 // parallelism, -j 4 must not run slower than -j 1 — SetWorkers clamps the
-// pool and RunAll executes inline when nothing can overlap, so the j4
+// pool to GOMAXPROCS and both widths run the same pooled path, so the j4
 // number here must be <= the j1 number (equal on a single-core host).
 func BenchmarkRunAll(b *testing.B) {
 	for _, j := range []int{1, 4} {

@@ -362,25 +362,6 @@ func (e *Engine) Run(opt sim.Options) (sim.Metrics, error) {
 // job's, by index.
 func (e *Engine) RunAll(jobs []sim.Options) ([]sim.Metrics, error) {
 	ms := make([]sim.Metrics, len(jobs))
-	if cap(e.sem) == 1 || len(jobs) == 1 {
-		// Serial fast path: with one worker (or one job) the pool cannot
-		// overlap anything, so spawning a goroutine and WaitGroup per job
-		// only buys scheduler overhead. Execute inline on the caller —
-		// every job still runs even after a failure, exactly like the
-		// pooled path, so execution counts and memo population match.
-		var firstErr error
-		for i := range jobs {
-			m, err := e.Run(jobs[i])
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			ms[i] = m
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return ms, nil
-	}
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	for i := range jobs {
@@ -407,14 +388,6 @@ func (e *Engine) RunAll(jobs []sim.Options) ([]sim.Metrics, error) {
 // holds a worker slot for its whole duration, so nesting can deadlock the
 // pool.
 func (e *Engine) Map(n int, f func(i int)) {
-	if cap(e.sem) == 1 || n == 1 {
-		// Serial fast path, mirroring RunAll: no goroutines, no semaphore
-		// churn when nothing can overlap.
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

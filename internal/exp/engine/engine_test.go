@@ -214,12 +214,14 @@ func TestProgressHookSeesEveryExecution(t *testing.T) {
 }
 
 func TestMapPreservesSlotOrder(t *testing.T) {
-	e := New(4)
-	out := make([]int, 64)
-	e.Map(len(out), func(i int) { out[i] = i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("slot %d = %d", i, v)
+	for _, workers := range []int{1, 4} {
+		e := New(workers)
+		out := make([]int, 64)
+		e.Map(len(out), func(i int) { out[i] = i * i })
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("%d workers: slot %d = %d", workers, i, v)
+			}
 		}
 	}
 }

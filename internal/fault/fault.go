@@ -219,7 +219,7 @@ func (c Counters) Total() uint64 {
 }
 
 // String renders the counters as the fixed-order key=value line tmccsim
-// prints and chaos-smoke diffs across same-seed runs.
+// prints and make smoke diffs across same-seed runs.
 func (c Counters) String() string {
 	return fmt.Sprintf(
 		"cteCorrupt=%d cteStale=%d payload=%d quarantines=%d spikes=%d busy=%d retries=%d timeouts=%d",

@@ -385,8 +385,8 @@ func (s Snapshot) Totals() (accesses uint64, totalPS int64) {
 	return accesses, totalPS
 }
 
-// CSVHeader is the column layout WriteCSV emits; the breakdown-smoke
-// awk assertions and EXPERIMENTS.md key off these names and positions.
+// CSVHeader is the column layout WriteCSV emits; EXPERIMENTS.md keys off
+// these names and positions.
 var CSVHeader = []string{
 	"benchmark", "kind", "class", "accesses", "totalPS",
 	"walkPS", "cacheHitPS", "cteLookupPS", "cteSerialPS", "cteParallelPS",

@@ -21,8 +21,8 @@
 //
 // Each group carries TWO accumulation paths — the region map and the
 // group total — fed independently by the view. Σ region counts == total
-// is therefore a real cross-check (obs.VerifyHeatmap and the
-// heatmap-smoke awk gate both assert it), not an identity.
+// is therefore a real cross-check (obs.VerifyHeatmap asserts it), not an
+// identity.
 //
 // Like the registry and the timeline, a heatmap recorder rides
 // obs.Observer outside the experiment engine's memo key: observation
@@ -324,13 +324,13 @@ func (s Snapshot) KindTotals() map[string]Delta {
 	return out
 }
 
-// CSVHeader is the column layout WriteCSV emits; the heatmap-smoke awk
-// conservation gate and EXPERIMENTS.md key off these names and
-// positions. Region discriminates row scope: a region index, or "total"
-// for the group's independent total. Series discriminates the row type:
-// "heat" (name = attr class), "event" (name = Event), "cte" (hit/miss),
-// "size" (bucket names plus "all" carrying count and byte sum), and
-// "residency" (name = tier; the group total adds a "sweeps" row).
+// CSVHeader is the column layout WriteCSV emits; EXPERIMENTS.md keys off
+// these names and positions. Region discriminates row scope: a region
+// index, or "total" for the group's independent total. Series
+// discriminates the row type: "heat" (name = attr class), "event"
+// (name = Event), "cte" (hit/miss), "size" (bucket names plus "all"
+// carrying count and byte sum), and "residency" (name = tier; the group
+// total adds a "sweeps" row).
 var CSVHeader = []string{"benchmark", "kind", "region", "series", "name", "count", "sum"}
 
 // WriteCSV renders the snapshot as one row per (region x series x name),

@@ -357,8 +357,8 @@ func (h HistDelta) Quantile(q float64) float64 {
 	return InterpQuantile(h.Bounds, h.Counts, h.Count, q)
 }
 
-// CSVHeader is the column layout WriteCSV emits; the timeline-smoke awk
-// assertions and EXPERIMENTS.md key off these names and positions.
+// CSVHeader is the column layout WriteCSV emits; EXPERIMENTS.md keys off
+// these names and positions.
 // Series discriminates the row type: "counter" rows fill count with the
 // window delta; "histogram" rows fill count/sum and the interpolated
 // quantiles; "attr" rows come in pairs of forms — "<class>.total" (count,
@@ -467,8 +467,8 @@ func (s Snapshot) HistTotals() (map[string]HistDelta, error) {
 	return out, nil
 }
 
-// AttrTotals sums one group's attr window deltas per class, keyed by
-// class; classes never seen report a false second return.
+// AttrTotals sums one group's attr window deltas per class, indexed by
+// class; a class never seen reports a zero Count.
 func (g GroupSeries) AttrTotals() [attr.NumClasses]AttrDelta {
 	var out [attr.NumClasses]AttrDelta
 	for cl := range out {

@@ -16,8 +16,8 @@ import (
 // on a window edge lands in the EARLIER window; simulated time 0 (atomic
 // placement) and anything before it is window 0; and a time behind the
 // current window never re-fires an edge — ras relies on that for nested
-// background accesses replaying earlier timestamps. Rendering tools and
-// the smoke awk depend on this never changing.
+// background accesses replaying earlier timestamps. Rendering tools
+// depend on this never changing.
 func TestWindowStartEdge(t *testing.T) {
 	w := config.Millisecond
 	e := NewEdge(w)

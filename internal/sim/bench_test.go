@@ -31,7 +31,7 @@ func newBenchRunner(tb testing.TB, kind mc.Kind) *Runner {
 
 // BenchmarkAccessPath times the batched simulation core per design:
 // ns/op is nanoseconds per simulated access, the repo's headline raw
-// -simulation speed number (BENCH_core.json tracks it).
+// -simulation speed number (bench/README.md has the repo benchmark).
 func BenchmarkAccessPath(b *testing.B) {
 	for _, kind := range benchKinds {
 		b.Run(kind.String(), func(b *testing.B) {

@@ -42,11 +42,11 @@ func runChaos(t *testing.T, kind mc.Kind, plan fault.Plan) (Metrics, fault.Count
 	return m, inj.Counters()
 }
 
-// TestChaosDeterministicPerKind is the in-process half of the chaos-smoke
-// acceptance bar: under a seeded all-faults plan every design completes
-// (no panic, attribution conserved, audits clean), the same (plan, salt)
-// reproduces byte-identical metrics AND fault counters, and the plan
-// actually fires on every design.
+// TestChaosDeterministicPerKind is the in-process, every-design half of
+// make smoke's chaos check: under a seeded all-faults plan every design
+// completes (no panic, attribution conserved, audits clean), the same
+// (plan, salt) reproduces byte-identical metrics AND fault counters, and
+// the plan actually fires on every design.
 func TestChaosDeterministicPerKind(t *testing.T) {
 	for _, kind := range []mc.Kind{mc.Uncompressed, mc.Compresso, mc.OSInspired, mc.TMCC} {
 		m1, c1 := runChaos(t, kind, chaosPlan())

@@ -15,8 +15,8 @@ import (
 // conservation audit: Σ per-region counts equals the group total, total
 // heat equals the lifetime attr class counts, and events / CTE locality /
 // compressed sizes equal the lifetime mc.<kind>.* registry instruments.
-// This is the sim-level end of the invariant the heatmap-smoke awk gate
-// rechecks on the rendered CSV.
+// This is the per-design, sim-level end of the invariant
+// TestQuickSuiteMatchesGolden rechecks over the whole quick suite.
 func TestHeatmapConservationAllKinds(t *testing.T) {
 	for _, kind := range benchKinds {
 		t.Run(kind.String(), func(t *testing.T) {
