@@ -29,7 +29,8 @@ const goldenPath = "../../bench/golden/seed-42.json"
 // observation surface armed — registry, tracer, attribution, a 100µs
 // timeline and the heatmap — so the same pass proves observation leaves
 // every table byte-identical and that each conservation audit holds over
-// the whole suite. When a change is meant to move a table, regenerate the
+// the whole suite; the quickRelations orderings are checked on the same
+// tables. When a change is meant to move a table, regenerate the
 // digests with `bash bench/run.sh -update-golden -seed 42` (bench/README.md).
 func TestQuickSuiteMatchesGolden(t *testing.T) {
 	if testing.Short() {
@@ -81,6 +82,11 @@ func TestQuickSuiteMatchesGolden(t *testing.T) {
 			t.Errorf("%s: no golden digest (CSV digest %.12s)", id, got)
 		case got != golden:
 			t.Errorf("%s: CSV digest %.12s, golden %.12s", id, got, golden)
+		}
+		if rel, ok := quickRelations[id]; ok {
+			if err := rel(tab); err != nil {
+				t.Errorf("%s: metamorphic relation: %v", id, err)
+			}
 		}
 	}
 

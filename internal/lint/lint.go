@@ -4,8 +4,10 @@
 //
 //   - determinism-rand: simulator code under internal/ must not call the
 //     global math/rand functions (rand.Intn, rand.Float64, ...). All
-//     randomness flows through an injected, explicitly seeded *rand.Rand so
-//     identical seeds reproduce identical runs.
+//     randomness flows through an injected, explicitly seeded *rand.Rand,
+//     or, in the workload trace generator, through a source seeded from
+//     the same rand.NewSource that tests hold stream-identical to
+//     *rand.Rand, so identical seeds reproduce identical runs.
 //   - determinism-wallclock: simulator code under internal/ must not read
 //     the wall clock (time.Now, time.Since, time.Until). Simulated time is
 //     config.Time; wall-clock reads make runs irreproducible.

@@ -10,11 +10,7 @@
 // calibrated per-benchmark mixes.
 package workload
 
-import (
-	"math/rand"
-
-	"tmcc/internal/config"
-)
+import "tmcc/internal/config"
 
 // Access is one memory operation of the trace.
 type Access struct {
@@ -119,8 +115,11 @@ func SpecFor(name string) (Spec, bool) {
 // Trace is a deterministic per-core access generator for one spec.
 type Trace struct {
 	spec  Spec
-	rng   *rand.Rand
+	rng   *rng
 	vbase uint64
+
+	// Geometric-draw thresholds: maxFloatBelow of 1/SeqRun and 1/GapMean.
+	runBelow, gapBelow int64
 
 	curPage  uint64 // current page offset within footprint
 	curBlock int
@@ -135,13 +134,19 @@ type Trace struct {
 // NewTrace builds a generator; vbase is the first mapped virtual page
 // number (from the address space), core seeds differ per core.
 func NewTrace(spec Spec, vbase uint64, seed int64) *Trace {
-	t := &Trace{spec: spec, rng: rand.New(rand.NewSource(seed)), vbase: vbase}
+	t := &Trace{
+		spec:     spec,
+		rng:      newRNG(seed),
+		vbase:    vbase,
+		runBelow: maxFloatBelow(1.0 / float64(spec.SeqRun)),
+		gapBelow: maxFloatBelow(1.0 / float64(spec.GapMean)),
+	}
 	t.jump()
 	return t
 }
 
 func (t *Trace) jump() {
-	switch r := t.rng.Float64(); {
+	switch r := t.rng.float64(); {
 	case r < t.spec.HotFrac:
 		// Hot pages come in clusters of adjacent pages (slices of vertex
 		// property arrays, frontier queues): a cluster shares one 8-page
@@ -152,30 +157,24 @@ func (t *Trace) jump() {
 		if nClusters == 0 {
 			nClusters = 1
 		}
-		c := uint64(t.rng.Int63n(int64(nClusters)))
+		c := uint64(t.rng.int63n(int64(nClusters)))
 		stride := t.spec.FootprintPages / nClusters
 		if stride < cluster {
 			stride = cluster
 		}
-		t.curPage = (c*stride + uint64(t.rng.Intn(cluster))) % t.spec.FootprintPages
-	case t.rng.Float64() < t.spec.ColdJump || t.spec.WarmPages == 0:
+		t.curPage = (c*stride + uint64(t.rng.intn(cluster))) % t.spec.FootprintPages
+	case t.rng.float64() < t.spec.ColdJump || t.spec.WarmPages == 0:
 		// Truly cold: anywhere in the footprint (may hit ML2).
-		t.curPage = uint64(t.rng.Int63n(int64(t.spec.FootprintPages)))
+		t.curPage = uint64(t.rng.int63n(int64(t.spec.FootprintPages)))
 	default:
 		// Warm zone: big enough to defeat TLBs and CTE caches, but kept
 		// resident in ML1 (cold pages are cold precisely because they are
 		// almost never touched).
-		t.curPage = uint64(t.rng.Int63n(int64(t.spec.WarmPages)))
+		t.curPage = uint64(t.rng.int63n(int64(t.spec.WarmPages)))
 	}
-	t.curBlock = t.rng.Intn(64)
+	t.curBlock = t.rng.intn(64)
 	// Geometric run length with the configured mean.
-	t.run = 1
-	for t.rng.Float64() > 1.0/float64(t.spec.SeqRun) {
-		t.run++
-		if t.run > 8*t.spec.SeqRun {
-			break
-		}
-	}
+	t.run = 1 + t.rng.geom(t.runBelow, 8*t.spec.SeqRun-1)
 	t.runLen = t.run
 }
 
@@ -183,11 +182,11 @@ func (t *Trace) jump() {
 func (t *Trace) Next() Access {
 	// Temporal reuse: re-touch a recent block (these land in L1/L2, as the
 	// bulk of real accesses do).
-	if t.histN > 0 && t.rng.Float64() < t.spec.Reuse {
-		vaddr := t.hist[t.rng.Intn(t.histN)]
+	if t.histN > 0 && t.rng.float64() < t.spec.Reuse {
+		vaddr := t.hist[t.rng.intn(t.histN)]
 		return Access{
 			VAddr: vaddr,
-			Write: t.rng.Float64() < t.spec.WriteFrac,
+			Write: t.rng.float64() < t.spec.WriteFrac,
 			Gap:   t.gap(),
 		}
 	}
@@ -199,7 +198,7 @@ func (t *Trace) Next() Access {
 	}
 	a := Access{
 		VAddr: vaddr,
-		Write: t.rng.Float64() < t.spec.WriteFrac,
+		Write: t.rng.float64() < t.spec.WriteFrac,
 		Gap:   t.gap(),
 		// The first access of a run is the data-dependent jump (the
 		// neighbor/pointer just loaded); streaming within the run is not.
@@ -223,14 +222,7 @@ func (t *Trace) gap() int {
 		return 0
 	}
 	// Geometric around the mean.
-	g := 0
-	for t.rng.Float64() > 1.0/float64(t.spec.GapMean) {
-		g++
-		if g > 8*t.spec.GapMean {
-			break
-		}
-	}
-	return g
+	return t.rng.geom(t.gapBelow, 8*t.spec.GapMean)
 }
 
 // SizeModel assigns every physical page a compressed size under both the
