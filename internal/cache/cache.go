@@ -6,9 +6,12 @@
 // simulation is execution-driven for addresses, functional for contents).
 package cache
 
-// Cache is a set-associative LRU tag store over 64B block numbers.
+// Cache is a set-associative LRU tag store over 64B block numbers. A
+// probe (Lookup or Probe) returns the line's way slot, and every follow-up
+// on that line (flags, invalidation) takes the slot, so an access scans a
+// set's tags once.
 type Cache struct {
-	sets  int
+	sets  uint64
 	ways  int
 	tags  []uint64 // +1 encoding, 0 = invalid
 	stamp []uint64
@@ -27,14 +30,23 @@ const (
 	FlagCompressedPTB
 )
 
+// Sets reports how many sets New(sizeBytes, ways) builds; 0 means the
+// geometry is degenerate (no whole line, or no way) and New must not be
+// called with it.
+func Sets(sizeBytes, ways int) int {
+	lines := sizeBytes / 64
+	if lines < 1 || ways < 1 {
+		return 0
+	}
+	return lines / min(ways, lines)
+}
+
 // New builds a cache of the given total size in bytes with 64B lines.
 func New(sizeBytes, ways int) *Cache {
 	lines := sizeBytes / 64
-	if lines < ways {
-		ways = lines
-	}
+	ways = min(ways, lines)
 	return &Cache{
-		sets:  lines / ways,
+		sets:  uint64(Sets(sizeBytes, ways)),
 		ways:  ways,
 		tags:  make([]uint64, lines),
 		stamp: make([]uint64, lines),
@@ -42,52 +54,42 @@ func New(sizeBytes, ways int) *Cache {
 	}
 }
 
-func (c *Cache) find(block uint64) int {
-	base := int(block%uint64(c.sets)) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == block+1 {
+// set returns the first slot of block's set.
+func (c *Cache) set(block uint64) int { return int(block%c.sets) * c.ways }
+
+// Probe returns block's slot, or -1, without touching recency or counters.
+func (c *Cache) Probe(block uint64) int {
+	base, k := c.set(block), block+1
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == k {
 			return base + w
 		}
 	}
 	return -1
 }
 
-// Access probes for block; on hit it refreshes recency and returns true.
-func (c *Cache) Access(block uint64) bool {
+// Lookup probes for block: on a hit it refreshes recency and returns the
+// line's slot, on a miss it returns -1.
+func (c *Cache) Lookup(block uint64) int {
 	c.clock++
-	if i := c.find(block); i >= 0 {
-		c.stamp[i] = c.clock
-		c.Hits++
-		return true
+	i := c.Probe(block)
+	if i < 0 {
+		c.Misses++
+		return -1
 	}
-	c.Misses++
-	return false
+	c.stamp[i] = c.clock
+	c.Hits++
+	return i
 }
 
-// Probe checks presence without touching recency or counters.
-func (c *Cache) Probe(block uint64) bool { return c.find(block) >= 0 }
+// FlagsAt returns the flags of the line in slot.
+func (c *Cache) FlagsAt(slot int) uint8 { return c.flags[slot] }
 
-// Flags returns the line flags; ok=false if absent.
-func (c *Cache) Flags(block uint64) (uint8, bool) {
-	if i := c.find(block); i >= 0 {
-		return c.flags[i], true
-	}
-	return 0, false
-}
+// SetFlagsAt overwrites the flags of the line in slot.
+func (c *Cache) SetFlagsAt(slot int, f uint8) { c.flags[slot] = f }
 
-// SetFlags overwrites the flags of a present line.
-func (c *Cache) SetFlags(block uint64, f uint8) {
-	if i := c.find(block); i >= 0 {
-		c.flags[i] = f
-	}
-}
-
-// OrFlags sets bits on a present line.
-func (c *Cache) OrFlags(block uint64, f uint8) {
-	if i := c.find(block); i >= 0 {
-		c.flags[i] |= f
-	}
-}
+// OrFlagsAt sets bits on the line in slot.
+func (c *Cache) OrFlagsAt(slot int, f uint8) { c.flags[slot] |= f }
 
 // Victim describes an evicted line.
 type Victim struct {
@@ -96,42 +98,42 @@ type Victim struct {
 	Valid bool
 }
 
-// Insert fills block (with flags) and returns the victim, if a valid line
+// Insert fills block (with flags) into the set's first invalid way, else
+// its least recently used one, and returns the victim, if a valid line
 // was displaced.
 func (c *Cache) Insert(block uint64, flags uint8) Victim {
-	base := int(block%uint64(c.sets)) * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == 0 {
-			victim = base + w
+	base := c.set(block)
+	tags := c.tags[base : base+c.ways]
+	stamp := c.stamp[base : base+len(tags)]
+	v, oldest := 0, stamp[0]
+	for w, t := range tags {
+		if t == 0 {
+			v = w
 			break
 		}
-		if c.stamp[base+w] < c.stamp[victim] {
-			victim = base + w
+		if s := stamp[w]; s < oldest {
+			v, oldest = w, s
 		}
 	}
 	var out Victim
-	if c.tags[victim] != 0 && c.tags[victim] != block+1 {
-		out = Victim{Block: c.tags[victim] - 1, Flags: c.flags[victim], Valid: true}
+	if tags[v] != 0 && tags[v] != block+1 {
+		out = Victim{Block: tags[v] - 1, Flags: c.flags[base+v], Valid: true}
 	}
 	c.clock++
-	c.tags[victim] = block + 1
-	c.stamp[victim] = c.clock
-	c.flags[victim] = flags
+	tags[v] = block + 1
+	stamp[v] = c.clock
+	c.flags[base+v] = flags
 	return out
 }
 
-// Invalidate removes block (for exclusive-L3 promotion), returning its
-// flags.
-func (c *Cache) Invalidate(block uint64) (uint8, bool) {
-	if i := c.find(block); i >= 0 {
-		f := c.flags[i]
-		c.tags[i] = 0
-		c.flags[i] = 0
-		return f, true
-	}
-	return 0, false
+// InvalidateAt removes the line in slot (for exclusive-L3 promotion),
+// returning its flags.
+func (c *Cache) InvalidateAt(slot int) uint8 {
+	f := c.flags[slot]
+	c.tags[slot] = 0
+	c.flags[slot] = 0
+	return f
 }
 
 // Lines returns capacity in 64B lines.
-func (c *Cache) Lines() int { return c.sets * c.ways }
+func (c *Cache) Lines() int { return int(c.sets) * c.ways }

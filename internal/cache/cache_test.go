@@ -7,11 +7,11 @@ import (
 
 func TestInsertAccess(t *testing.T) {
 	c := New(64*64, 4) // 64 lines
-	if c.Access(5) {
+	if c.Lookup(5) >= 0 {
 		t.Fatal("hit in empty cache")
 	}
 	c.Insert(5, 0)
-	if !c.Access(5) {
+	if c.Lookup(5) < 0 {
 		t.Fatal("miss after insert")
 	}
 }
@@ -32,35 +32,47 @@ func TestVictimReported(t *testing.T) {
 func TestFlagsLifecycle(t *testing.T) {
 	c := New(16*64, 4)
 	c.Insert(3, FlagCompressedPTB)
-	f, ok := c.Flags(3)
-	if !ok || f != FlagCompressedPTB {
-		t.Fatalf("flags = %x ok=%v", f, ok)
+	s := c.Lookup(3)
+	if s < 0 || c.FlagsAt(s) != FlagCompressedPTB {
+		t.Fatalf("slot %d flags = %x", s, c.FlagsAt(s))
 	}
-	c.OrFlags(3, FlagDirty)
-	f, _ = c.Flags(3)
-	if f != FlagCompressedPTB|FlagDirty {
+	c.OrFlagsAt(s, FlagDirty)
+	if f := c.FlagsAt(s); f != FlagCompressedPTB|FlagDirty {
 		t.Fatalf("flags after Or = %x", f)
 	}
-	c.SetFlags(3, 0)
-	if f, _ = c.Flags(3); f != 0 {
+	c.SetFlagsAt(s, 0)
+	if f := c.FlagsAt(s); f != 0 {
 		t.Fatalf("flags after Set = %x", f)
 	}
-	if f, ok := c.Invalidate(3); !ok || f != 0 {
-		t.Fatalf("invalidate = %x %v", f, ok)
+	c.OrFlagsAt(s, FlagDirty)
+	if f := c.InvalidateAt(s); f != FlagDirty {
+		t.Fatalf("invalidate = %x", f)
 	}
-	if c.Probe(3) {
+	if c.Probe(3) >= 0 {
 		t.Error("present after invalidate")
+	}
+	if c.Insert(3, 0).Valid {
+		t.Error("refill of the invalidated slot reported a victim")
 	}
 }
 
 func TestProbeNoSideEffects(t *testing.T) {
-	c := New(16*64, 4)
-	c.Insert(1, 0)
+	c := New(4*64, 4) // one set: Probe must not change the LRU victim
+	for b := uint64(0); b < 4; b++ {
+		c.Insert(b, 0)
+	}
 	h, m := c.Hits, c.Misses
-	c.Probe(1)
-	c.Probe(2)
+	if s := c.Probe(0); s < 0 || s != c.Probe(0) {
+		t.Fatalf("Probe(0) = %d, want a stable slot", s)
+	}
+	if c.Probe(7) >= 0 {
+		t.Error("Probe hit an absent block")
+	}
 	if c.Hits != h || c.Misses != m {
 		t.Error("Probe changed counters")
+	}
+	if v := c.Insert(10, 0); v.Block != 0 {
+		t.Errorf("victim %d, want 0: Probe refreshed recency", v.Block)
 	}
 }
 
@@ -69,7 +81,7 @@ func TestLRUOrder(t *testing.T) {
 	for b := uint64(0); b < 4; b++ {
 		c.Insert(b, 0)
 	}
-	c.Access(0)
+	c.Lookup(0)
 	v := c.Insert(10, 0)
 	if v.Block != 1 {
 		t.Fatalf("victim %d, want 1 (LRU)", v.Block)
@@ -110,5 +122,212 @@ func TestThrottleTurnsOff(t *testing.T) {
 	}
 	if !th2.Enabled() {
 		t.Error("throttle turned off at 100% accuracy")
+	}
+}
+
+func TestSets(t *testing.T) {
+	for _, tc := range []struct{ size, ways, want int }{
+		{8 << 20, 16, 8192},
+		{12 * 64, 4, 3},
+		{2 * 64, 4, 1}, // ways clamp to the two lines
+		{0, 8, 0},
+		{63, 8, 0},
+		{64 * 64, 0, 0},
+		{64 * 64, -1, 0},
+	} {
+		if got := Sets(tc.size, tc.ways); got != tc.want {
+			t.Errorf("Sets(%d, %d) = %d, want %d", tc.size, tc.ways, got, tc.want)
+		}
+	}
+}
+
+// refLRU is the reference model for TestCacheMatchesReference: per-way
+// tags and flags plus a per-set recency list of way numbers, least
+// recently used first. A fill takes the set's first invalid way, else the
+// list's head.
+type refLRU struct {
+	tag    [][]uint64 // [set][way], block+1; 0 = invalid
+	flag   [][]uint8
+	recent [][]int // [set] valid ways, LRU first
+
+	hits, misses uint64
+}
+
+func newRefLRU(sets, ways int) *refLRU {
+	m := &refLRU{}
+	for s := 0; s < sets; s++ {
+		m.tag = append(m.tag, make([]uint64, ways))
+		m.flag = append(m.flag, make([]uint8, ways))
+		m.recent = append(m.recent, nil)
+	}
+	return m
+}
+
+func (m *refLRU) set(block uint64) int { return int(block % uint64(len(m.tag))) }
+
+// probe returns block's way, or -1.
+func (m *refLRU) probe(block uint64) int {
+	for w, t := range m.tag[m.set(block)] {
+		if t == block+1 {
+			return w
+		}
+	}
+	return -1
+}
+
+// drop removes way w from set s's recency list.
+func (m *refLRU) drop(s, w int) {
+	for i, x := range m.recent[s] {
+		if x == w {
+			m.recent[s] = append(m.recent[s][:i], m.recent[s][i+1:]...)
+			return
+		}
+	}
+}
+
+// touch makes way w the most recently used of set s.
+func (m *refLRU) touch(s, w int) {
+	m.drop(s, w)
+	m.recent[s] = append(m.recent[s], w)
+}
+
+func (m *refLRU) lookup(block uint64) int {
+	w := m.probe(block)
+	if w < 0 {
+		m.misses++
+		return -1
+	}
+	m.hits++
+	m.touch(m.set(block), w)
+	return w
+}
+
+func (m *refLRU) insert(block uint64, flags uint8) Victim {
+	s := m.set(block)
+	w := -1
+	for i, t := range m.tag[s] {
+		if t == 0 {
+			w = i
+			break
+		}
+	}
+	if w < 0 {
+		w = m.recent[s][0]
+	}
+	var out Victim
+	if t := m.tag[s][w]; t != 0 && t != block+1 {
+		out = Victim{Block: t - 1, Flags: m.flag[s][w], Valid: true}
+	}
+	m.tag[s][w], m.flag[s][w] = block+1, flags
+	m.touch(s, w)
+	return out
+}
+
+func (m *refLRU) invalidate(block uint64, w int) uint8 {
+	s := m.set(block)
+	f := m.flag[s][w]
+	m.tag[s][w], m.flag[s][w] = 0, 0
+	m.drop(s, w)
+	return f
+}
+
+// TestCacheMatchesReference drives Cache and refLRU with the same seeded
+// mix of Lookup/Probe/Insert/InvalidateAt and flag operations, and
+// requires identical hit/miss outcomes, victims, flags and counters. Each
+// side acts on the slot its own probe returned.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+	}{
+		{"pow2-16x4", 16, 4},
+		{"odd-3x4", 3, 4},
+		{"direct-5x1", 5, 1},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			c := New(g.sets*g.ways*64, g.ways)
+			m := newRefLRU(g.sets, g.ways)
+			rng := rand.New(rand.NewSource(int64(g.sets*100 + g.ways)))
+			span := 3 * g.sets * g.ways
+			for op := 0; op < 200000; op++ {
+				b := uint64(rng.Intn(span))
+				cs, ms := c.Probe(b), m.probe(b)
+				if (cs >= 0) != (ms >= 0) {
+					t.Fatalf("op %d: Probe(%d) = %d, reference way %d", op, b, cs, ms)
+				}
+				switch k := rng.Intn(10); {
+				case k < 4:
+					cs, ms = c.Lookup(b), m.lookup(b)
+					if (cs >= 0) != (ms >= 0) {
+						t.Fatalf("op %d: Lookup(%d) = %d, reference way %d", op, b, cs, ms)
+					}
+				case k < 7:
+					if cs >= 0 {
+						break // fills follow misses, as on the access path
+					}
+					f := uint8(rng.Intn(8))
+					if cv, mv := c.Insert(b, f), m.insert(b, f); cv != mv {
+						t.Fatalf("op %d: Insert(%d) victim %+v, reference %+v", op, b, cv, mv)
+					}
+				case k < 8:
+					if cs >= 0 {
+						if cf, mf := c.InvalidateAt(cs), m.invalidate(b, ms); cf != mf {
+							t.Fatalf("op %d: InvalidateAt(%d) flags %x, reference %x", op, b, cf, mf)
+						}
+					}
+				default:
+					if cs < 0 {
+						break
+					}
+					f := uint8(rng.Intn(8))
+					s := m.set(b)
+					if k == 8 {
+						c.SetFlagsAt(cs, f)
+						m.flag[s][ms] = f
+					} else {
+						c.OrFlagsAt(cs, f)
+						m.flag[s][ms] |= f
+					}
+					if cf, mf := c.FlagsAt(cs), m.flag[s][ms]; cf != mf {
+						t.Fatalf("op %d: flags of %d = %x, reference %x", op, b, cf, mf)
+					}
+				}
+				if c.Hits != m.hits || c.Misses != m.misses {
+					t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", op, c.Hits, c.Misses, m.hits, m.misses)
+				}
+			}
+		})
+	}
+}
+
+// cacheSink keeps BenchmarkCacheLookupInsert's results live.
+var cacheSink Victim
+
+// BenchmarkCacheLookupInsert times one L3 access at the default geometry
+// (8 MiB, 16-way): a Lookup, plus an Insert on a miss. Blocks are uniform
+// over twice the cache's lines (an xorshift stream, so no per-op table
+// read), which makes the LRU steady state about half hits.
+func BenchmarkCacheLookupInsert(b *testing.B) {
+	const size, ways = 8 << 20, 16
+	const span = 2 * size / 64 // a power of two: the mask below is exact
+	c := New(size, ways)
+	x := uint64(88172645463325252)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x & (span - 1)
+	}
+	for i := 0; i < 4*span; i++ {
+		if blk := next(); c.Lookup(blk) < 0 {
+			c.Insert(blk, 0)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if blk := next(); c.Lookup(blk) < 0 {
+			cacheSink = c.Insert(blk, 0)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func (c *Cache) blockFor(ppn uint64) uint64 { return ppn / c.pagesPerBlk }
 
 // Lookup probes the cache for the CTE covering ppn.
 func (c *Cache) Lookup(ppn uint64) bool {
-	if c.c.Access(c.blockFor(ppn)) {
+	if c.c.Lookup(c.blockFor(ppn)) >= 0 {
 		c.obsHit.Inc()
 		c.heat.CTE(ppn, true)
 		return true
@@ -71,7 +71,7 @@ func (c *Cache) Lookup(ppn uint64) bool {
 func (c *Cache) Fill(ppn uint64) { c.c.Insert(c.blockFor(ppn), 0) }
 
 // Probe checks presence without recency/counter side effects.
-func (c *Cache) Probe(ppn uint64) bool { return c.c.Probe(c.blockFor(ppn)) }
+func (c *Cache) Probe(ppn uint64) bool { return c.c.Probe(c.blockFor(ppn)) >= 0 }
 
 // Hits and Misses expose the counters.
 func (c *Cache) Hits() uint64   { return c.c.Hits }
@@ -106,11 +106,13 @@ type BufEntry struct {
 
 // Buffer is the 64-entry CTE Buffer in L2 (~1KB). FIFO replacement: the
 // hardware is a small circular structure, so the model matches it with a
-// linear CAM-style scan over the (at most 64) valid entries — no map, no
-// allocation on the simulator's access path.
+// linear CAM-style scan — no map, no allocation on the simulator's access
+// path. The scan reads only keys, a contiguous array holding PPN+1 per
+// entry (0 = invalid, the encoding cache tags use; PPNs are 40 bits), so
+// a probe is one compare per word and reads no entry.
 type Buffer struct {
+	keys    []uint64
 	entries []BufEntry
-	valid   []bool
 	next    int
 	// Observability counters (nil when not observed).
 	obsHit, obsMiss *obs.Counter
@@ -124,15 +126,16 @@ func (b *Buffer) Observe(hit, miss *obs.Counter) {
 // NewBuffer returns a buffer with n entries (the paper uses 64).
 func NewBuffer(n int) *Buffer {
 	return &Buffer{
+		keys:    make([]uint64, n),
 		entries: make([]BufEntry, n),
-		valid:   make([]bool, n),
 	}
 }
 
 // find returns the index of the valid entry for ppn, or -1.
 func (b *Buffer) find(ppn uint64) int {
-	for i := range b.entries {
-		if b.valid[i] && b.entries[i].PPN == ppn {
+	k := ppn + 1
+	for i, key := range b.keys {
+		if key == k {
 			return i
 		}
 	}
@@ -142,14 +145,13 @@ func (b *Buffer) find(ppn uint64) int {
 // Insert records an entry, replacing any existing entry for the same PPN,
 // else the FIFO victim.
 func (b *Buffer) Insert(e BufEntry) {
-	if i := b.find(e.PPN); i >= 0 {
-		b.entries[i] = e
-		return
+	i := b.find(e.PPN)
+	if i < 0 {
+		i = b.next
+		b.next = (b.next + 1) % len(b.keys)
+		b.keys[i] = e.PPN + 1
 	}
-	i := b.next
-	b.next = (b.next + 1) % len(b.entries)
 	b.entries[i] = e
-	b.valid[i] = true
 }
 
 // Lookup fetches the entry for ppn.
@@ -180,8 +182,8 @@ func (b *Buffer) Update(ppn uint64, correct uint32) (ptbAddr uint64, present, st
 // Len reports valid entries.
 func (b *Buffer) Len() int {
 	n := 0
-	for _, v := range b.valid {
-		if v {
+	for _, k := range b.keys {
+		if k != 0 {
 			n++
 		}
 	}

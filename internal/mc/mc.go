@@ -359,6 +359,19 @@ func (m *MC) updateGauges() {
 	m.ob.ml1Free.Set(int64(m.ml1.Len()))
 }
 
+// CTECacheConfig is the CTE cache a design of kind builds: the override
+// when set, else Compresso's block-level cache or the system's page-level
+// one. Uncompressed builds none.
+func CTECacheConfig(kind Kind, sys config.System, override *config.CTECacheCfg) config.CTECacheCfg {
+	switch {
+	case override != nil:
+		return *override
+	case kind == Compresso:
+		return config.CompressoCTE()
+	}
+	return sys.Comp.CTE
+}
+
 // New builds a controller. For compressed designs the caller then Places
 // every mapped page (hot first) before simulation. It fails when the
 // budget cannot even hold the design's metadata (CTE table).
@@ -374,20 +387,12 @@ func New(cfg Config) (*MC, error) {
 	case Uncompressed:
 		m.chunkPool = cfg.BudgetPages
 	case Compresso:
-		cteCfg := config.CompressoCTE()
-		if cfg.CTEOverride != nil {
-			cteCfg = *cfg.CTEOverride
-		}
-		m.cte = ctecache.New(cteCfg)
+		m.cte = ctecache.New(CTECacheConfig(cfg.Kind, cfg.Sys, cfg.CTEOverride))
 		if err := m.reserveCTETable(64); err != nil {
 			return nil, err
 		}
 	case OSInspired, TMCC:
-		cteCfg := cfg.Sys.Comp.CTE
-		if cfg.CTEOverride != nil {
-			cteCfg = *cfg.CTEOverride
-		}
-		m.cte = ctecache.New(cteCfg)
+		m.cte = ctecache.New(CTECacheConfig(cfg.Kind, cfg.Sys, cfg.CTEOverride))
 		if err := m.reserveCTETable(8); err != nil {
 			return nil, err
 		}
@@ -655,7 +660,7 @@ func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embed
 			m.ob.cteMissWalk.Inc()
 		}
 		if m.shadow != nil {
-			if m.shadow.Access(ppn / m.shadowPPB) {
+			if m.shadow.Lookup(ppn/m.shadowPPB) >= 0 {
 				m.Stats.CTEVictimHits++
 				m.ob.cteVictimHit.Inc()
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -40,6 +41,38 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 	return uint64(usage) + 1
 }
 
+// ErrGeometry reports a cache or CTE Buffer the model cannot build: a
+// cache with no whole set, or a CTE Buffer with no entry. NewRunnerFull
+// returns it (wrapped, naming the structure) before building anything.
+var ErrGeometry = errors.New("degenerate geometry")
+
+// checkGeometry rejects with ErrGeometry any cache the run would build
+// with fewer than one set, and a TMCC CTE Buffer with fewer than one entry.
+// The MC's victim shadow has L3's size and 16 ways, so the L3 row covers it.
+func checkGeometry(opt Options, sys config.System) error {
+	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
+	for _, c := range []struct {
+		name       string
+		size, ways int
+		built      bool
+	}{
+		{"L1", sys.Cache.L1SizeKB * config.KiB / 2, sys.Cache.Assoc, true},
+		{"L2", sys.Cache.L2SizeKB * config.KiB, sys.Cache.Assoc, true},
+		{"L3", sys.Cache.L3SizeMB * config.MiB, sys.Cache.Assoc * 2, true},
+		{"CTE cache", cte.SizeKB * config.KiB, cte.Assoc, opt.Kind != mc.Uncompressed},
+	} {
+		if c.built && cache.Sets(c.size, c.ways) < 1 {
+			return fmt.Errorf("sim: %s/%s: %w: %s of %d B, %d-way, has no set",
+				opt.Benchmark, opt.Kind, ErrGeometry, c.name, c.size, c.ways)
+		}
+	}
+	if opt.Kind == mc.TMCC && sys.Comp.CTEBufEntries < 1 {
+		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries",
+			opt.Benchmark, opt.Kind, ErrGeometry, sys.Comp.CTEBufEntries)
+	}
+	return nil
+}
+
 // NewRunner builds a complete simulated system for the options, with no
 // per-run hooks armed.
 func NewRunner(opt Options) (*Runner, error) { return NewRunnerFull(opt, nil, nil, ras.Config{}) }
@@ -59,6 +92,9 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	sys := opt.Sys
 	if sys.CPU.Cores == 0 {
 		sys = config.Default()
+	}
+	if err := checkGeometry(opt, sys); err != nil {
+		return nil, err
 	}
 	// The heatmap view derives from the original observer before any
 	// timeline shadowing: heat facts carry addresses the registry cannot

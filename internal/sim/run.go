@@ -316,31 +316,33 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	l3Lat := l2Lat + r.sys.Cache.L3Cycles.Dur(r.cycle)
 
 	if !isPTB {
-		if c.l1.Access(block) {
+		if s := c.l1.Lookup(block); s >= 0 {
 			if write {
-				c.l1.OrFlags(block, cache.FlagDirty)
-				c.l2.OrFlags(block, cache.FlagDirty)
+				c.l1.OrFlagsAt(s, cache.FlagDirty)
+				// L2 does not back-invalidate L1, so the line may be gone.
+				if s2 := c.l2.Probe(block); s2 >= 0 {
+					c.l2.OrFlagsAt(s2, cache.FlagDirty)
+				}
 			}
 			r.attrCacheHit(isPTB, l1Lat)
 			return t + l1Lat
 		}
 	}
-	if c.l2.Access(block) {
-		if f, _ := c.l2.Flags(block); f&flagPrefetched != 0 {
+	if s := c.l2.Lookup(block); s >= 0 {
+		if f := c.l2.FlagsAt(s); f&flagPrefetched != 0 {
 			c.throttle.Useful()
-			c.l2.SetFlags(block, f&^flagPrefetched)
+			c.l2.SetFlagsAt(s, f&^flagPrefetched)
 		}
 		if write {
-			c.l2.OrFlags(block, cache.FlagDirty)
+			c.l2.OrFlagsAt(s, cache.FlagDirty)
 		}
 		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l2Lat)
 		return t + l2Lat
 	}
-	if r.l3.Access(block) {
+	if s := r.l3.Lookup(block); s >= 0 {
 		// Exclusive L3: promote to L2.
-		f, _ := r.l3.Invalidate(block)
-		r.insertL2(c, block, f, write, isPTB, t)
+		r.insertL2(c, block, r.l3.InvalidateAt(s), write, isPTB, t)
 		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l3Lat)
 		return t + l3Lat
@@ -456,7 +458,8 @@ func (r *Runner) finishAttr(a *attr.Access, isPTB bool) {
 	r.ag.Record(a)
 }
 
-// fillL1 caches the block in L1 for demand accesses.
+// fillL1 caches the block in L1 for demand accesses. A write's L2 line is
+// already dirty: every caller has just marked or inserted it so.
 func (r *Runner) fillL1(c *core, block uint64, write, isPTB bool) {
 	if isPTB {
 		return // walker data stays out of L1
@@ -466,9 +469,6 @@ func (r *Runner) fillL1(c *core, block uint64, write, isPTB bool) {
 		f = cache.FlagDirty
 	}
 	c.l1.Insert(block, f)
-	if write {
-		c.l2.OrFlags(block, cache.FlagDirty)
-	}
 }
 
 // insertL2 fills a block into L2, spilling the victim into the exclusive
@@ -522,7 +522,7 @@ func (r *Runner) prefetch(c *core, now config.Time, block uint64) {
 		if nb/config.BlocksPage != block/config.BlocksPage {
 			continue // stay within the page: no extra translation
 		}
-		if c.l2.Probe(nb) || r.l3.Probe(nb) {
+		if c.l2.Probe(nb) >= 0 || r.l3.Probe(nb) >= 0 {
 			continue
 		}
 		c.throttle.Issued()
