@@ -62,7 +62,9 @@ bench:
 #   3. tmcctop renders the metrics snapshot, finds the trace's counter
 #      events, and renders the watch file's timeline and heatmap;
 #   4. a too-small budget exits nonzero with the capacity diagnosis
-#      instead of crashing.
+#      instead of crashing;
+#   5. two processes running fig17 at -j 2 write identical timeline and
+#      heatmap CSVs (process-wide memos must not leak into either).
 # SMOKE_DIR holds the binaries and artifacts of smoke and ras-smoke.
 SMOKE_DIR ?= /tmp/tmcc-smoke
 CHAOS_PLAN = cte=0.05,stale=0.02,payload=0.02,spike=0.01:250ns,busy=0.01:100ns:3
@@ -90,7 +92,14 @@ smoke:
 		> /dev/null 2> $(SMOKE_DIR)/capacity.err; then \
 		echo "smoke: tiny budget did not fail"; exit 1; fi
 	grep -q 'capacity exhausted' $(SMOKE_DIR)/capacity.err
-	@echo "smoke: chaos run deterministic, artifacts render, exhaustion graceful"
+	$(GO) build -o $(SMOKE_DIR)/tmccsim ./cmd/tmccsim
+	for i in 1 2; do d=$(SMOKE_DIR)/fig17_$$i; \
+		$(SMOKE_DIR)/tmccsim -exp fig17 -quick -j 2 \
+			-timeline $$d.tl.csv -timeline-window 100us -heatmap $$d.hm.csv \
+			> /dev/null 2> $$d.err || exit 1; done
+	for f in tl.csv hm.csv; do \
+		diff -q $(SMOKE_DIR)/fig17_1.$$f $(SMOKE_DIR)/fig17_2.$$f || exit 1; done
+	@echo "smoke: chaos run deterministic, artifacts render, exhaustion graceful, fig17 artifacts reproduce across processes"
 
 # ras-smoke proves the self-healing RAS layer end to end on a binary with
 # the tmccdebug invariants and the race detector armed: a 25-plan seeded

@@ -24,7 +24,7 @@ type Cache struct {
 	obsHit, obsMiss *obs.Counter
 	// heat, when non-nil, receives the same Lookup outcomes keyed by page
 	// — the heatmap's CTE-locality series (nil-safe methods).
-	heat *obs.HeatmapView
+	heat *obs.RunView
 }
 
 // New builds a CTE cache from its configuration.
@@ -40,16 +40,11 @@ func New(cfg config.CTECacheCfg) *Cache {
 	}
 }
 
-// Observe registers hit/miss counters for Lookup outcomes; nil counters
-// (the default) keep the cache unobserved at zero cost.
-func (c *Cache) Observe(hit, miss *obs.Counter) {
-	c.obsHit, c.obsMiss = hit, miss
-}
-
-// ObserveHeat attaches the run's heatmap view so Lookup outcomes also
-// land on the page's address-space region.
-func (c *Cache) ObserveHeat(hm *obs.HeatmapView) {
-	c.heat = hm
+// Observe registers hit/miss counters for Lookup outcomes and the run
+// view whose heatmap also receives them, keyed by the page's region; nil
+// arguments (the default) keep the cache unobserved at zero cost.
+func (c *Cache) Observe(hit, miss *obs.Counter, heat *obs.RunView) {
+	c.obsHit, c.obsMiss, c.heat = hit, miss, heat
 }
 
 // blockFor maps a physical page number to its CTE block id.

@@ -86,11 +86,6 @@ type Config struct {
 	// counters survive ResetStats and aggregate across MC instances
 	// sharing a registry. Pure write-only sink: must not affect timing.
 	Obs *obs.Observer
-	// Heat, when non-nil, is the run's address-space heatmap view: the
-	// controller stamps migrations, pressure evictions, quarantines, ML2
-	// serves, and compressed sizes against the page they hit. Write-only
-	// and nil-safe, like Obs.
-	Heat *obs.HeatmapView
 	// Inject, when non-nil, arms fault injection on the MC's ML2 payload
 	// and DRAM request paths (the embedded-CTE faults live in the
 	// simulator, which owns the PTB path). nil keeps every site on its
@@ -173,9 +168,11 @@ type MC struct {
 	chunkPool    uint64 // frames available for data
 	cteTableBase uint64
 
-	// heat is the run's spatial heatmap view (nil when the heatmap is
-	// off); every stamp site pays one nil check inside the method.
-	heat *obs.HeatmapView
+	// heat is the run view Obs carries (nil unless a timeline or heatmap
+	// is armed): the controller stamps migrations, pressure evictions,
+	// quarantines, ML2 serves, compressed sizes and residency against the
+	// page they hit. Every stamp site pays one nil check inside the method.
+	heat *obs.RunView
 
 	// inj is the armed fault injector (nil in healthy runs); pressure and
 	// capErr belong to the graceful-degradation ladder (pressure.go).
@@ -325,10 +322,7 @@ func (m *MC) observe(o *obs.Observer) {
 		m.ob.rasPages.Set(int64(len(m.pages)))
 	}
 	if m.cte != nil {
-		m.cte.Observe(o.Counter(p+"ctecache.hit"), o.Counter(p+"ctecache.miss"))
-	}
-	if m.cte != nil && m.heat != nil {
-		m.cte.ObserveHeat(m.heat)
+		m.cte.Observe(o.Counter(p+"ctecache.hit"), o.Counter(p+"ctecache.miss"), m.heat)
 	}
 	if o.At != nil {
 		m.ab = new(attr.Access)
@@ -380,7 +374,7 @@ func New(cfg Config) (*MC, error) {
 		cfg:  cfg,
 		dram: dram.New(cfg.Sys.DRAM),
 		rng:  rand.New(rand.NewSource(cfg.Seed + 1000)),
-		heat: cfg.Heat,
+		heat: cfg.Obs.View(),
 		inj:  cfg.Inject,
 	}
 	switch cfg.Kind {
@@ -1134,27 +1128,31 @@ func (m *MC) ResetStats() {
 // CTECache exposes hit-rate counters for the experiments.
 func (m *MC) CTECache() *ctecache.Cache { return m.cte }
 
-// SampleResidency reports every placed page's current tier through f —
-// the heatmap's residency sweep, run by the simulator's batch loop when
-// a sampling window edge passes. Overflow frames are the pressure
-// ladder's beyond-budget chunks; everything else uncompressed is ML1.
-// Read-only: it must never perturb placement or recency state.
-func (m *MC) SampleResidency(f func(ppn uint64, tier heatmap.Tier)) {
+// SampleResidency sweeps every placed page's current tier into the run
+// view's heatmap — run by the simulator when a sampling window edge
+// passes and once at the end of every run; a no-op unless the heatmap is
+// armed. Overflow frames are the pressure ladder's beyond-budget chunks;
+// everything else uncompressed is ML1. Read-only: it must never perturb
+// placement or recency state.
+func (m *MC) SampleResidency() {
+	if !m.heat.Sweep() {
+		return
+	}
 	for ppn := range m.pages {
 		st := &m.pages[ppn]
 		if !st.placed {
 			continue
 		}
+		tier := heatmap.TierML1
 		switch {
 		case st.retired:
-			f(uint64(ppn), heatmap.TierRetired)
+			tier = heatmap.TierRetired
 		case st.inML2:
-			f(uint64(ppn), heatmap.TierML2)
+			tier = heatmap.TierML2
 		case uint64(st.chunk) >= m.cfg.BudgetPages:
-			f(uint64(ppn), heatmap.TierOverflow)
-		default:
-			f(uint64(ppn), heatmap.TierML1)
+			tier = heatmap.TierOverflow
 		}
+		m.heat.Residency(uint64(ppn), tier)
 	}
 }
 

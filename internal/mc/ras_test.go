@@ -126,11 +126,20 @@ func TestScrubPatrolDetectsQuarantinesAndRetires(t *testing.T) {
 		t.Error("retired page re-compressed into ML2")
 	}
 
-	// Residency sweeps report the page in the dedicated retired tier.
-	tiers := map[uint64]heatmap.Tier{}
-	m.SampleResidency(func(ppn uint64, tier heatmap.Tier) { tiers[ppn] = tier })
-	if tiers[40] != heatmap.TierRetired {
-		t.Errorf("retired page sampled in tier %v, want %v", tiers[40], heatmap.TierRetired)
+	// Residency sweeps report the page in the dedicated retired tier. The
+	// one-page regions of this heatmap make region 40 page 40.
+	hob := &obs.Observer{Heat: heatmap.NewRecorder(1, 0)}
+	m.heat = hob.RunView("unit", "tmcc")
+	m.SampleResidency()
+	m.heat.Close()
+	var res40 heatmap.Delta
+	for _, r := range hob.Heat.Snapshot().Groups[0].Regions {
+		if r.Region == 40 {
+			res40 = r.Delta
+		}
+	}
+	if res40.Res[heatmap.TierRetired] != 1 || res40.Res[heatmap.TierML1]+res40.Res[heatmap.TierML2] != 0 {
+		t.Errorf("retired page sampled as %v, want once in %v", res40.Res, heatmap.TierRetired)
 	}
 	if err := m.AuditPages(); err != nil {
 		t.Fatal(err)

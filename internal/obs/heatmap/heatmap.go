@@ -14,7 +14,7 @@
 //
 // The recorder is a pure accumulator on the same commutative-fold core
 // as timeline.Recorder (package fold): per-run delta accumulation lives
-// in obs.HeatmapView, which folds one Delta per touched region (plus one
+// in obs.RunView, which folds one Delta per touched region (plus one
 // independently-accumulated group total) at run close. Folds are
 // commutative, and Snapshot sorts groups by (benchmark, kind) and regions
 // ascending, so the rendered CSV is byte-identical at any worker count.
@@ -193,7 +193,7 @@ func (d *Delta) HeatTotal() uint64 {
 // group observed in a process, keyed by region index on the shared
 // commutative-fold core (package fold), plus each group's independently
 // accumulated total. Folds happen only at run close (never per access —
-// per-run accumulation lives in obs.HeatmapView). A nil *Recorder ignores
+// per-run accumulation lives in obs.RunView). A nil *Recorder ignores
 // every operation.
 type Recorder struct {
 	regionShift uint

@@ -58,15 +58,18 @@ type Observer struct {
 	Tr  *Tracer
 	At  *attr.Recorder
 	// TL, when non-nil, arms the windowed timeline: each observed run
-	// gets a private registry and attr recorder (via TimelineView) whose
-	// per-window deltas fold into TL and whose lifetime totals merge back
-	// into Reg/At at run end. Like At, TL rides outside the experiment
-	// engine's memo key.
+	// gets a private registry and attr recorder (via RunView) whose
+	// per-window deltas fold into TL and merge into Reg/At. Like At, TL
+	// rides outside the experiment engine's memo key.
 	TL *timeline.Recorder
 	// Heat, when non-nil, arms the address-space heatmap: each observed
-	// run gets a private HeatmapView whose per-region accumulations fold
-	// into Heat at run end. Like TL, Heat rides outside the memo key.
+	// run accumulates per-region heat in its RunView and folds it into
+	// Heat at run close. Like TL, Heat rides outside the memo key.
 	Heat *heatmap.Recorder
+
+	// view is the run view this observer was derived for (RunView);
+	// nil on the process observer.
+	view *RunView
 }
 
 // New returns an Observer with a fresh registry, a default-capacity

@@ -6,6 +6,7 @@ import (
 
 	"tmcc/internal/config"
 	"tmcc/internal/obs/attr"
+	"tmcc/internal/obs/heatmap"
 	"tmcc/internal/obs/timeline"
 )
 
@@ -52,7 +53,7 @@ func TestSampleSub(t *testing.T) {
 
 // TestRegistryMerge: merging a snapshot adds counters and histogram
 // buckets, overwrites gauges, and rejects shape mismatches — the fold
-// TimelineView.Close relies on being lossless.
+// RunView's timeline flush relies on being lossless.
 func TestRegistryMerge(t *testing.T) {
 	dst := NewRegistry()
 	dst.Counter("c").Add(5)
@@ -88,7 +89,7 @@ func TestRegistryMerge(t *testing.T) {
 }
 
 // record puts one synthetic conserved access into the view's attr group.
-func record(v *TimelineView, bench, kind string, walk, overlap int64) {
+func record(v *RunView, bench, kind string, walk, overlap int64) {
 	var a attr.Access
 	a.Class = attr.ClassDemand
 	a.Add(attr.CWalk, config.Picos(walk))
@@ -98,23 +99,27 @@ func record(v *TimelineView, bench, kind string, walk, overlap int64) {
 	v.Observer().At.Group(bench, kind).Record(&a)
 }
 
-// TestTimelineViewWindowing drives a view through three windows with
-// synthetic bumps and checks window assignment (edge rule included), the
-// Close merge, and VerifyTimeline's exact conservation — the unit-level
-// version of what the sim wires per run.
+// TestTimelineViewWindowing drives a run view's timeline side through
+// three windows with synthetic bumps and checks window assignment (edge
+// rule included), the lifetime merge, VerifyTimeline's exact
+// conservation, and that conservation survives a view that keeps going
+// after Close — the unit-level version of what the sim wires per run.
 func TestTimelineViewWindowing(t *testing.T) {
 	shared := New() // Reg + Tr + At
 	shared.TL = timeline.NewRecorder(config.Microsecond)
-	v := shared.TimelineView("canneal", "tmcc")
+	v := shared.RunView("canneal", "tmcc")
 	if v == nil {
-		t.Fatal("TimelineView returned nil with TL armed")
+		t.Fatal("RunView returned nil with TL armed")
 	}
 	ob := v.Observer()
 	if ob.Reg == shared.Reg || ob.At == shared.At {
 		t.Fatal("derived observer shares lifetime sinks; deltas would double-count")
 	}
-	if ob.TL != nil {
-		t.Fatal("derived observer carries a timeline recorder; views must not nest")
+	if ob.TL != nil || ob.Heat != nil {
+		t.Fatal("derived observer carries a recorder; views must not nest")
+	}
+	if ob.View() != v {
+		t.Fatal("derived observer does not carry its view")
 	}
 
 	c := ob.Reg.Counter("test.hits")
@@ -139,7 +144,7 @@ func TestTimelineViewWindowing(t *testing.T) {
 	// absent, not zero-filled).
 	c.Add(1)
 	v.Close()
-	v.Close() // idempotent
+	v.Close() // nothing new since the last Close: adds nothing
 
 	snap := shared.TL.Snapshot()
 	if len(snap.Groups) != 1 {
@@ -190,13 +195,35 @@ func TestTimelineViewWindowing(t *testing.T) {
 		t.Errorf("window 0 attr = %+v", g.Windows[0].Attr)
 	}
 
-	// Close merged the private totals into the lifetime sinks...
+	// Every flush merged its window into the lifetime sinks...
 	if s, ok := shared.Reg.Snapshot().Get("test.hits"); !ok || s.Value != 16 {
 		t.Errorf("lifetime test.hits = %+v, want 16", s)
+	}
+	if s, ok := shared.Reg.Snapshot().Get("test.level"); !ok || s.Value != 7 {
+		t.Errorf("lifetime test.level = %+v, want the gauge's level 7", s)
 	}
 	// ...so conservation verifies exactly.
 	if err := VerifyTimeline(snap, shared.Reg.Snapshot(), shared.At.Snapshot()); err != nil {
 		t.Fatalf("VerifyTimeline: %v", err)
+	}
+
+	// A view that keeps going after Close (a runner stepped past Run)
+	// keeps conserving: the window Close flushed takes more bumps, later
+	// windows flush as usual, and the next Close folds the rest.
+	c.Add(4)
+	record(v, "canneal", "tmcc", 300, 100)
+	v.Advance(5*config.Microsecond + 1)
+	c.Add(2)
+	v.Close()
+	snap = shared.TL.Snapshot()
+	if s, ok := shared.Reg.Snapshot().Get("test.hits"); !ok || s.Value != 22 {
+		t.Errorf("lifetime test.hits after a second Close = %+v, want 22", s)
+	}
+	if got := counterIn(snap.Groups[0].Windows[2], "test.hits"); got != 5 {
+		t.Errorf("window 3us test.hits = %d, want 5 (reopened after Close)", got)
+	}
+	if err := VerifyTimeline(snap, shared.Reg.Snapshot(), shared.At.Snapshot()); err != nil {
+		t.Fatalf("VerifyTimeline after a second Close: %v", err)
 	}
 
 	// And VerifyTimeline actually detects drift: bump the lifetime counter
@@ -208,19 +235,40 @@ func TestTimelineViewWindowing(t *testing.T) {
 	}
 }
 
-// TestTimelineViewNilPaths: a nil view (timeline off) ignores everything,
-// and an observer without TL derives no view.
-func TestTimelineViewNilPaths(t *testing.T) {
-	var v *TimelineView
-	v.Advance(123)
-	v.Close()
-	if New().TimelineView("b", "k") != nil {
-		t.Error("TimelineView non-nil without a recorder")
-	}
+// TestRunViewNilPaths: an observer arming neither recorder derives no
+// view, a nil view (flags off) ignores every operation, and a
+// timeline-only view drops heat and never asks for a residency sweep.
+func TestRunViewNilPaths(t *testing.T) {
 	var o *Observer
-	if o.TimelineView("b", "k") != nil {
-		t.Error("TimelineView non-nil on nil observer")
+	if o.RunView("b", "k") != nil || o.View() != nil {
+		t.Error("nil observer returned a view")
 	}
+	if New().RunView("b", "k") != nil || New().View() != nil {
+		t.Error("observer without TL or Heat returned a view")
+	}
+	var v *RunView
+	v.Access(1, attr.ClassDemand)
+	v.Event(1, heatmap.EvML2Read)
+	v.CTE(1, true)
+	v.CompressedSize(1, 100)
+	if v.Advance(config.Millisecond + 1) {
+		t.Error("nil view advanced")
+	}
+	if v.Sweep() {
+		t.Error("nil view swept")
+	}
+	v.Residency(1, heatmap.TierML1)
+	v.Close()
+
+	o = New()
+	o.TL = timeline.NewRecorder(config.Microsecond)
+	tv := o.RunView("b", "k")
+	tv.Access(1, attr.ClassDemand)
+	tv.Event(1, heatmap.EvML2Read)
+	if tv.Advance(config.Millisecond+1) || tv.Sweep() {
+		t.Error("timeline-only view asked for a residency sweep")
+	}
+	tv.Close()
 }
 
 // TestAttrClassByNameRoundTrip: every class name maps back onto its class
@@ -266,5 +314,112 @@ func TestAttrRecorderMerge(t *testing.T) {
 	}
 	if err := got.Conserved(); err != nil {
 		t.Errorf("merged snapshot not conserved: %v", err)
+	}
+}
+
+// heatAttr records one access of class cl into the group, mirroring what
+// the simulator does alongside every RunView.Access.
+func heatAttr(g *attr.Group, cl attr.Class) {
+	var a attr.Access
+	a.Class = cl
+	a.Add(attr.CWalk, 100)
+	a.Total = 100
+	g.Record(&a)
+}
+
+// TestHeatmapViewFoldAndVerify drives a run view's heat side like the
+// simulator does —
+// accesses mirrored into attr, events mirrored into registry counters —
+// then checks the folded snapshot's region split and runs the full
+// VerifyHeatmap conservation audit on it.
+func TestHeatmapViewFoldAndVerify(t *testing.T) {
+	o := New()
+	o.Heat = heatmap.NewRecorder(512, 0)
+	v := o.RunView("canneal", "tmcc")
+	ag := o.AttrGroup("canneal", "tmcc")
+
+	// Three demand accesses straddling a region edge, one writeback.
+	for _, ppn := range []uint64{0, 511, 512} {
+		v.Access(ppn, attr.ClassDemand)
+		heatAttr(ag, attr.ClassDemand)
+	}
+	v.Access(5, attr.ClassWriteback)
+	heatAttr(ag, attr.ClassWriteback)
+
+	// Controller events + CTE locality + sizes, mirrored into the same
+	// lifetime instruments mc/ctecache bump.
+	for i := 0; i < 2; i++ {
+		v.Event(7, heatmap.EvML1ToML2)
+		v.CompressedSize(7, 1000)
+		o.Reg.Counter("mc.tmcc.ml1.toML2").Inc()
+		o.Reg.Histogram("mc.tmcc.ml2.compressedBytes", heatmap.SizeBounds()).Observe(1000)
+	}
+	v.Event(7, heatmap.EvML2Read)
+	o.Reg.Counter("mc.tmcc.ml2.reads").Inc()
+	v.CTE(3, true)
+	v.CTE(600, false)
+	o.Reg.Counter("mc.tmcc.ctecache.hit").Inc()
+	o.Reg.Counter("mc.tmcc.ctecache.miss").Inc()
+
+	// Window edge -> one residency sweep (edge semantics: timeline.Edge).
+	if !v.Advance(config.Millisecond + 1) {
+		t.Fatal("window edge not detected")
+	}
+	if !v.Sweep() {
+		t.Fatal("sweep refused on a heat view")
+	}
+	v.Residency(0, heatmap.TierML1)
+	v.Residency(600, heatmap.TierML2)
+
+	v.Close()
+	v.Close() // nothing new since the last Close: must not double anything
+
+	hm := o.Heat.Snapshot()
+	if err := VerifyHeatmap(hm, o.Reg.Snapshot(), o.At.Snapshot()); err != nil {
+		t.Fatalf("VerifyHeatmap: %v", err)
+	}
+	if len(hm.Groups) != 1 {
+		t.Fatalf("groups = %d", len(hm.Groups))
+	}
+	g := hm.Groups[0]
+	byRegion := map[uint64]heatmap.Delta{}
+	for _, r := range g.Regions {
+		byRegion[r.Region] = r.Delta
+	}
+	// Pages 0, 5, 511 fold into region 0; pages 512 and 600 into region 1.
+	if d := byRegion[0]; d.Heat[attr.ClassDemand] != 2 || d.Heat[attr.ClassWriteback] != 1 ||
+		d.CTEHit != 1 || d.Res[heatmap.TierML1] != 1 ||
+		d.Events[heatmap.EvML1ToML2] != 2 || d.SizeCount != 2 || d.SizeSum != 2000 {
+		t.Errorf("region 0 wrong: %+v", d)
+	}
+	if d := byRegion[1]; d.Heat[attr.ClassDemand] != 1 || d.CTEMiss != 1 ||
+		d.Res[heatmap.TierML2] != 1 {
+		t.Errorf("region 1 wrong: %+v", d)
+	}
+	if g.Total.Sweeps != 1 {
+		t.Errorf("sweeps = %d, want 1", g.Total.Sweeps)
+	}
+}
+
+// TestHeatmapViewSweep: the end-of-run sweep counts like a sampling edge,
+// and a view that keeps going after Close folds its new heat at the next
+// Close, so both folds add up.
+func TestHeatmapViewSweep(t *testing.T) {
+	o := New()
+	o.Heat = heatmap.NewRecorder(0, 0)
+	v := o.RunView("mcf", "tmcc")
+	for i := 0; i < 2; i++ {
+		if !v.Sweep() {
+			t.Fatalf("sweep %d refused", i)
+		}
+		v.Residency(3, heatmap.TierOverflow)
+		v.Close()
+	}
+	g := o.Heat.Snapshot().Groups[0]
+	if g.Total.Sweeps != 2 || g.Total.Res[heatmap.TierOverflow] != 2 {
+		t.Errorf("total wrong: %+v", g.Total)
+	}
+	if len(g.Regions) != 1 || g.Regions[0].Res[heatmap.TierOverflow] != 2 {
+		t.Errorf("regions wrong: %+v", g.Regions)
 	}
 }

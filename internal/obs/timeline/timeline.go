@@ -5,7 +5,7 @@
 // integer-picosecond window start.
 //
 // The recorder is a pure accumulator. Per-run delta computation lives in
-// obs.TimelineView, which hands finished window deltas to Add; every Add
+// obs.RunView, which hands finished window deltas to Add; every Add
 // is a commutative fold on the shared fold core, and Snapshot sorts
 // groups by (benchmark, kind), windows by start, and entries by path — so
 // the rendered series is byte-identical at any worker count.
@@ -123,7 +123,7 @@ func (d AttrDelta) Conserved() bool {
 }
 
 // Delta is one finished window's worth of increments for one run, built
-// by obs.TimelineView and folded into the recorder by Add.
+// by obs.RunView and folded into the recorder by Add.
 type Delta struct {
 	Counters []CounterDelta
 	Hists    []HistDelta

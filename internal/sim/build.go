@@ -41,14 +41,17 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 	return uint64(usage) + 1
 }
 
-// ErrGeometry reports a cache or CTE Buffer the model cannot build: a
-// cache with no whole set, or a CTE Buffer with no entry. NewRunnerFull
-// returns it (wrapped, naming the structure) before building anything.
+// ErrGeometry reports a cache, TLB, MSHR file or CTE Buffer the model
+// cannot build: a cache with no whole set, a TLB whose entries do not
+// fill whole sets, no miss register, or a CTE Buffer with no entry.
+// NewRunnerFull returns it (wrapped, naming the structure) before
+// building anything.
 var ErrGeometry = errors.New("degenerate geometry")
 
 // checkGeometry rejects with ErrGeometry any cache the run would build
-// with fewer than one set, and a TMCC CTE Buffer with fewer than one entry.
-// The MC's victim shadow has L3's size and 16 ways, so the L3 row covers it.
+// with fewer than one set, a TLB with no set or a partial one, a core with
+// no MSHR, and a TMCC CTE Buffer with fewer than one entry. The MC's
+// victim shadow has L3's size and 16 ways, so the L3 row covers it.
 func checkGeometry(opt Options, sys config.System) error {
 	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
 	for _, c := range []struct {
@@ -65,6 +68,14 @@ func checkGeometry(opt Options, sys config.System) error {
 			return fmt.Errorf("sim: %s/%s: %w: %s of %d B, %d-way, has no set",
 				opt.Benchmark, opt.Kind, ErrGeometry, c.name, c.size, c.ways)
 		}
+	}
+	if cpu := sys.CPU; cpu.TLBAssoc < 1 || cpu.TLBEntries < 1 || cpu.TLBEntries%cpu.TLBAssoc != 0 {
+		return fmt.Errorf("sim: %s/%s: %w: TLB of %d entries, %d-way, is not whole sets",
+			opt.Benchmark, opt.Kind, ErrGeometry, cpu.TLBEntries, cpu.TLBAssoc)
+	}
+	if sys.CPU.MaxMisses < 1 {
+		return fmt.Errorf("sim: %s/%s: %w: %d miss registers per core",
+			opt.Benchmark, opt.Kind, ErrGeometry, sys.CPU.MaxMisses)
 	}
 	if opt.Kind == mc.TMCC && sys.Comp.CTEBufEntries < 1 {
 		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries",
@@ -96,25 +107,22 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if err := checkGeometry(opt, sys); err != nil {
 		return nil, err
 	}
-	// The heatmap view derives from the original observer before any
-	// timeline shadowing: heat facts carry addresses the registry cannot
-	// express, so the view is injected directly into the components that
-	// know the page (mc, ctecache, the batch loop) rather than riding the
-	// registry indirection.
-	hmv := ob.HeatmapView(opt.Benchmark, opt.Kind.String())
-	// When a timeline recorder rides the observer, shadow ob with the
-	// view's derived observer (private registry + attr recorder, shared
-	// tracer): every bump site below then feeds the windowed timeline
-	// unchanged, and the private totals merge back at run close.
-	tlv := ob.TimelineView(opt.Benchmark, opt.Kind.String())
-	if tlv != nil {
-		ob = tlv.Observer()
-	}
-	inj.Observe(ob)
+	// The size model is memoized process-wide, so it observes the shared
+	// sinks: its build counters stay lifetime-only (like engine.*) instead
+	// of landing in the timeline of whichever run builds it first.
 	sizes, err := workload.NewSizeModelObserved(opt.Benchmark, 256, opt.Seed, memdeflate.DefaultParams(), ob)
 	if err != nil {
 		return nil, err
 	}
+	// With a timeline or heatmap armed, shadow ob with the run view's
+	// derived observer: every bump site below then feeds the timeline's
+	// private sinks unchanged, and mc and ctecache reach the heatmap
+	// through ob.View().
+	view := ob.RunView(opt.Benchmark, opt.Kind.String())
+	if view != nil {
+		ob = view.Observer()
+	}
+	inj.Observe(ob)
 
 	budget := opt.BudgetPages
 	if budget == 0 {
@@ -174,7 +182,6 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		CTEOverride:  opt.CTEOverride,
 		VictimShadow: opt.VictimShadow,
 		Obs:          ob,
-		Heat:         hmv,
 		Inject:       inj,
 		RAS:          rcfg,
 	})
@@ -190,17 +197,11 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		sizes: sizes,
 		mcc:   mcc,
 		inj:   inj,
-		tlv:   tlv,
-		hmv:   hmv,
+		view:  view,
 		l3:    cache.New(sys.Cache.L3SizeMB*config.MiB, sys.Cache.Assoc*2),
 		rng:   rand.New(rand.NewSource(opt.Seed + 77)),
 		cycle: sys.CPU.Cycle(),
 		noc:   sys.DRAM.NoCLatency,
-	}
-	if hmv != nil {
-		// Bind the residency callback once: a method value allocates, and
-		// the batch loop hands it to the MC at every sampling edge.
-		r.hmSample = hmv.Residency
 	}
 	r.pcfg = ptbcomp.NewConfig(osPages*config.PageSize, uint64(sys.Comp.DRAMPerMCTB)<<40)
 

@@ -8,10 +8,11 @@ import (
 	"tmcc/internal/mc"
 )
 
-// TestDegenerateGeometryRejected pins the typed rejection of cache and
-// CTE Buffer geometries the model cannot build. Each row used to panic
-// with an integer divide by zero, in the cache constructor or at the
-// first CTE Buffer insert.
+// TestDegenerateGeometryRejected pins the typed rejection of cache, TLB,
+// MSHR and CTE Buffer geometries the model cannot build. Each row used to
+// panic: with an integer divide by zero in the cache or TLB constructor
+// or at the first CTE Buffer insert, on the TLB's whole-sets check, or
+// indexing the empty MSHR file in step.
 func TestDegenerateGeometryRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -24,6 +25,10 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{name: "CTEBufEntries=0", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.CTEBufEntries = 0 }},
 		{name: "CTE.SizeKB=0", kind: mc.OSInspired, edit: func(s *config.System) { s.Comp.CTE.SizeKB = 0 }},
 		{name: "CTEOverride.Assoc=0", kind: mc.Compresso, cte: &config.CTECacheCfg{SizeKB: 64, ReachPerBlock: 4 * config.KiB}},
+		{name: "TLBAssoc=0", kind: mc.TMCC, edit: func(s *config.System) { s.CPU.TLBAssoc = 0 }},
+		{name: "TLBEntries=100", kind: mc.Uncompressed, edit: func(s *config.System) { s.CPU.TLBEntries = 100 }},
+		{name: "TLBEntries=0", kind: mc.Compresso, edit: func(s *config.System) { s.CPU.TLBEntries = 0 }},
+		{name: "MaxMisses=0", kind: mc.OSInspired, edit: func(s *config.System) { s.CPU.MaxMisses = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()

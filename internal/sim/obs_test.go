@@ -7,10 +7,10 @@ import (
 
 	"tmcc/internal/config"
 	"tmcc/internal/fault"
-	"tmcc/internal/obs/heatmap"
-
 	"tmcc/internal/mc"
 	"tmcc/internal/obs"
+	"tmcc/internal/obs/attr"
+	"tmcc/internal/obs/heatmap"
 	"tmcc/internal/ras"
 )
 
@@ -91,17 +91,56 @@ func checkHookBundle(t *testing.T, b hookBundle) {
 				}
 			}
 			if b.verify {
-				reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
-				if err := at.Conserved(); err != nil {
-					t.Errorf("attr conservation: %v", err)
-				}
-				if err := obs.VerifyTimeline(ob.TL.Snapshot(), reg, at); err != nil {
-					t.Errorf("VerifyTimeline: %v", err)
-				}
-				if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
-					t.Errorf("VerifyHeatmap: %v", err)
-				}
+				verifyObserver(t, ob)
 			}
+		})
+	}
+}
+
+// verifyObserver runs the observer's conservation audits: attr
+// conservation, VerifyTimeline and VerifyHeatmap (each passes vacuously
+// when its recorder is not armed).
+func verifyObserver(t *testing.T, ob *obs.Observer) {
+	t.Helper()
+	reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
+	if err := at.Conserved(); err != nil {
+		t.Errorf("attr conservation: %v", err)
+	}
+	if err := obs.VerifyTimeline(ob.TL.Snapshot(), reg, at); err != nil {
+		t.Errorf("VerifyTimeline: %v", err)
+	}
+	if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
+		t.Errorf("VerifyHeatmap: %v", err)
+	}
+}
+
+// TestRunViewConservesWhenRunnerKeepsGoing: Run, then Steps, then Run
+// again must keep every audit exact under the armed, timeline-only and
+// heatmap-only observers, because each Close folds everything the run
+// view has not folded yet.
+func TestRunViewConservesWhenRunnerKeepsGoing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ob   func() *obs.Observer
+	}{
+		{"armed", armedObserver},
+		{"timeline", func() *obs.Observer { return timelineObserver(config.Microsecond) }},
+		{"heatmap", func() *obs.Observer {
+			return &obs.Observer{Reg: obs.NewRegistry(), At: attr.NewRecorder(), Heat: heatmap.NewRecorder(0, 0)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := quickOpts()
+			opt.Kind = mc.TMCC
+			ob := tc.ob()
+			r, err := NewRunnerFull(opt, ob, nil, ras.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, r)
+			r.Steps(5000)
+			mustRun(t, r)
+			verifyObserver(t, ob)
 		})
 	}
 }

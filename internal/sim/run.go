@@ -44,17 +44,11 @@ func (r *Runner) Run() (Metrics, error) {
 	r.m.DRAMWrites = d.Stats.Writes
 	r.m.BusUtilization = d.BusUtilization(r.m.Elapsed)
 	r.m.RowHitRate = d.RowHitRate()
-	// Fold the final partial window and merge the run's private sinks into
-	// the lifetime registry/attr recorder (no-op when the timeline is off),
-	// then fold the run's per-region heat into the shared heatmap. The
-	// final residency sweep mirrors the timeline's final partial window:
-	// short runs that never cross a sampling edge still sample residency
-	// once, at end state.
-	r.tlv.Close()
-	if r.hmv.Sweep() {
-		r.mcc.SampleResidency(r.hmSample)
-	}
-	r.hmv.Close()
+	// Fold the run into the shared recorders. The final residency sweep
+	// mirrors the timeline's final partial window: short runs that never
+	// cross a sampling edge still sample residency once, at end state.
+	r.mcc.SampleResidency()
+	r.view.Close()
 	if err := r.mcc.Err(); err != nil {
 		return r.m, fmt.Errorf("sim: %s/%s aborted: %w", r.opt.Benchmark, r.opt.Kind, err)
 	}
@@ -109,10 +103,9 @@ func (r *Runner) runAccesses(n int) {
 		// core clock, which is monotone non-decreasing across batches — a
 		// safe window-edge probe. Each hook is one branch when disarmed.
 		now := r.heap[0].time
-		r.tlv.Advance(now)
-		if r.hmv.Advance(now) {
+		if r.view.Advance(now) {
 			// A heatmap sampling edge passed: sweep page residency.
-			r.mcc.SampleResidency(r.hmSample)
+			r.mcc.SampleResidency()
 		}
 		if r.rasCTE != nil {
 			r.patrolCTE(now)
@@ -295,10 +288,10 @@ func (r *Runner) walk(c *core, t config.Time, vpn uint64) config.Time {
 // recording flag as attribution so the per-class heat totals conserve
 // exactly against the lifetime attr class counts.
 func (r *Runner) heat(block uint64, cl attr.Class) {
-	if r.hmv == nil || !r.recording {
+	if r.view == nil || !r.recording {
 		return
 	}
-	r.hmv.Access(block/config.BlocksPage, cl)
+	r.view.Access(block/config.BlocksPage, cl)
 }
 
 // memAccess sends one 64B access through L1/L2/L3/MC and returns when the

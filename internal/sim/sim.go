@@ -23,7 +23,6 @@ import (
 	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
-	"tmcc/internal/obs/heatmap"
 	"tmcc/internal/pagetable"
 	"tmcc/internal/ptbcomp"
 	"tmcc/internal/ras"
@@ -231,21 +230,16 @@ type Runner struct {
 	sob       simObs
 
 	// The per-run hooks, each nil when disarmed (one branch per site):
-	//   - tlv, the timeline view: advanced at every batch edge, closed by
-	//     Run, which merges its private lifetime totals back;
-	//   - hmv, the heatmap view: stamped with per-page heat while
-	//     recording, swept for residency at its window edges (hmSample is
-	//     the pre-bound Residency method value, so the sweep never
-	//     allocates a closure), closed by Run;
+	//   - view, the run view (timeline and heatmap): advanced at every
+	//     batch edge, stamped with per-page heat while recording, its
+	//     residency swept by the MC at heatmap edges, closed by Run;
 	//   - inj, the fault injector: the simulator owns the embedded-CTE
 	//     fault site, the MC the payload and DRAM sites;
 	//   - rasCTE, the RAS embedded-CTE patrol's policy state (TMCC with
 	//     embedding and scrubbing only): see patrolCTE.
-	tlv      *obs.TimelineView
-	hmv      *obs.HeatmapView
-	hmSample func(ppn uint64, tier heatmap.Tier)
-	inj      *fault.Injector
-	rasCTE   *ras.State
+	view   *obs.RunView
+	inj    *fault.Injector
+	rasCTE *ras.State
 
 	// ag is the latency-attribution sink for this run's (benchmark,
 	// kind); nil when attribution is off. attrWalk carries the most
