@@ -12,17 +12,18 @@ import (
 	"tmcc/internal/obs/timeline"
 )
 
-// TestObservationDeterministicAcrossWorkerCounts is the observation
-// surfaces' analogue of the engine's -j byte-identity guarantee: an
-// experiment observed with a timeline and a heatmap recorder must render
-// identical timeline and heatmap CSVs at any worker count, and both must
-// conserve against the lifetime sinks at each. Run views accumulate
-// run-privately and fold commutatively, and the snapshots sort groups,
-// windows and regions — the test pins that chain. Nothing is primed: the
-// process-wide size models are built once, by the first engine, and
-// their build counters stay out of the timeline, so the two engines start
-// from different memo states and must still agree.
-func TestObservationDeterministicAcrossWorkerCounts(t *testing.T) {
+// checkObservationDeterministic is the observation surfaces' analogue of
+// the engine's -j byte-identity guarantee: fig17 observed with the armed
+// recorders (a timeline, a heatmap, or both) must render identical CSVs
+// at any worker count, and each must conserve against the lifetime sinks
+// at each. Run views accumulate run-privately and fold commutatively, and
+// the snapshots sort groups, windows and regions — the check pins that
+// chain. Nothing is primed: the process-wide size models are built once,
+// by whichever engine runs first, and their build counters stay out of
+// the timeline, so the engines start from different memo states and must
+// still agree.
+func checkObservationDeterministic(t *testing.T, armTL, armHeat bool) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("reruns a quick experiment under two engines")
 	}
@@ -33,33 +34,42 @@ func TestObservationDeterministicAcrossWorkerCounts(t *testing.T) {
 	var serialTL, serialHM []byte
 	for _, workers := range []int{1, 4} {
 		withEngine(t, engine.New(workers))
-		ob := &obs.Observer{
-			Reg:  obs.NewRegistry(),
-			At:   attr.NewRecorder(),
-			TL:   timeline.NewRecorder(100 * config.Microsecond),
-			Heat: heatmap.NewRecorder(0, 0),
+		ob := &obs.Observer{Reg: obs.NewRegistry(), At: attr.NewRecorder()}
+		if armTL {
+			ob.TL = timeline.NewRecorder(100 * config.Microsecond)
+		}
+		if armHeat {
+			ob.Heat = heatmap.NewRecorder(0, 0)
 		}
 		eng.SetHooks(engine.Hooks{Obs: ob})
 		if _, err := run(quickCfg()); err != nil {
 			t.Fatalf("fig17 with %d workers: %v", workers, err)
 		}
-		tl, hm := ob.TL.Snapshot(), ob.Heat.Snapshot()
-		if len(tl.Groups) == 0 || len(hm.Groups) == 0 {
-			t.Fatalf("%d workers: %d timeline groups, %d heatmap groups", workers, len(tl.Groups), len(hm.Groups))
-		}
 		reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
-		if err := obs.VerifyTimeline(tl, reg, at); err != nil {
-			t.Fatalf("%d workers: timeline conservation: %v", workers, err)
-		}
-		if err := obs.VerifyHeatmap(hm, reg, at); err != nil {
-			t.Fatalf("%d workers: heatmap conservation: %v", workers, err)
-		}
 		var tlBuf, hmBuf bytes.Buffer
-		if err := tl.WriteCSV(&tlBuf); err != nil {
-			t.Fatal(err)
+		if armTL {
+			tl := ob.TL.Snapshot()
+			if len(tl.Groups) == 0 {
+				t.Fatalf("%d workers: empty timeline", workers)
+			}
+			if err := obs.VerifyTimeline(tl, reg, at); err != nil {
+				t.Fatalf("%d workers: timeline conservation: %v", workers, err)
+			}
+			if err := tl.WriteCSV(&tlBuf); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := hm.WriteCSV(&hmBuf); err != nil {
-			t.Fatal(err)
+		if armHeat {
+			hm := ob.Heat.Snapshot()
+			if len(hm.Groups) == 0 {
+				t.Fatalf("%d workers: empty heatmap", workers)
+			}
+			if err := obs.VerifyHeatmap(hm, reg, at); err != nil {
+				t.Fatalf("%d workers: heatmap conservation: %v", workers, err)
+			}
+			if err := hm.WriteCSV(&hmBuf); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if workers == 1 {
 			serialTL, serialHM = tlBuf.Bytes(), hmBuf.Bytes()
@@ -74,4 +84,22 @@ func TestObservationDeterministicAcrossWorkerCounts(t *testing.T) {
 				workers, hmBuf.Len(), len(serialHM))
 		}
 	}
+}
+
+// TestTimelineDeterministicAcrossWorkerCounts arms only the timeline
+// recorder: the run views carry no heat side.
+func TestTimelineDeterministicAcrossWorkerCounts(t *testing.T) {
+	checkObservationDeterministic(t, true, false)
+}
+
+// TestHeatmapDeterministicAcrossWorkerCounts arms only the heatmap
+// recorder: the run views carry no timeline sinks.
+func TestHeatmapDeterministicAcrossWorkerCounts(t *testing.T) {
+	checkObservationDeterministic(t, false, true)
+}
+
+// TestObservationDeterministicAcrossWorkerCounts arms both recorders, so
+// each run view windows and maps the same accesses.
+func TestObservationDeterministicAcrossWorkerCounts(t *testing.T) {
+	checkObservationDeterministic(t, true, true)
 }

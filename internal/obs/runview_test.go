@@ -235,10 +235,9 @@ func TestTimelineViewWindowing(t *testing.T) {
 	}
 }
 
-// TestRunViewNilPaths: an observer arming neither recorder derives no
-// view, a nil view (flags off) ignores every operation, and a
-// timeline-only view drops heat and never asks for a residency sweep.
-func TestRunViewNilPaths(t *testing.T) {
+// TestHeatmapViewNilPaths: an observer arming neither recorder derives no
+// view, and a nil view (flags off) ignores every operation.
+func TestHeatmapViewNilPaths(t *testing.T) {
 	var o *Observer
 	if o.RunView("b", "k") != nil || o.View() != nil {
 		t.Error("nil observer returned a view")
@@ -259,10 +258,22 @@ func TestRunViewNilPaths(t *testing.T) {
 	}
 	v.Residency(1, heatmap.TierML1)
 	v.Close()
+}
 
-	o = New()
+// TestTimelineViewNilPaths: a nil view (timeline off) advances and closes
+// inertly, and a timeline-only view drops heat and never asks for a
+// residency sweep.
+func TestTimelineViewNilPaths(t *testing.T) {
+	var v *RunView
+	v.Advance(123)
+	v.Close()
+
+	o := New()
 	o.TL = timeline.NewRecorder(config.Microsecond)
 	tv := o.RunView("b", "k")
+	if tv == nil {
+		t.Fatal("observer with TL derived no view")
+	}
 	tv.Access(1, attr.ClassDemand)
 	tv.Event(1, heatmap.EvML2Read)
 	if tv.Advance(config.Millisecond+1) || tv.Sweep() {
