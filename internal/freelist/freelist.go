@@ -9,6 +9,7 @@ package freelist
 
 import (
 	"fmt"
+	"math"
 
 	"tmcc/internal/check"
 	"tmcc/internal/config"
@@ -124,12 +125,14 @@ func DefaultClasses() []SizeClass {
 	return out
 }
 
-// SubChunk identifies one allocation: its size class, super-chunk id, and
-// slot.
+// SubChunk identifies one allocation: its super-chunk id, size class, and
+// slot. It is packed to 8 bytes because the MC keeps one per OS page:
+// Super is below the chunk pool, and NewML2 rejects a class menu whose
+// class count or N does not fit the uint8 fields.
 type SubChunk struct {
-	Class int
-	Super int
-	Slot  int
+	Super uint32
+	Class uint8
+	Slot  uint8
 }
 
 // superChunk is the bookkeeping for one carved group of chunks.
@@ -163,10 +166,20 @@ type ML2 struct {
 	HeldChunks int
 }
 
-// NewML2 builds an ML2 over the given ML1 pool.
+// NewML2 builds an ML2 over the given ML1 pool. It panics on a class
+// menu SubChunk cannot address: more than 256 classes, or a class whose N
+// exceeds the width of a uint8 slot.
 func NewML2(classes []SizeClass, ml1 *ML1) *ML2 {
 	if len(classes) == 0 {
 		classes = DefaultClasses()
+	}
+	if len(classes) > math.MaxUint8+1 {
+		panic(fmt.Sprintf("freelist: %d size classes, SubChunk.Class holds %d", len(classes), math.MaxUint8+1))
+	}
+	for i, c := range classes {
+		if c.N > math.MaxUint8 {
+			panic(fmt.Sprintf("freelist: class %d has N=%d sub-chunks, SubChunk.Slot holds %d", i, c.N, math.MaxUint8))
+		}
 	}
 	return &ML2{
 		classes: classes,
@@ -255,25 +268,26 @@ func (m *ML2) Alloc(size int) (SubChunk, bool) {
 		check.Invariant("freelist: super-chunk accounting after Alloc",
 			func() error { return m.auditSuper(ci, si) })
 	}
-	return SubChunk{Class: ci, Super: si, Slot: slot}, true
+	return SubChunk{Super: uint32(si), Class: uint8(ci), Slot: uint8(slot)}, true
 }
 
 // Free releases a sub-chunk previously returned by Alloc; size must be the
 // size passed to Alloc (for byte accounting). When the super-chunk becomes
 // empty its chunks go back to ML1.
 func (m *ML2) Free(sc SubChunk, size int) error {
-	if sc.Class < 0 || sc.Class >= len(m.classes) {
-		return fmt.Errorf("freelist: bad class %d", sc.Class)
+	ci, si := int(sc.Class), int(sc.Super)
+	if ci >= len(m.classes) {
+		return fmt.Errorf("freelist: bad class %d", ci)
 	}
-	sup := m.supers[sc.Class][sc.Super]
+	sup := m.supers[ci][si]
 	if sup.used <= 0 {
-		return fmt.Errorf("freelist: double free in super %d", sc.Super)
+		return fmt.Errorf("freelist: double free in super %d", si)
 	}
 	wasFull := len(sup.freeSlot) == 0
-	sup.freeSlot = append(sup.freeSlot, sc.Slot)
+	sup.freeSlot = append(sup.freeSlot, int(sc.Slot))
 	sup.used--
 	m.UsedBytes -= int64(size)
-	cl := m.classes[sc.Class]
+	cl := m.classes[ci]
 	if sup.used == 0 {
 		// Fully free: return the chunks to ML1 and retire the super-chunk.
 		for _, c := range sup.chunks {
@@ -282,28 +296,28 @@ func (m *ML2) Free(sc SubChunk, size int) error {
 		m.HeldChunks -= cl.M
 		sup.freeSlot = sup.freeSlot[:0]
 		sup.chunks = sup.chunks[:0]
-		m.retired[sc.Class] = append(m.retired[sc.Class], sc.Super)
+		m.retired[ci] = append(m.retired[ci], si)
 		// Remove from partial list if present.
-		for i, si := range m.partial[sc.Class] {
-			if si == sc.Super {
-				m.partial[sc.Class] = append(m.partial[sc.Class][:i], m.partial[sc.Class][i+1:]...)
+		for i, p := range m.partial[ci] {
+			if p == si {
+				m.partial[ci] = append(m.partial[ci][:i], m.partial[ci][i+1:]...)
 				break
 			}
 		}
 		if check.Enabled {
 			check.Invariant("freelist: super-chunk accounting after retire",
-				func() error { return m.auditSuper(sc.Class, sc.Super) })
+				func() error { return m.auditSuper(ci, si) })
 		}
 		return nil
 	}
 	if wasFull {
 		// Transitioned to having a free slot: track at the top (paper's
 		// policy keeps emptier supers toward the bottom).
-		m.partial[sc.Class] = append(m.partial[sc.Class], sc.Super)
+		m.partial[ci] = append(m.partial[ci], si)
 	}
 	if check.Enabled {
 		check.Invariant("freelist: super-chunk accounting after Free",
-			func() error { return m.auditSuper(sc.Class, sc.Super) })
+			func() error { return m.auditSuper(ci, si) })
 	}
 	return nil
 }
@@ -315,7 +329,7 @@ func (m *ML2) Free(sc SubChunk, size int) error {
 func (m *ML2) Address(sc SubChunk) uint64 {
 	sup := m.supers[sc.Class][sc.Super]
 	cl := m.classes[sc.Class]
-	off := sc.Slot * cl.SubSize
+	off := int(sc.Slot) * cl.SubSize
 	ci := off / ChunkSize
 	return uint64(sup.chunks[ci])*ChunkSize + uint64(off%ChunkSize)
 }
@@ -332,7 +346,7 @@ func (m *ML2) BlockAddresses(sc SubChunk, size int) []uint64 {
 func (m *ML2) AppendBlockAddresses(out []uint64, sc SubChunk, size int) []uint64 {
 	sup := m.supers[sc.Class][sc.Super]
 	cl := m.classes[sc.Class]
-	off := sc.Slot * cl.SubSize
+	off := int(sc.Slot) * cl.SubSize
 	out = out[:0]
 	for b := off / config.BlockSize * config.BlockSize; b < off+size; b += config.BlockSize {
 		ci := b / ChunkSize

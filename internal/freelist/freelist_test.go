@@ -2,8 +2,10 @@ package freelist
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func pool(n int) []uint32 {
@@ -62,6 +64,43 @@ func TestDefaultClassesGeometry(t *testing.T) {
 	}
 	if classes[ci].SubSize < 1500 || classes[ci].SubSize > 1792 {
 		t.Errorf("1.5KB maps to class %+v", classes[ci])
+	}
+}
+
+// TestNewML2RejectsUnpackableMenu pins the guard that keeps SubChunk's
+// uint8 Class and Slot fields exact: a menu SubChunk cannot address is a
+// construction-time panic, never a silently truncated slot.
+func TestNewML2RejectsUnpackableMenu(t *testing.T) {
+	many := make([]SizeClass, 257)
+	for i := range many {
+		many[i] = SizeClass{SubSize: 16 + i, M: 1, N: 2}
+	}
+	for _, tc := range []struct {
+		name    string
+		classes []SizeClass
+	}{
+		{"N=256", []SizeClass{{SubSize: 16, M: 1, N: 256}}},
+		{"257 classes", many},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if !strings.HasPrefix(msg, "freelist: ") {
+					t.Fatalf("NewML2 recovered %v, want a freelist: panic", r)
+				}
+			}()
+			NewML2(tc.classes, NewML1(pool(10)))
+		})
+	}
+	NewML2([]SizeClass{{SubSize: 16, M: 1, N: 255}}, NewML1(pool(10))) // widest N that fits
+}
+
+// TestSubChunkPacked pins SubChunk at 8 bytes: the MC keeps one per OS
+// page, so a new field would grow every OSPages-sized array.
+func TestSubChunkPacked(t *testing.T) {
+	if got := unsafe.Sizeof(SubChunk{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(SubChunk{}) = %d, want 8", got)
 	}
 }
 

@@ -138,6 +138,8 @@ type Stats struct {
 	CTEVictimHits uint64
 }
 
+// pageState is the controller's per-OS-page record. New allocates one per
+// OS page, so it is kept packed at 20 bytes (TestPageStatePacked).
 type pageState struct {
 	chunk          uint32 // ML1 frame when !inML2
 	sub            freelist.SubChunk

@@ -2,12 +2,22 @@ package mc
 
 import (
 	"testing"
+	"unsafe"
 
 	"tmcc/internal/config"
 	"tmcc/internal/cte"
 	"tmcc/internal/memdeflate"
 	"tmcc/internal/workload"
 )
+
+// TestPageStatePacked pins the per-page controller state at 20 bytes: New
+// allocates one per OS page, so a new field grows every system's largest
+// build allocation.
+func TestPageStatePacked(t *testing.T) {
+	if got := unsafe.Sizeof(pageState{}); got > 20 {
+		t.Fatalf("unsafe.Sizeof(pageState{}) = %d, want <= 20", got)
+	}
+}
 
 func sizesFor(t testing.TB, bench string) *workload.SizeModel {
 	t.Helper()

@@ -69,7 +69,8 @@ var oddFlagChoices = []uint64{
 // BuildAddressSpace maps dataPages of virtual memory and returns the
 // resulting address space. osPages is the OS physical pool size (>=
 // dataPages plus table overhead); PPNs are drawn from it with the
-// configured fragmentation.
+// configured fragmentation. The returned table is frozen: it is
+// read-only, so runs may share it.
 func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Regions <= 0 {
@@ -110,7 +111,9 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 		}
 	}
 
-	t := New(allocPPN, cfg.HugePages)
+	// Every table PPN comes from the pool, so a pool-sized directory never
+	// regrows.
+	t := newTable(allocPPN, cfg.HugePages, osPages)
 	as := &AddressSpace{Table: t, DataPages: dataPages, VBase: 0x10000, OSPages: osPages}
 
 	// Carve the footprint into regions with uniform flags.
@@ -159,6 +162,10 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 	if !cfg.HugePages && cfg.L2FlagNoise > 0 {
 		t.perturbLevel(2, cfg.L2FlagNoise, rng)
 	}
+	// Freeze the table. This also releases the allocator's closure, which
+	// would pin the pool-sized used bitmap and the rng for as long as the
+	// table lives.
+	t.alloc = nil
 	return as
 }
 

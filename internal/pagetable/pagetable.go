@@ -67,25 +67,32 @@ type node struct {
 
 // Table is a 4-level page table for one address space.
 type Table struct {
-	root     *node
-	alloc    func() uint64 // PPN allocator for table pages
-	tablePgs int
-	hugePgs  bool // map at 2MB granularity (Section VIII)
-	// byPPN is a PPN-indexed directory of table pages (nil entries are
-	// data pages). Table PPNs are drawn from a bounded OS pool, so a
-	// grow-on-demand slice replaces the old map: directory probes on the
-	// walk/repair hot path become one bounds check and one load.
-	byPPN []*node
-	// ppns lists the table pages' PPNs in creation order (the source for
-	// TablePagePPNs, without map iteration).
-	ppns []uint64
+	root *node
+	// alloc hands out PPNs for new table pages. BuildAddressSpace nils it
+	// to freeze the table it returns: Map then panics, so the built table
+	// is read-only and runs may share it.
+	alloc   func() uint64
+	hugePgs bool // map at 2MB granularity (Section VIII)
+	// nodes lists the table pages in creation order: nodes[n.idx] == n.
+	nodes []*node
+	// byPPN is a PPN-indexed directory of table pages holding node idx+1
+	// (0 marks a data page). Table PPNs are drawn from a bounded OS pool,
+	// so directory probes on the walk/repair hot path are one bounds check
+	// and one load, and the pointer-free slice costs the GC nothing to
+	// scan. BuildAddressSpace sizes it to the pool once; New grows it on
+	// demand.
+	byPPN []int32
 }
 
 // New creates an empty table; alloc hands out PPNs for the table pages
 // themselves (they live in physical memory too). hugePages selects 2MB
 // mappings, which terminate the walk at L2.
-func New(alloc func() uint64, hugePages bool) *Table {
-	t := &Table{alloc: alloc, hugePgs: hugePages}
+func New(alloc func() uint64, hugePages bool) *Table { return newTable(alloc, hugePages, 0) }
+
+// newTable is New with the directory presized to dirLen PPNs, so a table
+// whose page PPNs all fall below dirLen never regrows it.
+func newTable(alloc func() uint64, hugePages bool, dirLen uint64) *Table {
+	t := &Table{alloc: alloc, hugePgs: hugePages, byPPN: make([]int32, dirLen)}
 	t.root = &node{ppn: alloc()}
 	t.addNode(t.root)
 	return t
@@ -93,19 +100,18 @@ func New(alloc func() uint64, hugePages bool) *Table {
 
 // addNode registers a freshly allocated table page in the dense directory.
 func (t *Table) addNode(n *node) {
-	n.idx = int32(len(t.ppns))
-	t.ppns = append(t.ppns, n.ppn)
+	n.idx = int32(len(t.nodes))
+	t.nodes = append(t.nodes, n)
 	if n.ppn >= uint64(len(t.byPPN)) {
-		grown := make([]*node, n.ppn+n.ppn/2+64)
+		grown := make([]int32, n.ppn+n.ppn/2+64)
 		copy(grown, t.byPPN)
 		t.byPPN = grown
 	}
-	t.byPPN[n.ppn] = n
-	t.tablePgs++
+	t.byPPN[n.ppn] = n.idx + 1
 }
 
 // TablePages reports how many 4KB pages the table itself occupies.
-func (t *Table) TablePages() int { return t.tablePgs }
+func (t *Table) TablePages() int { return len(t.nodes) }
 
 // HugePages reports the mapping granularity.
 func (t *Table) HugePages() bool { return t.hugePgs }
@@ -126,6 +132,9 @@ func index(vpn uint64, level int) int {
 // Map installs a translation vpn -> ppn with the given PTE flags. For huge
 // pages, vpn and ppn are still 4KB-page numbers but must be 512-aligned.
 func (t *Table) Map(vpn, ppn uint64, flags uint64) {
+	if t.alloc == nil {
+		panic(fmt.Sprintf("pagetable: Map(%#x) on a frozen table", vpn))
+	}
 	leaf := t.leafLevel()
 	if t.hugePgs && (vpn%EntriesPer != 0 || ppn%EntriesPer != 0) {
 		panic("pagetable: huge-page mapping not 2MB aligned")
@@ -245,8 +254,10 @@ func (t *Table) PTBs(fn func(PTB)) {
 // (the table occupies physical memory too; the MC must place and translate
 // those pages like any others).
 func (t *Table) TablePagePPNs() []uint64 {
-	out := make([]uint64, len(t.ppns))
-	copy(out, t.ppns)
+	out := make([]uint64, len(t.nodes))
+	for i, n := range t.nodes {
+		out[i] = n.ppn
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -255,17 +266,17 @@ func (t *Table) TablePagePPNs() []uint64 {
 // contributes PTBsPerPage consecutive slots in creation order. The table
 // is static once built, so per-PTB simulator state can live in a flat
 // slice indexed by PTBSlot instead of a map keyed by address.
-func (t *Table) PTBSlots() int { return t.tablePgs * PTBsPerPage }
+func (t *Table) PTBSlots() int { return len(t.nodes) * PTBsPerPage }
 
 // PTBSlot maps the physical byte address of a PTB (as produced in walk
 // steps) to its dense slot index; ok=false when addr does not fall in a
 // table page.
 func (t *Table) PTBSlot(addr uint64) (int, bool) {
 	ppn := addr >> PageShift
-	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == nil {
+	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == 0 {
 		return 0, false
 	}
-	return int(t.byPPN[ppn].idx)*PTBsPerPage + int(addr%PageSizeBytes)/PTBSize, true
+	return int(t.byPPN[ppn]-1)*PTBsPerPage + int(addr%PageSizeBytes)/PTBSize, true
 }
 
 // PTBAddrBySlot is PTBSlot's inverse: the physical byte address of the
@@ -275,10 +286,10 @@ func (t *Table) PTBSlot(addr uint64) (int, bool) {
 // RAS layer's bounded background patrol over all PTB slots.
 func (t *Table) PTBAddrBySlot(slot int) (uint64, bool) {
 	pg := slot / PTBsPerPage
-	if slot < 0 || pg >= len(t.ppns) {
+	if slot < 0 || pg >= len(t.nodes) {
 		return 0, false
 	}
-	return t.ppns[pg]<<PageShift + uint64(slot%PTBsPerPage)*PTBSize, true
+	return t.nodes[pg].ppn<<PageShift + uint64(slot%PTBsPerPage)*PTBSize, true
 }
 
 // PTBByAddr returns the eight raw PTEs of the PTB at the given physical
@@ -286,10 +297,10 @@ func (t *Table) PTBAddrBySlot(slot int) (uint64, bool) {
 // not fall in a table page.
 func (t *Table) PTBByAddr(addr uint64) ([PTEsPerPTB]uint64, bool) {
 	ppn := addr >> PageShift
-	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == nil {
+	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == 0 {
 		return [PTEsPerPTB]uint64{}, false
 	}
-	n := t.byPPN[ppn]
+	n := t.nodes[t.byPPN[ppn]-1]
 	b := int(addr%PageSizeBytes) / PTBSize
 	var out [PTEsPerPTB]uint64
 	copy(out[:], n.ptes[b*PTEsPerPTB:(b+1)*PTEsPerPTB])

@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,20 @@ func TestBuildAddressSpace(t *testing.T) {
 		}
 		seen[ppn] = true
 	}
+}
+
+// TestBuiltTableIsFrozen pins that BuildAddressSpace returns a read-only
+// table: runs share built tables, so a late Map must fail loudly.
+func TestBuiltTableIsFrozen(t *testing.T) {
+	as := BuildAddressSpace(1000, 4000, DefaultOSConfig(3))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "pagetable: ") {
+			t.Fatalf("Map on a built table recovered %q, want a pagetable: panic", msg)
+		}
+	}()
+	_, hi := as.VPNRange()
+	as.Table.Map(hi, 0, FlagPresent)
 }
 
 func TestBuildAddressSpaceHuge(t *testing.T) {

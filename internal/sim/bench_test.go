@@ -47,6 +47,33 @@ func BenchmarkAccessPath(b *testing.B) {
 	}
 }
 
+// BenchmarkNewRunner times system construction on canneal/TMCC: cold
+// rebuilds the address space on every build, memo-hit reuses the last
+// one. Both share the process-wide size model, warmed before timing.
+func BenchmarkNewRunner(b *testing.B) {
+	opt := Options{Benchmark: "canneal", Kind: mc.TMCC, WarmupAccesses: 1000, MeasureAccesses: 1000, Seed: 42}
+	for _, tc := range []struct {
+		name string
+		cold bool
+	}{{"cold", true}, {"memo-hit", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if _, err := NewRunner(opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tc.cold {
+					resetASMemo()
+				}
+				if _, err := NewRunner(opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestMeasuredLoopAllocationFree pins the arena invariant: after warmup the
 // measured loop allocates nothing — batches, walk buffers, prefetch
 // candidates, eviction scratch, and recycled ML2 supers all come from

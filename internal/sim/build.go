@@ -139,9 +139,12 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	// Build the address space (data pages + the page table itself).
 	osCfg := pagetable.DefaultOSConfig(opt.Seed)
 	osCfg.HugePages = opt.HugePages
-	var as *pagetable.AddressSpace
+	var (
+		as       *pagetable.AddressSpace
+		vpnToPPN []uint64
+	)
 	if !opt.Virtualized {
-		as = pagetable.BuildAddressSpace(spec.FootprintPages, osPages, osCfg)
+		as, vpnToPPN = nativeAddressSpace(spec.FootprintPages, osPages, osCfg)
 	}
 	if opt.HugePages {
 		// Section VIII: a huge-page PTB covers 16MB; its CTEs cannot fit,
@@ -208,18 +211,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if opt.Virtualized {
 		buildVirt(r, osPages, opt.Seed) // fills vpnToPPN/gpaToHost
 	} else {
-		// Dense vpn -> ppn table over the mapped range: the page table is
-		// static after build, so the per-access radix descent collapses to
-		// one load (unmappedPPN marks holes).
-		lo, hi := as.VPNRange()
-		r.vlo = lo
-		r.vpnToPPN = make([]uint64, hi-lo)
-		for i := range r.vpnToPPN {
-			r.vpnToPPN[i] = unmappedPPN
-			if ppn, ok := as.Table.Lookup(lo + uint64(i)); ok {
-				r.vpnToPPN[i] = ppn
-			}
-		}
+		r.vlo, r.vpnToPPN = as.VBase, vpnToPPN
 	}
 	// Per-PTB hardware state, flat over the (now final) table's PTB slots,
 	// plus the reusable hot-loop scratch (see Runner field docs).

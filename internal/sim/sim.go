@@ -204,6 +204,8 @@ type Runner struct {
 	// vpnToPPN maps trace virtual pages (offset by vlo) to the physical
 	// page the MC sees — host-physical under virtualization. One bounds
 	// check and one load replace the per-access radix walk / map probes.
+	// A native runner shares it (and as) with the other runners built from
+	// the same inputs (nativeAddressSpace), so it is read-only.
 	vpnToPPN []uint64
 	vlo      uint64
 
