@@ -56,7 +56,8 @@ bench:
 # surface armed, and CI runs it again under -race -tags tmccdebug.
 #   1. the per-design access-path microbenchmark, the system-construction
 #      one (cold and address-space memo hit) and the per-layer ones (trace
-#      generation, L3 cache, CTE Buffer) compile and complete;
+#      generation, cold size-model build, L3 cache, CTE Buffer) compile and
+#      complete;
 #   2. a race+tmccdebug canneal/TMCC run with a seeded all-faults plan, RAS
 #      and every observation output armed completes, and a second run gives
 #      identical stdout, stderr and breakdown/timeline/heatmap CSVs;
@@ -70,7 +71,7 @@ bench:
 SMOKE_DIR ?= /tmp/tmcc-smoke
 CHAOS_PLAN = cte=0.05,stale=0.02,payload=0.02,spike=0.01:250ns,busy=0.01:100ns:3
 smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner|BenchmarkTraceNext|BenchmarkCacheLookupInsert|BenchmarkBufferLoadPTB' \
+	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner|BenchmarkTraceNext|BenchmarkSizeModelBuild|BenchmarkCacheLookupInsert|BenchmarkBufferLoadPTB' \
 		-benchtime 1x ./internal/sim/ ./internal/workload/ ./internal/cache/ ./internal/ctecache/
 	mkdir -p $(SMOKE_DIR)
 	$(GO) build -race -tags tmccdebug -o $(SMOKE_DIR)/tmccsim_chaos ./cmd/tmccsim

@@ -32,9 +32,7 @@ func measure(seed int64) map[content.Archetype]frac {
 			in += len(p)
 			s, _ := md.CompressedSize(p)
 			outMD += s
-			for b := 0; b < content.PageSize; b += blockcomp.BlockSize {
-				outBlk += best.CompressedSize(p[b : b+blockcomp.BlockSize])
-			}
+			outBlk += best.PageSize(p)
 			var buf bytes.Buffer
 			w, _ := flate.NewWriter(&buf, 9)
 			w.Write(p)

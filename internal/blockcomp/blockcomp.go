@@ -45,9 +45,10 @@ func checkBlock(block []byte) {
 	}
 }
 
-// Best is the composite compressor: the smallest of its children, with a
-// 2-bit scheme selector charged to the encoding (rounded into whole bytes
-// together with the payload).
+// Best is the composite compressor: the smallest of its children. The
+// hardware would also store a 2-bit scheme selector per block; that is not
+// charged here, so a block costs exactly its winning child's encoding
+// (EXPERIMENTS.md lists the gap among the known deviations).
 type Best struct {
 	Children []Compressor
 }
@@ -60,16 +61,31 @@ func NewBest() *Best {
 // Name implements Compressor.
 func (b *Best) Name() string { return "best-of" }
 
-// CompressedSize implements Compressor: minimum across children.
+// CompressedSize implements Compressor: minimum across children. Probing
+// stops at 1 byte, the zero tag, which no encoding beats.
 func (b *Best) CompressedSize(block []byte) int {
 	checkBlock(block)
 	best := BlockSize
 	for _, c := range b.Children {
 		if s := c.CompressedSize(block); s < best {
 			best = s
+			if best == 1 {
+				break
+			}
 		}
 	}
 	return best
+}
+
+// PageSize returns the block-compressed size of page, the sum of
+// CompressedSize over its BlockSize blocks. len(page) must be a multiple
+// of BlockSize.
+func (b *Best) PageSize(page []byte) int {
+	size := 0
+	for off := 0; off < len(page); off += BlockSize {
+		size += b.CompressedSize(page[off : off+BlockSize])
+	}
+	return size
 }
 
 // ZeroBlock detects all-zero blocks, which compress to a 1-byte tag.

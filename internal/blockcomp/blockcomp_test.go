@@ -193,6 +193,38 @@ func TestBestPicksMinimum(t *testing.T) {
 	}
 }
 
+func TestBestPageSizeSumsBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	page := make([]byte, 0, 4*BlockSize)
+	page = append(page, smallIntArray(7)...)
+	page = append(page, zeroBlockBytes()...)
+	page = append(page, pointerArray(rng)...)
+	page = append(page, randomBlock(rng)...)
+	best := NewBest()
+	want := 0
+	for off := 0; off < len(page); off += BlockSize {
+		want += best.CompressedSize(page[off : off+BlockSize])
+	}
+	if got := best.PageSize(page); got != want {
+		t.Errorf("PageSize = %d, want the block sum %d", got, want)
+	}
+}
+
+// TestSizeOnlyPathsDoNotAllocate pins the size-only encoders at zero heap
+// allocations: the size model calls them for every block of every sampled
+// page.
+func TestSizeOnlyPathsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	blocks := [][]byte{smallIntArray(9), pointerArray(rng), randomBlock(rng), zeroBlockBytes()}
+	for _, c := range []Compressor{BPC{}, CPack{}, NewBest()} {
+		for _, b := range blocks {
+			if n := testing.AllocsPerRun(100, func() { c.CompressedSize(b) }); n != 0 {
+				t.Errorf("%s: CompressedSize allocates %.1f times per block", c.Name(), n)
+			}
+		}
+	}
+}
+
 func TestCPackDictionaryReuse(t *testing.T) {
 	// A block of 16 identical nonzero words: first is xxxx (34 bits), the
 	// remaining 15 are mmmm (6 bits) -> 124 bits -> 16 bytes.

@@ -3,6 +3,7 @@ package blockcomp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // BPC implements Bit-Plane Compression (Kim et al., ISCA 2016) adapted to
@@ -40,17 +41,13 @@ func bpcTransform(block []byte) (base uint32, dbx [bpcPlanes]uint16, dbp [bpcPla
 		words[i] = binary.LittleEndian.Uint32(block[i*4:])
 	}
 	base = words[0]
-	var deltas [bpcDeltas]uint64
+	// Transpose by walking only each delta's set bits: small deltas, the
+	// common case, touch a few planes instead of all 33.
 	for i := 0; i < bpcDeltas; i++ {
-		d := int64(words[i+1]) - int64(words[i])
-		deltas[i] = uint64(d) & ((1 << bpcPlanes) - 1) // 33-bit two's complement
-	}
-	for p := 0; p < bpcPlanes; p++ {
-		var plane uint16
-		for i := 0; i < bpcDeltas; i++ {
-			plane |= uint16((deltas[i]>>uint(p))&1) << uint(i)
+		d := uint64(int64(words[i+1])-int64(words[i])) & ((1 << bpcPlanes) - 1) // 33-bit two's complement
+		for ; d != 0; d &= d - 1 {
+			dbp[bits.TrailingZeros64(d)] |= 1 << uint(i)
 		}
-		dbp[p] = plane
 	}
 	for p := 0; p < bpcPlanes; p++ {
 		if p == bpcPlanes-1 {
@@ -66,25 +63,26 @@ func bpcTransform(block []byte) (base uint32, dbx [bpcPlanes]uint16, dbp [bpcPla
 // Returns (kind, pos): kind 1 = single one, kind 2 = two consecutive ones,
 // kind 0 = neither.
 func onesPattern(p uint16) (int, int) {
-	for pos := 0; pos < bpcDeltas; pos++ {
-		if p == 1<<uint(pos) {
-			return 1, pos
-		}
-		if pos+1 < bpcDeltas && p == 3<<uint(pos) {
+	pos := bits.TrailingZeros16(p)
+	switch p >> uint(pos) {
+	case 1:
+		return 1, pos
+	case 3:
+		if pos+1 < bpcDeltas {
 			return 2, pos
 		}
 	}
 	return 0, 0
 }
 
-func bpcEncode(block []byte) *bitWriter {
+// bpcSymbols selects the block's code words, one per run or plane, with
+// each tag and its fields folded into one symbol.
+func bpcSymbols(block []byte, s *symbols) {
 	base, dbx, dbp := bpcTransform(block)
-	w := &bitWriter{}
 	if base == 0 {
-		w.writeBits(0, 1)
+		s.add(0, 1)
 	} else {
-		w.writeBits(1, 1)
-		w.writeBits(uint64(base), 32)
+		s.add(1<<32|uint64(base), 1+32)
 	}
 	// Encode planes from most significant (32) down to 0 so the decoder can
 	// reconstruct DBP incrementally.
@@ -95,52 +93,43 @@ func bpcEncode(block []byte) *bitWriter {
 				run++
 			}
 			if run >= 2 {
-				w.writeBits(0b01, 2)
-				w.writeBits(uint64(run-2), 6)
+				s.add(0b01<<6|uint64(run-2), 2+6)
 			} else {
-				w.writeBits(0b001, 3)
+				s.add(0b001, 3)
 			}
 			p -= run
 			continue
 		}
 		switch kind, pos := onesPattern(dbx[p]); {
 		case dbx[p] == planeMask:
-			w.writeBits(0b00000, 5)
+			s.add(0b00000, 5)
 		case dbp[p] == 0:
-			w.writeBits(0b00001, 5)
+			s.add(0b00001, 5)
 		case kind == 2:
-			w.writeBits(0b00010, 5)
-			w.writeBits(uint64(pos), 4)
+			s.add(0b00010<<4|uint64(pos), 5+4)
 		case kind == 1:
-			w.writeBits(0b00011, 5)
-			w.writeBits(uint64(pos), 4)
+			s.add(0b00011<<4|uint64(pos), 5+4)
 		default:
-			w.writeBits(1, 1)
-			w.writeBits(uint64(dbx[p]), bpcDeltas)
+			s.add(1<<bpcDeltas|uint64(dbx[p]), 1+bpcDeltas)
 		}
 		p--
 	}
-	return w
 }
 
 // CompressedSize implements Compressor.
 func (BPC) CompressedSize(block []byte) int {
 	checkBlock(block)
-	size := (bpcEncode(block).lenBits() + bitsPerByte - 1) / bitsPerByte
-	if size >= BlockSize {
-		return BlockSize
-	}
-	return size
+	var s symbols
+	bpcSymbols(block, &s)
+	return s.size()
 }
 
 // Compress implements Codec.
-func (b BPC) Compress(block []byte) ([]byte, bool) {
+func (BPC) Compress(block []byte) ([]byte, bool) {
 	checkBlock(block)
-	w := bpcEncode(block)
-	if (w.lenBits()+7)/8 >= BlockSize {
-		return nil, false
-	}
-	return w.bytes(), true
+	var s symbols
+	bpcSymbols(block, &s)
+	return s.encode()
 }
 
 // Decompress implements Codec.

@@ -53,58 +53,46 @@ func (d *cpackDict) match(w uint32) (class, idx int) {
 	return class, idx
 }
 
-func cpackEncode(block []byte) *bitWriter {
+// cpackSymbols selects one code word per 4-byte word, tag and fields
+// folded together, updating the dictionary as the hardware does.
+func cpackSymbols(block []byte, s *symbols) {
 	var dict cpackDict
-	w := &bitWriter{}
 	for i := 0; i < BlockSize; i += 4 {
 		word := binary.LittleEndian.Uint32(block[i:])
 		switch class, idx := dict.match(word); {
 		case word == 0:
-			w.writeBits(0b00, 2)
+			s.add(0b00, 2)
 		case word>>8 == 0:
-			w.writeBits(0b1101, 4)
-			w.writeBits(uint64(word&0xff), 8)
+			s.add(0b1101<<8|uint64(word&0xff), 4+8)
 		case class == 3:
-			w.writeBits(0b10, 2)
-			w.writeBits(uint64(idx), 4)
+			s.add(0b10<<4|uint64(idx), 2+4)
 		case class == 2:
-			w.writeBits(0b1110, 4)
-			w.writeBits(uint64(idx), 4)
-			w.writeBits(uint64(word&0xff), 8)
+			s.add(0b1110<<12|uint64(idx)<<8|uint64(word&0xff), 4+4+8)
 			dict.push(word)
 		case class == 1:
-			w.writeBits(0b1100, 4)
-			w.writeBits(uint64(idx), 4)
-			w.writeBits(uint64(word&0xffff), 16)
+			s.add(0b1100<<20|uint64(idx)<<16|uint64(word&0xffff), 4+4+16)
 			dict.push(word)
 		default:
-			w.writeBits(0b01, 2)
-			w.writeBits(uint64(word), 32)
+			s.add(0b01<<32|uint64(word), 2+32)
 			dict.push(word)
 		}
 	}
-	return w
 }
 
 // CompressedSize implements Compressor.
 func (CPack) CompressedSize(block []byte) int {
 	checkBlock(block)
-	bits := cpackEncode(block).lenBits()
-	size := (bits + 7) / 8
-	if size >= BlockSize {
-		return BlockSize
-	}
-	return size
+	var s symbols
+	cpackSymbols(block, &s)
+	return s.size()
 }
 
 // Compress implements Codec.
-func (c CPack) Compress(block []byte) ([]byte, bool) {
+func (CPack) Compress(block []byte) ([]byte, bool) {
 	checkBlock(block)
-	w := cpackEncode(block)
-	if (w.lenBits()+7)/8 >= BlockSize {
-		return nil, false
-	}
-	return w.bytes(), true
+	var s symbols
+	cpackSymbols(block, &s)
+	return s.encode()
 }
 
 // Decompress implements Codec.

@@ -31,9 +31,10 @@ func fitsSigned32(v uint32, bits uint) bool {
 	return s >= -lim && s < lim
 }
 
-func fpcEncode(block []byte) *bitWriter {
-	w := &bitWriter{}
-	words := make([]uint32, 16)
+// fpcSymbols selects one code word per word or zero run, prefix and
+// fields folded together.
+func fpcSymbols(block []byte, s *symbols) {
+	var words [16]uint32
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint32(block[i*4:])
 	}
@@ -44,58 +45,44 @@ func fpcEncode(block []byte) *bitWriter {
 			for i+run < 16 && words[i+run] == 0 && run < 8 {
 				run++
 			}
-			w.writeBits(0b000, 3)
-			w.writeBits(uint64(run-1), 3)
+			s.add(0b000<<3|uint64(run-1), 3+3)
 			i += run
 			continue
 		}
 		switch {
 		case fitsSigned32(v, 4):
-			w.writeBits(0b001, 3)
-			w.writeBits(uint64(v&0xf), 4)
+			s.add(0b001<<4|uint64(v&0xf), 3+4)
 		case fitsSigned32(v, 8):
-			w.writeBits(0b010, 3)
-			w.writeBits(uint64(v&0xff), 8)
+			s.add(0b010<<8|uint64(v&0xff), 3+8)
 		case fitsSigned32(v, 16):
-			w.writeBits(0b011, 3)
-			w.writeBits(uint64(v&0xffff), 16)
+			s.add(0b011<<16|uint64(v&0xffff), 3+16)
 		case v&0xffff == 0:
-			w.writeBits(0b100, 3)
-			w.writeBits(uint64(v>>16), 16)
+			s.add(0b100<<16|uint64(v>>16), 3+16)
 		case fitsSigned32(v&0xffff, 8) && fitsSigned32(v>>16, 8):
-			w.writeBits(0b101, 3)
-			w.writeBits(uint64(v>>16&0xff), 8)
-			w.writeBits(uint64(v&0xff), 8)
+			s.add(0b101<<16|uint64(v>>16&0xff)<<8|uint64(v&0xff), 3+8+8)
 		case byte(v) == byte(v>>8) && byte(v) == byte(v>>16) && byte(v) == byte(v>>24):
-			w.writeBits(0b110, 3)
-			w.writeBits(uint64(v&0xff), 8)
+			s.add(0b110<<8|uint64(v&0xff), 3+8)
 		default:
-			w.writeBits(0b111, 3)
-			w.writeBits(uint64(v), 32)
+			s.add(0b111<<32|uint64(v), 3+32)
 		}
 		i++
 	}
-	return w
 }
 
 // CompressedSize implements Compressor.
 func (FPC) CompressedSize(block []byte) int {
 	checkBlock(block)
-	size := (fpcEncode(block).lenBits() + bitsPerByte - 1) / bitsPerByte
-	if size >= BlockSize {
-		return BlockSize
-	}
-	return size
+	var s symbols
+	fpcSymbols(block, &s)
+	return s.size()
 }
 
 // Compress implements Codec.
-func (f FPC) Compress(block []byte) ([]byte, bool) {
+func (FPC) Compress(block []byte) ([]byte, bool) {
 	checkBlock(block)
-	w := fpcEncode(block)
-	if (w.lenBits()+7)/8 >= BlockSize {
-		return nil, false
-	}
-	return w.bytes(), true
+	var s symbols
+	fpcSymbols(block, &s)
+	return s.encode()
 }
 
 // Decompress implements Codec.

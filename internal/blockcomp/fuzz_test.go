@@ -10,8 +10,9 @@ import (
 // asserts the properties the simulator's capacity accounting relies on:
 // a successful Compress always round-trips bit-exactly through Decompress,
 // the encoding is never larger than the raw block, and CompressedSize —
-// the number the size models feed into capacity results — never exceeds
-// BlockSize.
+// the number the size models feed into capacity results, computed
+// without building the encoding — equals the length Compress emits, or
+// BlockSize when Compress stores the block raw.
 func FuzzBlockCompRoundTrip(f *testing.F) {
 	f.Add(make([]byte, BlockSize))
 	f.Add(bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, BlockSize/8))
@@ -33,7 +34,13 @@ func FuzzBlockCompRoundTrip(f *testing.F) {
 			}
 			enc, ok := c.Compress(block)
 			if !ok {
+				if size != BlockSize {
+					t.Fatalf("%s: Compress stores the block raw but CompressedSize=%d", c.Name(), size)
+				}
 				continue
+			}
+			if size != len(enc) {
+				t.Fatalf("%s: CompressedSize=%d but Compress emitted %dB", c.Name(), size, len(enc))
 			}
 			if len(enc) > BlockSize {
 				t.Fatalf("%s: encoding %dB exceeds the raw block", c.Name(), len(enc))

@@ -25,9 +25,7 @@ func TestProfilesStayCalibrated(t *testing.T) {
 			in += len(p)
 			s, _ := codec.CompressedSize(p)
 			outMD += s
-			for b := 0; b < len(p); b += 64 {
-				outBlk += best.CompressedSize(p[b : b+64])
-			}
+			outBlk += best.PageSize(p)
 		}
 		deflate := float64(in) / float64(outMD)
 		block := float64(in) / float64(outBlk)

@@ -1,6 +1,7 @@
 package content
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,5 +102,57 @@ func TestRepeatedStructsBlockHostile(t *testing.T) {
 	}
 	if diverse < 48 { // 3/4 of the 64 blocks
 		t.Errorf("only %d/64 blocks look high-entropy", diverse)
+	}
+}
+
+// TestEqualKeysGenerateIdenticalPages guards the assumption the size
+// model's memo rests on: profiles with equal Keys produce byte-identical
+// page streams for every seed, so a model sampled for one serves all.
+func TestEqualKeysGenerateIdenticalPages(t *testing.T) {
+	names := Profiles()
+	pairs := 0
+	for i, a := range names {
+		pa, _ := ProfileFor(a)
+		for _, b := range names[i+1:] {
+			pb, _ := ProfileFor(b)
+			if pa.Key() != pb.Key() {
+				continue
+			}
+			pairs++
+			for _, seed := range []int64{1, 42, -7} {
+				ga, gb := pa.Generator(seed), pb.Generator(seed)
+				for n := 0; n < 16; n++ {
+					if !bytes.Equal(ga.Page(), gb.Page()) {
+						t.Fatalf("%s and %s share a key but differ at seed %d page %d", a, b, seed, n)
+					}
+				}
+			}
+		}
+	}
+	// The nine GraphBIG kernels share graphMix and a zero fraction.
+	if pairs < 9*8/2 {
+		t.Errorf("%d equal-key pairs, want at least the GraphBIG kernels' 36", pairs)
+	}
+}
+
+// TestKeySeparatesContent checks that Key tells apart profiles that
+// differ only in their zero-page fraction, and that it ignores the name.
+func TestKeySeparatesContent(t *testing.T) {
+	freqmine, _ := ProfileFor("freqmine")
+	parsec, _ := ProfileFor("suite-parsec")
+	if freqmine.ZeroFraction == parsec.ZeroFraction {
+		t.Fatal("freqmine and suite-parsec no longer differ in ZeroFraction")
+	}
+	if freqmine.Key() == parsec.Key() {
+		t.Error("profiles differing only in ZeroFraction share a key")
+	}
+	renamed := freqmine
+	renamed.Name = "other"
+	if renamed.Key() != freqmine.Key() {
+		t.Error("the key depends on the profile name")
+	}
+	explicitZero := Profile{Mix: Mix{Text: 1, Random: 0}}
+	if explicitZero.Key() != (Profile{Mix: Mix{Text: 1}}).Key() {
+		t.Error("a zero weight changes the key, though the generator ignores it")
 	}
 }

@@ -95,6 +95,24 @@ func Profiles() []string {
 	return out
 }
 
+// Key identifies a profile's content independently of its name: the mix
+// weights and the zero-page fraction, as comparable values. Profiles with
+// equal keys generate identical page streams for every seed (Generator
+// reads nothing else), so anything sampled from them can be shared.
+type Key struct {
+	mix          [nArchetypes]float64
+	zeroFraction float64
+}
+
+// Key returns the profile's content identity.
+func (p Profile) Key() Key {
+	k := Key{zeroFraction: p.ZeroFraction}
+	for a := range k.mix {
+		k.mix[a] = p.Mix[Archetype(a)]
+	}
+	return k
+}
+
 // Generator returns a page generator for this profile's non-zero pages.
 func (p Profile) Generator(seed int64) *Generator {
 	return NewGenerator(p.Mix, seed)

@@ -147,9 +147,7 @@ func Fig15(cfg Config) (*Table, error) {
 				continue // the methodology deletes all-zero pages
 			}
 			in += len(page)
-			for b := 0; b < len(page); b += 64 {
-				outBlk += best.CompressedSize(page[b : b+64])
-			}
+			outBlk += best.PageSize(page)
 			s, _ := plain.CompressedSize(page)
 			outMD += s
 			s2, _ := skip.CompressedSize(page)

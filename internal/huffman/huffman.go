@@ -11,6 +11,7 @@ package huffman
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -70,17 +71,18 @@ func Analyze(data []byte, maxDepth int) *Table {
 		c byte
 		f int
 	}
-	var all []cf
+	var present [256]cf
+	all := present[:0]
 	for c := 0; c < 256; c++ {
 		if freq[c] > 0 {
 			all = append(all, cf{byte(c), freq[c]})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].f != all[j].f {
-			return all[i].f > all[j].f
+	slices.SortFunc(all, func(a, b cf) int {
+		if a.f != b.f {
+			return b.f - a.f
 		}
-		return all[i].c < all[j].c
+		return int(a.c) - int(b.c)
 	})
 	if len(all) > MaxLeaves-1 {
 		all = all[:MaxLeaves-1]
@@ -269,18 +271,40 @@ func ParseHeader(src []byte) (*Table, int, error) {
 	return t, total, nil
 }
 
+// Measure returns the stats Encode would report for data — the stream's
+// bit length and escape count — from data's byte histogram, without
+// emitting the stream.
+func (t *Table) Measure(data []byte) Stats {
+	var freq [256]int
+	for _, b := range data {
+		freq[b]++
+	}
+	st := Stats{InputBytes: len(data)}
+	escLen := int(t.codes[len(t.chars)].len)
+	for b, f := range freq {
+		if f == 0 {
+			continue
+		}
+		if idx := t.hot[b]; idx >= 0 {
+			st.OutputBits += f * int(t.codes[idx].len)
+		} else {
+			st.OutputBits += f * (escLen + 8)
+			st.Escapes += f
+		}
+	}
+	return st
+}
+
 // Encode appends the Huffman bitstream for data (no header) to dst and
-// returns stats. The stream is padded to a byte boundary.
+// returns its stats, which are Measure's. The stream is padded to a byte
+// boundary.
 func (t *Table) Encode(dst, data []byte) ([]byte, Stats) {
-	var st Stats
-	st.InputBytes = len(data)
 	esc := t.codes[len(t.chars)]
 	var acc uint64
 	var nbits uint
 	put := func(c code) {
 		acc = acc<<uint(c.len) | uint64(c.bits)
 		nbits += uint(c.len)
-		st.OutputBits += int(c.len)
 		for nbits >= 8 {
 			dst = append(dst, byte(acc>>(nbits-8)))
 			nbits -= 8
@@ -292,13 +316,12 @@ func (t *Table) Encode(dst, data []byte) ([]byte, Stats) {
 		} else {
 			put(esc)
 			put(code{bits: uint32(b), len: 8})
-			st.Escapes++
 		}
 	}
 	if nbits > 0 {
 		dst = append(dst, byte(acc<<(8-nbits)))
 	}
-	return dst, st
+	return dst, t.Measure(data)
 }
 
 // decodeLUT maps the next maxLen bits to (symbol index, code length); built

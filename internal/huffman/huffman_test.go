@@ -86,6 +86,53 @@ func TestRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
+// TestMeasureMatchesEncode checks the histogram-based Measure against the
+// stream Encode emits, byte by byte: the stats Encode reports, a per-byte
+// count of code and escape bits, and the stream's padded length. The
+// tables include ones built from a prefix sample (the 1.1-pass mode), so
+// bytes outside the table are escape-coded.
+func TestMeasureMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	corpus := [][]byte{
+		{0},
+		bytes.Repeat([]byte{7}, 4096),
+		{1, 2},
+		bytes.Repeat([]byte{1, 2, 3, 4}, 100),
+	}
+	uniform := make([]byte, 4096)
+	for i := range uniform {
+		uniform[i] = byte(i)
+	}
+	corpus = append(corpus, uniform)
+	for i := 0; i < 20; i++ {
+		corpus = append(corpus, textLike(rng, 1+rng.Intn(4096)))
+	}
+	for ci, data := range corpus {
+		for _, depth := range []int{4, 8, 12} {
+			for _, sample := range [][]byte{data, data[:min(len(data), 64)]} {
+				table := Analyze(sample, depth)
+				got := table.Measure(data)
+				enc, encSt := table.Encode(nil, data)
+				want := Stats{InputBytes: len(data)}
+				for _, b := range data {
+					if idx := table.hot[b]; idx >= 0 {
+						want.OutputBits += int(table.codes[idx].len)
+					} else {
+						want.OutputBits += int(table.codes[len(table.chars)].len) + 8
+						want.Escapes++
+					}
+				}
+				if got != want || encSt != want {
+					t.Fatalf("corpus %d depth %d: Measure %+v, Encode %+v, per-byte count %+v", ci, depth, got, encSt, want)
+				}
+				if len(enc) != (got.OutputBits+7)/8 {
+					t.Fatalf("corpus %d depth %d: stream is %dB, Measure gives %d bits", ci, depth, len(enc), got.OutputBits)
+				}
+			}
+		}
+	}
+}
+
 func TestDepthLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, depth := range []int{4, 6, 8} {

@@ -8,8 +8,9 @@ import (
 // FuzzMemDeflateRoundTrip feeds arbitrary 4KB pages through the
 // memory-specialized Deflate and asserts the paper's functional-verification
 // property: whenever Compress accepts a page, the encoding beats the raw
-// page size and Decompress reproduces the page bit-exactly, and
-// CompressedSize agrees with the encoding Compress actually emits.
+// page size and Decompress reproduces the page bit-exactly, and the
+// size-only CompressedSize reports the same PageStats as Compress, whose
+// EncodedSize is the length of the encoding Compress emits.
 func FuzzMemDeflateRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte("the quick brown fox "), 64))
@@ -25,7 +26,10 @@ func FuzzMemDeflateRoundTrip(f *testing.F) {
 			copy(page[off:], data)
 		}
 		enc, st, ok := codec.Compress(page)
-		size, _ := codec.CompressedSize(page)
+		size, sizeSt := codec.CompressedSize(page)
+		if sizeSt != st || size != st.EncodedSize {
+			t.Fatalf("CompressedSize = %d, %+v; Compress gives %+v", size, sizeSt, st)
+		}
 		if !ok {
 			if size < PageSize {
 				t.Fatalf("Compress rejected page but CompressedSize=%d < %d", size, PageSize)

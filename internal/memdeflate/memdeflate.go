@@ -72,6 +72,9 @@ func DefaultParams() Params {
 type Codec struct {
 	p  Params
 	lz *lz.Compressor
+	// lzBuf holds the current page's LZ output; no encoding aliases it, so
+	// it is reused page to page.
+	lzBuf []byte
 	// Observability counters (nil when not observed).
 	obsPages, obsStored, obsBytesOut *obs.Counter
 }
@@ -117,22 +120,9 @@ type PageStats struct {
 // Compress encodes a page (must be PageSize bytes). ok=false means the page
 // is incompressible and should be stored raw.
 func (c *Codec) Compress(page []byte) (enc []byte, st PageStats, ok bool) {
-	if len(page) != PageSize {
-		panic(fmt.Sprintf("memdeflate: page must be %d bytes, got %d", PageSize, len(page)))
-	}
-	lzOut, lzStats := c.lz.Compress(nil, page)
-	st.LZ = lzStats
-
-	// Frequency analysis over the LZ output. The 1.1-pass option samples
-	// only the first segment (IBM's approximation); the default analyzes
-	// the whole (accumulated) output, which is what the Accumulate/Replay
-	// pair buys (Section V-B3).
-	sample := lzOut
-	if c.p.OnePointOne && len(sample) > 512 {
-		sample = sample[:512]
-	}
+	lzOut := c.runLZ(page, &st)
+	sample := c.sample(lzOut)
 	var header, huffOut []byte
-	var huffStats huffman.Stats
 	if c.p.GeneralPurpose {
 		table := huffman.AnalyzeFull(sample)
 		st.GeneralPurpose = true
@@ -142,46 +132,92 @@ func (c *Codec) Compress(page []byte) (enc []byte, st PageStats, ok bool) {
 		header = make([]byte, 0, 3+len(hdrBody))
 		header = append(header, flagHuffman|flagFull, byte(len(lzOut)), byte(len(lzOut)>>8))
 		header = append(header, hdrBody...)
-		huffOut, huffStats = table.Encode(nil, lzOut)
+		huffOut, st.Huff = table.Encode(nil, lzOut)
 	} else {
 		table := huffman.Analyze(sample, c.p.MaxTreeDepth)
 		header = make([]byte, 0, 3+table.HeaderSize())
 		header = append(header, flagHuffman, byte(len(lzOut)), byte(len(lzOut)>>8))
 		header = table.AppendHeader(header)
-		huffOut, huffStats = table.Encode(nil, lzOut)
+		huffOut, st.Huff = table.Encode(nil, lzOut)
 	}
-	st.Huff = huffStats
 
-	useHuffman := true
-	if c.p.DynamicSkip && len(header)+len(huffOut) >= 3+len(lzOut) {
-		useHuffman = false
-		st.HuffSkipped = true
-	}
-	if useHuffman {
-		enc = append(header, huffOut...)
-	} else {
+	if c.skipHuffman(len(header)+len(huffOut), len(lzOut), &st) {
 		enc = make([]byte, 0, 3+len(lzOut))
 		enc = append(enc, 0, byte(len(lzOut)), byte(len(lzOut)>>8))
 		enc = append(enc, lzOut...)
+	} else {
+		enc = append(header, huffOut...)
 	}
-	st.EncodedSize = len(enc)
+	if !c.account(len(enc), &st) {
+		return nil, st, false
+	}
+	return enc, st, true
+}
+
+// CompressedSize returns the encoded size Compress would produce
+// (PageSize when incompressible) and the same PageStats, and bumps the
+// same counters. On the reduced-tree path it emits nothing: the Huffman
+// stream's length comes from Measure and the LZ output goes to a buffer
+// the Codec reuses. General-purpose mode runs Compress.
+func (c *Codec) CompressedSize(page []byte) (int, PageStats) {
+	if c.p.GeneralPurpose {
+		_, st, _ := c.Compress(page)
+		return st.EncodedSize, st
+	}
+	var st PageStats
+	lzOut := c.runLZ(page, &st)
+	table := huffman.Analyze(c.sample(lzOut), c.p.MaxTreeDepth)
+	st.Huff = table.Measure(lzOut)
+	size := 3 + table.HeaderSize() + (st.Huff.OutputBits+7)/8
+	if c.skipHuffman(size, len(lzOut), &st) {
+		size = 3 + len(lzOut)
+	}
+	c.account(size, &st)
+	return st.EncodedSize, st
+}
+
+// runLZ runs the LZ stage on page into the Codec's buffer.
+func (c *Codec) runLZ(page []byte, st *PageStats) []byte {
+	if len(page) != PageSize {
+		panic(fmt.Sprintf("memdeflate: page must be %d bytes, got %d", PageSize, len(page)))
+	}
+	c.lzBuf, st.LZ = c.lz.Compress(c.lzBuf[:0], page)
+	return c.lzBuf
+}
+
+// sample is the input of the frequency analysis over the LZ output. The
+// 1.1-pass option samples only the first segment (IBM's approximation);
+// the default analyzes the whole (accumulated) output, which is what the
+// Accumulate/Replay pair buys (Section V-B3).
+func (c *Codec) sample(lzOut []byte) []byte {
+	if c.p.OnePointOne && len(lzOut) > 512 {
+		return lzOut[:512]
+	}
+	return lzOut
+}
+
+// skipHuffman applies DynamicSkip: the page keeps its raw LZ bytes when
+// the Huffman encoding (header included) would not be smaller.
+func (c *Codec) skipHuffman(huffSize, lzLen int, st *PageStats) bool {
+	st.HuffSkipped = c.p.DynamicSkip && huffSize >= 3+lzLen
+	return st.HuffSkipped
+}
+
+// account records the page's encoded size — PageSize when it does not
+// beat the raw page, which is then stored — and bumps the codec counters.
+// It reports whether the page is stored compressed.
+func (c *Codec) account(size int, st *PageStats) bool {
 	c.obsPages.Inc()
-	if len(enc) >= PageSize {
+	if size >= PageSize {
 		st.Stored = true
 		st.EncodedSize = PageSize
 		c.obsStored.Inc()
 		c.obsBytesOut.Add(PageSize)
-		return nil, st, false
+		return false
 	}
-	c.obsBytesOut.Add(uint64(len(enc)))
-	return enc, st, true
-}
-
-// CompressedSize returns only the encoded size (PageSize when
-// incompressible), avoiding the allocation of the full encoding.
-func (c *Codec) CompressedSize(page []byte) (int, PageStats) {
-	_, st, _ := c.Compress(page)
-	return st.EncodedSize, st
+	st.EncodedSize = size
+	c.obsBytesOut.Add(uint64(size))
+	return true
 }
 
 // Decompress inverts Compress.

@@ -3,11 +3,13 @@ package memdeflate
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"tmcc/internal/content"
 	"tmcc/internal/ibmdeflate"
+	"tmcc/internal/obs"
 )
 
 func TestRoundTripAllArchetypes(t *testing.T) {
@@ -128,6 +130,53 @@ func TestWindowSweepRoundTrip(t *testing.T) {
 // Table II shape: our ASIC must beat the IBM model by severalfold on 4KB
 // pages in every latency metric, and half-page latency must be well below
 // full-page.
+// TestCompressedSizeMatchesCompress pins the size-only path to the full
+// encoder across the design space: for every tested parameter point and
+// pages of every content profile, CompressedSize reports the PageStats
+// Compress does and bumps the same codec counters.
+func TestCompressedSizeMatchesCompress(t *testing.T) {
+	var points []Params
+	for _, w := range []int{256, 1024, 4096} {
+		for _, d := range []int{4, 8, 12} {
+			for _, skip := range []bool{false, true} {
+				for _, one := range []bool{false, true} {
+					p := DefaultParams()
+					p.WindowSize, p.MaxTreeDepth, p.DynamicSkip, p.OnePointOne = w, d, skip, one
+					points = append(points, p)
+				}
+			}
+		}
+	}
+	gp := DefaultParams()
+	gp.GeneralPurpose = true
+	points = append(points, gp)
+
+	var pages [][]byte
+	for i, name := range content.Profiles() {
+		prof, _ := content.ProfileFor(name)
+		gen := prof.Generator(int64(40 + i))
+		for j := 0; j < 3; j++ {
+			pages = append(pages, gen.Page())
+		}
+	}
+	for _, p := range points {
+		full, sized := New(p), New(p)
+		fullObs, sizedObs := obs.New(), obs.New()
+		full.Observe(fullObs)
+		sized.Observe(sizedObs)
+		for i, page := range pages {
+			_, want, _ := full.Compress(page)
+			size, got := sized.CompressedSize(page)
+			if got != want || size != want.EncodedSize {
+				t.Fatalf("%+v page %d: CompressedSize = %d, %+v; Compress gives %+v", p, i, size, got, want)
+			}
+		}
+		if got, want := sizedObs.Reg.Snapshot(), fullObs.Reg.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: counters %+v, Compress's %+v", p, got, want)
+		}
+	}
+}
+
 func TestTableIIShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	c := New(DefaultParams())

@@ -10,35 +10,41 @@ import (
 	"tmcc/internal/obs"
 )
 
-// sizeModelKey identifies one deterministic NewSizeModel computation; all
-// inputs are comparable values.
+// sizeModelKey identifies one deterministic size-model computation; all
+// inputs are comparable values. The profile enters by its content key,
+// not its name: profiles with equal keys sample identical pages, so they
+// share one model (the nine GraphBIG kernels are one entry).
 type sizeModelKey struct {
-	benchmark string
-	nSamples  int
-	seed      int64
-	params    memdeflate.Params
+	content  content.Key
+	nSamples int
+	seed     int64
+	params   memdeflate.Params
 }
 
 type sizeModelCall struct {
 	done chan struct{}
 	m    *SizeModel
-	err  error
 }
+
+// defaultSamples is the sample count used when the caller passes <= 0.
+const defaultSamples = 256
 
 var (
 	sizeModelMu sync.Mutex
 	sizeModels  = map[sizeModelKey]*sizeModelCall{}
 )
 
-// NewSizeModel samples nSamples pages of the benchmark's content profile
-// through the real compressors — the memory-specialized Deflate for
-// page-level sizes and the best-of block composite for Compresso — and
-// returns the per-page size assigner. Deterministic in (benchmark, seed).
+// NewSizeModel samples nSamples pages (256 when nSamples <= 0) of the
+// benchmark's content profile through the real compressors — the
+// memory-specialized Deflate for page-level sizes and the best-of block
+// composite for Compresso — and returns the per-page size assigner.
+// Deterministic in (content profile, nSamples, seed, deflateParams):
+// benchmarks whose profiles have equal content.Keys get the same model.
 //
 // Building the model means compressing nSamples full pages, which used to
 // dominate simulator construction (~35% of a run), so results are memoized
-// per process: every simulation of a benchmark shares one model. The
-// returned *SizeModel is immutable after construction and safe for
+// per process: every simulation of a content profile shares one model.
+// The returned *SizeModel is immutable after construction and safe for
 // concurrent use; callers must not modify it. Concurrent first requests
 // for the same key coalesce onto a single build.
 func NewSizeModel(benchmark string, nSamples int, seed int64, deflateParams memdeflate.Params) (*SizeModel, error) {
@@ -51,32 +57,34 @@ func NewSizeModel(benchmark string, nSamples int, seed int64, deflateParams memd
 // never enters the memo key — an observed and an unobserved caller share
 // the same cached model.
 func NewSizeModelObserved(benchmark string, nSamples int, seed int64, deflateParams memdeflate.Params, ob *obs.Observer) (*SizeModel, error) {
-	key := sizeModelKey{benchmark, nSamples, seed, deflateParams}
+	prof, ok := content.ProfileFor(benchmark)
+	if !ok {
+		return nil, fmt.Errorf("workload: no content profile for %q", benchmark)
+	}
+	if nSamples <= 0 {
+		nSamples = defaultSamples
+	}
+	key := sizeModelKey{prof.Key(), nSamples, seed, deflateParams}
 	sizeModelMu.Lock()
 	c, ok := sizeModels[key]
 	if ok {
 		sizeModelMu.Unlock()
 		ob.Counter("workload.sizemodel.memoHits").Inc()
 		<-c.done
-		return c.m, c.err
+		return c.m, nil
 	}
 	c = &sizeModelCall{done: make(chan struct{})}
 	sizeModels[key] = c
 	sizeModelMu.Unlock()
 	ob.Counter("workload.sizemodel.builds").Inc()
-	c.m, c.err = buildSizeModel(benchmark, nSamples, seed, deflateParams, ob)
+	c.m = buildSizeModel(prof, nSamples, seed, deflateParams, ob)
 	close(c.done)
-	return c.m, c.err
+	return c.m, nil
 }
 
-func buildSizeModel(benchmark string, nSamples int, seed int64, deflateParams memdeflate.Params, ob *obs.Observer) (*SizeModel, error) {
-	prof, ok := content.ProfileFor(benchmark)
-	if !ok {
-		return nil, fmt.Errorf("workload: no content profile for %q", benchmark)
-	}
-	if nSamples <= 0 {
-		nSamples = 256
-	}
+// buildSizeModel compresses nSamples (> 0) pages of prof's content with
+// the size-only codec paths; it is the memo's cold path.
+func buildSizeModel(prof content.Profile, nSamples int, seed int64, deflateParams memdeflate.Params, ob *obs.Observer) *SizeModel {
 	gen := prof.Generator(seed)
 	codec := memdeflate.New(deflateParams)
 	codec.Observe(ob)
@@ -94,13 +102,9 @@ func buildSizeModel(benchmark string, nSamples int, seed int64, deflateParams me
 		tm := codec.Timing(st)
 		halfSum += int64(tm.HalfPageLatency)
 		compSum += int64(tm.CompressorOcc)
-		blk := 0
-		for b := 0; b < len(page); b += 64 {
-			blk += best.CompressedSize(page[b : b+64])
-		}
-		m.blockSizes[i] = blk
+		m.blockSizes[i] = best.PageSize(page)
 	}
 	m.MeanHalfPagePS = halfSum / int64(nSamples)
 	m.MeanCompressPS = compSum / int64(nSamples)
-	return m, nil
+	return m
 }
