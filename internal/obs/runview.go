@@ -2,7 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tmcc/internal/check"
 	"tmcc/internal/config"
@@ -26,9 +26,9 @@ import (
 //
 // Heat side: heat facts carry a physical page number that registry paths
 // cannot express, so components reach the view through (*Observer).View
-// and stamp it directly. Accumulation is run-private and lock-free: a
-// region map plus an independently accumulated total, so Σ regions ==
-// total stays a real cross-check downstream.
+// and stamp it directly. Accumulation is run-private and lock-free: one
+// accumulator per touched region plus an independently accumulated total,
+// so Σ regions == total stays a real cross-check downstream.
 //
 // Close folds everything not yet folded, every time it is called, so a
 // runner that keeps going after Run still conserves. A nil *RunView
@@ -47,9 +47,17 @@ type RunView struct {
 	prevAttr attr.Snapshot
 	tlEdge   timeline.Edge
 
-	// Heat side; heat is nil when the heatmap is off.
+	// Heat side; heat is nil when the heatmap is off. A stamp finds its
+	// region's accumulator with one load: index[r] is 1 + the position of
+	// region r's accumulator in deltas (0 = untouched since the last fold),
+	// and index grows on demand. deltas and regions (the region each
+	// accumulator belongs to) append in first-touch order, so memory
+	// beyond index's int32 per region stays proportional to the regions
+	// touched.
 	heat     *heatmap.Recorder
-	regions  map[uint64]*heatmap.Delta
+	index    []int32
+	deltas   []heatmap.Delta
+	regions  []uint64
 	total    heatmap.Delta
 	heatEdge timeline.Edge
 }
@@ -74,7 +82,6 @@ func (o *Observer) RunView(bench, kind string) *RunView {
 	}
 	if o.Heat != nil {
 		v.heat = o.Heat
-		v.regions = map[uint64]*heatmap.Delta{}
 		v.heatEdge = timeline.NewEdge(o.Heat.Width())
 	}
 	return v
@@ -243,40 +250,46 @@ func (v *RunView) flush(win int64) {
 // the shared recorder, in ascending region order, then starts both afresh.
 func (v *RunView) foldHeat() {
 	if check.Enabled {
-		// Private conservation audit: the region map and the total are two
-		// independent accumulation paths over the same facts, so they must
-		// agree before either reaches the shared recorder. Sweeps is a
-		// group-level fact accumulated only on the total.
+		// Private conservation audit: the region accumulators and the
+		// total are two independent accumulation paths over the same
+		// facts, so they must agree before either reaches the shared
+		// recorder. Sweeps is a group-level fact accumulated only on the
+		// total.
 		var sum heatmap.Delta
-		for _, d := range v.regions {
-			sum.Fold(d)
+		for i := range v.deltas {
+			sum.Fold(&v.deltas[i])
 		}
 		sum.Sweeps = v.total.Sweeps
 		check.Assert(sum == v.total,
 			"heatmap: %s/%s: region deltas disagree with run total at close", v.bench, v.kind)
 	}
-	keys := make([]uint64, 0, len(v.regions))
-	for r := range v.regions {
-		keys = append(keys, r)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, r := range keys {
-		v.heat.Add(v.bench, v.kind, r, v.regions[r])
+	slices.Sort(v.regions)
+	for _, r := range v.regions {
+		v.heat.Add(v.bench, v.kind, r, &v.deltas[v.index[r]-1])
 	}
 	v.heat.AddTotal(v.bench, v.kind, &v.total)
-	clear(v.regions)
+	// Close ends the run in the common case, so the accumulators are
+	// released rather than kept for a view that keeps going, which
+	// regrows them.
+	v.index, v.deltas, v.regions = nil, nil, nil
 	v.total = heatmap.Delta{}
 }
 
-// region returns the accumulator for the region holding ppn.
+// region returns the accumulator for the region holding ppn. The pointer
+// is valid until the next call.
 func (v *RunView) region(ppn uint64) *heatmap.Delta {
 	r := v.heat.RegionOf(ppn)
-	d, ok := v.regions[r]
-	if !ok {
-		d = new(heatmap.Delta)
-		v.regions[r] = d
+	if r >= uint64(len(v.index)) {
+		grown := make([]int32, r+r/2+64)
+		copy(grown, v.index)
+		v.index = grown
+	} else if i := v.index[r]; i != 0 {
+		return &v.deltas[i-1]
 	}
-	return d
+	v.deltas = append(v.deltas, heatmap.Delta{})
+	v.regions = append(v.regions, r)
+	v.index[r] = int32(len(v.deltas))
+	return &v.deltas[len(v.deltas)-1]
 }
 
 // Access stamps one recorded access to ppn with its attribution class.

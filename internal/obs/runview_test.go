@@ -434,3 +434,42 @@ func TestHeatmapViewSweep(t *testing.T) {
 		t.Errorf("regions wrong: %+v", g.Regions)
 	}
 }
+
+// TestHeatmapViewSparseRegions pins the region accumulators' footprint and
+// fold: with one-page regions over a wide PPN range, a view holds one
+// accumulator per region touched (not per page below the highest one),
+// folds them in ascending region order whatever the touch order, and
+// releases them at each Close.
+func TestHeatmapViewSparseRegions(t *testing.T) {
+	o := New()
+	o.Heat = heatmap.NewRecorder(1, 0)
+	v := o.RunView("canneal", "tmcc")
+	pages := []uint64{1<<20 - 1, 70000, 5, 70000, 1<<20 - 1, 1<<20 - 1}
+	for _, ppn := range pages {
+		v.Access(ppn, attr.ClassDemand)
+	}
+	if len(v.deltas) != 3 {
+		t.Fatalf("%d accumulators for 3 touched regions", len(v.deltas))
+	}
+	v.Close()
+	if v.deltas != nil || v.regions != nil || v.index != nil {
+		t.Fatalf("Close kept accumulators: %d deltas, %d regions, %d index entries",
+			len(v.deltas), len(v.regions), len(v.index))
+	}
+	v.Access(70000, attr.ClassDemand)
+	v.Close()
+	g := o.Heat.Snapshot().Groups[0]
+	want := []struct{ region, n uint64 }{{5, 1}, {70000, 3}, {1<<20 - 1, 3}}
+	if len(g.Regions) != len(want) {
+		t.Fatalf("regions = %+v", g.Regions)
+	}
+	for i, w := range want {
+		if r := g.Regions[i]; r.Region != w.region || r.Heat[attr.ClassDemand] != w.n {
+			t.Errorf("region %d = %d with %d accesses, want %d with %d",
+				i, r.Region, r.Heat[attr.ClassDemand], w.region, w.n)
+		}
+	}
+	if g.Total.Heat[attr.ClassDemand] != uint64(len(pages))+1 {
+		t.Errorf("total = %d accesses, want %d", g.Total.Heat[attr.ClassDemand], len(pages)+1)
+	}
+}

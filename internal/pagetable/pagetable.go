@@ -279,32 +279,14 @@ func (t *Table) PTBSlot(addr uint64) (int, bool) {
 	return int(t.byPPN[ppn]-1)*PTBsPerPage + int(addr%PageSizeBytes)/PTBSize, true
 }
 
-// PTBAddrBySlot is PTBSlot's inverse: the physical byte address of the
-// PTB at the given dense slot. ok=false for out-of-range slots. Table
-// pages are listed in creation order, matching the idx each node carries,
-// so the mapping is one bounds check and one load — cheap enough for the
-// RAS layer's bounded background patrol over all PTB slots.
-func (t *Table) PTBAddrBySlot(slot int) (uint64, bool) {
-	pg := slot / PTBsPerPage
-	if slot < 0 || pg >= len(t.nodes) {
-		return 0, false
-	}
-	return t.nodes[pg].ppn<<PageShift + uint64(slot%PTBsPerPage)*PTBSize, true
-}
-
-// PTBByAddr returns the eight raw PTEs of the PTB at the given physical
-// byte address (as produced in walk steps); ok=false if the address does
-// not fall in a table page.
-func (t *Table) PTBByAddr(addr uint64) ([PTEsPerPTB]uint64, bool) {
-	ppn := addr >> PageShift
-	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == 0 {
-		return [PTEsPerPTB]uint64{}, false
-	}
-	n := t.nodes[t.byPPN[ppn]-1]
-	b := int(addr%PageSizeBytes) / PTBSize
-	var out [PTEsPerPTB]uint64
-	copy(out[:], n.ptes[b*PTEsPerPTB:(b+1)*PTEsPerPTB])
-	return out, true
+// PTBAt returns the eight raw PTEs of the PTB at a dense slot (as PTBSlot
+// returns it) in place, with no copy and no directory probe: table pages
+// are listed in creation order, matching the idx each node carries. The
+// table is read-only once built, so callers must not write through the
+// pointer. It panics for a slot outside [0, PTBSlots()).
+func (t *Table) PTBAt(slot int) *[PTEsPerPTB]uint64 {
+	b := slot % PTBsPerPage * PTEsPerPTB
+	return (*[PTEsPerPTB]uint64)(t.nodes[slot/PTBsPerPage].ptes[b : b+PTEsPerPTB])
 }
 
 // Lookup returns the data PPN for vpn without recording walk steps. It

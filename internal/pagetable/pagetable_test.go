@@ -142,6 +142,33 @@ func TestPTBsVisitsPresent(t *testing.T) {
 	}
 }
 
+// TestPTBAtMatchesPTBs pins the slot accessor: every present PTB the
+// table reports resolves through PTBSlot to a slot whose PTBAt holds its
+// PTEs, and distinct PTBs get distinct slots below PTBSlots.
+func TestPTBAtMatchesPTBs(t *testing.T) {
+	pt := New(seqAlloc(), false)
+	for vpn := uint64(0); vpn < 3000; vpn += 3 {
+		pt.Map(vpn<<9|vpn&511, vpn+5000, FlagPresent|FlagWrite)
+	}
+	seen := map[int]bool{}
+	pt.PTBs(func(b PTB) {
+		slot, ok := pt.PTBSlot(b.Addr)
+		if !ok || slot < 0 || slot >= pt.PTBSlots() {
+			t.Fatalf("PTBSlot(%#x) = %d, %v; want a slot below %d", b.Addr, slot, ok, pt.PTBSlots())
+		}
+		if seen[slot] {
+			t.Fatalf("PTB %#x shares slot %d", b.Addr, slot)
+		}
+		seen[slot] = true
+		if got := *pt.PTBAt(slot); got != b.PTEs {
+			t.Errorf("PTBAt(%d) = %x, PTB %#x holds %x", slot, got, b.Addr, b.PTEs)
+		}
+	})
+	if _, ok := pt.PTBSlot(5000 << PageShift); ok {
+		t.Error("a data page resolved to a PTB slot")
+	}
+}
+
 func TestBuildAddressSpace(t *testing.T) {
 	as := BuildAddressSpace(20000, 80000, DefaultOSConfig(7))
 	lo, hi := as.VPNRange()

@@ -81,9 +81,7 @@ func (b *builtAS) sum() uint64 {
 	h := uint64(14695981039346656037)
 	t := b.as.Table
 	for slot := 0; slot < t.PTBSlots(); slot++ {
-		addr, _ := t.PTBAddrBySlot(slot)
-		ptes, _ := t.PTBByAddr(addr)
-		for _, pte := range ptes {
+		for _, pte := range t.PTBAt(slot) {
 			h = (h ^ pte) * prime
 		}
 	}

@@ -41,17 +41,20 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 	return uint64(usage) + 1
 }
 
-// ErrGeometry reports a cache, TLB, MSHR file or CTE Buffer the model
-// cannot build: a cache with no whole set, a TLB whose entries do not
-// fill whole sets, no miss register, or a CTE Buffer with no entry.
-// NewRunnerFull returns it (wrapped, naming the structure) before
-// building anything.
+// ErrGeometry reports a structure the model cannot build: a cache with no
+// whole set, a TLB whose entries do not fill whole sets, no core, miss
+// register, DRAM channel, rank, bank, row byte or memory controller, an
+// interleave of zero bytes across several channels or controllers, no
+// migration buffer entry, or a CTE Buffer outside 1..MaxBufferEntries.
+// NewRunnerFull returns it (wrapped, naming the structure) before building
+// anything.
 var ErrGeometry = errors.New("degenerate geometry")
 
 // checkGeometry rejects with ErrGeometry any cache the run would build
-// with fewer than one set, a TLB with no set or a partial one, a core with
-// no MSHR, and a TMCC CTE Buffer with fewer than one entry. The MC's
-// victim shadow has L3's size and 16 ways, so the L3 row covers it.
+// with fewer than one set, a TLB with no set or a partial one, any count
+// the run divides by or indexes into that is below one, and a TMCC CTE
+// Buffer size NewBuffer refuses. The MC's victim shadow has L3's size and
+// 16 ways, so the L3 row covers it.
 func checkGeometry(opt Options, sys config.System) error {
 	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
 	for _, c := range []struct {
@@ -73,13 +76,30 @@ func checkGeometry(opt Options, sys config.System) error {
 		return fmt.Errorf("sim: %s/%s: %w: TLB of %d entries, %d-way, is not whole sets",
 			opt.Benchmark, opt.Kind, ErrGeometry, cpu.TLBEntries, cpu.TLBAssoc)
 	}
-	if sys.CPU.MaxMisses < 1 {
-		return fmt.Errorf("sim: %s/%s: %w: %d miss registers per core",
-			opt.Benchmark, opt.Kind, ErrGeometry, sys.CPU.MaxMisses)
+	d := sys.DRAM
+	for _, f := range []struct {
+		name  string
+		n     int
+		built bool
+	}{
+		{"cores", sys.CPU.Cores, true},
+		{"miss registers per core", sys.CPU.MaxMisses, true},
+		{"memory controllers", d.MCs, true},
+		{"DRAM channels per controller", d.Channels, true},
+		{"ranks per channel", d.RanksPerChan, true},
+		{"banks per rank", d.BanksPerRank, true},
+		{"bytes per DRAM row", d.RowBytes, true},
+		{"bytes of inter-controller interleave", d.MCInterleaveBytes, d.MCs > 1},
+		{"bytes of channel interleave", d.ChannelInterleaveBytes, d.Channels > 1},
+		{"migration buffer pages", sys.Comp.MigrationBufPages, opt.Kind == mc.TMCC || opt.Kind == mc.OSInspired},
+	} {
+		if f.built && f.n < 1 {
+			return fmt.Errorf("sim: %s/%s: %w: %d %s", opt.Benchmark, opt.Kind, ErrGeometry, f.n, f.name)
+		}
 	}
-	if opt.Kind == mc.TMCC && sys.Comp.CTEBufEntries < 1 {
-		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries",
-			opt.Benchmark, opt.Kind, ErrGeometry, sys.Comp.CTEBufEntries)
+	if n := sys.Comp.CTEBufEntries; opt.Kind == mc.TMCC && (n < 1 || n > ctecache.MaxBufferEntries) {
+		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries, want 1..%d",
+			opt.Benchmark, opt.Kind, ErrGeometry, n, ctecache.MaxBufferEntries)
 	}
 	return nil
 }
@@ -237,11 +257,13 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 			wc:       tlb.NewWalkCache(sys.CPU.WalkCacheKB * config.KiB),
 			l1:       cache.New(sys.Cache.L1SizeKB*config.KiB/2, sys.Cache.Assoc),
 			l2:       cache.New(sys.Cache.L2SizeKB*config.KiB, sys.Cache.Assoc),
-			buf:      ctecache.NewBuffer(sys.Comp.CTEBufEntries),
 			gwc:      tlb.New(512, 8),
 			mshr:     make([]config.Time, sys.CPU.MaxMisses),
 			stride:   cache.NewStride(sys.Cache.StrideDegreeL2),
 			throttle: cache.NewThrottle(256),
+		}
+		if opt.Kind == mc.TMCC {
+			c.buf = ctecache.NewBuffer(sys.Comp.CTEBufEntries)
 		}
 		r.cores = append(r.cores, c)
 	}
@@ -284,7 +306,8 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 // CTEs of the pages it points to.
 func (r *Runner) warmEmbeddings() {
 	r.as.Table.PTBs(func(b pagetable.PTB) {
-		st := r.ptbState(b.Addr)
+		slot, _ := r.as.Table.PTBSlot(b.Addr) // PTBs yields table PTBs only
+		st := r.ptbState(slot)
 		if !st.compressible {
 			return
 		}

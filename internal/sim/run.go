@@ -349,10 +349,14 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	ppn := block / config.BlocksPage
 	off := int(block % config.BlocksPage)
 
+	// One CTE Buffer probe per LLC miss: the piggyback update below acts
+	// on the same slot, which stays valid because nothing in between
+	// inserts into the core's Buffer.
 	var embedded *cte.Entry
+	bufSlot := -1
 	if r.opt.Kind == mc.TMCC && !r.opt.DisableEmbed {
-		if e, ok := c.buf.Lookup(ppn); ok && e.HasCTE {
-			tr := e.CTE
+		if bufSlot = c.buf.Lookup(ppn); bufSlot >= 0 && c.buf.At(bufSlot).HasCTE {
+			tr := c.buf.At(bufSlot).CTE
 			if r.inj != nil {
 				// Fault site (a): corrupt or stale-out the embedded CTE the
 				// request piggybacks, forcing the MC's verify-redo recovery.
@@ -403,10 +407,10 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 
 	// Piggyback the correct CTE back to L2 (Section V-A3): refresh the CTE
 	// Buffer and lazily repair the PTB's embedded copy.
-	if r.opt.Kind == mc.TMCC && !r.opt.DisableEmbed {
+	if bufSlot >= 0 {
 		correct := r.mcc.CurrentCTE(ppn)
-		if ptbAddr, present, stale := c.buf.Update(ppn, correct.Truncated(r.pcfg.CTEBits)); present && stale {
-			r.repairPTB(ptbAddr, ppn, correct)
+		if ptbSlot, stale := c.buf.UpdateAt(bufSlot, correct.Truncated(r.pcfg.CTEBits)); stale {
+			r.repairPTB(ptbSlot, ppn, correct)
 		}
 	}
 
@@ -532,22 +536,23 @@ func (r *Runner) prefetch(c *core, now config.Time, block uint64) {
 }
 
 // loadCTEBuffer copies the embedded CTEs of a fetched PTB into the core's
-// CTE Buffer (Figure 10).
+// CTE Buffer (Figure 10). One directory probe resolves the PTB's slot;
+// its state and PTEs are then read in place.
 func (r *Runner) loadCTEBuffer(c *core, ptbAddr uint64) {
-	st := r.ptbState(ptbAddr)
-	if !st.compressible {
-		return
-	}
-	ptes, ok := r.as.Table.PTBByAddr(ptbAddr)
+	slot, ok := r.as.Table.PTBSlot(ptbAddr)
 	if !ok {
 		return
 	}
+	st := r.ptbState(slot)
+	if !st.compressible {
+		return
+	}
 	max := r.pcfg.MaxEmbeddable()
-	for i, pte := range ptes {
+	for i, pte := range r.as.Table.PTBAt(slot) {
 		if pte&1 == 0 { // not present
 			continue
 		}
-		e := ctecache.BufEntry{PPN: pteePPN(pte), PTBAddr: ptbAddr}
+		e := ctecache.BufEntry{PPN: pteePPN(pte), PTBSlot: slot}
 		if i < max && st.hasCTE[i] {
 			e.CTE = st.entries[i].Truncated(r.pcfg.CTEBits)
 			e.HasCTE = true
@@ -556,39 +561,29 @@ func (r *Runner) loadCTEBuffer(c *core, ptbAddr uint64) {
 	}
 }
 
-// ptbState lazily builds the hardware view of a PTB: compressibility and
-// (initially empty) embedded-CTE slots. PTBs are compressed when the page
-// walker first pulls them through L2 (Section V-A4). The states live in a
-// flat slice indexed by the table's dense PTB slots; non-table addresses
-// (which walk steps never produce) fall back to a zeroed spare.
-func (r *Runner) ptbState(ptbAddr uint64) *ptbState {
-	slot, ok := r.as.Table.PTBSlot(ptbAddr)
-	if !ok {
-		r.ptbSpare = ptbState{}
-		return &r.ptbSpare
-	}
+// ptbState lazily builds the hardware view of the PTB at a dense table
+// slot: compressibility and (initially empty) embedded-CTE slots. PTBs
+// are compressed when the page walker first pulls them through L2
+// (Section V-A4). The states live in a flat slice indexed by the table's
+// PTB slots.
+func (r *Runner) ptbState(slot int) *ptbState {
 	st := &r.ptbs[slot]
 	if !st.init {
 		st.init = true
-		if ptes, ok := r.as.Table.PTBByAddr(ptbAddr); ok {
-			st.compressible = r.pcfg.Compressible(&ptes)
-		}
+		st.compressible = r.pcfg.Compressible(r.as.Table.PTBAt(slot))
 	}
 	return st
 }
 
-// repairPTB lazily updates a PTB's embedded CTE after the MC reported the
-// authoritative translation (Section V-A3's lazy update).
-func (r *Runner) repairPTB(ptbAddr, ppn uint64, correct cte.Entry) {
-	st := r.ptbState(ptbAddr)
+// repairPTB lazily updates the embedded CTE of the PTB at a table slot
+// after the MC reported the authoritative translation (Section V-A3's lazy
+// update).
+func (r *Runner) repairPTB(slot int, ppn uint64, correct cte.Entry) {
+	st := r.ptbState(slot)
 	if !st.compressible {
 		return
 	}
-	ptes, ok := r.as.Table.PTBByAddr(ptbAddr)
-	if !ok {
-		return
-	}
-	for i, pte := range ptes {
+	for i, pte := range r.as.Table.PTBAt(slot) {
 		if pte&1 != 0 && pteePPN(pte) == ppn {
 			if i < r.pcfg.MaxEmbeddable() {
 				st.entries[i] = correct
@@ -621,16 +616,8 @@ func (r *Runner) patrolCTE(now config.Time) {
 		if !st.init || !st.compressible {
 			continue
 		}
-		addr, ok := r.as.Table.PTBAddrBySlot(slot)
-		if !ok {
-			continue
-		}
-		ptes, ok := r.as.Table.PTBByAddr(addr)
-		if !ok {
-			continue
-		}
 		visited++
-		for j, pte := range ptes {
+		for j, pte := range r.as.Table.PTBAt(slot) {
 			if j >= max || pte&pagetable.FlagPresent == 0 || !st.hasCTE[j] {
 				continue
 			}

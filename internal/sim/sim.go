@@ -166,10 +166,10 @@ type core struct {
 	gwc   *tlb.TLB // nested (gpa) walk cache under virtualization
 	l1    *cache.Cache
 	l2    *cache.Cache
-	buf   *ctecache.Buffer
-	mshr  []config.Time // outstanding-miss completion times
-	next  int           // ring index
-	dep   config.Time   // completion of the last dependent access
+	buf   *ctecache.Buffer // nil unless the MC is TMCC
+	mshr  []config.Time    // outstanding-miss completion times
+	next  int              // ring index
+	dep   config.Time      // completion of the last dependent access
 	batch accessBatch
 	// prefetch
 	stride   *cache.StridePrefetcher
@@ -197,7 +197,6 @@ type Runner struct {
 	mcc       *mc.MC
 	l3        *cache.Cache
 	ptbs      []ptbState
-	ptbSpare  ptbState // returned for non-table addresses (defensive)
 	pcfg      ptbcomp.Config
 	rng       *rand.Rand
 
@@ -286,7 +285,9 @@ func (r *Runner) observe(o *obs.Observer) {
 	}
 	hit, miss := o.Counter("sim.ctebuf.hit"), o.Counter("sim.ctebuf.miss")
 	for _, c := range r.cores {
-		c.buf.Observe(hit, miss)
+		if c.buf != nil {
+			c.buf.Observe(hit, miss)
+		}
 	}
 	r.ag = o.AttrGroup(r.opt.Benchmark, r.opt.Kind.String())
 }
