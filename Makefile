@@ -58,7 +58,10 @@ bench:
 #   1. the per-design access-path microbenchmark, the system-construction
 #      one (cold and address-space memo hit) and the per-layer ones (trace
 #      generation, cold size-model build, L3 cache, CTE Buffer) compile and
-#      complete;
+#      complete; the access path also runs at -cpu 1,2, so a single-CPU
+#      regression of the trace-producer pipeline stays visible, and the
+#      producer's determinism, lifecycle and panic tests run at -cpu 1,2,4
+#      three times over;
 #   2. a race+tmccdebug canneal/TMCC run with a seeded all-faults plan, RAS
 #      and every observation output armed completes, and a second run gives
 #      identical stdout, stderr and breakdown/timeline/heatmap CSVs;
@@ -74,6 +77,8 @@ CHAOS_PLAN = cte=0.05,stale=0.02,payload=0.02,spike=0.01:250ns,busy=0.01:100ns:3
 smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner|BenchmarkTraceNext|BenchmarkSizeModelBuild|BenchmarkCacheLookupInsert|BenchmarkBufferLoadPTB' \
 		-benchtime 1x ./internal/sim/ ./internal/workload/ ./internal/cache/ ./internal/ctecache/
+	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath' -benchtime 1x -cpu 1,2 ./internal/sim/
+	$(GO) test -run '^TestProducer' -cpu 1,2,4 -count=3 ./internal/sim/
 	mkdir -p $(SMOKE_DIR)
 	$(GO) build -race -tags tmccdebug -o $(SMOKE_DIR)/tmccsim_chaos ./cmd/tmccsim
 	$(GO) build -o $(SMOKE_DIR)/tmcctop ./cmd/tmcctop

@@ -336,7 +336,7 @@ func (r *Runner) place(budget uint64, sizes *workload.SizeModel) error {
 
 	if r.opt.Kind == mc.Uncompressed || r.opt.Kind == mc.Compresso {
 		for vpn := lo; vpn < hi; vpn++ {
-			if ppn := r.translate(vpn); ppn != unmappedPPN {
+			if ppn := translate(r.vpnToPPN, r.vlo, vpn); ppn != unmappedPPN {
 				r.mcc.Place(ppn, false)
 			}
 		}
@@ -349,7 +349,7 @@ func (r *Runner) place(budget uint64, sizes *workload.SizeModel) error {
 	}
 	order := r.placementOrder(lo, footprint)
 	for i, vpn := range order {
-		ppn := r.translate(vpn)
+		ppn := translate(r.vpnToPPN, r.vlo, vpn)
 		if ppn == unmappedPPN {
 			continue
 		}
@@ -364,7 +364,7 @@ func (r *Runner) place(budget uint64, sizes *workload.SizeModel) error {
 	// Seed the Recency List coldest-to-hottest so warmup evictions take
 	// genuinely cold pages, not the hot set; table pages go last (hottest).
 	for i := len(order) - 1; i >= 0; i-- {
-		if ppn := r.translate(order[i]); ppn != unmappedPPN {
+		if ppn := translate(r.vpnToPPN, r.vlo, order[i]); ppn != unmappedPPN {
 			r.mcc.TouchPage(ppn)
 		}
 	}

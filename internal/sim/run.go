@@ -80,6 +80,9 @@ func (r *Runner) resetStats() {
 // mid-run exhaustion still stops within one batch), and the core with the
 // earliest clock comes from a binary min-heap instead of a linear scan.
 func (r *Runner) runAccesses(n int) {
+	if r.feed == nil {
+		r.startProducer()
+	}
 	r.heapInit()
 	for done := 0; done < n; {
 		if r.mcc.Err() != nil {
@@ -143,44 +146,19 @@ func (r *Runner) siftDown(i int) {
 	}
 }
 
-// refill generates and translates the next batchSize trace records for
-// core c. Each core's RNG stream is private, so running generation ahead
-// of the timing loop reproduces the lazy per-step sequence exactly.
-func (r *Runner) refill(c *core) {
-	b := &c.batch
-	for i := 0; i < batchSize; i++ {
-		a := c.trace.Next()
-		b.vaddr[i] = a.VAddr
-		b.ppn[i] = r.translate(a.VAddr >> 12)
-		b.gap[i] = int32(a.Gap)
-		b.write[i] = a.Write
-		b.dep[i] = a.Dep
-	}
-	b.pos, b.n = 0, batchSize
-}
-
-// translate resolves a trace virtual page to the PPN the MC sees (host
-// -physical under virtualization), or unmappedPPN.
-func (r *Runner) translate(vpn uint64) uint64 {
-	idx := vpn - r.vlo
-	if idx >= uint64(len(r.vpnToPPN)) {
-		return unmappedPPN
-	}
-	return r.vpnToPPN[idx]
-}
-
 // step executes one trace record on core c.
 func (r *Runner) step(c *core) {
-	if c.batch.pos == c.batch.n {
-		r.refill(c)
+	b := c.batch
+	if b.pos == batchSize {
+		b = r.nextBatch(c)
 	}
-	i := c.batch.pos
-	c.batch.pos++
-	vaddr := c.batch.vaddr[i]
-	ppn := c.batch.ppn[i]
-	gap := int(c.batch.gap[i])
-	write := c.batch.write[i]
-	dep := c.batch.dep[i]
+	i := b.pos
+	b.pos++
+	vaddr := b.vaddr[i]
+	ppn := b.ppn[i]
+	gap := int(b.gap[i])
+	write := b.write[i]
+	dep := b.dep[i]
 
 	// Non-memory instructions retire at the issue width.
 	c.time += config.Time(gap) * r.cycle / config.Time(r.sys.CPU.Width)

@@ -134,33 +134,36 @@ type ptbState struct {
 	entries      [8]cte.Entry
 }
 
-// batchSize is the per-core access batch: trace generation and address
-// translation run batchSize records ahead of timing, and the sticky
-// capacity-error check in runAccesses happens once per batch.
+// batchSize is the per-core access batch: the producer goroutine
+// generates and translates trace records batchSize at a time, ringDepth
+// batches per core ahead of timing, and the sticky capacity-error check in
+// runAccesses happens once per batch.
 const batchSize = 64
 
 // unmappedPPN is the dense translation tables' "no mapping" sentinel.
 const unmappedPPN = ^uint64(0)
 
 // accessBatch is a struct-of-arrays block of pre-generated, pre-translated
-// trace records. Generation is safe ahead of time because each core owns
-// its trace RNG exclusively (streams never interleave across cores), and
-// translation is safe because the page tables are static after placement;
-// only the timing loop below consumes simulated time.
+// trace records. The producer fills it off the timing goroutine: that is
+// safe because each core's trace is private (streams never interleave
+// across cores) and vpnToPPN is frozen after build; only the timing loop
+// consumes simulated time. A batch belongs to one core for life; the
+// producer owns it from a hand-back on free until it arrives on the core's
+// full channel, the timing goroutine from then on.
 type accessBatch struct {
 	vaddr [batchSize]uint64
 	ppn   [batchSize]uint64 // data PPN, unmappedPPN when unmapped
 	gap   [batchSize]int32
 	write [batchSize]bool
 	dep   [batchSize]bool
-	pos   int // next record to consume
-	n     int // records filled
+	pos   int // next record to consume; batchSize when used
+	core  int // owning core id
 }
 
 type core struct {
 	id    int
 	time  config.Time
-	trace *workload.Trace
+	trace *workload.Trace // handed to the producer when it starts
 	tlb   *tlb.TLB
 	wc    *tlb.WalkCache
 	gwc   *tlb.TLB // nested (gpa) walk cache under virtualization
@@ -170,7 +173,7 @@ type core struct {
 	mshr  []config.Time    // outstanding-miss completion times
 	next  int              // ring index
 	dep   config.Time      // completion of the last dependent access
-	batch accessBatch
+	batch *accessBatch     // being consumed; nil until the producer starts
 	// prefetch
 	stride   *cache.StridePrefetcher
 	throttle *cache.Throttle
@@ -204,11 +207,15 @@ type Runner struct {
 	// page the MC sees — host-physical under virtualization. One bounds
 	// check and one load replace the per-access radix walk / map probes.
 	// A native runner shares it (and as) with the other runners built from
-	// the same inputs (nativeAddressSpace), so it is read-only.
+	// the same inputs (nativeAddressSpace), and the producer goroutine
+	// reads it unlocked, so it is read-only after build.
 	vpnToPPN []uint64
 	vlo      uint64
 
 	cores []*core
+	// feed connects the timing loop to the producer goroutine that fills
+	// the cores' batches; nil until the first runAccesses starts it.
+	feed *feed
 	// heap is the issue order: a binary min-heap over the cores by
 	// (time, id), rebuilt at the start of each runAccesses.
 	heap []*core

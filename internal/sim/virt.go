@@ -134,7 +134,7 @@ func (r *Runner) walk2D(c *core, t config.Time, vpn uint64) (config.Time, uint64
 // lookupVirtData returns the host PPN for a guest-virtual page without
 // timing (a dense-table read; buildVirt precomputed the composition).
 func (r *Runner) lookupVirtData(vpn uint64) (uint64, bool) {
-	h := r.translate(vpn)
+	h := translate(r.vpnToPPN, r.vlo, vpn)
 	return h, h != unmappedPPN
 }
 
