@@ -68,8 +68,6 @@ func main() {
 		breakdown    = flag.Bool("breakdown", false, "print the latency-attribution breakdown table (stderr) at exit")
 		breakdownCSV = flag.String("breakdown-csv", "", "write the latency-attribution breakdown CSV to this file at exit")
 		flame        = flag.String("flame", "", "write the attribution breakdown as a collapsed-stack file (FlameGraph/speedscope) at exit")
-		watchfile    = flag.String("watchfile", "", "periodically write a watch snapshot (JSON) here for tmcctop -watch")
-		watchEvery   = flag.Duration("watch-every", 2*time.Second, "watch snapshot emission period (with -watchfile)")
 
 		single    = flag.String("run", "", "run one benchmark instead of an experiment (with -kind/-budget)")
 		kindName  = flag.String("kind", "tmcc", "memory-controller design for -run: uncompressed | compresso | os-inspired | tmcc")
@@ -107,6 +105,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := checkObsFlags(*heatmapRegion, *timelineWindow); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	hooks := engine.Hooks{Faults: plan}
 	if *rasOn {
 		hooks.RAS = ras.Default()
@@ -116,13 +118,13 @@ func main() {
 	// opened here at the cmd layer (internal/ is sink-free; tmcclint
 	// obs-sink-purity). Each surface is built only when requested, so a
 	// plain run stays on the nil fast path.
-	needAttr := *breakdown || *breakdownCSV != "" || *flame != "" || *watchfile != ""
+	needAttr := *breakdown || *breakdownCSV != "" || *flame != ""
 	needTimeline := *timelineOut != ""
 	needHeatmap := *heatmapOut != ""
 	var ob *obs.Observer
 	if *metrics != "" || *trace != "" || needAttr || needTimeline || needHeatmap {
 		ob = &obs.Observer{}
-		if *metrics != "" || *watchfile != "" || needTimeline || needHeatmap {
+		if *metrics != "" || needTimeline || needHeatmap {
 			// The heatmap arms the registry too: VerifyHeatmap audits the
 			// per-region event sums against the lifetime mc.* counters.
 			ob.Reg = obs.NewRegistry()
@@ -147,11 +149,6 @@ func main() {
 	}
 	hooks.Obs = ob
 	eng.SetHooks(hooks)
-	var watchStop, watchDone chan struct{}
-	if *watchfile != "" {
-		watchStop, watchDone = make(chan struct{}), make(chan struct{})
-		go watchLoop(*watchfile, ob, *watchEvery, watchStop, watchDone)
-	}
 	if *stats {
 		eng.SetProgress(func(r engine.Run) {
 			fmt.Fprintf(os.Stderr, "run %4d  %-16s %-14v %8.2fs\n",
@@ -206,11 +203,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if watchStop != nil {
-		// Stop the emitter; it writes one final frame covering the full run.
-		close(watchStop)
-		<-watchDone
-	}
 	if *stats {
 		printStats(os.Stderr, eng.Stats(), *jobs, time.Since(start), ob)
 	}
@@ -292,6 +284,19 @@ func parseFaults(spec string, seed int64) (fault.Plan, error) {
 	return plan, nil
 }
 
+// checkObsFlags rejects observation geometry the recorders cannot honour:
+// a heatmap region above 1<<63 pages has no power of two to round up to,
+// and a timeline window must be a positive simulated duration.
+func checkObsFlags(regionPages uint64, window time.Duration) error {
+	if regionPages > 1<<63 {
+		return fmt.Errorf("-heatmap-region %d: rounds up past the largest power of two (%d pages)", regionPages, uint64(1)<<63)
+	}
+	if window <= 0 {
+		return fmt.Errorf("-timeline-window %v: must be a positive simulated duration", window)
+	}
+	return nil
+}
+
 // diagnose turns the one actionable failure class into a one-line
 // instruction: capacity exhaustion is a configuration problem (budget too
 // small for the working set), not a simulator bug.
@@ -366,50 +371,6 @@ func writeFlame(path string, snap attr.Snapshot) error {
 		return fmt.Errorf("flame: %w", err)
 	}
 	return nil
-}
-
-// watchLoop periodically writes watch frames for tmcctop -watch; on stop
-// it emits one final frame so short runs still leave a snapshot behind.
-func watchLoop(path string, ob *obs.Observer, every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	var seq uint64
-	emit := func() {
-		seq++
-		if err := writeWatch(path, ob.Watch(seq, time.Now().UnixNano())); err != nil {
-			fmt.Fprintf(os.Stderr, "watchfile: %v\n", err)
-		}
-	}
-	for {
-		select {
-		case <-tick.C:
-			emit()
-		case <-stop:
-			emit()
-			return
-		}
-	}
-}
-
-// writeWatch writes one frame atomically (temp file + rename) so a
-// concurrent tmcctop -watch never reads a torn snapshot.
-func writeWatch(path string, ws obs.WatchSnapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := ws.WriteJSON(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // writeMetrics snapshots the registry into path.

@@ -118,7 +118,7 @@ func TestStatsJSONWithObserver(t *testing.T) {
 }
 
 // TestBreakdownFlameAndWatchFiles drives one attributed experiment through
-// the real engine and checks the breakdown CSV, flame, and watch writers.
+// the real engine and checks the breakdown CSV and flame writers.
 func TestBreakdownFlameAndWatchFiles(t *testing.T) {
 	eng := exp.Engine()
 	ob := obs.New()
@@ -140,14 +140,10 @@ func TestBreakdownFlameAndWatchFiles(t *testing.T) {
 	dir := t.TempDir()
 	bpath := filepath.Join(dir, "b.csv")
 	fpath := filepath.Join(dir, "f.flame")
-	wpath := filepath.Join(dir, "w.json")
 	if err := writeBreakdownCSV(bpath, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFlame(fpath, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeWatch(wpath, ob.Watch(1, 99)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,23 +162,6 @@ func TestBreakdownFlameAndWatchFiles(t *testing.T) {
 	}
 	if len(fb) == 0 || !strings.Contains(string(fb), ";demand;") {
 		t.Fatalf("flame file malformed:\n%s", fb)
-	}
-
-	wf, err := os.Open(wpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wf.Close()
-	ws, err := obs.ReadWatchSnapshot(wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Seq != 1 || ws.UnixNanos != 99 || len(ws.Attr.Groups) == 0 {
-		t.Fatalf("watch frame malformed: seq=%d unixNanos=%d groups=%d",
-			ws.Seq, ws.UnixNanos, len(ws.Attr.Groups))
-	}
-	if _, err := os.Stat(wpath + ".tmp"); !os.IsNotExist(err) {
-		t.Error("watch writer left its temp file behind")
 	}
 }
 
@@ -238,5 +217,31 @@ func TestMetricsAndTraceFiles(t *testing.T) {
 	}
 	if len(tf.TraceEvents) == 0 {
 		t.Fatal("trace file holds no events")
+	}
+}
+
+// TestCheckObsFlags pins the observation-flag rejections: a heatmap
+// region with no power of two to round up to (it once hung
+// heatmap.NewRecorder) and a non-positive timeline window (once silently
+// replaced by 1ms).
+func TestCheckObsFlags(t *testing.T) {
+	for _, c := range []struct {
+		region  uint64
+		window  time.Duration
+		wantErr string
+	}{
+		{512, time.Millisecond, ""},
+		{1 << 63, 100 * time.Microsecond, ""},
+		{1<<63 + 1, time.Millisecond, "-heatmap-region"},
+		{512, 0, "-timeline-window"},
+		{512, -time.Millisecond, "-timeline-window"},
+	} {
+		err := checkObsFlags(c.region, c.window)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("checkObsFlags(%d, %v) = %v, want nil", c.region, c.window, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("checkObsFlags(%d, %v) = %v, want an error naming %s", c.region, c.window, err, c.wantErr)
+		}
 	}
 }

@@ -1,36 +1,15 @@
-// Command tmcctop inspects observability artifacts written by tmccsim:
+// Command tmcctop renders the metrics snapshots `tmccsim -metrics` writes:
 //
-//	tmcctop snap.json             render a metrics snapshot as a sorted table
+//	tmcctop snap.json             render a snapshot as a sorted table
 //	tmcctop old.json new.json     table with a delta column (new - old)
-//	tmcctop -validate-trace t.trace
-//	                              check a Chrome trace_event file and report
-//	                              its event/category counts (CI uses this)
-//	tmcctop -watch live.json      live mode: re-render the watch file a long
-//	                              `tmccsim -watchfile live.json` run emits
-//	tmcctop -timeline live.json   live mode: unicode sparklines of the watch
-//	                              file's windowed timeline (tmccsim must run
-//	                              with both -watchfile and -timeline)
-//	tmcctop -heatmap live.json    live mode: hottest address-space regions as
-//	                              heat bars colored by dominant residency tier
-//	                              (tmccsim must run with both -watchfile and
-//	                              -heatmap)
 //
-// A watch file missing the requested section is not an error: -timeline
-// falls back to the frame's heatmap and -heatmap to its timeline, so a
-// live view keeps rendering whatever the emitter actually carries.
-//
-// Snapshots and watch frames carrying mc.<kind>.ras.* instruments (runs
-// with tmccsim -ras) additionally render a per-(benchmark, kind) RAS
-// status line — retired pages, breaker state, scrub coverage — with the
-// same missing-section fallback: frames without RAS counters get a short
-// note in -watch mode and nothing in snapshot mode.
-//
-// Snapshots come from `tmccsim -metrics`, traces from `tmccsim -trace`,
-// watch files from `tmccsim -watchfile`.
+// A snapshot carrying mc.<kind>.ras.* instruments (a run with tmccsim
+// -ras) leads with one RAS status line per controller kind — retired
+// pages, breaker state, scrub coverage; a snapshot without them renders
+// the table alone.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,54 +17,21 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"tmcc/internal/config"
 	"tmcc/internal/obs"
-	"tmcc/internal/obs/heatmap"
-	"tmcc/internal/obs/timeline"
 )
 
 func main() {
-	validate := flag.String("validate-trace", "", "validate a Chrome trace file instead of rendering snapshots")
-	watch := flag.String("watch", "", "live mode: re-render this tmccsim -watchfile output until interrupted")
-	tlWatch := flag.String("timeline", "", "live mode: render this watch file's windowed timeline as sparklines")
-	hmWatch := flag.String("heatmap", "", "live mode: render this watch file's address-space heatmap as residency-colored heat bars")
-	every := flag.Duration("every", 2*time.Second, "refresh period for -watch/-timeline")
-	iters := flag.Int("iters", 0, "with -watch/-timeline: stop after N refreshes (0 = run until interrupted)")
 	flag.Parse()
 
-	switch {
-	case *watch != "":
-		watchLoop(os.Stdout, *watch, *every, *iters, renderWatch)
-	case *tlWatch != "":
-		watchLoop(os.Stdout, *tlWatch, *every, *iters, renderTimeline)
-	case *hmWatch != "":
-		watchLoop(os.Stdout, *hmWatch, *every, *iters, renderHeatmap)
-	case *validate != "":
-		f, err := os.Open(*validate)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := validateTrace(os.Stdout, f); err != nil {
-			fatal(fmt.Errorf("%s: %w", *validate, err))
-		}
-	case flag.NArg() == 1:
+	switch flag.NArg() {
+	case 1:
 		s, err := readSnapshotFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		// A snapshot from a -ras run leads with the self-healing status;
-		// snapshots without the section render exactly as before.
-		if lines := rasStatus(s, heatmap.Snapshot{}); len(lines) > 0 {
-			for _, l := range lines {
-				fmt.Println(l)
-			}
-			fmt.Println()
-		}
 		renderSnapshot(os.Stdout, s)
-	case flag.NArg() == 2:
+	case 2:
 		old, err := readSnapshotFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
@@ -150,12 +96,9 @@ func scalar(s obs.Sample) int64 {
 // rasStatus summarizes the self-healing layer from the registry's
 // mc.<kind>.ras.* instruments: one line per controller kind with the
 // retired-frame count, the breaker state (reconstructed from the open and
-// close transition counters), and the patrol's page coverage. Benchmark
-// labels come from the artifact's heatmap groups when it carries them
-// (the registry aggregates mc.* per kind); "*" marks a kind several
-// benchmarks shared. Nil result when the snapshot holds no RAS
-// instruments — the RAS layer was off.
-func rasStatus(s obs.Snapshot, hm heatmap.Snapshot) []string {
+// close transition counters), and the patrol's page coverage. Nil result
+// when the snapshot holds no RAS instruments — the RAS layer was off.
+func rasStatus(s obs.Snapshot) []string {
 	byKind := map[string]map[string]int64{}
 	for _, sm := range s.Samples {
 		rest, ok := strings.CutPrefix(sm.Path, "mc.")
@@ -176,14 +119,6 @@ func rasStatus(s obs.Snapshot, hm heatmap.Snapshot) []string {
 	if len(byKind) == 0 {
 		return nil
 	}
-	bench := map[string]string{}
-	for _, g := range hm.Groups {
-		if b, seen := bench[g.Kind]; seen && b != g.Benchmark {
-			bench[g.Kind] = "*"
-		} else if !seen {
-			bench[g.Kind] = g.Benchmark
-		}
-	}
 	kinds := make([]string, 0, len(byKind))
 	for k := range byKind {
 		kinds = append(kinds, k)
@@ -192,10 +127,6 @@ func rasStatus(s obs.Snapshot, hm heatmap.Snapshot) []string {
 	lines := make([]string, 0, len(kinds))
 	for _, k := range kinds {
 		m := byKind[k]
-		label := k
-		if b := bench[k]; b != "" {
-			label = b + "/" + k
-		}
 		state := "closed"
 		if m["breaker.opens"] > m["breaker.closes"] {
 			state = "OPEN"
@@ -209,28 +140,22 @@ func rasStatus(s obs.Snapshot, hm heatmap.Snapshot) []string {
 		}
 		lines = append(lines, fmt.Sprintf(
 			"ras %s: retired=%d strikes=%d breaker=%s (opens=%d closes=%d) scrub=%.1f%% (detected=%d) degradedWrites=%d",
-			label, m["retired"], m["strikes"], state,
+			k, m["retired"], m["strikes"], state,
 			m["breaker.opens"], m["breaker.closes"],
 			coverage, m["scrub.detections"], m["degradedWrites"]))
 	}
 	return lines
 }
 
-// renderRAS prints the RAS status section, or the missing-section note —
-// like -heatmap's fallback, an artifact without the section still renders.
-func renderRAS(w io.Writer, s obs.Snapshot, hm heatmap.Snapshot) {
-	lines := rasStatus(s, hm)
-	if len(lines) == 0 {
-		fmt.Fprintln(w, "no RAS counters in this snapshot; run tmccsim with -ras")
-		return
-	}
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
-	}
-}
-
-// renderSnapshot prints the samples as a path-sorted table.
+// renderSnapshot prints the samples as a path-sorted table, led by the
+// RAS status lines when the snapshot carries them.
 func renderSnapshot(w io.Writer, s obs.Snapshot) {
+	if lines := rasStatus(s); len(lines) > 0 {
+		for _, l := range lines {
+			fmt.Fprintln(w, l)
+		}
+		fmt.Fprintln(w)
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PATH\tKIND\tVALUE")
 	for _, sm := range s.Samples {
@@ -275,399 +200,4 @@ func renderDiff(w io.Writer, old, cur obs.Snapshot) {
 		}
 	}
 	tw.Flush()
-}
-
-// watchLoop re-renders the watch file every period until interrupted (or
-// for iters refreshes when positive — the tests and bounded CI use that),
-// through the given frame renderer (-watch tables, -timeline sparklines).
-// A missing or torn frame is never fatal: before the first good frame the
-// loop reports that it is waiting; afterwards it re-renders the last good
-// frame marked stale and keeps polling — tmccsim writes atomically, but
-// the emitter can exit mid-run (or mid-write on a non-atomic filesystem)
-// and the watcher must outlive that.
-func watchLoop(w io.Writer, path string, every time.Duration, iters int, render renderFunc) {
-	wa := watcher{path: path, render: render}
-	first := true
-	for n := 0; iters <= 0 || n < iters; n++ {
-		if !first {
-			time.Sleep(every)
-		}
-		first = false
-		wa.tick(w)
-	}
-}
-
-// renderFunc renders one good watch frame (lastSeq detects staleness).
-type renderFunc func(w io.Writer, ws obs.WatchSnapshot, lastSeq uint64)
-
-// watcher carries the last good frame between ticks so a transient read
-// failure degrades to a stale display instead of a dead one.
-type watcher struct {
-	path      string
-	render    renderFunc
-	last      obs.WatchSnapshot
-	haveFrame bool
-}
-
-func (wa *watcher) tick(w io.Writer) {
-	ws, err := readWatchFile(wa.path)
-	switch {
-	case err == nil:
-		// Clear the terminal only when a frame rendered, so error lines
-		// above stay visible.
-		fmt.Fprint(w, "\033[H\033[2J")
-		wa.render(w, ws, wa.last.Seq)
-		wa.last, wa.haveFrame = ws, true
-	case wa.haveFrame:
-		fmt.Fprint(w, "\033[H\033[2J")
-		fmt.Fprintf(w, "watchfile unreadable (%v); showing last good frame\n", err)
-		wa.render(w, wa.last, wa.last.Seq)
-	default:
-		fmt.Fprintf(w, "waiting for %s: %v\n", wa.path, err)
-	}
-}
-
-func readWatchFile(path string) (obs.WatchSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return obs.WatchSnapshot{}, err
-	}
-	defer f.Close()
-	return obs.ReadWatchSnapshot(f)
-}
-
-// renderWatch prints one live frame: a header line (sequence number,
-// emitter wall-clock stamp, staleness marker), the attribution breakdown,
-// and the metrics table.
-func renderWatch(w io.Writer, ws obs.WatchSnapshot, lastSeq uint64) {
-	stamp := ""
-	if ws.UnixNanos != 0 {
-		stamp = " emitted " + time.Unix(0, ws.UnixNanos).Format("15:04:05")
-	}
-	stale := ""
-	if ws.Seq == lastSeq {
-		stale = " (stale: no new frame since last refresh)"
-	}
-	fmt.Fprintf(w, "tmcctop -watch: frame %d%s%s\n\n", ws.Seq, stamp, stale)
-	renderRAS(w, ws.Metrics, ws.Heatmap)
-	fmt.Fprintln(w)
-	if len(ws.Attr.Groups) > 0 {
-		if err := ws.Attr.WriteTable(w); err != nil {
-			fmt.Fprintf(w, "breakdown: %v\n", err)
-		}
-	}
-	renderSnapshot(w, ws.Metrics)
-}
-
-// maxSparkSlots caps a sparkline at the newest windows so long runs stay
-// within one terminal row.
-const maxSparkSlots = 64
-
-// sparkRunes are the eight block heights a sparkline cell can take.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// sparkline renders values as unicode blocks scaled to the series max.
-func sparkline(vals []uint64) string {
-	var max uint64
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		i := 0
-		if max > 0 {
-			i = int(v * uint64(len(sparkRunes)-1) / max)
-		}
-		b.WriteRune(sparkRunes[i])
-	}
-	return b.String()
-}
-
-// renderTimeline prints one live frame of the windowed timeline: per
-// (benchmark, kind) group, one sparkline per counter path, histogram
-// path (observation counts), and attr class (access counts) over a dense
-// simulated-time window grid.
-func renderTimeline(w io.Writer, ws obs.WatchSnapshot, lastSeq uint64) {
-	stamp := ""
-	if ws.UnixNanos != 0 {
-		stamp = " emitted " + time.Unix(0, ws.UnixNanos).Format("15:04:05")
-	}
-	stale := ""
-	if ws.Seq == lastSeq {
-		stale = " (stale: no new frame since last refresh)"
-	}
-	fmt.Fprintf(w, "tmcctop -timeline: frame %d%s%s\n\n", ws.Seq, stamp, stale)
-	tl := ws.Timeline
-	if len(tl.Groups) == 0 {
-		if len(ws.Heatmap.Groups) > 0 {
-			fmt.Fprintln(w, "no timeline in this watch file; rendering its heatmap instead")
-			fmt.Fprintln(w)
-			renderHeatmapGroups(w, ws.Heatmap)
-			return
-		}
-		fmt.Fprintln(w, "no timeline in this watch file; run tmccsim with both -watchfile and -timeline")
-		return
-	}
-	for _, g := range tl.Groups {
-		renderTimelineGroup(w, g, tl.WidthPS)
-	}
-}
-
-// renderTimelineGroup prints one group's sparklines. Windows with no
-// activity are rendered as zeros so the x-axis is uniform simulated time.
-func renderTimelineGroup(w io.Writer, g timeline.GroupSeries, widthPS int64) {
-	if len(g.Windows) == 0 || widthPS <= 0 {
-		return
-	}
-	lo := g.Windows[0].StartPS
-	hi := g.Windows[len(g.Windows)-1].StartPS
-	slots := int((hi-lo)/widthPS) + 1
-	if slots > maxSparkSlots {
-		lo = hi - int64(maxSparkSlots-1)*widthPS
-		slots = maxSparkSlots
-	}
-	slot := func(startPS int64) (int, bool) {
-		if startPS < lo {
-			return 0, false
-		}
-		return int((startPS - lo) / widthPS), true
-	}
-	// series name -> per-slot values; names collect in first-seen order
-	// is avoided — sort at the end for a stable display.
-	series := map[string][]uint64{}
-	at := func(name string) []uint64 {
-		s, ok := series[name]
-		if !ok {
-			s = make([]uint64, slots)
-			series[name] = s
-		}
-		return s
-	}
-	for _, win := range g.Windows {
-		i, ok := slot(win.StartPS)
-		if !ok {
-			continue
-		}
-		for _, cd := range win.Counters {
-			at(cd.Path)[i] += cd.Delta
-		}
-		for _, hd := range win.Hists {
-			at(hd.Path)[i] += hd.Count
-		}
-		for _, ad := range win.Attr {
-			at("attr." + ad.Class.String())[i] += ad.Count
-		}
-	}
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	winDur := time.Duration(widthPS / 1000) // ps -> ns for display
-	fmt.Fprintf(w, "%s/%s — %d windows of %v simulated (newest %d shown)\n",
-		g.Benchmark, g.Kind, len(g.Windows), winDur, slots)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	for _, n := range names {
-		vals := series[n]
-		var total, max uint64
-		for _, v := range vals {
-			total += v
-			if v > max {
-				max = v
-			}
-		}
-		fmt.Fprintf(tw, "  %s\t%s\tmax=%d\ttotal=%d\n", n, sparkline(vals), max, total)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}
-
-// maxHeatRows caps the per-group heatmap table at the hottest regions so
-// one frame fits a terminal.
-const maxHeatRows = 16
-
-// heatBarSlots is the width, in cells, of the hottest region's heat bar;
-// cooler regions scale down proportionally.
-const heatBarSlots = 32
-
-// tierColor maps a region's dominant residency tier to the ANSI color of
-// its heat bar: ML1 green, ML2 cyan, overflow red, retired magenta.
-var tierColor = [heatmap.NumTiers]string{"\033[32m", "\033[36m", "\033[31m", "\033[35m"}
-
-// ansiReset ends a colored heat bar.
-const ansiReset = "\033[0m"
-
-// renderHeatmap prints one live frame of the address-space heatmap: per
-// (benchmark, kind) group, the hottest regions as heat bars colored by
-// the tier the region's pages mostly sampled in.
-func renderHeatmap(w io.Writer, ws obs.WatchSnapshot, lastSeq uint64) {
-	stamp := ""
-	if ws.UnixNanos != 0 {
-		stamp = " emitted " + time.Unix(0, ws.UnixNanos).Format("15:04:05")
-	}
-	stale := ""
-	if ws.Seq == lastSeq {
-		stale = " (stale: no new frame since last refresh)"
-	}
-	fmt.Fprintf(w, "tmcctop -heatmap: frame %d%s%s\n\n", ws.Seq, stamp, stale)
-	hm := ws.Heatmap
-	if len(hm.Groups) == 0 {
-		if len(ws.Timeline.Groups) > 0 {
-			fmt.Fprintln(w, "no heatmap in this watch file; rendering its timeline instead")
-			fmt.Fprintln(w)
-			for _, g := range ws.Timeline.Groups {
-				renderTimelineGroup(w, g, ws.Timeline.WidthPS)
-			}
-			return
-		}
-		fmt.Fprintln(w, "no heatmap in this watch file; run tmccsim with both -watchfile and -heatmap")
-		return
-	}
-	renderHeatmapGroups(w, hm)
-}
-
-// renderHeatmapGroups renders every group of a heatmap snapshot.
-func renderHeatmapGroups(w io.Writer, hm heatmap.Snapshot) {
-	for _, g := range hm.Groups {
-		renderHeatmapGroup(w, g, hm.RegionPages)
-	}
-}
-
-// renderHeatmapGroup prints one group's hottest regions, one heat bar per
-// region, hottest first (region index breaks ties so frames are stable).
-func renderHeatmapGroup(w io.Writer, g heatmap.GroupHeatmap, regionPages uint64) {
-	regions := make([]heatmap.RegionStats, len(g.Regions))
-	copy(regions, g.Regions)
-	sort.SliceStable(regions, func(i, j int) bool {
-		hi, hj := regions[i].HeatTotal(), regions[j].HeatTotal()
-		if hi != hj {
-			return hi > hj
-		}
-		return regions[i].Region < regions[j].Region
-	})
-	shown := len(regions)
-	if shown > maxHeatRows {
-		shown = maxHeatRows
-	}
-	var max uint64
-	for _, r := range regions[:shown] {
-		if h := r.HeatTotal(); h > max {
-			max = h
-		}
-	}
-	mib := regionPages * 4 * config.KiB / config.MiB
-	fmt.Fprintf(w, "%s/%s — top %d of %d regions (%d MiB each; green=ml1 cyan=ml2 red=overflow magenta=retired)\n",
-		g.Benchmark, g.Kind, shown, len(regions), mib)
-	for _, r := range regions[:shown] {
-		churn := r.Events[heatmap.EvML1ToML2] + r.Events[heatmap.EvML2ToML1] + r.Events[heatmap.EvEmergency]
-		tier, color := "-", ""
-		if t, ok := dominantTier(&r.Delta); ok {
-			tier, color = t.String(), tierColor[t]
-		}
-		fmt.Fprintf(w, "  %6d  %s  heat=%-9d churn=%-6d tier=%s\n",
-			r.Region, heatBar(r.HeatTotal(), max, color), r.HeatTotal(), churn, tier)
-	}
-	fmt.Fprintln(w)
-}
-
-// dominantTier is the tier a region's pages were most often sampled in;
-// ok is false when the region never appeared in a residency sweep.
-func dominantTier(d *heatmap.Delta) (heatmap.Tier, bool) {
-	best, bestN := heatmap.TierML1, uint64(0)
-	for t := heatmap.Tier(0); t < heatmap.NumTiers; t++ {
-		if d.Res[t] > bestN {
-			best, bestN = t, d.Res[t]
-		}
-	}
-	return best, bestN > 0
-}
-
-// heatBar renders v scaled against the group maximum as a fixed-width
-// colored bar; nonzero heat always shows at least one cell.
-func heatBar(v, max uint64, color string) string {
-	n := 0
-	if max > 0 {
-		n = int(v * heatBarSlots / max)
-		if n == 0 && v > 0 {
-			n = 1
-		}
-	}
-	return color + strings.Repeat("█", n) + ansiReset + strings.Repeat(" ", heatBarSlots-n)
-}
-
-// validateTrace parses a Chrome trace_event JSON stream and checks the
-// invariants tmccsim's tracer guarantees: object form, at least one
-// event, every event either a complete ("X") span with non-negative
-// timestamps or a timeline counter sample ("C") carrying a value. On
-// success it prints a one-line summary with the category census and the
-// ring utilization (retained next to dropped, so "is the ring big
-// enough" is answerable from the validation line alone).
-func validateTrace(w io.Writer, r io.Reader) error {
-	var f struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			Args *struct {
-				Value uint64 `json:"value"`
-			} `json:"args"`
-		} `json:"traceEvents"`
-		OtherData map[string]string `json:"otherData"`
-	}
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return fmt.Errorf("not valid trace JSON: %w", err)
-	}
-	if d, ok := f.OtherData["droppedSpans"]; ok && d != "" && d != "0" {
-		fmt.Fprintf(w, "warning: trace ring overwrote %s spans (oldest lost); raise the tracer capacity to keep them\n", d)
-	}
-	if len(f.TraceEvents) == 0 {
-		return fmt.Errorf("trace holds no events")
-	}
-	cats := map[string]int{}
-	spans, counters := 0, 0
-	for i, e := range f.TraceEvents {
-		switch e.Ph {
-		case "X":
-			spans++
-			if e.Dur < 0 {
-				return fmt.Errorf("event %d (%s): negative dur %v", i, e.Name, e.Dur)
-			}
-		case "C":
-			counters++
-			if e.Args == nil {
-				return fmt.Errorf("event %d (%s): counter event without args.value", i, e.Name)
-			}
-		default:
-			return fmt.Errorf("event %d (%s): phase %q, want complete span X or counter C", i, e.Name, e.Ph)
-		}
-		if e.TS < 0 {
-			return fmt.Errorf("event %d (%s): negative ts %v", i, e.Name, e.TS)
-		}
-		if e.Cat == "" || e.Name == "" {
-			return fmt.Errorf("event %d: empty cat or name", i)
-		}
-		cats[e.Cat]++
-	}
-	names := make([]string, 0, len(cats))
-	for c := range cats {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "trace OK: %d events (%d spans, %d counters), %d categories:", len(f.TraceEvents), spans, counters, len(names))
-	for _, c := range names {
-		fmt.Fprintf(w, " %s=%d", c, cats[c])
-	}
-	if retained, ok := f.OtherData["retainedSpans"]; ok {
-		dropped := f.OtherData["droppedSpans"]
-		if dropped == "" {
-			dropped = "0"
-		}
-		fmt.Fprintf(w, " (ring: %s retained, %s dropped)", retained, dropped)
-	}
-	fmt.Fprintln(w)
-	return nil
 }

@@ -2,16 +2,10 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"tmcc/internal/config"
 	"tmcc/internal/obs"
-	"tmcc/internal/obs/attr"
-	"tmcc/internal/obs/heatmap"
-	"tmcc/internal/obs/timeline"
 )
 
 func snap(build func(r *obs.Registry)) obs.Snapshot {
@@ -70,26 +64,6 @@ func TestRenderDiff(t *testing.T) {
 	}
 }
 
-func TestValidateTraceAcceptsTracerOutput(t *testing.T) {
-	tr := obs.NewTracer(8)
-	tr.Emit(obs.CatWalk, "walk1d", 0, 10, 20)
-	tr.Emit(obs.CatML2, "decompress", obs.TIDMC, 15, 40)
-	var trace bytes.Buffer
-	if err := tr.WriteChromeTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := validateTrace(&out, &trace); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{"trace OK", "2 events", "2 categories", "walk=1", "ml2.decompress=1"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary missing %q: %s", want, got)
-		}
-	}
-}
-
 // TestRenderSnapshotQuantiles pins the p50/p95/p99 suffix histograms gain:
 // 100 observations of 50 in a {100,200} bucket layout interpolate to
 // p50=50, p95=95, p99=99 (linear within the first bucket).
@@ -105,274 +79,5 @@ func TestRenderSnapshotQuantiles(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "p50=50 p95=95 p99=99") {
 		t.Errorf("histogram row missing interpolated quantiles:\n%s", out)
-	}
-}
-
-func TestValidateTraceWarnsOnDroppedSpans(t *testing.T) {
-	tr := obs.NewTracer(2)
-	for i := 0; i < 5; i++ {
-		t0 := config.Time(i) * 10
-		tr.Emit(obs.CatWalk, "w", 0, t0, t0+5)
-	}
-	var trace bytes.Buffer
-	if err := tr.WriteChromeTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := validateTrace(&out, &trace); err != nil {
-		t.Fatalf("lossy-but-valid trace rejected: %v", err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "warning: trace ring overwrote 3 spans") {
-		t.Errorf("no dropped-span warning:\n%s", got)
-	}
-	if !strings.Contains(got, "trace OK") {
-		t.Errorf("warning suppressed the summary:\n%s", got)
-	}
-}
-
-func TestRenderWatch(t *testing.T) {
-	ob := obs.New()
-	ob.Reg.Counter("engine.runs").Add(3)
-	a := attrAccess()
-	ob.AttrGroup("canneal", "tmcc").Record(&a)
-
-	var buf bytes.Buffer
-	renderWatch(&buf, ob.Watch(7, 0), 3)
-	out := buf.String()
-	for _, want := range []string{"frame 7", "[demand] mean ns/access", "canneal", "engine.runs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("watch frame missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "stale") {
-		t.Errorf("fresh frame marked stale:\n%s", out)
-	}
-
-	buf.Reset()
-	renderWatch(&buf, ob.Watch(7, 0), 7)
-	if !strings.Contains(buf.String(), "stale: no new frame") {
-		t.Errorf("repeated sequence not marked stale:\n%s", buf.String())
-	}
-}
-
-// TestWatchLoopBounded drives the full loop against a real watch file for
-// two iterations: the first before the file exists (the retry line), the
-// second after a frame landed.
-func TestWatchLoopBounded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "live.json")
-	var buf bytes.Buffer
-	watchLoop(&buf, path, 0, 1, renderWatch)
-	if !strings.Contains(buf.String(), "waiting for") {
-		t.Errorf("missing file did not print the retry line:\n%s", buf.String())
-	}
-
-	ob := obs.New()
-	a := attrAccess()
-	ob.AttrGroup("mcf", "compresso").Record(&a)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ob.Watch(2, 0).WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	buf.Reset()
-	watchLoop(&buf, path, 0, 1, renderWatch)
-	out := buf.String()
-	for _, want := range []string{"frame 2", "mcf", "compresso"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("watch loop frame missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func attrAccess() attr.Access {
-	var a attr.Access
-	a.Class = attr.ClassDemand
-	a.Add(attr.CWalk, 1000)
-	a.Add(attr.CDataML1, 500)
-	a.Total = 1500
-	return a
-}
-
-func TestValidateTraceRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"not json":    "{",
-		"no events":   `{"traceEvents":[]}`,
-		"wrong phase": `{"traceEvents":[{"name":"x","cat":"c","ph":"B","ts":1,"dur":1}]}`,
-		"negative ts": `{"traceEvents":[{"name":"x","cat":"c","ph":"X","ts":-1,"dur":1}]}`,
-		"empty cat":   `{"traceEvents":[{"name":"x","cat":"","ph":"X","ts":1,"dur":1}]}`,
-	}
-	for name, in := range cases {
-		var out bytes.Buffer
-		if err := validateTrace(&out, strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// TestWatchLoopSurvivesTruncation pins the mid-write hazard: after a good
-// frame, a truncated (or deleted) watchfile must not kill the watcher — it
-// re-renders the last good frame with a diagnostic and keeps polling, and
-// recovers as soon as a whole frame lands again.
-func TestWatchLoopSurvivesTruncation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "live.json")
-	ob := obs.New()
-	a := attrAccess()
-	ob.AttrGroup("mcf", "tmcc").Record(&a)
-	writeFrame := func(seq uint64) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ob.Watch(seq, 0).WriteJSON(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-
-	wa := watcher{path: path, render: renderWatch}
-	var buf bytes.Buffer
-	writeFrame(1)
-	wa.tick(&buf)
-	if !strings.Contains(buf.String(), "frame 1") {
-		t.Fatalf("good frame did not render:\n%s", buf.String())
-	}
-
-	// Truncate mid-write: half a frame is unparseable JSON.
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	wa.tick(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "showing last good frame") || !strings.Contains(out, "frame 1") {
-		t.Fatalf("torn frame did not fall back to the last good one:\n%s", out)
-	}
-
-	// Delete the file entirely: same degradation, still alive.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	wa.tick(&buf)
-	if !strings.Contains(buf.String(), "showing last good frame") {
-		t.Fatalf("missing file after a good frame was fatal:\n%s", buf.String())
-	}
-
-	// A whole frame landing again recovers cleanly.
-	writeFrame(2)
-	buf.Reset()
-	wa.tick(&buf)
-	if !strings.Contains(buf.String(), "frame 2") {
-		t.Fatalf("watcher did not recover after the emitter came back:\n%s", buf.String())
-	}
-
-	// A fresh watcher with no good frame yet just waits.
-	cold := watcher{path: filepath.Join(t.TempDir(), "absent.json")}
-	buf.Reset()
-	cold.tick(&buf)
-	if !strings.Contains(buf.String(), "waiting for") {
-		t.Fatalf("fresh watcher on a missing file should wait, got:\n%s", buf.String())
-	}
-}
-
-// heatmapSnap builds a small two-region heatmap snapshot the way runs do:
-// per-region deltas plus an independently folded group total.
-func heatmapSnap() heatmap.Snapshot {
-	rec := heatmap.NewRecorder(0, 0)
-	var cold heatmap.Delta
-	cold.Heat[attr.ClassDemand] = 40
-	cold.Res[heatmap.TierML1] = 3
-	rec.Add("canneal", "tmcc", 0, &cold)
-	var hot heatmap.Delta
-	hot.Heat[attr.ClassDemand] = 60
-	hot.Heat[attr.ClassWriteback] = 4
-	hot.Events[heatmap.EvML1ToML2] = 2
-	hot.Res[heatmap.TierML2] = 5
-	rec.Add("canneal", "tmcc", 7, &hot)
-	var tot heatmap.Delta
-	tot.Fold(&cold)
-	tot.Fold(&hot)
-	tot.Sweeps = 1
-	rec.AddTotal("canneal", "tmcc", &tot)
-	return rec.Snapshot()
-}
-
-func timelineSnap() timeline.Snapshot {
-	return timeline.Snapshot{
-		WidthPS: 1_000_000,
-		Groups: []timeline.GroupSeries{{
-			Benchmark: "canneal",
-			Kind:      "tmcc",
-			Windows: []timeline.Window{{
-				StartPS:  0,
-				Counters: []timeline.CounterDelta{{Path: "mc.tmcc.ml2.reads", Delta: 9}},
-			}},
-		}},
-	}
-}
-
-func TestRenderHeatmap(t *testing.T) {
-	ws := obs.WatchSnapshot{Seq: 3, Heatmap: heatmapSnap()}
-	var buf bytes.Buffer
-	renderHeatmap(&buf, ws, 0)
-	out := buf.String()
-	for _, want := range []string{
-		"tmcctop -heatmap: frame 3",
-		"canneal/tmcc — top 2 of 2 regions (2 MiB each",
-		"tier=ml1", "tier=ml2", "churn=2", "heat=64",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("heatmap frame missing %q:\n%s", want, out)
-		}
-	}
-	// Hottest region first: region 7 (heat 64) before region 0 (heat 40).
-	if strings.Index(out, "tier=ml2") > strings.Index(out, "tier=ml1") {
-		t.Errorf("regions not sorted hottest-first:\n%s", out)
-	}
-}
-
-// TestRenderHeatmapFallsBackToTimeline pins the missing-section contract:
-// -heatmap against a timeline-only watch file renders the timeline
-// instead of erroring.
-func TestRenderHeatmapFallsBackToTimeline(t *testing.T) {
-	ws := obs.WatchSnapshot{Seq: 1, Timeline: timelineSnap()}
-	var buf bytes.Buffer
-	renderHeatmap(&buf, ws, 0)
-	out := buf.String()
-	for _, want := range []string{"rendering its timeline instead", "windows of", "mc.tmcc.ml2.reads"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("heatmap fallback missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRenderTimelineFallsBackToHeatmap is the symmetric contract for
-// -timeline against a heatmap-only watch file.
-func TestRenderTimelineFallsBackToHeatmap(t *testing.T) {
-	ws := obs.WatchSnapshot{Seq: 1, Heatmap: heatmapSnap()}
-	var buf bytes.Buffer
-	renderTimeline(&buf, ws, 0)
-	out := buf.String()
-	for _, want := range []string{"rendering its heatmap instead", "regions", "canneal/tmcc"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("timeline fallback missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRenderHeatmapEmptyFrame(t *testing.T) {
-	var buf bytes.Buffer
-	renderHeatmap(&buf, obs.WatchSnapshot{Seq: 1}, 0)
-	if !strings.Contains(buf.String(), "run tmccsim with both -watchfile and -heatmap") {
-		t.Errorf("empty frame missing hint:\n%s", buf.String())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tmcc/internal/obs"
-	"tmcc/internal/obs/heatmap"
 )
 
 func rasSnap() obs.Snapshot {
@@ -25,11 +24,10 @@ func rasSnap() obs.Snapshot {
 }
 
 // TestRASStatusLines pins the per-kind status line: retired count,
-// breaker state reconstructed from the transition counters, scrub
-// coverage against the pages gauge, and benchmark labels joined in from
-// the heatmap groups when present.
+// breaker state reconstructed from the transition counters, and scrub
+// coverage against the pages gauge; a snapshot table leads with them.
 func TestRASStatusLines(t *testing.T) {
-	lines := rasStatus(rasSnap(), heatmap.Snapshot{})
+	lines := rasStatus(rasSnap())
 	if len(lines) != 2 {
 		t.Fatalf("lines = %v, want one per kind", lines)
 	}
@@ -49,59 +47,14 @@ func TestRASStatusLines(t *testing.T) {
 		t.Errorf("balanced transitions should read closed: %s", lines[0])
 	}
 
-	// Heatmap groups contribute the benchmark dimension; several
-	// benchmarks sharing a kind collapse to "*".
-	hm := heatmap.Snapshot{Groups: []heatmap.GroupHeatmap{
-		{Benchmark: "canneal", Kind: "tmcc"},
-		{Benchmark: "canneal", Kind: "os-inspired"},
-		{Benchmark: "rocksdb", Kind: "os-inspired"},
-	}}
-	lines = rasStatus(rasSnap(), hm)
-	if !strings.HasPrefix(lines[1], "ras canneal/tmcc:") {
-		t.Errorf("benchmark label missing: %s", lines[1])
-	}
-	if !strings.HasPrefix(lines[0], "ras */os-inspired:") {
-		t.Errorf("shared kind should collapse to *: %s", lines[0])
+	var buf bytes.Buffer
+	renderSnapshot(&buf, rasSnap())
+	if out := buf.String(); !strings.HasPrefix(out, lines[0]+"\n"+lines[1]+"\n\nPATH") {
+		t.Errorf("snapshot table does not lead with the status lines:\n%s", out)
 	}
 
 	// No RAS instruments -> no lines (the section is simply absent).
-	if l := rasStatus(snap(func(r *obs.Registry) { r.Counter("mc.tmcc.reads").Add(1) }), heatmap.Snapshot{}); l != nil {
+	if l := rasStatus(snap(func(r *obs.Registry) { r.Counter("mc.tmcc.reads").Add(1) })); l != nil {
 		t.Errorf("non-RAS snapshot produced lines: %v", l)
-	}
-}
-
-// TestRenderWatchRASFallback pins the missing-section behavior: a frame
-// without RAS instruments renders the explanatory note (like -heatmap's
-// fallback) and the rest of the frame unharmed, while a frame with them
-// leads with the status lines.
-func TestRenderWatchRASFallback(t *testing.T) {
-	ob := obs.New()
-	ob.Reg = obs.NewRegistry()
-	ob.Reg.Counter("engine.runs").Add(3)
-	var buf bytes.Buffer
-	renderWatch(&buf, ob.Watch(1, 0), 0)
-	out := buf.String()
-	if !strings.Contains(out, "no RAS counters") {
-		t.Errorf("missing-section note absent:\n%s", out)
-	}
-	if !strings.Contains(out, "engine.runs") {
-		t.Errorf("fallback dropped the metrics table:\n%s", out)
-	}
-
-	ob.Reg.Counter("mc.tmcc.ras.retired").Add(1)
-	buf.Reset()
-	renderWatch(&buf, ob.Watch(2, 0), 1)
-	if !strings.Contains(buf.String(), "ras tmcc: retired=1") {
-		t.Errorf("status line absent:\n%s", buf.String())
-	}
-}
-
-// TestRetiredTierHasColor guards the tier/color tables against drifting
-// apart: every residency tier needs a heat-bar color, including retired.
-func TestRetiredTierHasColor(t *testing.T) {
-	for tier := heatmap.Tier(0); tier < heatmap.NumTiers; tier++ {
-		if tierColor[tier] == "" {
-			t.Errorf("tier %v has no heat-bar color", tier)
-		}
 	}
 }

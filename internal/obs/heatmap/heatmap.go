@@ -35,6 +35,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -202,16 +203,16 @@ type Recorder struct {
 }
 
 // NewRecorder returns an empty recorder. regionPages is the region size
-// in 4KB pages, rounded up to a power of two; 0 selects
-// DefaultRegionPages. width is the residency-sampling window in
-// simulated time; <= 0 selects DefaultWindow.
+// in 4KB pages, rounded up to a power of two (sizes above 1<<63 clamp to
+// 1<<63); 0 selects DefaultRegionPages. width is the residency-sampling
+// window in simulated time; <= 0 selects DefaultWindow.
 func NewRecorder(regionPages uint64, width config.Time) *Recorder {
 	if regionPages == 0 {
 		regionPages = DefaultRegionPages
 	}
-	shift := uint(0)
-	for uint64(1)<<shift < regionPages {
-		shift++
+	shift := uint(bits.Len64(regionPages - 1))
+	if shift > 63 {
+		shift = 63 // above 1<<63 no uint64 power of two rounds up
 	}
 	if width <= 0 {
 		width = DefaultWindow
@@ -449,7 +450,7 @@ func (s Snapshot) WriteTopRegions(w io.Writer, k int) error {
 		if n > len(idx) {
 			n = len(idx)
 		}
-		regionMiB := s.RegionPages * config.PageSize / config.MiB
+		regionMiB := s.RegionPages / (config.MiB / config.PageSize) // no overflow at huge regions
 		if _, err := fmt.Fprintf(w, "heatmap %s/%s: top %d of %d regions (%d MiB each)\n",
 			g.Benchmark, g.Kind, n, len(g.Regions), regionMiB); err != nil {
 			return err

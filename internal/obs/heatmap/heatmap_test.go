@@ -3,6 +3,7 @@ package heatmap
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
 	"strings"
 	"testing"
 
@@ -32,8 +33,8 @@ func TestRegionOfEdges(t *testing.T) {
 	}
 }
 
-// TestNewRecorderRounding: region sizes round up to a power of two, zero
-// selects the defaults.
+// TestNewRecorderRounding: region sizes round up to a power of two (those
+// above 1<<63 clamp to it), zero selects the defaults.
 func TestNewRecorderRounding(t *testing.T) {
 	for _, c := range []struct {
 		in, want uint64
@@ -45,6 +46,9 @@ func TestNewRecorderRounding(t *testing.T) {
 		{511, 512},
 		{512, 512},
 		{513, 1024},
+		{1 << 63, 1 << 63},
+		{1<<63 + 1, 1 << 63}, // once looped forever: 1<<64 is 0
+		{math.MaxUint64, 1 << 63},
 	} {
 		if got := NewRecorder(c.in, 0).RegionPages(); got != c.want {
 			t.Errorf("NewRecorder(%d).RegionPages() = %d, want %d", c.in, got, c.want)

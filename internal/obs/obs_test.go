@@ -47,52 +47,6 @@ func TestSyncDerivedExportsTracerDrops(t *testing.T) {
 	}
 }
 
-func TestWatchSnapshotRoundTrip(t *testing.T) {
-	o := New()
-	o.Counter("sim.l3.miss").Add(9)
-	a := attr.Access{Class: attr.ClassDemand, Total: 30}
-	a.Add(attr.CDataML1, 30)
-	o.AttrGroup("canneal", "tmcc").Record(&a)
-	for i := 0; i < DefaultTraceSpans+5; i++ {
-		o.Span(CatWalk, "w", 0, 0, 1)
-	}
-
-	ws := o.Watch(3, 1234)
-	if ws.Seq != 3 || ws.UnixNanos != 1234 {
-		t.Fatalf("frame header %+v", ws)
-	}
-	var buf bytes.Buffer
-	if err := ws.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWatchSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != 3 {
-		t.Fatalf("round trip lost seq: %+v", got.Seq)
-	}
-	if s, ok := got.Metrics.Get("sim.l3.miss"); !ok || s.Value != 9 {
-		t.Fatalf("metrics lost in round trip: %+v", s)
-	}
-	// Watch syncs derived gauges, so the drop count rides along.
-	if s, ok := got.Metrics.Get("obs.trace.dropped"); !ok || s.Value != 5 {
-		t.Fatalf("obs.trace.dropped = %+v, want 5", s)
-	}
-	if len(got.Attr.Groups) != 1 || got.Attr.Groups[0].Benchmark != "canneal" {
-		t.Fatalf("attr lost in round trip: %+v", got.Attr)
-	}
-	if err := got.Attr.Conserved(); err != nil {
-		t.Fatal(err)
-	}
-	// A nil observer still yields a valid (empty) frame.
-	var nilO *Observer
-	empty := nilO.Watch(1, 0)
-	if len(empty.Metrics.Samples) != 0 || len(empty.Attr.Groups) != 0 {
-		t.Fatal("nil observer produced a non-empty frame")
-	}
-}
-
 func TestWriteCollapsedConservesStacks(t *testing.T) {
 	rec := attr.NewRecorder()
 	var a attr.Access

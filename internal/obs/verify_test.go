@@ -97,20 +97,19 @@ func TestVerifyHeatmapCatchesCounterDrift(t *testing.T) {
 	}
 }
 
-// TestWatchCarriesHeatmap: a watch frame includes the heatmap section
-// exactly when the observer carries a recorder (the tmcctop -heatmap
-// feed).
-func TestWatchCarriesHeatmap(t *testing.T) {
+// TestHeatmapSnapshotFollowsRecorder: the observer's heatmap snapshot is
+// empty without a recorder and carries a closed view's fold with one.
+func TestHeatmapSnapshotFollowsRecorder(t *testing.T) {
 	o := New()
-	if ws := o.Watch(1, 0); len(ws.Heatmap.Groups) != 0 {
-		t.Error("heatmap section present without a recorder")
+	if hm := o.Heat.Snapshot(); len(hm.Groups) != 0 {
+		t.Error("heatmap groups present without a recorder")
 	}
 	o.Heat = heatmap.NewRecorder(0, 0)
 	v := o.RunView("canneal", "tmcc")
 	v.Access(0, attr.ClassDemand)
 	v.Close()
-	ws := o.Watch(2, 0)
-	if len(ws.Heatmap.Groups) != 1 || ws.Heatmap.Groups[0].Total.Heat[attr.ClassDemand] != 1 {
-		t.Errorf("watch frame heatmap wrong: %+v", ws.Heatmap)
+	hm := o.Heat.Snapshot()
+	if len(hm.Groups) != 1 || hm.Groups[0].Total.Heat[attr.ClassDemand] != 1 {
+		t.Errorf("heatmap snapshot wrong: %+v", hm)
 	}
 }

@@ -78,8 +78,8 @@ func TestTimelineRunConservation(t *testing.T) {
 
 // TestTimelineOffLeavesNoTrace: without a recorder the observer is used
 // directly (no private sinks, no view), so the registry sees the same
-// instruments as before this subsystem existed and Watch carries no
-// timeline.
+// instruments as before this subsystem existed and no timeline is
+// recorded.
 func TestTimelineOffLeavesNoTrace(t *testing.T) {
 	ob := obs.New()
 	r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
@@ -87,8 +87,7 @@ func TestTimelineOffLeavesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRun(t, r)
-	ws := ob.Watch(1, 0)
-	if len(ws.Timeline.Groups) != 0 || ws.Timeline.WidthPS != 0 {
-		t.Errorf("watch frame carries a timeline with TL unset: %+v", ws.Timeline)
+	if tl := ob.TL.Snapshot(); len(tl.Groups) != 0 || tl.WidthPS != 0 {
+		t.Errorf("observer carries a timeline with TL unset: %+v", tl)
 	}
 }
