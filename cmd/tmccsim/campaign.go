@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 
+	"tmcc/internal/exp"
 	"tmcc/internal/exp/engine"
 	"tmcc/internal/fault"
 	"tmcc/internal/mc"
@@ -37,12 +38,6 @@ import (
 // every ML1/ML2/pressure path in seconds, which is what lets CI afford 25
 // plans under -race.
 const campaignBenchmark = "blackscholes"
-
-// Campaign batteries always use the CI-sized windows.
-const (
-	campaignWarm    = 30000
-	campaignMeasure = 20000
-)
 
 // campaignKinds covers the speculating two-level design (every fault class
 // reachable, embedded-CTE patrol armed) and the non-speculating one
@@ -93,9 +88,10 @@ func randomPlan(rng *rand.Rand, seed int64) fault.Plan {
 
 // runBattery executes the invariant battery for one plan: a fresh engine
 // and observer (registry + attr + heatmap), the RAS layer armed with the
-// default policy, one run per campaign kind, then the same verification
-// gates the CLI export path applies. A nil return means every invariant
-// held.
+// default policy, one run per campaign kind, then the observer's Verify,
+// the audit the CLI export runs. A panic fails its run's key exactly once
+// (the engine never retries), so the PanicError check below sees every
+// one. A nil return means every invariant held.
 func runBattery(plan fault.Plan, jobs int, seed int64) error {
 	ob := &obs.Observer{
 		Reg:  obs.NewRegistry(),
@@ -104,12 +100,14 @@ func runBattery(plan fault.Plan, jobs int, seed int64) error {
 	}
 	eng := engine.New(jobs)
 	eng.SetHooks(engine.Hooks{Obs: ob, Faults: plan, RAS: ras.Default()})
+	// Campaign batteries always use the CI-sized windows.
+	warm, measure := exp.Config{Quick: true}.Windows()
 	for _, kind := range campaignKinds {
 		_, err := eng.Run(sim.Options{
 			Benchmark:       campaignBenchmark,
 			Kind:            kind,
-			WarmupAccesses:  campaignWarm,
-			MeasureAccesses: campaignMeasure,
+			WarmupAccesses:  warm,
+			MeasureAccesses: measure,
 			Seed:            seed,
 		})
 		if err != nil {
@@ -122,20 +120,7 @@ func runBattery(plan fault.Plan, jobs int, seed int64) error {
 			}
 		}
 	}
-	// The engine recovers and retries panics; a run that succeeded on
-	// retry still violates the no-panics invariant.
-	if st := eng.Stats(); st.Panics > 0 {
-		return fmt.Errorf("%d panic(s) recovered by the engine", st.Panics)
-	}
-	ob.SyncDerived()
-	snap := ob.At.Snapshot()
-	if err := snap.Conserved(); err != nil {
-		return fmt.Errorf("attr conservation: %w", err)
-	}
-	if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), ob.Reg.Snapshot(), snap); err != nil {
-		return fmt.Errorf("heatmap reconciliation: %w", err)
-	}
-	return nil
+	return ob.Verify()
 }
 
 // planClauses enumerates the removable clauses for minimization, in the

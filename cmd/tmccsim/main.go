@@ -97,9 +97,6 @@ func main() {
 	eng := exp.Engine()
 	eng.SetWorkers(*jobs)
 	eng.SetClock(func() int64 { return time.Now().UnixNano() })
-	// A panicking run is retried once after a short real-world pause
-	// (internal/ never sleeps itself; the backoff is injected like the clock).
-	eng.SetRetryBackoff(func() { time.Sleep(250 * time.Millisecond) })
 	plan, err := parseFaults(*faults, *chaosSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -209,58 +206,12 @@ func main() {
 	if eng.Hooks().Faults.Enabled() {
 		fmt.Fprintf(os.Stderr, "faults: %v\n", eng.FaultCounters())
 	}
-	ob.SyncDerived()
-	if *metrics != "" {
-		if err := writeMetrics(*metrics, ob); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *trace != "" {
-		if err := writeTrace(*trace, ob); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if needTimeline {
-		if err := writeTimeline(*timelineOut, ob); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if needHeatmap {
-		if err := writeHeatmap(*heatmapOut, ob); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if needAttr {
-		snap := ob.At.Snapshot()
-		// Re-verify conservation on the aggregate before exporting: a
-		// violation here means an attribution site lost time, and the
-		// artifacts would lie about where cycles went.
-		if err := snap.Conserved(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *breakdown {
-			if err := snap.WriteTable(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *breakdownCSV != "" {
-			if err := writeBreakdownCSV(*breakdownCSV, snap); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *flame != "" {
-			if err := writeFlame(*flame, snap); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
+	if err := export(os.Stderr, ob, outputs{
+		metrics: *metrics, trace: *trace, timeline: *timelineOut, heatmap: *heatmapOut,
+		breakdownCSV: *breakdownCSV, flame: *flame, breakdown: *breakdown,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if failed {
 		os.Exit(1)
@@ -326,10 +277,7 @@ func runSingle(w io.Writer, eng *engine.Engine, bench, kindName string, budget u
 	if err != nil {
 		return err
 	}
-	warm, measure := 120000, 80000 // the full experiment windows (exp.Config.windows)
-	if cfg.Quick {
-		warm, measure = 30000, 20000
-	}
+	warm, measure := cfg.Windows()
 	m, err := eng.Run(sim.Options{
 		Benchmark:       bench,
 		Kind:            kind,
@@ -347,101 +295,71 @@ func runSingle(w io.Writer, eng *engine.Engine, bench, kindName string, budget u
 	return nil
 }
 
-// writeBreakdownCSV writes the attribution breakdown rows into path.
-func writeBreakdownCSV(path string, snap attr.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("breakdown-csv: %w", err)
+// outputs names the observation artifacts one invocation asked for: a
+// file per non-empty path, and the -breakdown table on stderr.
+type outputs struct {
+	metrics, trace, timeline, heatmap, breakdownCSV, flame string
+	breakdown                                              bool
+}
+
+// export writes the requested observation artifacts from ob. It verifies
+// the observer first (attr conservation, and the timeline and heatmap
+// against the lifetime sinks), so a failed audit creates no file: the
+// artifacts would lie about where cycles went. Then it writes every
+// requested file and renders the stderr views — the heatmap's top
+// regions and the -breakdown table — into stderr.
+func export(stderr io.Writer, ob *obs.Observer, out outputs) error {
+	if ob == nil {
+		return nil
 	}
-	defer f.Close()
-	if err := snap.WriteCSV(f); err != nil {
-		return fmt.Errorf("breakdown-csv: %w", err)
+	ob.SyncDerived()
+	if err := ob.Verify(); err != nil {
+		return err
+	}
+	at, tl, hm := ob.At.Snapshot(), ob.TL.Snapshot(), ob.Heat.Snapshot()
+	for _, a := range []struct {
+		flag, path string
+		write      func(io.Writer) error
+	}{
+		{"metrics", out.metrics, func(w io.Writer) error { return ob.Reg.Snapshot().WriteJSON(w) }},
+		// A timeline that rode along joins the trace as "C" counter events.
+		{"trace", out.trace, func(w io.Writer) error { return ob.Tr.WriteChromeTraceTimeline(w, tl) }},
+		{"timeline", out.timeline, tl.WriteCSV},
+		{"heatmap", out.heatmap, hm.WriteCSV},
+		{"breakdown-csv", out.breakdownCSV, at.WriteCSV},
+		{"flame", out.flame, func(w io.Writer) error { return obs.WriteCollapsed(w, at) }},
+	} {
+		if a.path == "" {
+			continue
+		}
+		if err := writeFile(a.path, a.write); err != nil {
+			return fmt.Errorf("%s: %w", a.flag, err)
+		}
+	}
+	if out.heatmap != "" {
+		if err := hm.WriteTopRegions(stderr, 10); err != nil {
+			return fmt.Errorf("heatmap: %w", err)
+		}
+	}
+	if out.breakdown {
+		if err := at.WriteTable(stderr); err != nil {
+			return fmt.Errorf("breakdown: %w", err)
+		}
 	}
 	return nil
 }
 
-// writeFlame writes the breakdown as a collapsed-stack file into path.
-func writeFlame(path string, snap attr.Snapshot) error {
+// writeFile creates path and fills it through write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("flame: %w", err)
+		return err
 	}
-	defer f.Close()
-	if err := obs.WriteCollapsed(f, snap); err != nil {
-		return fmt.Errorf("flame: %w", err)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	return nil
-}
-
-// writeMetrics snapshots the registry into path.
-func writeMetrics(path string, ob *obs.Observer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	defer f.Close()
-	if err := ob.Reg.Snapshot().WriteJSON(f); err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	return nil
-}
-
-// writeTrace serializes the retained spans into path; when a timeline
-// rode along, its windowed counter deltas join the file as "C" events.
-func writeTrace(path string, ob *obs.Observer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	if err := ob.Tr.WriteChromeTraceTimeline(f, ob.TL.Snapshot()); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
-}
-
-// writeTimeline audits the timeline against the lifetime sinks (every
-// window delta must sum back to the lifetime registry/attr values — the
-// same re-verify-before-export stance the attr surfaces take) and writes
-// the windowed CSV into path.
-func writeTimeline(path string, ob *obs.Observer) error {
-	tl := ob.TL.Snapshot()
-	if err := obs.VerifyTimeline(tl, ob.Reg.Snapshot(), ob.At.Snapshot()); err != nil {
-		return fmt.Errorf("timeline: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("timeline: %w", err)
-	}
-	defer f.Close()
-	if err := tl.WriteCSV(f); err != nil {
-		return fmt.Errorf("timeline: %w", err)
-	}
-	return nil
-}
-
-// writeHeatmap audits the heatmap against the lifetime sinks (region
-// sums must equal the independently accumulated group totals, and those
-// must match the lifetime registry counters and attr class counts
-// exactly) before writing the per-region CSV into path, then prints the
-// collapsed top-regions table on stderr.
-func writeHeatmap(path string, ob *obs.Observer) error {
-	hm := ob.Heat.Snapshot()
-	if err := obs.VerifyHeatmap(hm, ob.Reg.Snapshot(), ob.At.Snapshot()); err != nil {
-		return fmt.Errorf("heatmap: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("heatmap: %w", err)
-	}
-	defer f.Close()
-	if err := hm.WriteCSV(f); err != nil {
-		return fmt.Errorf("heatmap: %w", err)
-	}
-	if err := hm.WriteTopRegions(os.Stderr, 10); err != nil {
-		return fmt.Errorf("heatmap: %w", err)
-	}
-	return nil
+	return f.Close()
 }
 
 // run executes one experiment and renders its table; split from main so the
@@ -471,8 +389,8 @@ func printStats(w io.Writer, st engine.Stats, workers int, wall time.Duration, o
 	fmt.Fprintf(w, "engine: %d workers, %d runs executed, %d cache hits (%d coalesced in flight)\n",
 		workers, st.Runs, st.Hits, st.Coalesced)
 	if st.Panics > 0 || st.Failed > 0 {
-		fmt.Fprintf(w, "engine: %d worker panics recovered (%d retried), %d runs failed\n",
-			st.Panics, st.Retries, st.Failed)
+		fmt.Fprintf(w, "engine: %d worker panics recovered, %d runs failed\n",
+			st.Panics, st.Failed)
 	}
 	simTime := time.Duration(st.RunNanos)
 	mean := time.Duration(0)
@@ -494,14 +412,13 @@ func statsJSON(st engine.Stats, wall time.Duration, ob *obs.Observer) string {
 		Deduplicated uint64  `json:"deduplicated"`
 		WallSeconds  float64 `json:"wallSeconds"`
 		Panics       uint64  `json:"panics,omitempty"`
-		Retries      uint64  `json:"retries,omitempty"`
 		Failed       uint64  `json:"failed,omitempty"`
 		DroppedSpans uint64  `json:"droppedSpans,omitempty"`
 		AttrAccesses uint64  `json:"attrAccesses,omitempty"`
 		AttrTotalPS  int64   `json:"attrTotalPS,omitempty"`
 	}{
 		Executed: st.Runs, Deduplicated: st.Hits + st.Coalesced, WallSeconds: wall.Seconds(),
-		Panics: st.Panics, Retries: st.Retries, Failed: st.Failed,
+		Panics: st.Panics, Failed: st.Failed,
 	}
 	if ob != nil {
 		out.DroppedSpans = ob.Tr.Dropped()

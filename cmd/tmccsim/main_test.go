@@ -10,10 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"tmcc/internal/config"
 	"tmcc/internal/exp"
 	"tmcc/internal/exp/engine"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/attr"
+	"tmcc/internal/obs/heatmap"
+	"tmcc/internal/obs/timeline"
 )
 
 // TestRunSmoke drives the cheapest experiment (fig6, the page-table scan)
@@ -38,33 +41,35 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestStatsOutput checks the -stats summary shape and that the engine saw
-// the fig6 work driven above (run order between tests is fixed within a
-// package, but keep the assertion order-independent: just require counters
-// to render and progress to fire on a fresh engine run).
+// TestStatsOutput checks the -stats summary shape and that the progress
+// hook fires on an executed run. The engine is private: the shared one's
+// memo would serve a repeat (-count=2) without running it.
 func TestStatsOutput(t *testing.T) {
-	// The hook fires from every worker goroutine.
 	var progress atomic.Int64
-	eng := exp.Engine()
+	eng := engine.New(1)
 	eng.SetProgress(func(engine.Run) { progress.Add(1) })
-	defer eng.SetProgress(nil)
-
-	cfg := exp.Config{Seed: 42, Quick: true}
-	var out strings.Builder
-	if err := run(&out, "ext-2dwalk", cfg, "csv"); err != nil {
-		t.Fatalf("run(ext-2dwalk): %v", err)
+	if err := runSingle(io.Discard, eng, "blackscholes", "tmcc", 0, exp.Config{Seed: 42, Quick: true}); err != nil {
+		t.Fatalf("runSingle(blackscholes, tmcc): %v", err)
 	}
-	if progress.Load() == 0 {
-		t.Error("progress hook never fired")
+	if progress.Load() != 1 {
+		t.Errorf("progress hook fired %d times for one executed run", progress.Load())
 	}
 
 	var sb strings.Builder
 	printStats(&sb, eng.Stats(), 4, 3*time.Second, nil)
 	got := sb.String()
-	for _, want := range []string{"4 workers", "runs executed", "cache hits", "wall clock"} {
+	for _, want := range []string{"4 workers", "1 runs executed", "cache hits", "wall clock"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("stats output missing %q:\n%s", want, got)
 		}
+	}
+	if strings.Contains(got, "panics") {
+		t.Errorf("clean run reports panics:\n%s", got)
+	}
+	sb.Reset()
+	printStats(&sb, engine.Stats{Runs: 2, Panics: 1, Failed: 1}, 1, time.Second, nil)
+	if got := sb.String(); !strings.Contains(got, "engine: 1 worker panics recovered, 1 runs failed\n") {
+		t.Errorf("failure line missing or malformed:\n%s", got)
 	}
 }
 
@@ -117,34 +122,33 @@ func TestStatsJSONWithObserver(t *testing.T) {
 	}
 }
 
-// TestBreakdownFlameAndWatchFiles drives one attributed experiment through
-// the real engine and checks the breakdown CSV and flame writers.
-func TestBreakdownFlameAndWatchFiles(t *testing.T) {
-	eng := exp.Engine()
-	ob := obs.New()
+// observedRun drives one canneal/TMCC point through a private engine
+// armed with ob: the shared engine's memo would serve a repeat
+// (-count=2) from cache and record nothing.
+func observedRun(t *testing.T, ob *obs.Observer, seed int64) {
+	t.Helper()
+	eng := engine.New(1)
 	eng.SetHooks(engine.Hooks{Obs: ob})
-	defer eng.SetHooks(engine.Hooks{})
+	if err := runSingle(io.Discard, eng, "canneal", "tmcc", 0, exp.Config{Seed: seed, Quick: true}); err != nil {
+		t.Fatalf("runSingle(canneal, tmcc): %v", err)
+	}
+}
 
-	if err := run(io.Discard, "fig5", exp.Config{Seed: 44, Quick: true}, "csv"); err != nil {
-		t.Fatalf("run(fig5): %v", err)
-	}
-
-	snap := ob.At.Snapshot()
-	if err := snap.Conserved(); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Groups) == 0 {
-		t.Fatal("attributed run recorded no groups")
-	}
+// TestBreakdownAndFlameFiles drives one attributed run and checks the
+// breakdown CSV, flame file and -breakdown table the export writes.
+func TestBreakdownAndFlameFiles(t *testing.T) {
+	ob := obs.New()
+	observedRun(t, ob, 44)
 
 	dir := t.TempDir()
 	bpath := filepath.Join(dir, "b.csv")
 	fpath := filepath.Join(dir, "f.flame")
-	if err := writeBreakdownCSV(bpath, snap); err != nil {
+	var stderr strings.Builder
+	if err := export(&stderr, ob, outputs{breakdownCSV: bpath, flame: fpath, breakdown: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFlame(fpath, snap); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(stderr.String(), "canneal") {
+		t.Errorf("-breakdown table missing the run's group:\n%s", stderr.String())
 	}
 
 	bb, err := os.ReadFile(bpath)
@@ -165,25 +169,16 @@ func TestBreakdownFlameAndWatchFiles(t *testing.T) {
 	}
 }
 
-// TestMetricsAndTraceFiles drives one observed experiment through the real
-// engine and checks the two artifact writers end to end.
+// TestMetricsAndTraceFiles drives one observed run and checks the metrics
+// and trace files the export writes, end to end.
 func TestMetricsAndTraceFiles(t *testing.T) {
-	eng := exp.Engine()
 	ob := obs.New()
-	eng.SetHooks(engine.Hooks{Obs: ob})
-	defer eng.SetHooks(engine.Hooks{})
-
-	if err := run(io.Discard, "ext-2dwalk", exp.Config{Seed: 43, Quick: true}, "csv"); err != nil {
-		t.Fatalf("run(ext-2dwalk): %v", err)
-	}
+	observedRun(t, ob, 43)
 
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "m.json")
 	tpath := filepath.Join(dir, "t.trace")
-	if err := writeMetrics(mpath, ob); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeTrace(tpath, ob); err != nil {
+	if err := export(io.Discard, ob, outputs{metrics: mpath, trace: tpath}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,8 +194,11 @@ func TestMetricsAndTraceFiles(t *testing.T) {
 	if len(s.Samples) == 0 {
 		t.Fatal("metrics snapshot is empty")
 	}
-	if c, ok := s.Get("engine.runs"); !ok || c.Value == 0 {
-		t.Errorf("engine.runs missing or zero: %+v", c)
+	if c, ok := s.Get("engine.runs"); !ok || c.Value != 1 {
+		t.Errorf("engine.runs = %+v, want 1", c)
+	}
+	if _, ok := s.Get("obs.trace.dropped"); !ok {
+		t.Error("export did not sync the derived obs.trace.* gauges")
 	}
 
 	tb, err := os.ReadFile(tpath)
@@ -217,6 +215,39 @@ func TestMetricsAndTraceFiles(t *testing.T) {
 	}
 	if len(tf.TraceEvents) == 0 {
 		t.Fatal("trace file holds no events")
+	}
+}
+
+// TestExportVerifiesBeforeWriting: an observer whose heatmap disagrees
+// with the lifetime registry fails the export with the audit's error, and
+// no requested file is created — not even the ones that need no heatmap.
+func TestExportVerifiesBeforeWriting(t *testing.T) {
+	ob := obs.New()
+	ob.TL = timeline.NewRecorder(100 * config.Microsecond)
+	ob.Heat = heatmap.NewRecorder(0, 0)
+	observedRun(t, ob, 46)
+	if err := ob.Verify(); err != nil {
+		t.Fatalf("healthy run fails verification: %v", err)
+	}
+	ob.Reg.Counter("mc.tmcc.ml2.reads").Inc() // the lifetime count drifts past the heatmap's
+
+	dir := t.TempDir()
+	out := outputs{
+		metrics: filepath.Join(dir, "m.json"), trace: filepath.Join(dir, "t.trace"),
+		timeline: filepath.Join(dir, "tl.csv"), heatmap: filepath.Join(dir, "hm.csv"),
+		breakdownCSV: filepath.Join(dir, "b.csv"), flame: filepath.Join(dir, "f.flame"),
+		breakdown: true,
+	}
+	var stderr strings.Builder
+	err := export(&stderr, ob, out)
+	if err == nil || !strings.Contains(err.Error(), "mc.tmcc.ml2.reads") {
+		t.Fatalf("export error = %v, want the heatmap audit naming mc.tmcc.ml2.reads", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("failed audit left %d artifact(s) behind: %v", len(ents), ents)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("failed audit rendered to stderr:\n%s", stderr.String())
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"testing"
 
 	"tmcc/internal/config"
-	"tmcc/internal/exp"
-	"tmcc/internal/exp/engine"
 	"tmcc/internal/obs"
 	"tmcc/internal/obs/timeline"
 )
@@ -153,22 +151,15 @@ func TestValidateTraceRejectsBadInput(t *testing.T) {
 }
 
 // TestWriteTraceCarriesSpansAndCounters drives one engine run with the
-// tracer and a 100µs timeline armed, writes the file through writeTrace,
-// and requires validateTrace to accept it with both complete spans and
-// timeline counter events present.
+// tracer and a 100µs timeline armed, exports the trace file, and requires
+// validateTrace to accept it with both complete spans and timeline
+// counter events present.
 func TestWriteTraceCarriesSpansAndCounters(t *testing.T) {
-	// A private engine: the shared one's memo would serve a repeat
-	// (-count=2) from cache and record nothing.
-	eng := engine.New(1)
 	ob := obs.New()
 	ob.TL = timeline.NewRecorder(100 * config.Microsecond)
-	eng.SetHooks(engine.Hooks{Obs: ob})
-
-	if err := runSingle(io.Discard, eng, "canneal", "tmcc", 0, exp.Config{Seed: 45, Quick: true}); err != nil {
-		t.Fatalf("runSingle(canneal, tmcc): %v", err)
-	}
+	observedRun(t, ob, 45)
 	path := filepath.Join(t.TempDir(), "t.trace")
-	if err := writeTrace(path, ob); err != nil {
+	if err := export(io.Discard, ob, outputs{trace: path}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -178,7 +169,7 @@ func TestWriteTraceCarriesSpansAndCounters(t *testing.T) {
 	defer f.Close()
 	var out bytes.Buffer
 	if err := validateTrace(&out, f); err != nil {
-		t.Fatalf("writeTrace output rejected: %v", err)
+		t.Fatalf("exported trace rejected: %v", err)
 	}
 	var events, spans, counters int
 	if _, err := fmt.Sscanf(out.String(), "trace OK: %d events (%d spans, %d counters)", &events, &spans, &counters); err != nil {

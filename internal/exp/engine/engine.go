@@ -18,7 +18,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -60,8 +59,7 @@ type Stats struct {
 	Coalesced uint64 // duplicate requests that waited on an in-flight run
 	RunNanos  int64  // wall time summed over executed runs (0 without a clock)
 	Panics    uint64 // worker panics recovered into PanicErrors
-	Retries   uint64 // panicked runs retried (once per panicking key)
-	Failed    uint64 // runs that ended with an error (after any retry)
+	Failed    uint64 // runs that ended with an error, panics included
 }
 
 // PanicError is a worker panic recovered into a typed per-run error: the
@@ -99,15 +97,10 @@ type call struct {
 // except SetWorkers/SetClock/SetProgress/SetHooks, which must be called
 // while no jobs are in flight.
 type Engine struct {
-	sem  chan struct{}
-	now  func() int64 // nanosecond wall clock, injected by the CLI
-	prog func(Run)
-	exec func(sim.Options) (sim.Metrics, error) // swapped by unit tests
-	// sleep is the retry backoff between a recovered panic and its single
-	// re-run; nil (the default) retries immediately. cmd/tmccsim injects a
-	// real wait, unit tests a recorder — internal/ must not call time.Sleep
-	// directly on the hot path.
-	sleep func()
+	sem   chan struct{}
+	now   func() int64 // nanosecond wall clock, injected by the CLI
+	prog  func(Run)
+	exec  func(sim.Options) (sim.Metrics, error) // swapped by unit tests
 	hooks Hooks
 
 	mu     sync.Mutex
@@ -139,7 +132,6 @@ type engineObs struct {
 	memoHits    *obs.Counter
 	coalesced   *obs.Counter
 	panics      *obs.Counter
-	retries     *obs.Counter
 	failed      *obs.Counter
 	queueWaitMS *obs.Histogram
 	runMS       *obs.Histogram
@@ -167,7 +159,6 @@ func (e *Engine) SetHooks(h Hooks) {
 		memoHits:    o.Counter("engine.memo.hits"),
 		coalesced:   o.Counter("engine.memo.coalesced"),
 		panics:      o.Counter("engine.panics"),
-		retries:     o.Counter("engine.retries"),
 		failed:      o.Counter("engine.failed"),
 		queueWaitMS: o.Histogram("engine.queueWaitMS", engineDurBoundsMS),
 		runMS:       o.Histogram("engine.runMS", engineDurBoundsMS),
@@ -213,11 +204,18 @@ func (e *Engine) executeRun(opt sim.Options) (sim.Metrics, error) {
 
 // safeExec shields the worker pool from a panicking run: the panic is
 // recovered into a *PanicError carrying the run's key and stack instead of
-// unwinding through the scheduler and killing every in-flight simulation.
+// unwinding through the scheduler and killing every in-flight simulation,
+// and counted once. The run is not retried: it is a deterministic function
+// of its key, so a second attempt could only panic again or hide a
+// determinism bug.
 func (e *Engine) safeExec(opt sim.Options) (m sim.Metrics, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Key: KeyOf(opt), Value: v, Stack: debug.Stack()}
+			e.mu.Lock()
+			e.stats.Panics++
+			e.mu.Unlock()
+			e.eob.panics.Inc()
 		}
 	}()
 	return e.exec(opt)
@@ -259,11 +257,6 @@ func (e *Engine) FaultCounters() fault.Counters {
 	defer e.mu.Unlock()
 	return e.faults
 }
-
-// SetRetryBackoff installs the wait between a recovered panic and its
-// retry; nil retries immediately. Must be called while no jobs are in
-// flight.
-func (e *Engine) SetRetryBackoff(fn func()) { e.sleep = fn }
 
 // Run executes (or recalls) one simulation. Identical Options — after Key
 // canonicalization — simulate exactly once per process: later callers get
@@ -307,28 +300,6 @@ func (e *Engine) Run(opt sim.Options) (sim.Metrics, error) {
 		e.eob.queueWaitMS.Observe((start - qstart) / 1e6)
 	}
 	c.m, c.err = e.safeExec(opt)
-	var pe *PanicError
-	if errors.As(c.err, &pe) {
-		// A panic fails only this key. Count it, back off, and retry once:
-		// transient faults (injected or environmental) often clear, and a
-		// second identical panic is strong evidence the run itself is bad.
-		e.mu.Lock()
-		e.stats.Panics++
-		e.stats.Retries++
-		e.mu.Unlock()
-		e.eob.panics.Inc()
-		e.eob.retries.Inc()
-		if e.sleep != nil {
-			e.sleep()
-		}
-		c.m, c.err = e.safeExec(opt)
-		if errors.As(c.err, &pe) {
-			e.mu.Lock()
-			e.stats.Panics++
-			e.mu.Unlock()
-			e.eob.panics.Inc()
-		}
-	}
 	if c.err != nil {
 		e.mu.Lock()
 		e.stats.Failed++

@@ -9,6 +9,7 @@ import (
 	"tmcc/internal/config"
 	"tmcc/internal/fault"
 	"tmcc/internal/mc"
+	"tmcc/internal/obs"
 	"tmcc/internal/sim"
 )
 
@@ -226,14 +227,18 @@ func TestMapPreservesSlotOrder(t *testing.T) {
 	}
 }
 
-func TestPanicRecoveredRetriedAndTyped(t *testing.T) {
-	var calls, backoffs int64
+// TestPanicRecoveredOnceAndTyped: a panicking run executes exactly once,
+// is counted once in Panics and Failed (and the matching engine.*
+// counters), and fails only its own key.
+func TestPanicRecoveredOnceAndTyped(t *testing.T) {
+	var calls int64
 	e := New(2)
+	ob := &obs.Observer{Reg: obs.NewRegistry()}
+	e.SetHooks(Hooks{Obs: ob})
 	e.exec = func(opt sim.Options) (sim.Metrics, error) {
 		atomic.AddInt64(&calls, 1)
 		panic("engine_test: induced crash")
 	}
-	e.SetRetryBackoff(func() { atomic.AddInt64(&backoffs, 1) })
 	bad := sim.Options{Benchmark: "crasher", Kind: mc.TMCC, Seed: 9}
 	_, err := e.Run(bad)
 	var pe *PanicError
@@ -246,40 +251,29 @@ func TestPanicRecoveredRetriedAndTyped(t *testing.T) {
 	if pe.Value != "engine_test: induced crash" || len(pe.Stack) == 0 {
 		t.Errorf("PanicError lost the panic value or stack: %+v", pe)
 	}
-	if calls != 2 {
-		t.Errorf("persistent panic executed %d times, want exactly 2 (one retry)", calls)
+	if calls != 1 {
+		t.Errorf("panicking run executed %d times, want exactly 1", calls)
 	}
-	if backoffs != 1 {
-		t.Errorf("backoff ran %d times, want 1 (between panic and retry)", backoffs)
+	if st := e.Stats(); st.Panics != 1 || st.Failed != 1 || st.Runs != 1 {
+		t.Errorf("stats = %+v, want Panics:1 Failed:1 Runs:1", st)
 	}
-	if st := e.Stats(); st.Panics != 2 || st.Retries != 1 || st.Failed != 1 {
-		t.Errorf("stats = %+v, want Panics:2 Retries:1 Failed:1", st)
+	snap := ob.Reg.Snapshot()
+	for _, path := range []string{"engine.panics", "engine.failed"} {
+		if s, ok := snap.Get(path); !ok || s.Value != 1 {
+			t.Errorf("%s = %+v, want 1", path, s)
+		}
+	}
+	// A repeat is served from the memo, still failing, without executing.
+	if _, err := e.Run(bad); !errors.As(err, &pe) || calls != 1 {
+		t.Errorf("repeat of a panicked key: err %v after %d calls, want the memoized PanicError after 1", err, calls)
 	}
 	// The crash fails only its own key: the suite around it completes.
 	e.exec = countingExec(&calls)
 	if _, err := e.Run(sim.Options{Benchmark: "fine"}); err != nil {
 		t.Errorf("healthy run after a crash failed: %v", err)
 	}
-}
-
-func TestTransientPanicRecoversOnRetry(t *testing.T) {
-	var calls int64
-	e := New(1)
-	e.exec = func(opt sim.Options) (sim.Metrics, error) {
-		if atomic.AddInt64(&calls, 1) == 1 {
-			panic("engine_test: transient")
-		}
-		return sim.Metrics{Stores: 7}, nil
-	}
-	m, err := e.Run(sim.Options{Benchmark: "flaky"})
-	if err != nil {
-		t.Fatalf("transient panic not healed by retry: %v", err)
-	}
-	if m.Stores != 7 || calls != 2 {
-		t.Errorf("retry result %+v after %d calls, want Stores:7 in 2 calls", m, calls)
-	}
-	if st := e.Stats(); st.Panics != 1 || st.Retries != 1 || st.Failed != 0 {
-		t.Errorf("stats = %+v, want Panics:1 Retries:1 Failed:0", st)
+	if st := e.Stats(); st.Panics != 1 || st.Failed != 1 {
+		t.Errorf("stats after a healthy run = %+v, want Panics:1 Failed:1", st)
 	}
 }
 

@@ -18,8 +18,9 @@ type Config struct {
 	Quick bool
 }
 
-// windows returns (warmup, measure) access counts.
-func (c Config) windows() (int, int) {
+// Windows returns the (warmup, measure) access counts of every simulation
+// the experiments run at this scale.
+func (c Config) Windows() (int, int) {
 	if c.Quick {
 		return 30000, 20000
 	}

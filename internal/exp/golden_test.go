@@ -90,17 +90,10 @@ func TestQuickSuiteMatchesGolden(t *testing.T) {
 		}
 	}
 
-	reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
-	if err := at.Conserved(); err != nil {
-		t.Errorf("attr conservation: %v", err)
+	if err := ob.Verify(); err != nil {
+		t.Error(err)
 	}
 	tl := ob.TL.Snapshot()
-	if err := obs.VerifyTimeline(tl, reg, at); err != nil {
-		t.Errorf("timeline: %v", err)
-	}
-	if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
-		t.Errorf("heatmap: %v", err)
-	}
 	attrWindows := 0
 	for _, g := range tl.Groups {
 		for _, w := range g.Windows {

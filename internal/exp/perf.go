@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"tmcc/internal/config"
@@ -145,29 +147,23 @@ func colBudgets(cfg Config, benches []string) (*budgets, error) {
 	}
 
 	best := make([]uint64, len(benches))
+	errs := make([]error, len(benches))
 	var wg sync.WaitGroup
 	for i := range benches {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b := benches[i]
-			target := cps[i].StoresPerCycle() * 0.99
-			lo, hi := colB[i]/3, colB[i]
-			best[i] = colB[i]
-			for iter := 0; iter < 5 && hi-lo > colB[i]/50; iter++ {
-				mid := (lo + hi) / 2
-				m, err := runOne(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: mid})
-				// An error means the budget is infeasible: bisect upward.
-				if err == nil && m.StoresPerCycle() >= target {
-					best[i] = mid
-					hi = mid
-				} else {
-					lo = mid
-				}
-			}
+			best[i], errs[i] = isoBudget(colB[i], cps[i].StoresPerCycle()*0.99, func(budget uint64) (sim.Metrics, error) {
+				return runOne(cfg, benches[i], sim.Options{Kind: mc.TMCC, BudgetPages: budget})
+			})
 		}(i)
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s iso-performance search: %w", benches[i], err)
+		}
+	}
 
 	out := &budgets{colB: map[string]uint64{}, colC: map[string]uint64{}, spcB: map[string]float64{}}
 	for i, b := range benches {
@@ -176,6 +172,27 @@ func colBudgets(cfg Config, benches []string) (*budgets, error) {
 		out.spcB[b] = cps[i].StoresPerCycle()
 	}
 	return out, nil
+}
+
+// isoBudget bisects [colB/3, colB] for the smallest budget whose probe
+// still reaches target stores/cycle, in at most five probes. A probe that
+// exhausts capacity marks its budget infeasible (bisect upward); any
+// other probe error is a bug, not a verdict, and fails the search.
+func isoBudget(colB uint64, target float64, probe func(budget uint64) (sim.Metrics, error)) (uint64, error) {
+	lo, hi, best := colB/3, colB, colB
+	for iter := 0; iter < 5 && hi-lo > colB/50; iter++ {
+		mid := (lo + hi) / 2
+		m, err := probe(mid)
+		switch {
+		case err != nil && !errors.Is(err, mc.ErrCapacityExhausted):
+			return 0, err
+		case err == nil && m.StoresPerCycle() >= target:
+			best, hi = mid, mid
+		default:
+			lo = mid
+		}
+	}
+	return best, nil
 }
 
 // Tab4 reports compression ratio normalized to Compresso at

@@ -21,7 +21,7 @@ func Engine() *engine.Engine { return eng }
 // job description the engine memoizes on, so every experiment must build
 // its jobs through here.
 func fullOptions(cfg Config, bench string, opt sim.Options) sim.Options {
-	warm, meas := cfg.windows()
+	warm, meas := cfg.Windows()
 	opt.Benchmark = bench
 	opt.Seed = cfg.Seed
 	opt.WarmupAccesses = warm

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"tmcc/internal/config"
@@ -196,5 +197,18 @@ func TestDRAMFaultsDelayButComplete(t *testing.T) {
 	}
 	if c.Timeouts == 0 {
 		t.Errorf("probability-1 busy with 2 retries never timed out: %+v", c)
+	}
+}
+
+// TestBudgetBelowCTETableIsCapacityExhausted: a budget too small for the
+// design's own CTE table is capacity exhaustion like a failed placement,
+// so callers that match ErrCapacityExhausted (tmccsim's diagnosis, the
+// Table IV budget search) see it.
+func TestBudgetBelowCTETableIsCapacityExhausted(t *testing.T) {
+	for _, kind := range []Kind{Compresso, OSInspired, TMCC} {
+		_, err := New(Config{Kind: kind, Sys: config.Default(), BudgetPages: 10, OSPages: 16384, Sizes: sizesFor(t, "canneal")})
+		if !errors.Is(err, ErrCapacityExhausted) || !strings.Contains(err.Error(), "CTE table") {
+			t.Errorf("%v: New on a 10-page budget = %v, want a CTE-table error wrapping ErrCapacityExhausted", kind, err)
+		}
 	}
 }

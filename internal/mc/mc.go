@@ -369,8 +369,9 @@ func CTECacheConfig(kind Kind, sys config.System, override *config.CTECacheCfg) 
 }
 
 // New builds a controller. For compressed designs the caller then Places
-// every mapped page (hot first) before simulation. It fails when the
-// budget cannot even hold the design's metadata (CTE table).
+// every mapped page (hot first) before simulation. It fails with an error
+// wrapping ErrCapacityExhausted when the budget cannot even hold the
+// design's metadata (CTE table).
 func New(cfg Config) (*MC, error) {
 	m := &MC{
 		cfg:  cfg,
@@ -439,15 +440,16 @@ func New(cfg Config) (*MC, error) {
 }
 
 // reserveCTETable carves the linear CTE table (bytesPerPage per OS page)
-// out of the budget; a budget too small for its own metadata is a
-// configuration error, reported so tmccsim can print a usable message
-// instead of a stack trace.
+// out of the budget. A budget too small for its own metadata is capacity
+// exhaustion like any other: the error wraps ErrCapacityExhausted, so
+// tmccsim prints its capacity diagnosis and the Table IV budget search
+// counts the budget as infeasible.
 func (m *MC) reserveCTETable(bytesPerPage uint64) error {
 	tablePages := (m.cfg.OSPages*bytesPerPage + config.PageSize - 1) / config.PageSize
 	if tablePages >= m.cfg.BudgetPages {
 		return fmt.Errorf(
-			"mc: budget of %d pages cannot hold the %s CTE table (%d pages for %d OS pages at %dB/page); need a budget of at least %d pages",
-			m.cfg.BudgetPages, m.cfg.Kind, tablePages, m.cfg.OSPages, bytesPerPage, tablePages+1)
+			"%w: budget of %d pages cannot hold the %s CTE table (%d pages for %d OS pages at %dB/page); need a budget of at least %d pages",
+			ErrCapacityExhausted, m.cfg.BudgetPages, m.cfg.Kind, tablePages, m.cfg.OSPages, bytesPerPage, tablePages+1)
 	}
 	m.chunkPool = m.cfg.BudgetPages - tablePages
 	m.cteTableBase = m.chunkPool * config.PageSize

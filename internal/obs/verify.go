@@ -9,6 +9,29 @@ import (
 	"tmcc/internal/obs/timeline"
 )
 
+// Verify runs the conservation audit of every armed recorder against the
+// lifetime sinks: attr conservation (At), VerifyTimeline (TL) and
+// VerifyHeatmap (Heat). An unarmed recorder's empty snapshot passes its
+// audit trivially, so Verify is nil-safe and needs no per-recorder
+// switch. Every export of observation artifacts runs it first, so an
+// artifact never reports time or events the lifetime sinks do not.
+func (o *Observer) Verify() error {
+	if o == nil {
+		return nil
+	}
+	reg, at := o.Reg.Snapshot(), o.At.Snapshot()
+	if err := at.Conserved(); err != nil {
+		return fmt.Errorf("attr conservation: %w", err)
+	}
+	if err := VerifyTimeline(o.TL.Snapshot(), reg, at); err != nil {
+		return fmt.Errorf("timeline: %w", err)
+	}
+	if err := VerifyHeatmap(o.Heat.Snapshot(), reg, at); err != nil {
+		return fmt.Errorf("heatmap: %w", err)
+	}
+	return nil
+}
+
 // VerifyTimeline checks the timeline conservation invariant against the
 // lifetime sinks: for every counter and histogram path present in the
 // timeline, the sum of all window deltas (across every group) must equal
@@ -16,8 +39,7 @@ import (
 // attr class, the summed window deltas must equal the lifetime attr
 // aggregate component by component. Paths that never appear in the
 // timeline (engine.* counters bumped outside runs, gauges) are exempt by
-// construction. The cmd layer runs this before exporting a timeline, the
-// same way attr snapshots re-verify Conserved before export.
+// construction. Observer.Verify runs it before any artifact is exported.
 func VerifyTimeline(tl timeline.Snapshot, reg Snapshot, at attr.Snapshot) error {
 	bypath := make(map[string]Sample, len(reg.Samples))
 	for _, sm := range reg.Samples {
@@ -116,8 +138,7 @@ func heatCounterPaths(kind string) map[string]heatmap.Event {
 //     exempt (the path never registered because the event cannot occur
 //     for that kind).
 //
-// The cmd layer runs this before every heatmap export, the same way
-// VerifyTimeline guards timeline exports.
+// Observer.Verify runs it before any artifact is exported.
 func VerifyHeatmap(hm heatmap.Snapshot, reg Snapshot, at attr.Snapshot) error {
 	for _, g := range hm.Groups {
 		sum := g.SumRegions()

@@ -113,3 +113,38 @@ func TestHeatmapSnapshotFollowsRecorder(t *testing.T) {
 		t.Errorf("heatmap snapshot wrong: %+v", hm)
 	}
 }
+
+// TestObserverVerifyNamesFailingAudit: Verify passes on a nil observer and
+// on one with nothing recorded, and surfaces a timeline or heatmap drift
+// prefixed with the audit that caught it.
+func TestObserverVerifyNamesFailingAudit(t *testing.T) {
+	var nilObs *Observer
+	if err := nilObs.Verify(); err != nil {
+		t.Errorf("nil observer: %v", err)
+	}
+	if err := New().Verify(); err != nil {
+		t.Errorf("empty observer: %v", err)
+	}
+
+	tlObs := New()
+	tlObs.TL = timeline.NewRecorder(config.Microsecond)
+	v := tlObs.RunView("canneal", "tmcc")
+	v.Observer().Counter("mc.tmcc.reads").Inc()
+	v.Close()
+	if err := tlObs.Verify(); err != nil {
+		t.Fatalf("conserving timeline rejected: %v", err)
+	}
+	tlObs.Reg.Counter("mc.tmcc.reads").Inc() // lifetime drifts past the windows
+	if err := tlObs.Verify(); err == nil || !strings.HasPrefix(err.Error(), "timeline: ") {
+		t.Errorf("timeline drift: %v, want a timeline: error", err)
+	}
+
+	hmObs := New()
+	hmObs.Heat = heatmap.NewRecorder(0, 0)
+	v = hmObs.RunView("canneal", "tmcc")
+	v.Event(0, heatmap.EvML2Read)
+	v.Close()
+	if err := hmObs.Verify(); err == nil || !strings.HasPrefix(err.Error(), "heatmap: ") {
+		t.Errorf("heatmap event with no lifetime counter: %v, want a heatmap: error", err)
+	}
+}

@@ -49,7 +49,7 @@ func TestHeatmapConservationAllKinds(t *testing.T) {
 			if g.Total.Sweeps == 0 {
 				t.Fatal("no residency sweep ran")
 			}
-			if err := obs.VerifyHeatmap(hm, ob.Reg.Snapshot(), ob.At.Snapshot()); err != nil {
+			if err := ob.Verify(); err != nil {
 				t.Fatalf("conservation: %v", err)
 			}
 			// Compressing designs must see ML1 pages; the compressed tiers

@@ -97,20 +97,11 @@ func checkHookBundle(t *testing.T, b hookBundle) {
 	}
 }
 
-// verifyObserver runs the observer's conservation audits: attr
-// conservation, VerifyTimeline and VerifyHeatmap (each passes vacuously
-// when its recorder is not armed).
+// verifyObserver runs the observer's conservation audits (Verify).
 func verifyObserver(t *testing.T, ob *obs.Observer) {
 	t.Helper()
-	reg, at := ob.Reg.Snapshot(), ob.At.Snapshot()
-	if err := at.Conserved(); err != nil {
-		t.Errorf("attr conservation: %v", err)
-	}
-	if err := obs.VerifyTimeline(ob.TL.Snapshot(), reg, at); err != nil {
-		t.Errorf("VerifyTimeline: %v", err)
-	}
-	if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), reg, at); err != nil {
-		t.Errorf("VerifyHeatmap: %v", err)
+	if err := ob.Verify(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -235,26 +226,23 @@ func TestObsCountersConsistentWithMetrics(t *testing.T) {
 		t.Error("no speculative verifications recorded")
 	}
 
-	// Recording-gated sim counters advance by exactly the Metrics deltas
-	// on a fresh registry (one run, one runner).
-	exact := []struct {
-		path string
-		want uint64
-	}{
-		{"sim.tlb.miss", m.TLBMisses},
-		{"sim.walk.count", m.Walks},
-		{"sim.walk.refs", m.WalkRefs},
-		{"sim.l3.miss", m.LLCMisses},
-		{"sim.l3.writeback", m.Writebacks},
+	checkExactSimCounters(t, snap, m)
+
+	// A virtualized run's 2D walks count every host and guest PTB
+	// reference in sim.walk.refs too.
+	virt := quickOpts()
+	virt.Kind, virt.Virtualized = mc.TMCC, true
+	virt.WarmupAccesses, virt.MeasureAccesses = 5000, 5000
+	vob := obs.New()
+	vr, err := NewRunnerFull(virt, vob, nil, ras.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range exact {
-		if got := counter(c.path); got != c.want {
-			t.Errorf("%s = %d, want exactly %d", c.path, got, c.want)
-		}
+	vm := mustRun(t, vr)
+	if vm.WalkRefs == 0 {
+		t.Fatal("virtualized run made no walk references; the fixture lost its bite")
 	}
-	if s, ok := snap.Get("sim.l3.missLatencyNS"); !ok || s.Count != m.LLCMisses {
-		t.Errorf("sim.l3.missLatencyNS count = %d, want %d", s.Count, m.LLCMisses)
-	}
+	checkExactSimCounters(t, vob.Reg.Snapshot(), vm)
 
 	// The trace must cover the span taxonomy: phases, walks, CTE fetches,
 	// ML2 decompresses, and migrations.
@@ -269,6 +257,29 @@ func TestObsCountersConsistentWithMetrics(t *testing.T) {
 	}
 	if len(cats) < 4 {
 		t.Errorf("trace has %d span categories, want >= 4: %v", len(cats), cats)
+	}
+}
+
+// checkExactSimCounters: recording-gated sim counters advance by exactly
+// the Metrics deltas on a fresh registry (one run, one runner).
+func checkExactSimCounters(t *testing.T, snap obs.Snapshot, m Metrics) {
+	t.Helper()
+	for _, c := range []struct {
+		path string
+		want uint64
+	}{
+		{"sim.tlb.miss", m.TLBMisses},
+		{"sim.walk.count", m.Walks},
+		{"sim.walk.refs", m.WalkRefs},
+		{"sim.l3.miss", m.LLCMisses},
+		{"sim.l3.writeback", m.Writebacks},
+	} {
+		if s, _ := snap.Get(c.path); uint64(s.Value) != c.want {
+			t.Errorf("%s = %d, want exactly %d", c.path, s.Value, c.want)
+		}
+	}
+	if s, ok := snap.Get("sim.l3.missLatencyNS"); !ok || s.Count != m.LLCMisses {
+		t.Errorf("sim.l3.missLatencyNS count = %d, want %d", s.Count, m.LLCMisses)
 	}
 }
 

@@ -42,14 +42,11 @@ func runRAS(t *testing.T, kind mc.Kind, plan fault.Plan, rcfg ras.Config) (Metri
 	if err != nil {
 		t.Fatalf("%v: RAS chaos run aborted: %v", kind, err)
 	}
-	if err := ob.At.Snapshot().Conserved(); err != nil {
-		t.Fatalf("%v: attribution broke under RAS: %v", kind, err)
-	}
 	if err := r.mcc.AuditPages(); err != nil {
 		t.Fatalf("%v: page accounting broke under RAS: %v", kind, err)
 	}
-	if err := obs.VerifyHeatmap(ob.Heat.Snapshot(), ob.Reg.Snapshot(), ob.At.Snapshot()); err != nil {
-		t.Fatalf("%v: heatmap reconciliation broke under RAS: %v", kind, err)
+	if err := ob.Verify(); err != nil {
+		t.Fatalf("%v: observation audit broke under RAS: %v", kind, err)
 	}
 	var c fault.Counters
 	if inj != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"tmcc/internal/config"
@@ -60,7 +61,7 @@ func TestTimelineRunConservation(t *testing.T) {
 			}
 		}
 	}
-	if err := obs.VerifyTimeline(tl, ob.Reg.Snapshot(), ob.At.Snapshot()); err != nil {
+	if err := ob.Verify(); err != nil {
 		t.Fatalf("conservation: %v", err)
 	}
 
@@ -76,18 +77,36 @@ func TestTimelineRunConservation(t *testing.T) {
 	}
 }
 
-// TestTimelineOffLeavesNoTrace: without a recorder the observer is used
-// directly (no private sinks, no view), so the registry sees the same
-// instruments as before this subsystem existed and no timeline is
-// recorded.
+// TestTimelineOffLeavesNoTrace: with neither a timeline nor a heatmap
+// armed the observer derives no run view (runs write the shared sinks
+// directly), and the lifetime registry a timeline-off run leaves equals a
+// timeline-armed run's sample for sample: the run view's private sinks
+// merge back without adding, dropping or skewing an instrument.
 func TestTimelineOffLeavesNoTrace(t *testing.T) {
-	ob := obs.New()
-	r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
-	if err != nil {
-		t.Fatal(err)
+	if v := obs.New().RunView("canneal", "tmcc"); v != nil {
+		t.Fatal("an observer with neither TL nor Heat armed derived a run view")
 	}
-	mustRun(t, r)
-	if tl := ob.TL.Snapshot(); len(tl.Groups) != 0 || tl.WidthPS != 0 {
-		t.Errorf("observer carries a timeline with TL unset: %+v", tl)
+	lifetime := func(ob *obs.Observer) obs.Snapshot {
+		r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustRun(t, r)
+		return ob.Reg.Snapshot()
+	}
+	off, armed := lifetime(obs.New()), lifetime(timelineObserver(config.Microsecond))
+	if len(off.Samples) == 0 {
+		t.Fatal("timeline-off run registered no instruments")
+	}
+	if len(off.Samples) != len(armed.Samples) {
+		t.Errorf("timeline-off registry holds %d samples, timeline-armed %d", len(off.Samples), len(armed.Samples))
+	}
+	for i := range off.Samples {
+		if i >= len(armed.Samples) {
+			break
+		}
+		if o, a := off.Samples[i], armed.Samples[i]; !reflect.DeepEqual(o, a) {
+			t.Errorf("sample %d differs:\noff:   %+v\narmed: %+v", i, o, a)
+		}
 	}
 }

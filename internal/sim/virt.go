@@ -2,7 +2,6 @@ package sim
 
 import (
 	"tmcc/internal/config"
-	"tmcc/internal/mc"
 	"tmcc/internal/pagetable"
 )
 
@@ -71,31 +70,16 @@ func (r *Runner) hostPPN(gpn uint64) (uint64, bool) {
 	return r.gpaToHost[gpn], true
 }
 
-// hostWalk performs one constituent host walk for a guest-physical page,
-// fetching host PTBs through the hierarchy with TMCC's embedding machinery.
+// hostWalk performs one constituent host walk for a guest-physical page:
+// the native walk over the host table (host PTBs through the hierarchy
+// with TMCC's embedding machinery), then the walk caches are filled.
 func (r *Runner) hostWalk(c *core, t config.Time, gpn uint64) config.Time {
-	lo, _ := r.as.VPNRange()
-	vpn := lo + gpn
 	if c.gwc.Lookup(gpn) {
 		return t // nested walk-cache hit: translation is at hand
 	}
-	startLevel := c.wc.WalkStart(vpn)
-	steps, _, ok := r.as.Table.WalkAppend(r.walkBuf, vpn)
-	if !ok {
-		return t
-	}
-	for _, s := range steps {
-		if s.Level > startLevel {
-			continue
-		}
-		if r.recording {
-			r.m.WalkRefs++
-		}
-		t = r.memAccess(c, t, s.PTBAddr/config.BlockSize, false, true, true)
-		if r.opt.Kind == mc.TMCC && !r.opt.DisableEmbed {
-			r.loadCTEBuffer(c, s.PTBAddr)
-		}
-	}
+	lo, _ := r.as.VPNRange()
+	vpn := lo + gpn
+	t = r.walk(c, t, vpn)
 	c.wc.FillFromWalk(vpn)
 	c.gwc.Insert(gpn)
 	return t
@@ -122,6 +106,7 @@ func (r *Runner) walk2D(c *core, t config.Time, vpn uint64) (config.Time, uint64
 		hostAddr := hp<<12 + s.PTBAddr&4095
 		if r.recording {
 			r.m.WalkRefs++
+			r.sob.walkRefs.Inc()
 		}
 		t = r.memAccess(c, t, hostAddr/config.BlockSize, false, true, true)
 	}
