@@ -1,9 +1,9 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs lint, test,
-# race, smoke, fuzz-smoke and ras-smoke.
+# race, smoke, fuzz-smoke, ras-smoke and steady-digests.
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz-smoke fmt bench smoke ras-smoke
+.PHONY: all build lint test race fuzz-smoke fmt bench smoke ras-smoke steady-digests
 
 all: lint test
 
@@ -123,3 +123,16 @@ ras-smoke:
 		echo "ras-smoke: campaign wrote a failure artifact:"; \
 		cat $(SMOKE_DIR)/ras_failures.txt; exit 1; fi
 	@echo "ras-smoke: 25-plan campaign green"
+
+# steady-digests checks the steady benchmark workloads' committed digests
+# (bench/golden), which pin Metrics, mc.Stats, dram.Stats and
+# fault.Counters; paper-quick's are TestQuickSuiteMatchesGolden's. One
+# unprofiled pass per workload and seed (~15s per seed on 2 CPUs); any
+# run whose JSON does not read "correct": true fails the target.
+steady-digests:
+	for w in tmcc-steady uncompressed-steady armed-steady; do for s in 42 7; do \
+		out=$$(bash bench/run.sh -workload $$w -seed $$s -seconds 0 -trace 0 | tail -n 1) || exit 1; \
+		echo "$$w seed $$s: $$out" | cut -c1-160; \
+		echo "$$out" | grep -q '"correct": *true' || { echo "steady-digests: $$w seed $$s is not correct"; exit 1; }; \
+	done; done
+	@echo "steady-digests: every steady workload matches its digests"

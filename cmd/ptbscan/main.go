@@ -34,23 +34,13 @@ func scan(w io.Writer, pages uint64, seed int64, huge bool) {
 	as := pagetable.BuildAddressSpace(pages, pages*4, cfg)
 
 	pcfg := ptbcomp.NewConfig(pages*4*config.PageSize, 1<<40)
-	same := map[int]int{}
-	total := map[int]int{}
-	compressible := 0
-	all := 0
+	same, total := as.Table.StatusScan()
+	compressible, all := 0, 0
 	as.Table.PTBs(func(b pagetable.PTB) {
-		total[b.Level]++
 		all++
 		if pcfg.Compressible(&b.PTEs) {
 			compressible++
 		}
-		s0 := pagetable.StatusBits(b.PTEs[0])
-		for _, pte := range b.PTEs[1:] {
-			if pagetable.StatusBits(pte) != s0 {
-				return
-			}
-		}
-		same[b.Level]++
 	})
 	for _, lvl := range []int{1, 2, 3, 4} {
 		if total[lvl] == 0 {

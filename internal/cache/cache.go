@@ -17,9 +17,6 @@ type Cache struct {
 	stamp []uint64
 	flags []uint8
 	clock uint64
-
-	Hits   uint64
-	Misses uint64
 }
 
 // Line flags.
@@ -57,7 +54,7 @@ func New(sizeBytes, ways int) *Cache {
 // set returns the first slot of block's set.
 func (c *Cache) set(block uint64) int { return int(block%c.sets) * c.ways }
 
-// Probe returns block's slot, or -1, without touching recency or counters.
+// Probe returns block's slot, or -1, without touching recency.
 func (c *Cache) Probe(block uint64) int {
 	base, k := c.set(block), block+1
 	for w, t := range c.tags[base : base+c.ways] {
@@ -74,11 +71,9 @@ func (c *Cache) Lookup(block uint64) int {
 	c.clock++
 	i := c.Probe(block)
 	if i < 0 {
-		c.Misses++
 		return -1
 	}
 	c.stamp[i] = c.clock
-	c.Hits++
 	return i
 }
 

@@ -71,19 +71,6 @@ func (c *Cache) Fill(ppn uint64) { c.c.Insert(c.blockFor(ppn), 0) }
 // Probe checks presence without recency/counter side effects.
 func (c *Cache) Probe(ppn uint64) bool { return c.c.Probe(c.blockFor(ppn)) >= 0 }
 
-// Hits and Misses expose the counters.
-func (c *Cache) Hits() uint64   { return c.c.Hits }
-func (c *Cache) Misses() uint64 { return c.c.Misses }
-
-// HitRate is hits/(hits+misses).
-func (c *Cache) HitRate() float64 {
-	t := c.c.Hits + c.c.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.c.Hits) / float64(t)
-}
-
 // CTETableAddr returns the DRAM address of the 64B CTE block covering ppn,
 // given the base of the linear CTE table in DRAM (Section II: MC stores
 // CTEs in DRAM as a linear 1-level table).

@@ -29,17 +29,23 @@ func TestPageLevelHasHigherHitRate(t *testing.T) {
 	blk := New(config.CTECacheCfg{SizeKB: 64, ReachPerBlock: 4 * config.KiB, Assoc: 8})
 	// A 16K-page working set with locality: page-level reach (8K pages per
 	// 64KB) should hit far more often than block-level (1K pages).
-	for i := 0; i < 200000; i++ {
+	const n = 200000
+	var pageHits, blkHits int
+	for i := 0; i < n; i++ {
 		ppn := uint64(rng.Intn(16384))
-		if !page.Lookup(ppn) {
+		if page.Lookup(ppn) {
+			pageHits++
+		} else {
 			page.Fill(ppn)
 		}
-		if !blk.Lookup(ppn) {
+		if blk.Lookup(ppn) {
+			blkHits++
+		} else {
 			blk.Fill(ppn)
 		}
 	}
-	if page.HitRate() <= blk.HitRate() {
-		t.Errorf("page-level hit rate %.3f <= block-level %.3f", page.HitRate(), blk.HitRate())
+	if pageHits <= blkHits {
+		t.Errorf("page-level hit rate %.3f <= block-level %.3f", float64(pageHits)/n, float64(blkHits)/n)
 	}
 }
 

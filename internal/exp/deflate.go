@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"compress/flate"
+	"strconv"
 
 	"tmcc/internal/blockcomp"
 	"tmcc/internal/config"
@@ -335,21 +336,7 @@ func AblationGeneralPurpose(cfg Config) (*Table, error) {
 
 func fmtInt(v int) string {
 	if v >= 1024 && v%1024 == 0 {
-		return itoa(v/1024) + "KB"
+		return strconv.Itoa(v/1024) + "KB"
 	}
-	return itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return strconv.Itoa(v)
 }

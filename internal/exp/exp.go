@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -106,14 +107,9 @@ func (t *Table) GeoMean(label string) {
 	}
 	row := make([]float64, n)
 	for i := range prods {
-		row[i] = pow(prods[i], 1/float64(used))
+		row[i] = math.Pow(prods[i], 1/float64(used))
 	}
 	t.Add(label, row...)
-}
-
-func pow(x, y float64) float64 {
-	// math.Pow without importing math in every caller; tiny wrapper.
-	return powImpl(x, y)
 }
 
 // String renders the table for terminals.

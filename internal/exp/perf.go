@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"tmcc/internal/config"
@@ -285,7 +286,7 @@ func Fig20(cfg Config) (*Table, error) {
 			n++
 		}
 		inv := 1 / float64(n)
-		t.Add(col, 1, powImpl(prodM1, inv), powImpl(prodM2, inv), powImpl(prodFull, inv))
+		t.Add(col, 1, math.Pow(prodM1, inv), math.Pow(prodM2, inv), math.Pow(prodFull, inv))
 	}
 	return t, nil
 }

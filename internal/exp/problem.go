@@ -1,16 +1,12 @@
 package exp
 
 import (
-	"math"
-
 	"tmcc/internal/config"
 	"tmcc/internal/mc"
 	"tmcc/internal/pagetable"
 	"tmcc/internal/sim"
 	"tmcc/internal/workload"
 )
-
-func powImpl(x, y float64) float64 { return math.Pow(x, y) }
 
 func init() {
 	register("fig1", Fig1)
@@ -141,18 +137,7 @@ func Fig6(cfg Config) (*Table, error) {
 	l2s := make([]float64, len(benches))
 	eng.Map(len(benches), func(i int) {
 		as := pagetable.BuildAddressSpace(pages, pages*4, pagetable.DefaultOSConfig(cfg.Seed+int64(i)))
-		same := map[int]int{}
-		total := map[int]int{}
-		as.Table.PTBs(func(ptb pagetable.PTB) {
-			total[ptb.Level]++
-			s0 := pagetable.StatusBits(ptb.PTEs[0])
-			for _, pte := range ptb.PTEs[1:] {
-				if pagetable.StatusBits(pte) != s0 {
-					return
-				}
-			}
-			same[ptb.Level]++
-		})
+		same, total := as.Table.StatusScan()
 		l1s[i] = float64(same[1]) / float64(total[1])
 		l2s[i] = float64(same[2]) / float64(total[2])
 	})

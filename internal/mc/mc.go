@@ -193,15 +193,13 @@ type MC struct {
 	// while all are busy.
 	migBuf []config.Picos
 
-	// Reusable hot-path scratch, so the measured access loop allocates
-	// nothing: queue-slot windows for serveML2 and evictOne (separate
-	// pairs — evictOne runs nested inside serveML2's migration), and the
-	// ML2 block-address lists each streams through. Sized on first use,
-	// then reused for the life of the controller.
-	svRWin, svWWin []config.Time
-	evRWin, evWWin []config.Time
-	svBlocks       []uint64
-	evBlocks       []uint64
+	// Reusable page-stream scratch, so the measured access loop allocates
+	// nothing: the queue-slot window and the block addresses of the one
+	// stream in flight. Every stream finishes before the next one starts
+	// (the evictOne nested in serveML2 runs between its read stream and
+	// its write-out), so one of each serves them all. Sized on first use.
+	win   []config.Time
+	addrs []uint64
 
 	// Figure 2's shadow victim structure (stats only).
 	shadow    *cache.Cache
@@ -505,81 +503,80 @@ func (m *MC) Place(ppn uint64, toML2 bool) bool {
 	if st.placed {
 		return true
 	}
-	st.placed = true
-	switch m.cfg.Kind {
-	case Uncompressed, Compresso:
-		// Location is a fixed function of PPN (Compresso keeps pages in
-		// place, repacking blocks within them).
-		st.chunk = uint32(ppn % m.chunkPool)
-		m.ml1Size++
+	if m.ml2 == nil {
+		m.placeML1(0, ppn)
 		return true
 	}
 	if toML2 && !st.incompressible {
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
-		if sub, ok := m.ml2.Alloc(size); ok && size < config.PageSize {
-			st.inML2 = true
-			st.sub = sub
-			st.sum = pageChecksum(ppn, size)
-			m.ob.ml2CompBytes.Observe(int64(size))
-			m.heat.CompressedSize(ppn, int64(size))
+		// No size class holds a page that does not compress.
+		if sub, ok := m.ml2.Alloc(size); ok {
+			st.placed = true
+			m.storeML2(ppn, st, sub, size)
 			if check.Enabled {
 				check.Invariant("mc: chunk-conservation after ML2 place", m.audit)
 			}
 			return true
 		}
-		if size >= config.PageSize {
-			st.incompressible = true
-		}
+		st.incompressible = size >= config.PageSize
 	}
-	c, _, ok := m.popFrame(0)
-	if !ok {
-		st.placed = false
-		m.failCapacity(ppn)
-		return false
-	}
-	st.chunk = c
-	m.ml1Size++
-	m.rec.Touch(ppn)
-	if check.Enabled {
-		check.Invariant("mc: chunk-conservation after Place", m.audit)
-	}
-	return !toML2
+	_, ok := m.placeML1(0, ppn)
+	return ok && !toML2
 }
 
-// lazyPlace places a page first touched during simulation (hot: it goes
-// to ML1). Under capacity pressure the frame may only become available
-// once an emergency force-migration completes; that wait is charged to
-// the pressureStall attr component so degraded runs show it in their
-// latency breakdowns. Returns the (possibly stalled) current time.
-func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
+// placeML1 gives ppn its first uncompressed frame: a fixed function of
+// the PPN on the flat designs (Compresso keeps pages in place, repacking
+// blocks within them), else a free ML1 frame, walking the pressure ladder
+// when the list is empty. ready is when the frame is usable — later than
+// now only after an emergency force-migration; ok=false records the
+// capacity failure and leaves the page unplaced.
+func (m *MC) placeML1(now config.Time, ppn uint64) (config.Time, bool) {
 	st := &m.pages[ppn]
 	st.placed = true
-	switch m.cfg.Kind {
-	case Uncompressed, Compresso:
+	if m.ml1 == nil {
 		st.chunk = uint32(ppn % m.chunkPool)
 		m.ml1Size++
-		return now
+		return now, true
 	}
 	c, ready, ok := m.popFrame(now)
 	if !ok {
 		st.placed = false
 		m.failCapacity(ppn)
-		return now
-	}
-	if ready > now {
-		if m.ab != nil {
-			m.ab.Add(attr.CPressureStall, ready-now)
-		}
-		m.ob.pressureStallPS.Add(uint64(ready - now))
-		now = ready
+		return now, false
 	}
 	st.chunk = c
 	m.ml1Size++
 	m.rec.Touch(ppn)
 	if check.Enabled {
-		check.Invariant("mc: chunk-conservation after lazy place", m.audit)
+		check.Invariant("mc: chunk-conservation after ML1 placement", m.audit)
 	}
-	return now
+	return ready, true
+}
+
+// lazyPlace places a page first touched during simulation (hot: it goes
+// to ML1). A frame that only became available once an emergency
+// force-migration completed is charged to the pressureStall attr
+// component, so degraded runs show the wait in their latency breakdowns.
+// Returns the (possibly stalled) current time.
+func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
+	ready, _ := m.placeML1(now, ppn)
+	if ready > now {
+		if m.ab != nil {
+			m.ab.Add(attr.CPressureStall, ready-now)
+		}
+		m.ob.pressureStallPS.Add(uint64(ready - now))
+	}
+	return ready
+}
+
+// storeML2 records ppn's compressed payload in ML2 sub-chunk sub: the
+// ML2 entry that first placement and eviction share.
+func (m *MC) storeML2(ppn uint64, st *pageState, sub freelist.SubChunk, size int) {
+	st.inML2 = true
+	st.sub = sub
+	st.sum = pageChecksum(ppn, size)
+	m.ob.ml2CompBytes.Observe(int64(size))
+	m.heat.CompressedSize(ppn, int64(size))
 }
 
 // TouchPage refreshes a page's recency (placement uses it to seed the
@@ -682,11 +679,7 @@ func (m *MC) accessCompresso(now config.Time, st *pageState, ppn uint64, blockOf
 	t := now
 	if !cteHit {
 		// Serial metadata fetch in front of the data access.
-		t = m.dramOp(t, m.cteAddr(ppn), false)
-		m.Stats.CTEFetchesDRAM++
-		m.ob.cteFetchDRAM.Inc()
-		m.ob.tr.Emit(obs.CatCTEFetch, "cte.serial", obs.TIDMC, now, t)
-		m.cte.Fill(ppn)
+		t = m.fetchCTE(now, ppn, "cte.serial")
 	}
 	done := m.dramOp(t, m.dataAddr(st, blockOff), write)
 	if m.ab != nil {
@@ -748,11 +741,7 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 		// Speculative parallel access (Section V-A3): fetch the data at
 		// the embedded CTE's location and the authoritative CTE at once.
 		truth := m.CurrentCTE(ppn)
-		cteDone := m.dramOp(now, m.cteAddr(ppn), false)
-		m.Stats.CTEFetchesDRAM++
-		m.ob.cteFetchDRAM.Inc()
-		m.ob.tr.Emit(obs.CatCTEFetch, "cte.parallel", obs.TIDMC, now, cteDone)
-		m.cte.Fill(ppn)
+		cteDone := m.fetchCTE(now, ppn, "cte.parallel")
 		specAddr := uint64(embedded.DRAMPage)*config.PageSize + uint64(blockOff*config.BlockSize)
 		dataDone := m.dramOp(now, specAddr, write)
 		done = maxTime(cteDone, dataDone)
@@ -795,11 +784,7 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 		}
 	default:
 		// Serial: wait for the CTE from DRAM, then fetch the data.
-		t := m.dramOp(now, m.cteAddr(ppn), false)
-		m.Stats.CTEFetchesDRAM++
-		m.ob.cteFetchDRAM.Inc()
-		m.ob.tr.Emit(obs.CatCTEFetch, "cte.serial", obs.TIDMC, now, t)
-		m.cte.Fill(ppn)
+		t := m.fetchCTE(now, ppn, "cte.serial")
 		done = m.dramOp(t, m.dataAddr(st, blockOff), write)
 		if m.ab != nil {
 			m.ab.Add(attr.CCTESerial, t-now)
@@ -822,11 +807,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	m.heat.Event(ppn, heatmap.EvML2Read)
 	t := now
 	if !cteHit {
-		t = m.dramOp(t, m.cteAddr(ppn), false)
-		m.Stats.CTEFetchesDRAM++
-		m.ob.cteFetchDRAM.Inc()
-		m.ob.tr.Emit(obs.CatCTEFetch, "cte.serial", obs.TIDMC, now, t)
-		m.cte.Fill(ppn)
+		t = m.fetchCTE(now, ppn, "cte.serial")
 	}
 	if m.ab != nil {
 		m.ab.Add(attr.CCTESerial, t-now)
@@ -847,43 +828,17 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	}
 
 	size, _ := m.cfg.Sizes.PageSizes(ppn)
-	m.svBlocks = m.ml2.AppendBlockAddresses(m.svBlocks[:0], st.sub, size)
-	blocks := m.svBlocks
-	// Issue the compressed-page reads while holding at most MaxQueueSlots
-	// MC queue slots at a time (Section VI): read i may issue once read
-	// i-slots has completed, keeping `slots` reads outstanding.
-	slots := m.cfg.Sys.Comp.MaxQueueSlots
-	if slots <= 0 {
-		slots = len(blocks)
-	}
-	m.svRWin = timeWindow(m.svRWin, slots)
-	window := m.svRWin
-	var last config.Time
-	for i, a := range blocks {
-		issue := maxTime(t, window[i%slots])
-		last = m.dram.Read(issue, a)
-		window[i%slots] = last
-	}
+	last := m.stream(t, m.subAddrs(st.sub, size), false)
 	// The decompressor starts once the first blocks arrive and the
 	// requested 64B block is ready after the half-page latency on average.
-	respond := maxTime(t, last) + m.cfg.ML2HalfPage
+	respond := last + m.cfg.ML2HalfPage
 
-	if m.inj != nil && m.inj.Payload() {
-		// Fault: bits flipped in the stored compressed payload, so the
-		// page's stored checksum no longer matches what decompression
-		// produced.
-		st.sum ^= 1
-		m.ob.faultPayload.Inc()
-	}
-	quarantine := st.sum != pageChecksum(ppn, size)
-	if quarantine {
-		// Checksum mismatch after decompression: one bounded re-read and
-		// re-decompress (charged like a verify redo), then quarantine the
-		// page out of ML2 — it must live uncompressed from here on.
-		m.inj.NoteQuarantine()
-		m.ob.faultQuarantine.Inc()
-		m.heat.Event(ppn, heatmap.EvQuarantine)
-		m.rasStrike(ppn)
+	m.payloadFault(st)
+	quarantined := st.sum != pageChecksum(ppn, size)
+	if quarantined {
+		// One bounded re-read and re-decompress (charged like a verify
+		// redo) before the page is quarantined out of ML2.
+		m.quarantine(ppn)
 		respond += m.cfg.ML2HalfPage
 		if m.ab != nil {
 			m.ab.Add(attr.CVerifyRedo, m.cfg.ML2HalfPage)
@@ -895,7 +850,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 		// cteSerial + migStall + dataML2 + decompress (+ the quarantine
 		// retry above) == respond - now: the ML2 critical path, with the
 		// background migration excluded.
-		m.ab.Add(attr.CDataML2, maxTime(t, last)-t)
+		m.ab.Add(attr.CDataML2, last-t)
 		m.ab.Add(attr.CDecompress, m.cfg.ML2HalfPage)
 	}
 
@@ -906,7 +861,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 		chunk, ok = m.ml1.Pop()
 	}
 	if !ok {
-		if quarantine {
+		if quarantined {
 			// No frame even after an eviction attempt: the scrubber
 			// rewrites the payload in place and the page stays in ML2
 			// with its checksum restored.
@@ -915,6 +870,19 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 		// No room: serve from ML2 without migrating.
 		return respond
 	}
+	m.promote(ppn, st, chunk, size, quarantined)
+	// The page write-out occupies the staging slot.
+	wt := m.stream(respond, m.frameAddrs(chunk), true)
+	m.migBuf[slot] = wt
+	m.ob.tr.Emit(obs.CatMigration, "ml2->ml1", obs.TIDMC, respond, wt)
+	return respond
+}
+
+// promote moves ppn out of ML2 onto the ML1 frame chunk: the one ML2
+// exit, shared by the demand migration and the patrol's quarantine. A
+// quarantined page stays uncompressed from here on, and with RAS armed
+// may retire the frame it just landed on.
+func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quarantined bool) {
 	if err := m.ml2.Free(st.sub, size); err != nil {
 		// The sub-block allocation record disagrees with the page state:
 		// ML2 capacity accounting is corrupt and every later placement
@@ -924,34 +892,41 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	}
 	st.inML2 = false
 	st.chunk = chunk
-	if quarantine {
-		st.incompressible = true
-		if m.ras != nil {
-			m.maybeRetire(ppn, st)
-		}
-	}
 	m.ml1Size++
 	m.rec.Touch(ppn)
 	m.Stats.ML2ToML1++
 	m.ob.ml2ToML1.Inc()
 	m.heat.Event(ppn, heatmap.EvML2ToML1)
-	// The page write-out occupies the staging slot and posts 64 writes,
-	// again holding at most MaxQueueSlots at a time.
-	m.svWWin = timeWindow(m.svWWin, slots)
-	wwin := m.svWWin
-	wt := respond
-	for b := 0; b < 64; b++ {
-		issue := maxTime(respond, wwin[b%slots])
-		wt = m.dram.Write(issue, uint64(chunk)*config.PageSize+uint64(b*config.BlockSize))
-		wwin[b%slots] = wt
+	if quarantined {
+		st.incompressible = true
+		if m.ras != nil {
+			m.maybeRetire(ppn, st)
+		}
 	}
-	m.migBuf[slot] = wt
-	m.ob.tr.Emit(obs.CatMigration, "ml2->ml1", obs.TIDMC, respond, wt)
 	m.updateGauges()
 	if check.Enabled {
-		check.Invariant("mc: chunk-conservation after ML2 demand migration", m.audit)
+		check.Invariant("mc: chunk-conservation after ML2 exit", m.audit)
 	}
-	return respond
+}
+
+// payloadFault draws the armed injector's payload fault: bits flipped in
+// the stored compressed payload, so the page's stored checksum no longer
+// matches what decompression produces.
+func (m *MC) payloadFault(st *pageState) {
+	if m.inj != nil && m.inj.Payload() {
+		st.sum ^= 1
+		m.ob.faultPayload.Inc()
+	}
+}
+
+// quarantine records a checksum mismatch found after decompression, by a
+// demand read or the patrol: the page must leave ML2 and live
+// uncompressed from here on, and the detection strikes its scoreboard.
+func (m *MC) quarantine(ppn uint64) {
+	m.inj.NoteQuarantine()
+	m.ob.faultQuarantine.Inc()
+	m.heat.Event(ppn, heatmap.EvQuarantine)
+	m.rasStrike(ppn)
 }
 
 // Settle drives background eviction to steady state: evict cold pages
@@ -1015,17 +990,11 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		if st.inML2 || !st.placed {
 			continue
 		}
-		if st.incompressible {
-			// Quarantined after a payload fault (or re-candidated and then
-			// flagged): keep in ML1, off the Recency List.
-			m.Stats.IncompressSkips++
-			m.ob.incompressSkips.Inc()
-			continue
-		}
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
-		if size >= config.PageSize {
-			// Incompressible: retain in ML1, drop from the Recency List so
-			// we do not repeatedly recompress it (Section IV-B).
+		if st.incompressible || size >= config.PageSize {
+			// Quarantined after a payload fault, re-candidated and then
+			// flagged, or incompressible: retain in ML1, off the Recency
+			// List, so we do not repeatedly recompress it (Section IV-B).
 			st.incompressible = true
 			m.Stats.IncompressSkips++
 			m.ob.incompressSkips.Inc()
@@ -1035,40 +1004,19 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		if !ok {
 			return 0, now, false
 		}
-		// Read the page (64 blocks) and write the compressed sub-chunk,
-		// each holding at most MaxQueueSlots queue entries.
-		slots := m.cfg.Sys.Comp.MaxQueueSlots
-		if slots <= 0 {
-			slots = 64
-		}
-		m.evRWin = timeWindow(m.evRWin, slots)
-		rwin := m.evRWin
-		for b := 0; b < 64; b++ {
-			rwin[b%slots] = m.dram.Read(maxTime(now, rwin[b%slots]), m.dataAddr(st, b))
-		}
-		t := now + m.cfg.ML2Compress
-		m.evWWin = timeWindow(m.evWWin, slots)
-		wwin := m.evWWin
-		wlast := t
-		m.evBlocks = m.ml2.AppendBlockAddresses(m.evBlocks[:0], sub, size)
-		for i, a := range m.evBlocks {
-			wlast = m.dram.Write(maxTime(t, wwin[i%slots]), a)
-			wwin[i%slots] = wlast
-		}
+		// Read the page and write the compressed sub-chunk.
+		m.stream(now, m.frameAddrs(st.chunk), false)
+		wlast := m.stream(now+m.cfg.ML2Compress, m.subAddrs(sub, size), true)
 		if uint64(st.chunk) >= m.cfg.BudgetPages {
 			m.overflowRelease(st.chunk)
 		} else {
 			m.ml1.Push(st.chunk)
 		}
-		st.inML2 = true
-		st.sub = sub
-		st.sum = pageChecksum(ppn, size)
+		m.storeML2(ppn, st, sub, size)
 		m.ml1Size--
 		m.Stats.ML1ToML2++
 		m.ob.ml1ToML2.Inc()
 		m.heat.Event(ppn, heatmap.EvML1ToML2)
-		m.heat.CompressedSize(ppn, int64(size))
-		m.ob.ml2CompBytes.Observe(int64(size))
 		m.ob.tr.Emit(obs.CatMigration, "ml1->ml2", obs.TIDMC, now, wlast)
 		m.updateGauges()
 		if check.Enabled {
@@ -1076,6 +1024,58 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		}
 		return ppn, wlast, true
 	}
+}
+
+// fetchCTE reads the CTE block covering ppn from the DRAM table and fills
+// the CTE cache; span names the trace event (serial or parallel fetch).
+func (m *MC) fetchCTE(now config.Time, ppn uint64, span string) config.Time {
+	t := m.dramOp(now, m.cteAddr(ppn), false)
+	m.Stats.CTEFetchesDRAM++
+	m.ob.cteFetchDRAM.Inc()
+	m.ob.tr.Emit(obs.CatCTEFetch, span, obs.TIDMC, now, t)
+	m.cte.Fill(ppn)
+	return t
+}
+
+// stream issues one page-granularity DRAM stream from start while holding
+// at most MaxQueueSlots MC queue slots (Section VI): op i issues once op
+// i-slots has completed. It returns the last op's completion, or start
+// for an empty stream.
+func (m *MC) stream(start config.Time, addrs []uint64, write bool) config.Time {
+	slots := m.cfg.Sys.Comp.MaxQueueSlots
+	if cap(m.win) < slots {
+		m.win = make([]config.Time, slots)
+	}
+	win := m.win[:slots]
+	clear(win)
+	last := start
+	for i, a := range addrs {
+		issue := maxTime(start, win[i%slots])
+		if write {
+			last = m.dram.Write(issue, a)
+		} else {
+			last = m.dram.Read(issue, a)
+		}
+		win[i%slots] = last
+	}
+	return last
+}
+
+// frameAddrs lists ML1 frame chunk's 64 block addresses in the stream
+// address scratch.
+func (m *MC) frameAddrs(chunk uint32) []uint64 {
+	m.addrs = m.addrs[:0]
+	for b := 0; b < config.BlocksPage; b++ {
+		m.addrs = append(m.addrs, uint64(chunk)*config.PageSize+uint64(b*config.BlockSize))
+	}
+	return m.addrs
+}
+
+// subAddrs lists the block addresses of a size-byte payload in ML2
+// sub-chunk sub in the stream address scratch.
+func (m *MC) subAddrs(sub freelist.SubChunk, size int) []uint64 {
+	m.addrs = m.ml2.AppendBlockAddresses(m.addrs[:0], sub, size)
+	return m.addrs
 }
 
 // dramOp wraps read/write with the MC<->LLC NoC latency on the response
@@ -1090,20 +1090,6 @@ func (m *MC) dramOp(now config.Time, addr uint64, write bool) config.Time {
 		return m.dram.Write(now, addr)
 	}
 	return m.dram.Read(now, addr)
-}
-
-// timeWindow returns buf resized to n zeroed entries, reusing its backing
-// array when large enough — the queue-slot windows above are rebuilt on
-// every ML2 service without allocating.
-func timeWindow(buf []config.Time, n int) []config.Time {
-	if cap(buf) < n {
-		return make([]config.Time, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
 }
 
 func maxInt(a, b int) int {
@@ -1128,9 +1114,6 @@ func (m *MC) ResetStats() {
 	m.Stats = Stats{}
 	m.dram.ResetStats()
 }
-
-// CTECache exposes hit-rate counters for the experiments.
-func (m *MC) CTECache() *ctecache.Cache { return m.cte }
 
 // SampleResidency sweeps every placed page's current tier into the run
 // view's heatmap — run by the simulator when a sampling window edge

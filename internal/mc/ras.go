@@ -8,9 +8,6 @@ package mc
 // a single predictable branch, so RAS-off runs stay byte-identical.
 
 import (
-	"fmt"
-
-	"tmcc/internal/check"
 	"tmcc/internal/config"
 	"tmcc/internal/obs/attr"
 	"tmcc/internal/obs/heatmap"
@@ -122,53 +119,26 @@ func (m *MC) scrubPatrol(quota int) {
 		}
 		m.rasBacklog += m.ras.ScrubPagePS()
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
-		if m.inj != nil && m.inj.Payload() {
-			// Latent fault surfaced by the patrol rather than a demand read:
-			// same injection site, drawn on the patrol's deterministic
-			// schedule.
-			st.sum ^= 1
-			m.ob.faultPayload.Inc()
-		}
+		// A latent fault surfaces here rather than on a demand read: same
+		// injection site, drawn on the patrol's deterministic schedule.
+		m.payloadFault(st)
 		if st.sum == pageChecksum(ppn, size) {
 			continue
 		}
+		// The page is repaired from its (modeled) redundant copy and
+		// quarantined like a demand detection, but off the critical path:
+		// the repair cost banks into rasBacklog instead of stalling a
+		// requester. With no free frame the payload is rewritten in place
+		// and the page stays compressed.
 		m.ob.rasScrubDetect.Inc()
-		m.scrubQuarantine(ppn, st, size)
-	}
-}
-
-// scrubQuarantine handles a patrol-detected checksum mismatch: the page
-// is repaired from its (modeled) redundant copy and quarantined out of
-// ML2 onto an uncompressed frame, mirroring the demand path's quarantine
-// but off the critical path — the repair cost banks into rasBacklog
-// instead of stalling a requester. With no free frame the payload is
-// rewritten in place and the page stays compressed.
-func (m *MC) scrubQuarantine(ppn uint64, st *pageState, size int) {
-	m.inj.NoteQuarantine()
-	m.ob.faultQuarantine.Inc()
-	m.heat.Event(ppn, heatmap.EvQuarantine)
-	m.rasBacklog += m.cfg.ML2HalfPage
-	m.rasStrike(ppn)
-	chunk, ok := m.ml1.Pop()
-	if !ok {
-		st.sum = pageChecksum(ppn, size)
-		return
-	}
-	if err := m.ml2.Free(st.sub, size); err != nil {
-		panic(fmt.Sprintf("mc: freeing ML2 sub-blocks for scrubbed ppn %#x: %v", ppn, err))
-	}
-	st.inML2 = false
-	st.chunk = chunk
-	st.incompressible = true
-	m.ml1Size++
-	m.rec.Touch(ppn)
-	m.Stats.ML2ToML1++
-	m.ob.ml2ToML1.Inc()
-	m.heat.Event(ppn, heatmap.EvML2ToML1)
-	m.maybeRetire(ppn, st)
-	m.updateGauges()
-	if check.Enabled {
-		check.Invariant("mc: chunk-conservation after scrub quarantine", m.audit)
+		m.quarantine(ppn)
+		m.rasBacklog += m.cfg.ML2HalfPage
+		chunk, ok := m.ml1.Pop()
+		if !ok {
+			st.sum = pageChecksum(ppn, size)
+			continue
+		}
+		m.promote(ppn, st, chunk, size, true)
 	}
 }
 

@@ -250,6 +250,23 @@ func (t *Table) PTBs(fn func(PTB)) {
 	rec(t.root, Levels)
 }
 
+// StatusScan is the Figure 6 scan: for each level (indexed 1..Levels),
+// how many of the table's PTBs there are and how many of them carry
+// identical status bits in all eight PTEs.
+func (t *Table) StatusScan() (uniform, total [Levels + 1]int) {
+	t.PTBs(func(b PTB) {
+		total[b.Level]++
+		s0 := StatusBits(b.PTEs[0])
+		for _, pte := range b.PTEs[1:] {
+			if StatusBits(pte) != s0 {
+				return
+			}
+		}
+		uniform[b.Level]++
+	})
+	return uniform, total
+}
+
 // TablePagePPNs lists the physical page numbers of every page-table page
 // (the table occupies physical memory too; the MC must place and translate
 // those pages like any others).

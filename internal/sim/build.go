@@ -45,7 +45,8 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 // whole set, a TLB whose entries do not fill whole sets, no core, miss
 // register, DRAM channel, rank, bank, row byte or memory controller, an
 // interleave of zero bytes across several channels or controllers, no
-// migration buffer entry, or a CTE Buffer outside 1..MaxBufferEntries.
+// migration buffer entry or MC queue slot on a design that migrates
+// pages, or a CTE Buffer outside 1..MaxBufferEntries.
 // NewRunnerFull returns it (wrapped, naming the structure) before building
 // anything.
 var ErrGeometry = errors.New("degenerate geometry")
@@ -77,6 +78,7 @@ func checkGeometry(opt Options, sys config.System) error {
 			opt.Benchmark, opt.Kind, ErrGeometry, cpu.TLBEntries, cpu.TLBAssoc)
 	}
 	d := sys.DRAM
+	twoLevel := opt.Kind == mc.TMCC || opt.Kind == mc.OSInspired
 	for _, f := range []struct {
 		name  string
 		n     int
@@ -91,7 +93,8 @@ func checkGeometry(opt Options, sys config.System) error {
 		{"bytes per DRAM row", d.RowBytes, true},
 		{"bytes of inter-controller interleave", d.MCInterleaveBytes, d.MCs > 1},
 		{"bytes of channel interleave", d.ChannelInterleaveBytes, d.Channels > 1},
-		{"migration buffer pages", sys.Comp.MigrationBufPages, opt.Kind == mc.TMCC || opt.Kind == mc.OSInspired},
+		{"migration buffer pages", sys.Comp.MigrationBufPages, twoLevel},
+		{"MC queue slots for page streams", sys.Comp.MaxQueueSlots, twoLevel},
 	} {
 		if f.built && f.n < 1 {
 			return fmt.Errorf("sim: %s/%s: %w: %d %s", opt.Benchmark, opt.Kind, ErrGeometry, f.n, f.name)
@@ -209,6 +212,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		RAS:          rcfg,
 	})
 	if err != nil {
+		view.Close()
 		return nil, fmt.Errorf("sim: %s/%s: %w", opt.Benchmark, opt.Kind, err)
 	}
 
@@ -268,16 +272,14 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		r.cores = append(r.cores, c)
 	}
 
-	if opt.Virtualized {
-		if err := r.placeVirt(); err != nil {
-			return nil, err
-		}
-	} else if err := r.place(budget, sizes); err != nil {
+	if err := r.place(); err != nil {
+		view.Close()
 		return nil, err
 	}
 	// Placement-time capacity exhaustion surfaces here, before any
 	// simulated time elapses — the run could not even be laid out.
 	if err := mcc.Err(); err != nil {
+		view.Close()
 		return nil, fmt.Errorf("sim: %s/%s placement: %w", opt.Benchmark, opt.Kind, err)
 	}
 	// Drive background eviction to steady state before any simulated time
@@ -329,11 +331,15 @@ func (r *Runner) warmEmbeddings() {
 // place performs the warmup placement: compress and pack content into the
 // budget, hottest pages resident in ML1 (Section VI: "fetch all of the
 // benchmark's memory values to place, compress, and pack them into
-// available memory").
-func (r *Runner) place(budget uint64, sizes *workload.SizeModel) error {
+// available memory"). Native flat designs place the data pages in vpn
+// order and leave the table pages to first touch; every other system
+// goes through placeHotFirst.
+func (r *Runner) place() error {
+	if r.guest != nil {
+		lo, hi := r.guest.VPNRange()
+		return r.placeHotFirst(lo, hi-lo, r.virtTablePPNs())
+	}
 	lo, hi := r.as.VPNRange()
-	footprint := hi - lo
-
 	if r.opt.Kind == mc.Uncompressed || r.opt.Kind == mc.Compresso {
 		for vpn := lo; vpn < hi; vpn++ {
 			if ppn := translate(r.vpnToPPN, r.vlo, vpn); ppn != unmappedPPN {
@@ -342,27 +348,29 @@ func (r *Runner) place(budget uint64, sizes *workload.SizeModel) error {
 		}
 		return nil
 	}
+	return r.placeHotFirst(lo, hi-lo, r.as.Table.TablePagePPNs())
+}
 
+// placeHotFirst places the footprint's data pages hottest-first, the
+// first planML1 of them in ML1 and the rest compressed, then the table
+// pages, which are hot (every walk touches them): resident in ML1 from
+// the start, so no placement churn pollutes the measured window. It then
+// seeds the Recency List coldest-to-hottest so warmup evictions take
+// genuinely cold pages, not the hot set; table pages go last (hottest).
+func (r *Runner) placeHotFirst(lo, footprint uint64, tablePPNs []uint64) error {
 	ml1Pages, err := r.planML1(footprint)
 	if err != nil {
 		return err
 	}
 	order := r.placementOrder(lo, footprint)
 	for i, vpn := range order {
-		ppn := translate(r.vpnToPPN, r.vlo, vpn)
-		if ppn == unmappedPPN {
-			continue
+		if ppn := translate(r.vpnToPPN, r.vlo, vpn); ppn != unmappedPPN {
+			r.mcc.Place(ppn, uint64(i) >= ml1Pages)
 		}
-		r.mcc.Place(ppn, uint64(i) >= ml1Pages)
 	}
-	// Page-table pages are hot (every walk touches them): resident in ML1
-	// from the start, so no placement churn pollutes the measured window.
-	tablePPNs := r.as.Table.TablePagePPNs()
 	for _, ppn := range tablePPNs {
 		r.mcc.Place(ppn, false)
 	}
-	// Seed the Recency List coldest-to-hottest so warmup evictions take
-	// genuinely cold pages, not the hot set; table pages go last (hottest).
 	for i := len(order) - 1; i >= 0; i-- {
 		if ppn := translate(r.vpnToPPN, r.vlo, order[i]); ppn != unmappedPPN {
 			r.mcc.TouchPage(ppn)

@@ -10,14 +10,16 @@ import (
 )
 
 // TestDegenerateGeometryRejected pins the typed rejection of cache, TLB,
-// MSHR, core, DRAM, migration-buffer and CTE Buffer geometries the model
-// cannot build. Each row but the oversized CTE Buffer used to panic: with
-// an integer divide by zero in the cache, TLB or DRAM constructor, the
-// DRAM address map or at the first CTE Buffer insert, on the TLB's
-// whole-sets check, making the per-core slices, or indexing the empty
-// MSHR file, DRAM controller list or migration buffer. The oversized
-// Buffer is refused because NewBuffer sizes its slot and count types for
-// at most MaxBufferEntries.
+// MSHR, core, DRAM, migration-buffer, MC queue-slot and CTE Buffer
+// geometries the model cannot build. Each row but the queue slots and the
+// oversized CTE Buffer used to panic: with an integer divide by zero in
+// the cache, TLB or DRAM constructor, the DRAM address map or at the
+// first CTE Buffer insert, on the TLB's whole-sets check, making the
+// per-core slices, or indexing the empty MSHR file, DRAM controller list
+// or migration buffer. Zero queue slots used to fall back silently to a
+// different stream width in each page-stream loop. The oversized Buffer
+// is refused because NewBuffer sizes its slot and count types for at
+// most MaxBufferEntries.
 func TestDegenerateGeometryRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -45,6 +47,8 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{name: "CTEBufEntries=MaxBufferEntries+1", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.CTEBufEntries = ctecache.MaxBufferEntries + 1 }},
 		{name: "MigrationBufPages=0/tmcc", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
 		{name: "MigrationBufPages=0/os-inspired", kind: mc.OSInspired, edit: func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
+		{name: "MaxQueueSlots=0/tmcc", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
+		{name: "MaxQueueSlots=0/os-inspired", kind: mc.OSInspired, edit: func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()
@@ -61,8 +65,9 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 
 // TestUnusedGeometryAccepted pins the other side of checkGeometry: a
 // structure a kind never builds may have any size. The CTE Buffer exists
-// only on TMCC and the migration buffer only on TMCC and OS-inspired, so
-// zero entries elsewhere must neither be rejected nor crash the run.
+// only on TMCC, and the migration buffer and the page streams that hold
+// MC queue slots only on TMCC and OS-inspired, so zero entries elsewhere
+// must neither be rejected nor crash the run.
 func TestUnusedGeometryAccepted(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -73,6 +78,7 @@ func TestUnusedGeometryAccepted(t *testing.T) {
 		{"CTEBufEntries=0/os-inspired", mc.OSInspired, func(s *config.System) { s.Comp.CTEBufEntries = 0 }},
 		{"MigrationBufPages=0/uncompressed", mc.Uncompressed, func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
 		{"MigrationBufPages=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
+		{"MaxQueueSlots=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()

@@ -473,11 +473,18 @@ func (r *Runner) writeback(block uint64, now config.Time) {
 		r.m.Writebacks++
 		r.sob.writeback.Inc()
 	}
-	r.heat(block, attr.ClassWriteback)
-	res := r.mcc.Access(now, block/config.BlocksPage, int(block%config.BlocksPage), true, nil, false)
+	r.background(now, block, true, attr.ClassWriteback)
+}
+
+// background sends one access off every requester's critical path (a
+// dirty writeback or a prefetch) to the MC, stamping its heat and attr
+// record under class cl.
+func (r *Runner) background(now config.Time, block uint64, write bool, cl attr.Class) {
+	r.heat(block, cl)
+	res := r.mcc.Access(now, block/config.BlocksPage, int(block%config.BlocksPage), write, nil, false)
 	if r.attrOn() {
 		a := *r.mcc.Attr()
-		a.Class = attr.ClassWriteback
+		a.Class = cl
 		a.Total = res.Done - now
 		r.ag.Record(&a)
 	}
@@ -501,14 +508,7 @@ func (r *Runner) prefetch(c *core, now config.Time, block uint64) {
 			continue
 		}
 		c.throttle.Issued()
-		r.heat(nb, attr.ClassPrefetch)
-		res := r.mcc.Access(now, nb/64, int(nb%64), false, nil, false)
-		if r.attrOn() {
-			a := *r.mcc.Attr()
-			a.Class = attr.ClassPrefetch
-			a.Total = res.Done - now
-			r.ag.Record(&a)
-		}
+		r.background(now, nb, false, attr.ClassPrefetch)
 		r.insertL2(c, nb, flagPrefetched, false, false, now)
 	}
 }

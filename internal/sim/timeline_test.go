@@ -81,32 +81,52 @@ func TestTimelineRunConservation(t *testing.T) {
 // armed the observer derives no run view (runs write the shared sinks
 // directly), and the lifetime registry a timeline-off run leaves equals a
 // timeline-armed run's sample for sample: the run view's private sinks
-// merge back without adding, dropping or skewing an instrument.
+// merge back without adding, dropping or skewing an instrument. A build
+// that fails after deriving the view must merge them back too.
 func TestTimelineOffLeavesNoTrace(t *testing.T) {
 	if v := obs.New().RunView("canneal", "tmcc"); v != nil {
 		t.Fatal("an observer with neither TL nor Heat armed derived a run view")
 	}
-	lifetime := func(ob *obs.Observer) obs.Snapshot {
-		r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustRun(t, r)
-		return ob.Reg.Snapshot()
-	}
-	off, armed := lifetime(obs.New()), lifetime(timelineObserver(config.Microsecond))
-	if len(off.Samples) == 0 {
-		t.Fatal("timeline-off run registered no instruments")
-	}
-	if len(off.Samples) != len(armed.Samples) {
-		t.Errorf("timeline-off registry holds %d samples, timeline-armed %d", len(off.Samples), len(armed.Samples))
-	}
-	for i := range off.Samples {
-		if i >= len(armed.Samples) {
-			break
-		}
-		if o, a := off.Samples[i], armed.Samples[i]; !reflect.DeepEqual(o, a) {
-			t.Errorf("sample %d differs:\noff:   %+v\narmed: %+v", i, o, a)
-		}
+	for _, tc := range []struct {
+		name   string
+		budget uint64 // replaces tightOpts' budget when nonzero
+	}{
+		{"run", 0},
+		{"failed build", 20000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tightOpts(t)
+			fail := tc.budget != 0
+			if fail {
+				opt.BudgetPages = tc.budget
+			}
+			lifetime := func(ob *obs.Observer) obs.Snapshot {
+				r, err := NewRunnerFull(opt, ob, nil, ras.Config{})
+				switch {
+				case fail && err == nil:
+					t.Fatalf("a budget of %d pages built", tc.budget)
+				case !fail && err != nil:
+					t.Fatal(err)
+				case !fail:
+					mustRun(t, r)
+				}
+				return ob.Reg.Snapshot()
+			}
+			off, armed := lifetime(obs.New()), lifetime(timelineObserver(config.Microsecond))
+			if len(off.Samples) == 0 {
+				t.Fatal("timeline-off run registered no instruments")
+			}
+			if len(off.Samples) != len(armed.Samples) {
+				t.Errorf("timeline-off registry holds %d samples, timeline-armed %d", len(off.Samples), len(armed.Samples))
+			}
+			for i := range off.Samples {
+				if i >= len(armed.Samples) {
+					break
+				}
+				if o, a := off.Samples[i], armed.Samples[i]; !reflect.DeepEqual(o, a) {
+					t.Errorf("sample %d differs:\noff:   %+v\narmed: %+v", i, o, a)
+				}
+			}
+		})
 	}
 }

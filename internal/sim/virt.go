@@ -116,50 +116,15 @@ func (r *Runner) walk2D(c *core, t config.Time, vpn uint64) (config.Time, uint64
 	return t, hp, ok
 }
 
-// lookupVirtData returns the host PPN for a guest-virtual page without
-// timing (a dense-table read; buildVirt precomputed the composition).
-func (r *Runner) lookupVirtData(vpn uint64) (uint64, bool) {
-	h := translate(r.vpnToPPN, r.vlo, vpn)
-	return h, h != unmappedPPN
-}
-
-// placeVirt performs placement for the virtualized system: data pages (in
-// hotness order) and then every table page — guest tables are data from the
-// host's view, host tables are the walker's working set.
-func (r *Runner) placeVirt() error {
-	lo, hi := r.guest.VPNRange()
-	footprint := hi - lo
-	order := r.placementOrder(lo, footprint)
-	ml1Pages, err := r.planML1(footprint)
-	if err != nil {
-		return err
-	}
-	for i, vpn := range order {
-		hp, ok := r.lookupVirtData(vpn)
-		if !ok {
-			continue
-		}
-		r.mcc.Place(hp, uint64(i) >= ml1Pages)
-	}
-	// Guest table pages (they live in guest-physical space) and host table
-	// pages are all hot.
-	var tablePPNs []uint64
+// virtTablePPNs lists the host pages of every table page: guest table
+// pages (they live in guest-physical space) and host table pages, which
+// placement treats as hot.
+func (r *Runner) virtTablePPNs() []uint64 {
+	var ppns []uint64
 	for _, gpn := range r.guest.Table.TablePagePPNs() {
 		if hp, ok := r.hostPPN(gpn); ok {
-			tablePPNs = append(tablePPNs, hp)
+			ppns = append(ppns, hp)
 		}
 	}
-	tablePPNs = append(tablePPNs, r.as.Table.TablePagePPNs()...)
-	for _, ppn := range tablePPNs {
-		r.mcc.Place(ppn, false)
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if hp, ok := r.lookupVirtData(order[i]); ok {
-			r.mcc.TouchPage(hp)
-		}
-	}
-	for _, ppn := range tablePPNs {
-		r.mcc.TouchPage(ppn)
-	}
-	return nil
+	return append(ppns, r.as.Table.TablePagePPNs()...)
 }

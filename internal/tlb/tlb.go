@@ -14,9 +14,6 @@ type TLB struct {
 	tags  []uint64 // sets*ways entries; +1 so 0 means invalid
 	stamp []uint64
 	clock uint64
-
-	Hits   uint64
-	Misses uint64
 }
 
 // New builds a TLB with the given total entries and associativity.
@@ -32,7 +29,7 @@ func New(entries, ways int) *TLB {
 	}
 }
 
-// Lookup probes for vpn, updating recency and hit/miss counters.
+// Lookup probes for vpn, updating recency on a hit.
 func (t *TLB) Lookup(vpn uint64) bool {
 	set := int(vpn) % t.sets
 	base := set * t.ways
@@ -40,11 +37,9 @@ func (t *TLB) Lookup(vpn uint64) bool {
 	for w := 0; w < t.ways; w++ {
 		if t.tags[base+w] == vpn+1 {
 			t.stamp[base+w] = t.clock
-			t.Hits++
 			return true
 		}
 	}
-	t.Misses++
 	return false
 }
 
