@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz-smoke fmt bench smoke ras-smoke steady-digests
+.PHONY: all build lint test race fuzz-smoke fmt bench smoke ras-smoke steady-digests artifact-diff
 
 all: lint test
 
@@ -28,8 +28,9 @@ test:
 
 # race is CI's second test pass: the race detector plus the tmccdebug
 # check.Invariant audits (ML1/ML2 chunk conservation, free-list
-# accounting, PTB 64B-fit round-trips). internal/exp runs the whole quick
-# suite twice under it, so the default 10m test timeout is too tight.
+# accounting, one PTB 64B-fit round-trip per warmed PTB). internal/exp
+# runs the whole quick suite twice under it, so the default 10m test
+# timeout is too tight.
 race:
 	$(GO) test -race -tags tmccdebug -timeout 30m ./...
 
@@ -136,3 +137,13 @@ steady-digests:
 		echo "$$out" | grep -q '"correct": *true' || { echo "steady-digests: $$w seed $$s is not correct"; exit 1; }; \
 	done; done
 	@echo "steady-digests: every steady workload matches its digests"
+
+# artifact-diff proves a refactor moved no simulated byte: it builds
+# tmccsim (plain and race+tmccdebug) and ptbscan from git revision BASE
+# and from the working tree, runs the smoke chaos line, the quick
+# ext-2dwalk CSV and ptbscan (4KB and huge pages) with each, and fails on
+# any output difference; the metrics JSON is compared without its
+# wall-clock engine histograms (needs jq). ARTIFACT_DIR holds the outputs.
+artifact-diff:
+	@test -n "$(BASE)" || { echo "usage: make artifact-diff BASE=<rev>"; exit 2; }
+	CHAOS_PLAN='$(CHAOS_PLAN)' bash scripts/artifact-diff.sh $(BASE)

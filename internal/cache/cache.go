@@ -129,6 +129,3 @@ func (c *Cache) InvalidateAt(slot int) uint8 {
 	c.flags[slot] = 0
 	return f
 }
-
-// Lines returns capacity in 64B lines.
-func (c *Cache) Lines() int { return int(c.sets) * c.ways }

@@ -65,16 +65,10 @@ func Tab2(cfg Config) (*Table, error) {
 	perSuite := make([][]memdeflate.Timing, len(dumpSuites))
 	eng.Map(len(dumpSuites), func(si int) {
 		codec := memdeflate.New(memdeflate.DefaultParams())
-		prof, _ := content.ProfileFor(dumpSuites[si])
-		gen := prof.Generator(cfg.Seed + int64(si))
-		for i := 0; i < n/len(dumpSuites); i++ {
-			page := gen.Page()
-			if allZero(page) {
-				continue
-			}
+		dumpPages(cfg.Seed, si, n/len(dumpSuites), func(page []byte) {
 			_, st, _ := codec.Compress(page)
 			perSuite[si] = append(perSuite[si], codec.Timing(st))
-		}
+		})
 	})
 	var sumC, sumD, sumH, sumOccC, sumOccD float64
 	pages := 0
@@ -102,6 +96,28 @@ func Tab2(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: ours 277/140/662 ns, 14.8/17.2 GB/s; IBM 1100/878/1050 ns, 3.7/3.9 GB/s")
 	return t, nil
+}
+
+// dumpPages calls fn on each page of the first n that suite si's dump
+// generator draws at seed+si, skipping all-zero pages as the paper's gcore
+// methodology deletes them. Each experiment passes its own seed offset, so
+// their page streams stay independent.
+func dumpPages(seed int64, si, n int, fn func(page []byte)) {
+	prof, _ := content.ProfileFor(dumpSuites[si])
+	gen := prof.Generator(seed + int64(si))
+	for i := 0; i < n; i++ {
+		if page := gen.Page(); !allZero(page) {
+			fn(page)
+		}
+	}
+}
+
+// allDumpPages walks n/len(dumpSuites) draws of every suite, in suite
+// order, through dumpPages.
+func allDumpPages(seed int64, n int, fn func(page []byte)) {
+	for si := range dumpSuites {
+		dumpPages(seed, si, n/len(dumpSuites), fn)
+	}
 }
 
 func allZero(p []byte) bool {
@@ -139,14 +155,8 @@ func Fig15(cfg Config) (*Table, error) {
 		skipP.DynamicSkip = true
 		skip := memdeflate.New(skipP)
 		best := blockcomp.NewBest()
-		prof, _ := content.ProfileFor(dumpSuites[si])
-		gen := prof.Generator(cfg.Seed + 100 + int64(si))
 		var in, outBlk, outMD, outSkip, outGz int
-		for i := 0; i < n; i++ {
-			page := gen.Page()
-			if allZero(page) {
-				continue // the methodology deletes all-zero pages
-			}
+		dumpPages(cfg.Seed+100, si, n, func(page []byte) {
 			in += len(page)
 			outBlk += best.PageSize(page)
 			s, _ := plain.CompressedSize(page)
@@ -162,7 +172,7 @@ func Fig15(cfg Config) (*Table, error) {
 				g = len(page)
 			}
 			outGz += g
-		}
+		})
 		rows[si] = []float64{
 			float64(in) / float64(outBlk),
 			float64(in) / float64(outMD),
@@ -198,19 +208,11 @@ func AblationCAM(cfg Config) (*Table, error) {
 		p.WindowSize = sizesList[wi]
 		codec := memdeflate.New(p)
 		var in, out int
-		for si, suite := range dumpSuites {
-			prof, _ := content.ProfileFor(suite)
-			gen := prof.Generator(cfg.Seed + 200 + int64(si))
-			for i := 0; i < n/len(dumpSuites); i++ {
-				page := gen.Page()
-				if allZero(page) {
-					continue
-				}
-				in += len(page)
-				s, _ := codec.CompressedSize(page)
-				out += s
-			}
-		}
+		allDumpPages(cfg.Seed+200, n, func(page []byte) {
+			in += len(page)
+			s, _ := codec.CompressedSize(page)
+			out += s
+		})
 		ratios[wi] = float64(in) / float64(out)
 	})
 	for wi, w := range sizesList {
@@ -235,19 +237,11 @@ func AblationTree(cfg Config) (*Table, error) {
 	measure := func(p memdeflate.Params) float64 {
 		codec := memdeflate.New(p)
 		var in, out int
-		for si, suite := range dumpSuites {
-			prof, _ := content.ProfileFor(suite)
-			gen := prof.Generator(cfg.Seed + 300 + int64(si))
-			for i := 0; i < n/len(dumpSuites); i++ {
-				page := gen.Page()
-				if allZero(page) {
-					continue
-				}
-				in += len(page)
-				s, _ := codec.CompressedSize(page)
-				out += s
-			}
-		}
+		allDumpPages(cfg.Seed+300, n, func(page []byte) {
+			in += len(page)
+			s, _ := codec.CompressedSize(page)
+			out += s
+		})
 		return float64(in) / float64(out)
 	}
 	type variant struct {
@@ -303,24 +297,16 @@ func AblationGeneralPurpose(cfg Config) (*Table, error) {
 		var in, out int
 		var dec, half, comp float64
 		pages := 0
-		for si, suite := range dumpSuites {
-			prof, _ := content.ProfileFor(suite)
-			gen := prof.Generator(cfg.Seed + 400 + int64(si))
-			for i := 0; i < n/len(dumpSuites); i++ {
-				page := gen.Page()
-				if allZero(page) {
-					continue
-				}
-				in += len(page)
-				_, st, _ := codec.Compress(page)
-				out += st.EncodedSize
-				tm := codec.Timing(st)
-				dec += float64(tm.DecompressLatency) / 1000
-				half += float64(tm.HalfPageLatency) / 1000
-				comp += float64(tm.CompressLatency) / 1000
-				pages++
-			}
-		}
+		allDumpPages(cfg.Seed+400, n, func(page []byte) {
+			in += len(page)
+			_, st, _ := codec.Compress(page)
+			out += st.EncodedSize
+			tm := codec.Timing(st)
+			dec += float64(tm.DecompressLatency) / 1000
+			half += float64(tm.HalfPageLatency) / 1000
+			comp += float64(tm.CompressLatency) / 1000
+			pages++
+		})
 		fp := float64(pages)
 		rows[di] = []float64{float64(in) / float64(out), dec / fp, half / fp, comp / fp}
 	})

@@ -83,7 +83,7 @@ func TestEngineMemoizationAcrossExperiments(t *testing.T) {
 
 // TestEngineDeterministicAcrossWorkerCounts is the -j byte-identity
 // guarantee: the rendered CSV must not depend on scheduling. ext-2dwalk
-// exercises runAll collection order and float accumulation; fig6 exercises
+// exercises grid collection order and float accumulation; fig6 exercises
 // the Map lane.
 func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {

@@ -37,18 +37,12 @@ func Fig17(cfg Config) (*Table, error) {
 		Notes:  []string{"paper: 1.14 average; best shortestPath/canneal, least kcore/triCount"},
 	}
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, 0, 2*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs,
-			fullOptions(cfg, b, sim.Options{Kind: mc.Compresso}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC}))
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(sim.Options{Kind: mc.Compresso}, sim.Options{Kind: mc.TMCC}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		cp, tm := ms[2*i], ms[2*i+1]
+		cp, tm := ms[i][0], ms[i][1]
 		t.Add(b, tm.StoresPerCycle()/cp.StoresPerCycle())
 	}
 	t.GeoMean("geomean")
@@ -65,19 +59,13 @@ func Fig18(cfg Config) (*Table, error) {
 		Notes:  []string{"paper averages: 53.0 / 73.9 / 56.4 ns"},
 	}
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, 0, 3*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs,
-			fullOptions(cfg, b, sim.Options{Kind: mc.Uncompressed}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.Compresso}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC}))
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(
+		sim.Options{Kind: mc.Uncompressed}, sim.Options{Kind: mc.Compresso}, sim.Options{Kind: mc.TMCC}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		nc, cp, tm := ms[3*i], ms[3*i+1], ms[3*i+2]
+		nc, cp, tm := ms[i][0], ms[i][1], ms[i][2]
 		t.Add(b, nc.AvgL3MissLatencyNS(), cp.AvgL3MissLatencyNS(), tm.AvgL3MissLatencyNS())
 	}
 	t.Mean("average")
@@ -96,16 +84,12 @@ func Fig19(cfg Config) (*Table, error) {
 		Notes:  []string{"paper averages: 0.76 / 0.22 / ~0 / ~0.02"},
 	}
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, len(benches))
-	for i, b := range benches {
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.TMCC})
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(sim.Options{Kind: mc.TMCC}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		m := ms[i]
+		m := ms[i][0]
 		total := float64(m.MC.CTEHits + m.MC.CTEMisses)
 		t.Add(b,
 			float64(m.MC.CTEHits)/total,
@@ -136,13 +120,13 @@ type budgets struct {
 // used to keep: tab4, fig20, fig21 and senssmall revisit these exact runs
 // and get them for free, whatever order the experiments execute in.
 func colBudgets(cfg Config, benches []string) (*budgets, error) {
-	jobs := make([]sim.Options, len(benches))
-	colB := make([]uint64, len(benches))
-	for i, b := range benches {
-		colB[i] = sim.CompressoBudget(b, cfg.Seed)
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, BudgetPages: colB[i]})
+	out := &budgets{colB: map[string]uint64{}, colC: map[string]uint64{}, spcB: map[string]float64{}}
+	for _, b := range benches {
+		out.colB[b] = sim.CompressoBudget(b, cfg.Seed)
 	}
-	cps, err := runAll(jobs)
+	cps, err := grid(cfg, benches, func(b string) []sim.Options {
+		return []sim.Options{{Kind: mc.Compresso, BudgetPages: out.colB[b]}}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -150,27 +134,22 @@ func colBudgets(cfg Config, benches []string) (*budgets, error) {
 	best := make([]uint64, len(benches))
 	errs := make([]error, len(benches))
 	var wg sync.WaitGroup
-	for i := range benches {
+	for i, b := range benches {
+		out.spcB[b] = cps[i][0].StoresPerCycle()
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, b string, colB uint64, spcB float64) {
 			defer wg.Done()
-			best[i], errs[i] = isoBudget(colB[i], cps[i].StoresPerCycle()*0.99, func(budget uint64) (sim.Metrics, error) {
-				return runOne(cfg, benches[i], sim.Options{Kind: mc.TMCC, BudgetPages: budget})
+			best[i], errs[i] = isoBudget(colB, spcB*0.99, func(budget uint64) (sim.Metrics, error) {
+				return runOne(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: budget})
 			})
-		}(i)
+		}(i, b, out.colB[b], out.spcB[b])
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s iso-performance search: %w", benches[i], err)
-		}
-	}
-
-	out := &budgets{colB: map[string]uint64{}, colC: map[string]uint64{}, spcB: map[string]float64{}}
 	for i, b := range benches {
-		out.colB[b] = colB[i]
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s iso-performance search: %w", b, errs[i])
+		}
 		out.colC[b] = best[i]
-		out.spcB[b] = cps[i].StoresPerCycle()
 	}
 	return out, nil
 }
@@ -249,44 +228,41 @@ func Fig20(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	ibm := ibmdeflate.Default()
-	cols := []string{"colB", "colC"}
-	// Four runs per (column, benchmark), submitted as one flat job list.
-	var jobs []sim.Options
-	for _, col := range cols {
-		for _, b := range benches {
-			budget := bg.colB[b]
-			if col == "colC" {
-				budget = bg.colC[b]
-			}
-			jobs = append(jobs,
-				fullOptions(cfg, b, sim.Options{Kind: mc.OSInspired, BudgetPages: budget}),
-				// ML1 optimization only: embedding on, slow (IBM-class) ML2.
-				fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: budget,
-					ML2HalfPage: ibm.HalfPageLatency(config.PageSize), ML2Compress: ibm.CompressLatency(config.PageSize)}),
-				// ML2 optimization only: fast Deflate, embedding off.
-				fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: budget, DisableEmbed: true}),
-				fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: budget}))
+	// The bare-bone baseline and the three TMCC variants at one budget.
+	designs := func(budget uint64) []sim.Options {
+		return []sim.Options{
+			{Kind: mc.OSInspired, BudgetPages: budget},
+			// ML1 optimization only: embedding on, slow (IBM-class) ML2.
+			{Kind: mc.TMCC, BudgetPages: budget,
+				ML2HalfPage: ibm.HalfPageLatency(config.PageSize), ML2Compress: ibm.CompressLatency(config.PageSize)},
+			// ML2 optimization only: fast Deflate, embedding off.
+			{Kind: mc.TMCC, BudgetPages: budget, DisableEmbed: true},
+			{Kind: mc.TMCC, BudgetPages: budget},
 		}
 	}
-	ms, err := runAll(jobs)
+	cols := []string{"colB", "colC"}
+	ms, err := grid(cfg, benches, func(b string) []sim.Options {
+		return append(designs(bg.colB[b]), designs(bg.colC[b])...)
+	})
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, col := range cols {
-		prodM1, prodM2, prodFull := 1.0, 1.0, 1.0
-		n := 0
-		for range benches {
-			base, m1, m2, full := ms[idx], ms[idx+1], ms[idx+2], ms[idx+3]
-			idx += 4
-			s := base.StoresPerCycle()
-			prodM1 *= m1.StoresPerCycle() / s
-			prodM2 *= m2.StoresPerCycle() / s
-			prodFull *= full.StoresPerCycle() / s
-			n++
+	for c, col := range cols {
+		// Geomean speedups of ML1-only, ML2-only and full TMCC.
+		prods := []float64{1, 1, 1}
+		for _, runs := range ms {
+			// runs holds the designs at column B, then at column C.
+			atCol := runs[c*len(runs)/len(cols):]
+			s := atCol[0].StoresPerCycle()
+			for k := range prods {
+				prods[k] *= atCol[k+1].StoresPerCycle() / s
+			}
 		}
-		inv := 1 / float64(n)
-		t.Add(col, 1, math.Pow(prodM1, inv), math.Pow(prodM2, inv), math.Pow(prodFull, inv))
+		row := []float64{1}
+		for _, p := range prods {
+			row = append(row, math.Pow(p, 1/float64(len(benches))))
+		}
+		t.Add(col, row...)
 	}
 	return t, nil
 }
@@ -308,13 +284,9 @@ func Fig21(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sim.Options, 0, 2*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs,
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: bg.colB[b]}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: bg.colC[b]}))
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, func(b string) []sim.Options {
+		return []sim.Options{{Kind: mc.TMCC, BudgetPages: bg.colB[b]}, {Kind: mc.TMCC, BudgetPages: bg.colC[b]}}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +294,7 @@ func Fig21(cfg Config) (*Table, error) {
 		return float64(m.MC.ML2Reads) / float64(m.LLCMisses+m.Writebacks)
 	}
 	for i, b := range benches {
-		t.Add(b, rate(ms[2*i]), rate(ms[2*i+1]))
+		t.Add(b, rate(ms[i][0]), rate(ms[i][1]))
 	}
 	t.Mean("average")
 	return t, nil
@@ -353,19 +325,15 @@ func Fig22(cfg Config) (*Table, error) {
 		s.DRAM.ChannelInterleaveBytes = chIl
 		return s
 	}
-	jobs := make([]sim.Options, 0, 3*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs,
-			fullOptions(cfg, b, sim.Options{Kind: mc.Uncompressed, Sys: mkSys(512, 256)}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.Uncompressed, Sys: mkSys(config.PageSize, 256)}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.Uncompressed, Sys: mkSys(config.PageSize, config.PageSize)}))
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(
+		sim.Options{Kind: mc.Uncompressed, Sys: mkSys(512, 256)},
+		sim.Options{Kind: mc.Uncompressed, Sys: mkSys(config.PageSize, 256)},
+		sim.Options{Kind: mc.Uncompressed, Sys: mkSys(config.PageSize, config.PageSize)}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		base, compat, pageAll := ms[3*i], ms[3*i+1], ms[3*i+2]
+		base, compat, pageAll := ms[i][0], ms[i][1], ms[i][2]
 		s := base.StoresPerCycle()
 		t.Add(b, compat.StoresPerCycle()/s, pageAll.StoresPerCycle()/s)
 	}
@@ -391,16 +359,14 @@ func SensSmall(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]sim.Options, len(benches))
-	for i, b := range benches {
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, BudgetPages: bg.colB[b]})
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, func(b string) []sim.Options {
+		return []sim.Options{{Kind: mc.TMCC, BudgetPages: bg.colB[b]}}
+	})
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		t.Add(b, ms[i].StoresPerCycle()/bg.spcB[b], float64(bg.colB[b])/float64(bg.colC[b]))
+		t.Add(b, ms[i][0].StoresPerCycle()/bg.spcB[b], float64(bg.colB[b])/float64(bg.colC[b]))
 	}
 	t.GeoMean("geomean")
 	return t, nil
@@ -421,18 +387,13 @@ func SensHuge(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		benches = benches[:3]
 	}
-	jobs := make([]sim.Options, 0, 2*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs,
-			fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, HugePages: true}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, HugePages: true}))
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(
+		sim.Options{Kind: mc.Compresso, HugePages: true}, sim.Options{Kind: mc.TMCC, HugePages: true}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		cp, tm := ms[2*i], ms[2*i+1]
+		cp, tm := ms[i][0], ms[i][1]
 		t.Add(b, tm.StoresPerCycle()/cp.StoresPerCycle())
 	}
 	t.GeoMean("geomean")
@@ -456,23 +417,16 @@ func AblationCTE(cfg Config) (*Table, error) {
 	mk := func(sizeKB, reach int) *config.CTECacheCfg {
 		return &config.CTECacheCfg{SizeKB: sizeKB, ReachPerBlock: reach, Assoc: 8}
 	}
-	ctes := []*config.CTECacheCfg{
-		mk(64, 4*config.KiB), mk(256, 4*config.KiB), mk(64, 32*config.KiB),
-	}
-	jobs := make([]sim.Options, 0, len(ctes)*len(benches))
-	for _, b := range benches {
-		for _, c := range ctes {
-			jobs = append(jobs, fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, CTEOverride: c}))
-		}
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(
+		sim.Options{Kind: mc.Compresso, CTEOverride: mk(64, 4*config.KiB)},
+		sim.Options{Kind: mc.Compresso, CTEOverride: mk(256, 4*config.KiB)},
+		sim.Options{Kind: mc.Compresso, CTEOverride: mk(64, 32*config.KiB)}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
 		var vals []float64
-		for j := range ctes {
-			m := ms[i*len(ctes)+j]
+		for _, m := range ms[i] {
 			vals = append(vals, float64(m.MC.CTEMisses)/float64(m.LLCMisses))
 		}
 		t.Add(b, vals...)

@@ -31,16 +31,12 @@ func Fig1(cfg Config) (*Table, error) {
 	}
 	cte := config.ProblemCTE()
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, len(benches))
-	for i, b := range benches {
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, CTEOverride: &cte})
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(sim.Options{Kind: mc.Compresso, CTEOverride: &cte}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		m := ms[i]
+		m := ms[i][0]
 		t.Add(b,
 			float64(m.TLBMisses)/float64(m.LLCMisses),
 			float64(m.MC.CTEMisses)/float64(m.LLCMisses))
@@ -64,16 +60,12 @@ func Fig2(cfg Config) (*Table, error) {
 	}
 	cte := config.CTECacheCfg{SizeKB: 256, ReachPerBlock: 4 * config.KiB, Assoc: 8}
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, len(benches))
-	for i, b := range benches {
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, CTEOverride: &cte, VictimShadow: true})
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(sim.Options{Kind: mc.Compresso, CTEOverride: &cte, VictimShadow: true}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		m := ms[i]
+		m := ms[i][0]
 		total := float64(m.MC.CTEHits + m.MC.CTEMisses)
 		hitCTE := float64(m.MC.CTEHits) / total
 		hitLLC := float64(m.MC.CTEVictimHits) / total
@@ -95,18 +87,14 @@ func Fig5(cfg Config) (*Table, error) {
 		Notes:  []string{"paper average: 0.89"},
 	}
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, len(benches))
-	for i, b := range benches {
-		// The bare-bone OS-inspired design has page-level CTEs and no
-		// embedding, isolating the correlation.
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.OSInspired})
-	}
-	ms, err := runAll(jobs)
+	// The bare-bone OS-inspired design has page-level CTEs and no
+	// embedding, isolating the correlation.
+	ms, err := grid(cfg, benches, each(sim.Options{Kind: mc.OSInspired}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		m := ms[i]
+		m := ms[i][0]
 		if m.MC.CTEMisses == 0 {
 			t.Add(b, 0)
 			continue
@@ -161,16 +149,12 @@ func Fig16(cfg Config) (*Table, error) {
 		Notes:  []string{"paper: read utilization 10-60%, shortestPath/canneal highest"},
 	}
 	benches := workload.LargeBenchmarks()
-	jobs := make([]sim.Options, len(benches))
-	for i, b := range benches {
-		jobs[i] = fullOptions(cfg, b, sim.Options{Kind: mc.Uncompressed})
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(sim.Options{Kind: mc.Uncompressed}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		m := ms[i]
+		m := ms[i][0]
 		rw := float64(m.DRAMReads + m.DRAMWrites)
 		readFrac := 1.0
 		if rw > 0 {

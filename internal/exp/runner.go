@@ -31,14 +31,38 @@ func fullOptions(cfg Config, bench string, opt sim.Options) sim.Options {
 
 // runOne executes (or recalls) a single simulation through the engine.
 // Sequential call sites — the budget bisection, whose iteration k depends
-// on iteration k-1 — use this; fan-out sites submit a job list via runAll.
+// on iteration k-1 — use this; fan-out sites submit a job grid.
 func runOne(cfg Config, bench string, opt sim.Options) (sim.Metrics, error) {
 	return eng.Run(fullOptions(cfg, bench, opt))
 }
 
-// runAll submits the full job list up front and collects results by
-// submission index: the experiment's table is assembled in job order, so
-// its bytes cannot depend on how the pool scheduled the runs.
-func runAll(jobs []sim.Options) ([]sim.Metrics, error) {
-	return eng.RunAll(jobs)
+// grid runs variants(b) for every benchmark b, all submitted as one job
+// list, and returns ms[i][v]: the metrics of variant v on benches[i].
+// Results are collected by submission index, so a table assembled from
+// them cannot depend on how the pool scheduled the runs.
+func grid(cfg Config, benches []string, variants func(bench string) []sim.Options) ([][]sim.Metrics, error) {
+	var jobs []sim.Options
+	counts := make([]int, len(benches))
+	for i, b := range benches {
+		vs := variants(b)
+		counts[i] = len(vs)
+		for _, v := range vs {
+			jobs = append(jobs, fullOptions(cfg, b, v))
+		}
+	}
+	flat, err := eng.RunAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	ms := make([][]sim.Metrics, len(benches))
+	for i, n := range counts {
+		ms[i], flat = flat[:n:n], flat[n:]
+	}
+	return ms, nil
+}
+
+// each is the variants function of a grid whose variants are the same
+// for every benchmark.
+func each(variants ...sim.Options) func(string) []sim.Options {
+	return func(string) []sim.Options { return variants }
 }

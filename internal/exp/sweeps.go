@@ -34,33 +34,27 @@ func AblationCTEBuf(cfg Config) (*Table, error) {
 		Notes:  []string{"paper picks 64 entries (~1KB); the curve saturates near there"},
 	}
 	points := []int{8, 16, 32, 64, 128}
-	benches := sweepBenches(cfg)
-	jobs := make([]sim.Options, 0, len(points)*len(benches))
-	for _, entries := range points {
+	variants := make([]sim.Options, len(points))
+	for p, entries := range points {
 		sys := config.Default()
 		sys.Comp.CTEBufEntries = entries
-		for _, b := range benches {
-			jobs = append(jobs, fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, Sys: sys}))
-		}
+		variants[p] = sim.Options{Kind: mc.TMCC, Sys: sys}
 	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, sweepBenches(cfg), each(variants...))
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, entries := range points {
+	n := float64(len(ms))
+	for p, entries := range points {
 		var par, ser, spc float64
-		n := 0
-		for range benches {
-			m := ms[idx]
-			idx++
+		for _, runs := range ms {
+			m := runs[p]
 			miss := float64(m.MC.CTEHits + m.MC.CTEMisses)
 			par += float64(m.MC.ParallelOK+m.MC.ParallelWrong) / miss
 			ser += float64(m.MC.SerialNoEmbed) / miss
 			spc += m.StoresPerCycle()
-			n++
 		}
-		t.Add(fmt.Sprintf("%d", entries), par/float64(n), ser/float64(n), spc/float64(n))
+		t.Add(fmt.Sprintf("%d", entries), par/n, ser/n, spc/n)
 	}
 	return t, nil
 }
@@ -76,31 +70,25 @@ func AblationRecency(cfg Config) (*Table, error) {
 		Notes:  []string{"paper samples 1% of ML1 accesses"},
 	}
 	rates := []float64{0.001, 0.01, 0.05, 0.2}
-	benches := sweepBenches(cfg)
-	jobs := make([]sim.Options, 0, len(rates)*len(benches))
-	for _, rate := range rates {
+	variants := make([]sim.Options, len(rates))
+	for p, rate := range rates {
 		sys := config.Default()
 		sys.Comp.RecencySampleRate = rate
-		for _, b := range benches {
-			jobs = append(jobs, fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, Sys: sys}))
-		}
+		variants[p] = sim.Options{Kind: mc.TMCC, Sys: sys}
 	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, sweepBenches(cfg), each(variants...))
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, rate := range rates {
+	n := float64(len(ms))
+	for p, rate := range rates {
 		var ml2, spc float64
-		n := 0
-		for range benches {
-			m := ms[idx]
-			idx++
+		for _, runs := range ms {
+			m := runs[p]
 			ml2 += float64(m.MC.ML2Reads) / float64(m.LLCMisses+1)
 			spc += m.StoresPerCycle()
-			n++
 		}
-		t.Add(fmt.Sprintf("%.3f", rate), ml2/float64(n), spc/float64(n))
+		t.Add(fmt.Sprintf("%.3f", rate), ml2/n, spc/n)
 	}
 	return t, nil
 }
@@ -116,33 +104,28 @@ func AblationTLB(cfg Config) (*Table, error) {
 		Notes:  []string{"smaller TLBs raise walk rates and widen TMCC's advantage"},
 	}
 	points := []int{512, 1024, 2048, 4096} //tmcclint:allow magic-literal (TLB entry count)
-	benches := sweepBenches(cfg)
-	jobs := make([]sim.Options, 0, 2*len(points)*len(benches))
-	for _, entries := range points {
+	// Every point on Compresso, then every point on TMCC.
+	variants := make([]sim.Options, 2*len(points))
+	for p, entries := range points {
 		sys := config.Default()
 		sys.CPU.TLBEntries = entries
-		for _, b := range benches {
-			jobs = append(jobs,
-				fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, Sys: sys}),
-				fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, Sys: sys}))
-		}
+		variants[p] = sim.Options{Kind: mc.Compresso, Sys: sys}
+		variants[len(points)+p] = sim.Options{Kind: mc.TMCC, Sys: sys}
 	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, sweepBenches(cfg), each(variants...))
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, entries := range points {
+	n := float64(len(ms))
+	for p, entries := range points {
 		var missRatio, ratio float64
-		n := 0
-		for range benches {
-			cp, tm := ms[idx], ms[idx+1]
-			idx += 2
+		for _, runs := range ms {
+			cps, tms := runs[:len(points)], runs[len(points):]
+			cp, tm := cps[p], tms[p]
 			missRatio += float64(cp.TLBMisses) / float64(cp.LLCMisses)
 			ratio += tm.StoresPerCycle() / cp.StoresPerCycle()
-			n++
 		}
-		t.Add(fmt.Sprintf("%d", entries), missRatio/float64(n), ratio/float64(n))
+		t.Add(fmt.Sprintf("%d", entries), missRatio/n, ratio/n)
 	}
 	return t, nil
 }

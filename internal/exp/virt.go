@@ -29,20 +29,16 @@ func Ext2DWalk(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		benches = benches[:2]
 	}
-	jobs := make([]sim.Options, 0, 4*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs,
-			fullOptions(cfg, b, sim.Options{Kind: mc.Compresso}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.Compresso, Virtualized: true}),
-			fullOptions(cfg, b, sim.Options{Kind: mc.TMCC, Virtualized: true}))
-	}
-	ms, err := runAll(jobs)
+	ms, err := grid(cfg, benches, each(
+		sim.Options{Kind: mc.Compresso},
+		sim.Options{Kind: mc.TMCC},
+		sim.Options{Kind: mc.Compresso, Virtualized: true},
+		sim.Options{Kind: mc.TMCC, Virtualized: true}))
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		cpN, tmN, cpV, tmV := ms[4*i], ms[4*i+1], ms[4*i+2], ms[4*i+3]
+		cpN, tmN, cpV, tmV := ms[i][0], ms[i][1], ms[i][2], ms[i][3]
 		t.Add(b,
 			tmN.StoresPerCycle()/cpN.StoresPerCycle(),
 			tmV.StoresPerCycle()/cpV.StoresPerCycle(),

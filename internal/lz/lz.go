@@ -94,10 +94,6 @@ func (c *Compressor) beginPage() {
 // Window returns the configured CAM size.
 func (c *Compressor) Window() int { return c.window }
 
-// MaxMatch returns the longest encodable match under this window's token
-// format.
-func (c *Compressor) MaxMatch() int { return c.maxMatch }
-
 func hash3(b []byte) uint32 {
 	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16
 	return (v * 0x9E3779B1) >> 18 // 14-bit hash

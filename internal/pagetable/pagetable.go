@@ -306,6 +306,20 @@ func (t *Table) PTBAt(slot int) *[PTEsPerPTB]uint64 {
 	return (*[PTEsPerPTB]uint64)(t.nodes[slot/PTBsPerPage].ptes[b : b+PTEsPerPTB])
 }
 
+// DensePPNs returns the data PPN of each vpn in [lo, lo+n), with missing
+// where the vpn is unmapped. A built table is static, so a simulator can
+// collapse the per-access radix descent to one bounds check and one load.
+func (t *Table) DensePPNs(lo, n, missing uint64) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = missing
+		if ppn, ok := t.Lookup(lo + uint64(i)); ok {
+			out[i] = ppn
+		}
+	}
+	return out
+}
+
 // Lookup returns the data PPN for vpn without recording walk steps. It
 // descends the radix directly — no step slice, no allocation — because
 // the simulator translates on every access.
@@ -327,13 +341,4 @@ func (t *Table) Lookup(vpn uint64) (uint64, bool) {
 		}
 		n = n.children[i]
 	}
-}
-
-// MustLookup panics on unmapped vpn; for tests and trace plumbing.
-func (t *Table) MustLookup(vpn uint64) uint64 {
-	ppn, ok := t.Lookup(vpn)
-	if !ok {
-		panic(fmt.Sprintf("pagetable: vpn %#x unmapped", vpn))
-	}
-	return ppn
 }

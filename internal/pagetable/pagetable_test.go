@@ -250,3 +250,30 @@ func TestFig6StatusHomogeneity(t *testing.T) {
 	t.Logf("L1 %.4f (paper 0.9994), L2 %.4f (paper 0.993), PTBs l1=%d l2=%d",
 		l1, l2, total[1], total[2])
 }
+
+func TestDensePPNsMatchesLookup(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		pt := New(seqAlloc(), huge)
+		step := uint64(3) // leave holes between mappings
+		if huge {
+			step = 2 * EntriesPer
+		}
+		for vpn := uint64(EntriesPer); vpn < 8*EntriesPer; vpn += step {
+			pt.Map(vpn, vpn*7, FlagPresent)
+		}
+		const lo, n, missing = EntriesPer - 100, 8 * EntriesPer, ^uint64(0)
+		got := pt.DensePPNs(lo, n, missing)
+		if len(got) != n {
+			t.Fatalf("huge=%v: %d entries, want %d", huge, len(got), n)
+		}
+		for i, ppn := range got {
+			want, ok := pt.Lookup(lo + uint64(i))
+			if !ok {
+				want = missing
+			}
+			if ppn != want {
+				t.Fatalf("huge=%v: vpn %#x -> %#x, Lookup says %#x", huge, lo+uint64(i), ppn, want)
+			}
+		}
+	}
+}

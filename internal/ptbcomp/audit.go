@@ -6,12 +6,18 @@ import (
 	"tmcc/internal/config"
 )
 
-// auditRoundTrip proves that the in-cache representation really fits the
-// hardware's 64B PTB: Pack must succeed within ptbBits, and Unpack(Pack(cp))
-// must reproduce the status bits, every truncated PPN, and each embedded CTE
-// slot the geometry keeps. It runs under the tmccdebug build tag after
-// Compress and Embed via check.Invariant.
-func (c Config) auditRoundTrip(cp *Compressed) error {
+// Fit proves that a PTB holding ptes with the embedded slots s fits the
+// hardware's 64B block: the PTEs must compress, Pack must fit them with
+// the slots within ptbBits, and Unpack must reproduce the status bits,
+// every truncated PPN, and each embedded CTE slot the geometry keeps.
+// The simulator runs it under the tmccdebug build tag once per PTB its
+// warmup embeds into.
+func (c Config) Fit(ptes *[8]uint64, s *Slots) error {
+	cp, ok := c.Compress(ptes)
+	if !ok {
+		return fmt.Errorf("PTB %#x is not compressible", *ptes)
+	}
+	cp.Slots = *s
 	raw, err := c.Pack(cp)
 	if err != nil {
 		return err

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"tmcc/internal/check"
 	"tmcc/internal/config"
 	"tmcc/internal/cte"
 	"tmcc/internal/pagetable"
@@ -82,15 +81,21 @@ func (c Config) Compressible(ptes *[8]uint64) bool {
 	return true
 }
 
+// Slots are the embedded-CTE slots of a compressed PTB: slot i holds the
+// truncated CTE of the page PTE i points to, and HasCTE marks slots that
+// have been filled (lazily, Section V-A3). Embed is the only writer.
+type Slots struct {
+	CTEs   [8]uint32
+	HasCTE [8]bool
+}
+
 // Compressed is the in-cache representation of a compressed PTB: the
 // software-visible PTEs are recoverable by concatenation, and up to
-// MaxEmbeddable truncated CTEs ride along (CTE slot i translates the PPN of
-// PTE i). HasCTE marks slots that have been filled (lazily, Section V-A3).
+// MaxEmbeddable truncated CTEs ride along in its Slots.
 type Compressed struct {
 	Status uint32
 	PPNs   [8]uint64
-	CTEs   [8]uint32
-	HasCTE [8]bool
+	Slots
 }
 
 // Compress encodes a compressible PTB; ok=false if the block cannot be
@@ -103,23 +108,17 @@ func (c Config) Compress(ptes *[8]uint64) (*Compressed, bool) {
 	for i, pte := range ptes {
 		out.PPNs[i] = pagetable.PPN(pte)
 	}
-	if check.Enabled {
-		check.Invariant("ptbcomp: 64B fit after Compress", func() error { return c.auditRoundTrip(out) })
-	}
 	return out, true
 }
 
 // Embed stores entry's truncated CTE into slot i, if the geometry allows a
 // CTE for that slot.
-func (c Config) Embed(cp *Compressed, i int, e cte.Entry) bool {
+func (c Config) Embed(s *Slots, i int, e cte.Entry) bool {
 	if i >= c.MaxEmbeddable() {
 		return false
 	}
-	cp.CTEs[i] = e.Truncated(c.CTEBits)
-	cp.HasCTE[i] = true
-	if check.Enabled {
-		check.Invariant("ptbcomp: 64B fit after Embed", func() error { return c.auditRoundTrip(cp) })
-	}
+	s.CTEs[i] = e.Truncated(c.CTEBits)
+	s.HasCTE[i] = true
 	return true
 }
 

@@ -93,7 +93,7 @@ func TestEmbedAndPackRoundTrip(t *testing.T) {
 	cp, _ := cfg.Compress(&ptes)
 	for i := 0; i < cfg.MaxEmbeddable(); i++ {
 		e := cte.Entry{DRAMPage: uint32(rng.Intn(1 << 28))}
-		if !cfg.Embed(cp, i, e) {
+		if !cfg.Embed(&cp.Slots, i, e) {
 			t.Fatalf("embed slot %d failed", i)
 		}
 	}
@@ -111,6 +111,13 @@ func TestEmbedAndPackRoundTrip(t *testing.T) {
 	if back.Status != cp.Status || back.PPNs != cp.PPNs || back.CTEs != cp.CTEs || back.HasCTE != cp.HasCTE {
 		t.Fatalf("unpack mismatch:\n got %+v\nwant %+v", back, cp)
 	}
+	if err := cfg.Fit(&ptes, &cp.Slots); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	ptes[2] |= pagetable.FlagPCD
+	if err := cfg.Fit(&ptes, &cp.Slots); err == nil {
+		t.Fatal("Fit accepted a PTB with mixed status bits")
+	}
 }
 
 func TestEmbedBeyondCapacity(t *testing.T) {
@@ -120,10 +127,10 @@ func TestEmbedBeyondCapacity(t *testing.T) {
 		ptes[i] = pagetable.MakePTE(uint64(i), pagetable.FlagPresent)
 	}
 	cp, _ := cfg.Compress(&ptes)
-	if cfg.Embed(cp, 6, cte.Entry{}) {
+	if cfg.Embed(&cp.Slots, 6, cte.Entry{}) {
 		t.Error("embedded past capacity")
 	}
-	if !cfg.Embed(cp, 5, cte.Entry{}) {
+	if !cfg.Embed(&cp.Slots, 5, cte.Entry{}) {
 		t.Error("slot 5 should fit")
 	}
 }
@@ -141,7 +148,7 @@ func TestQuickPackUnpack(t *testing.T) {
 		}
 		for i := 0; i < cfg.MaxEmbeddable(); i++ {
 			if rng.Intn(2) == 0 {
-				cfg.Embed(cp, i, cte.Entry{DRAMPage: uint32(rng.Intn(1 << 28))})
+				cfg.Embed(&cp.Slots, i, cte.Entry{DRAMPage: uint32(rng.Intn(1 << 28))})
 			}
 		}
 		raw, err := cfg.Pack(cp)

@@ -55,16 +55,8 @@ func nativeAddressSpace(dataPages, osPages uint64, cfg pagetable.OSConfig) (*pag
 		return b.as, b.vpnToPPN
 	}
 	b = &builtAS{key: key, as: pagetable.BuildAddressSpace(dataPages, osPages, cfg)}
-	// The page table is static after build, so the per-access radix
-	// descent collapses to one load (unmappedPPN marks holes).
 	lo, hi := b.as.VPNRange()
-	b.vpnToPPN = make([]uint64, hi-lo)
-	for i := range b.vpnToPPN {
-		b.vpnToPPN[i] = unmappedPPN
-		if ppn, ok := b.as.Table.Lookup(lo + uint64(i)); ok {
-			b.vpnToPPN[i] = ppn
-		}
-	}
+	b.vpnToPPN = b.as.Table.DensePPNs(lo, hi-lo, unmappedPPN)
 	if check.Enabled {
 		b.digest = b.sum()
 	}

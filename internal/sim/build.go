@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"tmcc/internal/cache"
+	"tmcc/internal/check"
 	"tmcc/internal/config"
 	"tmcc/internal/ctecache"
 	"tmcc/internal/fault"
@@ -42,11 +43,12 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 }
 
 // ErrGeometry reports a structure the model cannot build: a cache with no
-// whole set, a TLB whose entries do not fill whole sets, no core, miss
-// register, DRAM channel, rank, bank, row byte or memory controller, an
-// interleave of zero bytes across several channels or controllers, no
-// migration buffer entry or MC queue slot on a design that migrates
-// pages, or a CTE Buffer outside 1..MaxBufferEntries.
+// whole set, a TLB whose entries do not fill whole sets, no core, issue
+// slot, miss register, DRAM channel, rank, bank, row byte or memory
+// controller, a DRAM burst or CPU cycle shorter than 1 ps, an OS physical
+// space smaller than DRAM, an interleave of zero bytes across several
+// channels or controllers, no migration buffer entry or MC queue slot on a
+// design that migrates pages, or a CTE Buffer outside 1..MaxBufferEntries.
 // NewRunnerFull returns it (wrapped, naming the structure) before building
 // anything.
 var ErrGeometry = errors.New("degenerate geometry")
@@ -77,6 +79,10 @@ func checkGeometry(opt Options, sys config.System) error {
 		return fmt.Errorf("sim: %s/%s: %w: TLB of %d entries, %d-way, is not whole sets",
 			opt.Benchmark, opt.Kind, ErrGeometry, cpu.TLBEntries, cpu.TLBAssoc)
 	}
+	if f := sys.CPU.FreqGHz; !(f > 0 && f <= 1000) {
+		return fmt.Errorf("sim: %s/%s: %w: a %g GHz clock has no cycle of at least 1 ps",
+			opt.Benchmark, opt.Kind, ErrGeometry, f)
+	}
 	d := sys.DRAM
 	twoLevel := opt.Kind == mc.TMCC || opt.Kind == mc.OSInspired
 	for _, f := range []struct {
@@ -85,12 +91,15 @@ func checkGeometry(opt Options, sys config.System) error {
 		built bool
 	}{
 		{"cores", sys.CPU.Cores, true},
+		{"issue slots per core", sys.CPU.Width, true},
 		{"miss registers per core", sys.CPU.MaxMisses, true},
 		{"memory controllers", d.MCs, true},
 		{"DRAM channels per controller", d.Channels, true},
 		{"ranks per channel", d.RanksPerChan, true},
 		{"banks per rank", d.BanksPerRank, true},
 		{"bytes per DRAM row", d.RowBytes, true},
+		{"ps of DRAM burst", int(d.TBL), true},
+		{"OS physical pages per DRAM page", sys.Comp.OSExpansion, true},
 		{"bytes of inter-controller interleave", d.MCInterleaveBytes, d.MCs > 1},
 		{"bytes of channel interleave", d.ChannelInterleaveBytes, d.Channels > 1},
 		{"migration buffer pages", sys.Comp.MigrationBufPages, twoLevel},
@@ -223,6 +232,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		as:    as,
 		sizes: sizes,
 		mcc:   mcc,
+		embed: opt.Kind == mc.TMCC && !opt.DisableEmbed,
 		inj:   inj,
 		view:  view,
 		l3:    cache.New(sys.Cache.L3SizeMB*config.MiB, sys.Cache.Assoc*2),
@@ -237,10 +247,12 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	} else {
 		r.vlo, r.vpnToPPN = as.VBase, vpnToPPN
 	}
-	// Per-PTB hardware state, flat over the (now final) table's PTB slots,
-	// plus the reusable hot-loop scratch (see Runner field docs).
-	r.ptbs = make([]ptbState, r.as.Table.PTBSlots())
-	if rcfg.ScrubPages > 0 && opt.Kind == mc.TMCC && !opt.DisableEmbed {
+	// Per-PTB hardware state of an embedding run, flat over the (now
+	// final) table's PTB slots.
+	if r.embed {
+		r.ptbs = make([]ptbState, r.as.Table.PTBSlots())
+	}
+	if rcfg.ScrubPages > 0 && r.embed {
 		// Arm the RAS layer's embedded-CTE patrol: a bounded round-robin
 		// sweep over the PTB slots each policy window, refreshing stale
 		// embedded CTEs before a demand access mis-speculates on them. The
@@ -248,6 +260,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		// quota, and the seeded cursor, like the MC-side patrol's.
 		r.rasCTE = ras.New(ras.Config{ScrubPages: rcfg.ScrubPages, WindowPS: rcfg.WindowPS}, len(r.ptbs), opt.Seed)
 	}
+	// The reusable hot-loop scratch (see Runner field docs).
 	r.walkBuf = make([]pagetable.Step, 0, pagetable.Levels)
 	r.gwalkBuf = make([]pagetable.Step, 0, pagetable.Levels)
 	r.pfBuf = make([]uint64, 0, 1+sys.Cache.StrideDegreeL2)
@@ -285,7 +298,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	// Drive background eviction to steady state before any simulated time
 	// elapses (the paper's long atomic warmup does the same).
 	mcc.Settle()
-	if opt.Kind == mc.TMCC && !opt.DisableEmbed {
+	if r.embed {
 		r.warmEmbeddings()
 	}
 	r.observe(ob)
@@ -305,27 +318,33 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 // warmEmbeddings mirrors the paper's warmup phase, which explicitly warms
 // "ML1, ML2, and embedded CTEs in compressed PTBs" with at least a second
 // of atomic simulation: every compressible PTB gets the current truncated
-// CTEs of the pages it points to.
+// CTEs of the pages it points to. Only PTBs with a present PTE get state:
+// the RAS patrol charges simulated time per initialised PTB it visits.
 func (r *Runner) warmEmbeddings() {
-	r.as.Table.PTBs(func(b pagetable.PTB) {
-		slot, _ := r.as.Table.PTBSlot(b.Addr) // PTBs yields table PTBs only
+	for slot := range r.ptbs {
+		ptes := r.as.Table.PTBAt(slot)
+		if !anyPresent(ptes) {
+			continue
+		}
 		st := r.ptbState(slot)
 		if !st.compressible {
-			return
+			continue
 		}
-		max := r.pcfg.MaxEmbeddable()
-		for i, pte := range b.PTEs {
-			if i >= max || pte&pagetable.FlagPresent == 0 {
-				continue
-			}
-			ppn := pagetable.PPN(pte)
-			if !r.mcc.Placed(ppn) {
-				continue
-			}
-			st.entries[i] = r.mcc.CurrentCTE(ppn)
-			st.hasCTE[i] = true
+		r.reembed(st, ptes, false)
+		if check.Enabled {
+			check.Invariant("sim: warmed PTB fits 64B", func() error { return r.pcfg.Fit(ptes, &st.Slots) })
 		}
-	})
+	}
+}
+
+// anyPresent reports whether any of a PTB's eight PTEs is present.
+func anyPresent(ptes *[pagetable.PTEsPerPTB]uint64) bool {
+	for _, pte := range ptes {
+		if pte&pagetable.FlagPresent != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // place performs the warmup placement: compress and pack content into the

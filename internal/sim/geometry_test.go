@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"tmcc/internal/config"
@@ -10,16 +11,18 @@ import (
 )
 
 // TestDegenerateGeometryRejected pins the typed rejection of cache, TLB,
-// MSHR, core, DRAM, migration-buffer, MC queue-slot and CTE Buffer
-// geometries the model cannot build. Each row but the queue slots and the
-// oversized CTE Buffer used to panic: with an integer divide by zero in
-// the cache, TLB or DRAM constructor, the DRAM address map or at the
-// first CTE Buffer insert, on the TLB's whole-sets check, making the
-// per-core slices, or indexing the empty MSHR file, DRAM controller list
-// or migration buffer. Zero queue slots used to fall back silently to a
-// different stream width in each page-stream loop. The oversized Buffer
-// is refused because NewBuffer sizes its slot and count types for at
-// most MaxBufferEntries.
+// MSHR, core, issue-width, clock, DRAM, OS-expansion, migration-buffer,
+// MC queue-slot and CTE Buffer geometries the model cannot build. Most
+// rows used to panic: with an integer divide by zero in the cache, TLB or
+// DRAM constructor, the DRAM address map or bus scheduler, the core's
+// issue step or at the first CTE Buffer insert, on the TLB's whole-sets
+// check, making the per-core slices or the OS page pool, or indexing the
+// empty MSHR file, DRAM controller list or migration buffer. Zero queue
+// slots used to fall back silently to a different stream width in each
+// page-stream loop; a negative issue width or burst ran with negative
+// time steps, and a clock with no whole-picosecond cycle reported zero
+// cycles. The oversized Buffer is refused because NewBuffer sizes its
+// slot and count types for at most MaxBufferEntries.
 func TestDegenerateGeometryRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -49,6 +52,16 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{name: "MigrationBufPages=0/os-inspired", kind: mc.OSInspired, edit: func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
 		{name: "MaxQueueSlots=0/tmcc", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
 		{name: "MaxQueueSlots=0/os-inspired", kind: mc.OSInspired, edit: func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
+		{name: "CPU.Width=0", kind: mc.Uncompressed, edit: func(s *config.System) { s.CPU.Width = 0 }},
+		{name: "CPU.Width=-1", kind: mc.TMCC, edit: func(s *config.System) { s.CPU.Width = -1 }},
+		{name: "DRAM.TBL=0", kind: mc.Compresso, edit: func(s *config.System) { s.DRAM.TBL = 0 }},
+		{name: "DRAM.TBL=-1", kind: mc.TMCC, edit: func(s *config.System) { s.DRAM.TBL = -1 }},
+		{name: "OSExpansion=0", kind: mc.OSInspired, edit: func(s *config.System) { s.Comp.OSExpansion = 0 }},
+		{name: "OSExpansion=-1", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.OSExpansion = -1 }},
+		{name: "FreqGHz=0", kind: mc.TMCC, edit: func(s *config.System) { s.CPU.FreqGHz = 0 }},
+		{name: "FreqGHz=-2.8", kind: mc.Uncompressed, edit: func(s *config.System) { s.CPU.FreqGHz = -2.8 }},
+		{name: "FreqGHz=NaN", kind: mc.Compresso, edit: func(s *config.System) { s.CPU.FreqGHz = math.NaN() }},
+		{name: "FreqGHz=1001", kind: mc.OSInspired, edit: func(s *config.System) { s.CPU.FreqGHz = 1001 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()

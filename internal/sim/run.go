@@ -255,7 +255,7 @@ func (r *Runner) walk(c *core, t config.Time, vpn uint64) config.Time {
 		}
 		block := s.PTBAddr / config.BlockSize
 		t = r.memAccess(c, t, block, false, true, true)
-		if r.opt.Kind == mc.TMCC && !r.opt.DisableEmbed {
+		if r.embed {
 			r.loadCTEBuffer(c, s.PTBAddr)
 		}
 	}
@@ -332,7 +332,7 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	// inserts into the core's Buffer.
 	var embedded *cte.Entry
 	bufSlot := -1
-	if r.opt.Kind == mc.TMCC && !r.opt.DisableEmbed {
+	if r.embed {
 		if bufSlot = c.buf.Lookup(ppn); bufSlot >= 0 && c.buf.At(bufSlot).HasCTE {
 			tr := c.buf.At(bufSlot).CTE
 			if r.inj != nil {
@@ -525,17 +525,11 @@ func (r *Runner) loadCTEBuffer(c *core, ptbAddr uint64) {
 	if !st.compressible {
 		return
 	}
-	max := r.pcfg.MaxEmbeddable()
 	for i, pte := range r.as.Table.PTBAt(slot) {
-		if pte&1 == 0 { // not present
+		if pte&pagetable.FlagPresent == 0 {
 			continue
 		}
-		e := ctecache.BufEntry{PPN: pteePPN(pte), PTBSlot: slot}
-		if i < max && st.hasCTE[i] {
-			e.CTE = st.entries[i].Truncated(r.pcfg.CTEBits)
-			e.HasCTE = true
-		}
-		c.buf.Insert(e)
+		c.buf.Insert(ctecache.BufEntry{PPN: pagetable.PPN(pte), PTBSlot: slot, CTE: st.CTEs[i], HasCTE: st.HasCTE[i]})
 	}
 }
 
@@ -562,51 +556,51 @@ func (r *Runner) repairPTB(slot int, ppn uint64, correct cte.Entry) {
 		return
 	}
 	for i, pte := range r.as.Table.PTBAt(slot) {
-		if pte&1 != 0 && pteePPN(pte) == ppn {
-			if i < r.pcfg.MaxEmbeddable() {
-				st.entries[i] = correct
-				st.hasCTE[i] = true
-			}
+		if pte&pagetable.FlagPresent != 0 && pagetable.PPN(pte) == ppn {
+			r.pcfg.Embed(&st.Slots, i, correct)
 			return
 		}
 	}
 }
 
-func pteePPN(pte uint64) uint64 { return (pte >> 12) & (1<<40 - 1) }
+// reembed is the one walk over a compressible PTB's embeddable slots: it
+// embeds the current CTE of each placed page a present PTE points to —
+// every such slot at warmup, only the filled ones when filledOnly (the
+// RAS patrol) — and reports how many stored truncated CTEs it changed.
+func (r *Runner) reembed(st *ptbState, ptes *[pagetable.PTEsPerPTB]uint64, filledOnly bool) int {
+	changed := 0
+	for i, pte := range ptes[:r.pcfg.MaxEmbeddable()] {
+		ppn := pagetable.PPN(pte)
+		if pte&pagetable.FlagPresent == 0 || filledOnly && !st.HasCTE[i] || !r.mcc.Placed(ppn) {
+			continue
+		}
+		if e := r.mcc.CurrentCTE(ppn); !st.HasCTE[i] || st.CTEs[i] != e.Truncated(r.pcfg.CTEBits) {
+			r.pcfg.Embed(&st.Slots, i, e)
+			changed++
+		}
+	}
+	return changed
+}
 
 // patrolCTE runs the RAS embedded-CTE scrubber when a policy-window edge
 // passes: a bounded round-robin sweep over the PTB slots, comparing each
-// embedded CTE against the MC's authoritative translation and refreshing
-// stale copies before a demand access mis-speculates on them. The visit
-// and repair counts bank their cycle cost into the MC's scrub backlog
-// (ChargeCTEScrub), so the patrol is paid for on the same conserved
-// degraded-attr path as the MC-side payload patrol.
+// embedded CTE against the MC's authoritative translation truncated as a
+// PTB stores it, and refreshing stale copies before a demand access
+// mis-speculates on them. The visit and repair counts bank their cycle
+// cost into the MC's scrub backlog (ChargeCTEScrub), so the patrol is
+// paid for on the same conserved degraded-attr path as the MC-side
+// payload patrol.
 func (r *Runner) patrolCTE(now config.Time) {
 	quota := r.rasCTE.Tick(now).ScrubPages
 	if quota == 0 {
 		return
 	}
 	visited, repairs := 0, 0
-	max := r.pcfg.MaxEmbeddable()
 	for i := 0; i < quota; i++ {
 		slot := int(r.rasCTE.NextScrub(len(r.ptbs)))
-		st := &r.ptbs[slot]
-		if !st.init || !st.compressible {
-			continue
-		}
-		visited++
-		for j, pte := range r.as.Table.PTBAt(slot) {
-			if j >= max || pte&pagetable.FlagPresent == 0 || !st.hasCTE[j] {
-				continue
-			}
-			ppn := pteePPN(pte)
-			if !r.mcc.Placed(ppn) {
-				continue
-			}
-			if correct := r.mcc.CurrentCTE(ppn); st.entries[j] != correct {
-				st.entries[j] = correct
-				repairs++
-			}
+		if st := &r.ptbs[slot]; st.init && st.compressible {
+			visited++
+			repairs += r.reembed(st, r.as.Table.PTBAt(slot), true)
 		}
 	}
 	r.mcc.ChargeCTEScrub(visited, repairs)

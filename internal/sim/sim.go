@@ -122,7 +122,7 @@ func (m Metrics) AvgL3MissLatencyNS() float64 {
 }
 
 // ptbState tracks one hardware-compressed PTB and its embedded CTEs: the
-// stored entries are snapshots taken at embed time, so they go stale when
+// slots hold truncated CTEs taken at embed time, so they go stale when
 // pages migrate — exactly the hazard TMCC's verify-in-parallel handles.
 // The states live in a flat slice indexed by pagetable.Table.PTBSlot; init
 // marks slots whose compressibility has been derived (the walker first
@@ -130,8 +130,7 @@ func (m Metrics) AvgL3MissLatencyNS() float64 {
 type ptbState struct {
 	init         bool
 	compressible bool
-	hasCTE       [8]bool
-	entries      [8]cte.Entry
+	ptbcomp.Slots
 }
 
 // batchSize is the per-core access batch: the producer goroutine
@@ -199,9 +198,12 @@ type Runner struct {
 	gpaToHost []uint64
 	mcc       *mc.MC
 	l3        *cache.Cache
-	ptbs      []ptbState
-	pcfg      ptbcomp.Config
-	rng       *rand.Rand
+	// embed is TMCC's ML1 optimization gate (TMCC without DisableEmbed,
+	// which huge pages force); ptbs is nil unless it is set.
+	embed bool
+	ptbs  []ptbState
+	pcfg  ptbcomp.Config
+	rng   *rand.Rand
 
 	// vpnToPPN maps trace virtual pages (offset by vlo) to the physical
 	// page the MC sees — host-physical under virtualization. One bounds

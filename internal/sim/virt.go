@@ -38,25 +38,15 @@ func buildVirt(r *Runner, osPages uint64, seed int64) {
 	r.guest = guest
 	r.as = host // the "physical" space the MC sees is host-physical
 
-	hostLo, hostHi := host.VPNRange()
-	r.gpaToHost = make([]uint64, guestPool)
-	for gpn := uint64(0); gpn < guestPool; gpn++ {
-		r.gpaToHost[gpn] = unmappedPPN
-		if vpn := hostLo + gpn; vpn < hostHi {
-			if h, ok := host.Table.Lookup(vpn); ok {
-				r.gpaToHost[gpn] = h
-			}
-		}
-	}
+	// The host maps exactly the guestPool guest-physical pages.
+	hostLo, _ := host.VPNRange()
+	r.gpaToHost = host.Table.DensePPNs(hostLo, guestPool, unmappedPPN)
 	guestLo, guestHi := guest.VPNRange()
 	r.vlo = guestLo
-	r.vpnToPPN = make([]uint64, guestHi-guestLo)
-	for i := range r.vpnToPPN {
-		r.vpnToPPN[i] = unmappedPPN
-		if gpn, ok := guest.Table.Lookup(guestLo + uint64(i)); ok {
-			if h, ok := r.hostPPN(gpn); ok {
-				r.vpnToPPN[i] = h
-			}
+	r.vpnToPPN = guest.Table.DensePPNs(guestLo, guestHi-guestLo, unmappedPPN)
+	for i, gpn := range r.vpnToPPN {
+		if gpn != unmappedPPN {
+			r.vpnToPPN[i] = translate(r.gpaToHost, 0, gpn)
 		}
 	}
 }
