@@ -223,10 +223,67 @@ func (m *refLRU) invalidate(block uint64, w int) uint8 {
 	return f
 }
 
-// TestCacheMatchesReference drives Cache and refLRU with the same seeded
-// mix of Lookup/Probe/Insert/InvalidateAt and flag operations, and
-// requires identical hit/miss outcomes, victims and flags. Each
-// side acts on the slot its own probe returned.
+// refOps is the op mix of the reference comparison: kind 0-3 Lookup, 4-6
+// Insert after a miss (as the access path fills), 7 InvalidateAt, 8
+// SetFlagsAt, 9 OrFlagsAt and 10 Insert whatever the probe found, as the
+// Figure 2 victim shadow does after every probe.
+const refOps = 11
+
+// matchReference drives Cache and refLRU at sets x ways with the same
+// sequence of n ops, each drawn by next as (kind, block, flags), and
+// requires identical hit/miss outcomes, victims and flags. Each side acts
+// on the slot its own probe returned.
+func matchReference(t testing.TB, sets, ways, n int, next func() (int, uint64, uint8)) {
+	t.Helper()
+	c := New(sets*ways*64, ways)
+	m := newRefLRU(sets, ways)
+	for op := 0; op < n; op++ {
+		k, b, f := next()
+		cs, ms := c.Probe(b), m.probe(b)
+		if (cs >= 0) != (ms >= 0) {
+			t.Fatalf("op %d: Probe(%d) = %d, reference way %d", op, b, cs, ms)
+		}
+		switch {
+		case k < 4:
+			cs, ms = c.Lookup(b), m.lookup(b)
+			if (cs >= 0) != (ms >= 0) {
+				t.Fatalf("op %d: Lookup(%d) = %d, reference way %d", op, b, cs, ms)
+			}
+		case k < 7 || k == 10:
+			if k < 7 && cs >= 0 {
+				break
+			}
+			if cv, mv := c.Insert(b, f), m.insert(b, f); cv != mv {
+				t.Fatalf("op %d: Insert(%d) victim %+v, reference %+v", op, b, cv, mv)
+			}
+		case k == 7:
+			if cs >= 0 {
+				if cf, mf := c.InvalidateAt(cs), m.invalidate(b, ms); cf != mf {
+					t.Fatalf("op %d: InvalidateAt(%d) flags %x, reference %x", op, b, cf, mf)
+				}
+			}
+		default:
+			if cs < 0 {
+				break
+			}
+			s := m.set(b)
+			if k == 8 {
+				c.SetFlagsAt(cs, f)
+				m.flag[s][ms] = f
+			} else {
+				c.OrFlagsAt(cs, f)
+				m.flag[s][ms] |= f
+			}
+			if cf, mf := c.FlagsAt(cs), m.flag[s][ms]; cf != mf {
+				t.Fatalf("op %d: flags of %d = %x, reference %x", op, b, cf, mf)
+			}
+		}
+	}
+}
+
+// TestCacheMatchesReference runs the reference comparison on a seeded op
+// mix at the simulator's geometries (8 ways: L1, L2 and the CTE cache; 16:
+// L3 and the victim shadow) and at small, odd and direct-mapped ones.
 func TestCacheMatchesReference(t *testing.T) {
 	for _, g := range []struct {
 		name       string
@@ -235,58 +292,41 @@ func TestCacheMatchesReference(t *testing.T) {
 		{"pow2-16x4", 16, 4},
 		{"odd-3x4", 3, 4},
 		{"direct-5x1", 5, 1},
+		{"pow2-8x8", 8, 8},
+		{"full-4x16", 4, 16},
+		{"odd-3x12", 3, 12},
 	} {
 		t.Run(g.name, func(t *testing.T) {
-			c := New(g.sets*g.ways*64, g.ways)
-			m := newRefLRU(g.sets, g.ways)
 			rng := rand.New(rand.NewSource(int64(g.sets*100 + g.ways)))
 			span := 3 * g.sets * g.ways
-			for op := 0; op < 200000; op++ {
-				b := uint64(rng.Intn(span))
-				cs, ms := c.Probe(b), m.probe(b)
-				if (cs >= 0) != (ms >= 0) {
-					t.Fatalf("op %d: Probe(%d) = %d, reference way %d", op, b, cs, ms)
-				}
-				switch k := rng.Intn(10); {
-				case k < 4:
-					cs, ms = c.Lookup(b), m.lookup(b)
-					if (cs >= 0) != (ms >= 0) {
-						t.Fatalf("op %d: Lookup(%d) = %d, reference way %d", op, b, cs, ms)
-					}
-				case k < 7:
-					if cs >= 0 {
-						break // fills follow misses, as on the access path
-					}
-					f := uint8(rng.Intn(8))
-					if cv, mv := c.Insert(b, f), m.insert(b, f); cv != mv {
-						t.Fatalf("op %d: Insert(%d) victim %+v, reference %+v", op, b, cv, mv)
-					}
-				case k < 8:
-					if cs >= 0 {
-						if cf, mf := c.InvalidateAt(cs), m.invalidate(b, ms); cf != mf {
-							t.Fatalf("op %d: InvalidateAt(%d) flags %x, reference %x", op, b, cf, mf)
-						}
-					}
-				default:
-					if cs < 0 {
-						break
-					}
-					f := uint8(rng.Intn(8))
-					s := m.set(b)
-					if k == 8 {
-						c.SetFlagsAt(cs, f)
-						m.flag[s][ms] = f
-					} else {
-						c.OrFlagsAt(cs, f)
-						m.flag[s][ms] |= f
-					}
-					if cf, mf := c.FlagsAt(cs), m.flag[s][ms]; cf != mf {
-						t.Fatalf("op %d: flags of %d = %x, reference %x", op, b, cf, mf)
-					}
-				}
-			}
+			matchReference(t, g.sets, g.ways, 200000, func() (int, uint64, uint8) {
+				return rng.Intn(refOps), uint64(rng.Intn(span)), uint8(rng.Intn(8))
+			})
 		})
 	}
+}
+
+// FuzzCacheMatchesReference runs the reference comparison on a decoded
+// geometry, sets 1..8 and ways 1..16 from the first two bytes, and an op
+// per later byte pair: kind from the first, block (over twice the
+// cache's lines) and flags from the second.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 15, 10, 1, 10, 1, 0, 1, 7, 1, 10, 1})
+	f.Add([]byte{7, 7, 4, 3, 5, 9, 10, 3, 0, 9, 7, 9, 8, 200})
+	f.Add([]byte{2, 11, 6, 40, 6, 41, 6, 42, 10, 40, 3, 41, 9, 42})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		sets, ways := 1+int(data[0])%8, 1+int(data[1])%16
+		ops := data[2:]
+		span := 2 * sets * ways
+		matchReference(t, sets, ways, len(ops)/2, func() (int, uint64, uint8) {
+			k, x := ops[0], ops[1]
+			ops = ops[2:]
+			return int(k) % refOps, uint64(x) % uint64(span), x >> 5
+		})
+	})
 }
 
 // cacheSink keeps BenchmarkCacheLookupInsert's results live.

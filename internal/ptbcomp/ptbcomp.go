@@ -188,46 +188,65 @@ func (c Config) Unpack(raw []byte) (*Compressed, error) {
 	return cp, nil
 }
 
+// bitPacker writes fields MSB-first. Whole bytes leave the accumulator
+// as soon as they are complete, so fewer than 8 bits stay pending between
+// puts and a put of up to 56 bits moves in one step.
 type bitPacker struct {
 	buf  []byte
-	nbit uint
+	acc  uint64 // pending bits, right-aligned
+	nacc uint
 }
 
 func newBitPacker() *bitPacker { return &bitPacker{} }
 
+// put writes the low n bits of v.
 func (w *bitPacker) put(v uint64, n int) {
-	for i := n - 1; i >= 0; i-- {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
+	for n > 0 {
+		k := min(n, 56)
+		n -= k
+		w.acc = w.acc<<k | v>>n&(1<<k-1)
+		w.nacc += uint(k)
+		for w.nacc >= 8 {
+			w.nacc -= 8
+			w.buf = append(w.buf, byte(w.acc>>w.nacc))
 		}
-		bit := byte(v>>uint(i)) & 1
-		w.buf[len(w.buf)-1] |= bit << (7 - w.nbit%8)
-		w.nbit++
 	}
 }
 
 func (w *bitPacker) finish() []byte {
 	out := make([]byte, 64)
-	copy(out, w.buf)
+	n := copy(out, w.buf)
+	if w.nacc > 0 {
+		out[n] = byte(w.acc << (8 - w.nacc))
+	}
 	return out
 }
 
+// bitUnpacker reads fields MSB-first, refilling its accumulator a byte at
+// a time only as far as the field needs.
 type bitUnpacker struct {
-	buf []byte
-	pos uint
-	err error
+	buf  []byte // bytes not yet in acc
+	acc  uint64 // unread bits, right-aligned
+	nacc uint
+	err  error
 }
 
 func (r *bitUnpacker) get(n int) uint64 {
 	var v uint64
-	for i := 0; i < n; i++ {
-		if int(r.pos) >= len(r.buf)*8 {
+	for n > 0 {
+		k := uint(min(n, 56))
+		for r.nacc < k && len(r.buf) > 0 {
+			r.acc = r.acc<<8 | uint64(r.buf[0])
+			r.buf = r.buf[1:]
+			r.nacc += 8
+		}
+		if r.nacc < k {
 			r.err = fmt.Errorf("ptbcomp: unpack past end")
 			return 0
 		}
-		bit := r.buf[r.pos/8] >> (7 - r.pos%8) & 1
-		v = v<<1 | uint64(bit)
-		r.pos++
+		r.nacc -= k
+		v = v<<k | r.acc>>r.nacc&(1<<k-1)
+		n -= int(k)
 	}
 	return v
 }

@@ -1,6 +1,8 @@
 package ptbcomp
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,5 +187,89 @@ func TestTruncatedVerification(t *testing.T) {
 	}
 	if e.MatchesTruncated(tr+1, 28) {
 		t.Error("stale truncated CTE verified")
+	}
+}
+
+// bitPackerRef and bitUnpackerRef are the bit-at-a-time packer and
+// unpacker the accumulator versions replaced, kept as their oracle.
+type bitPackerRef struct {
+	buf  []byte
+	nbit uint
+}
+
+func (w *bitPackerRef) put(v uint64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		if w.nbit%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		bit := byte(v>>uint(i)) & 1
+		w.buf[len(w.buf)-1] |= bit << (7 - w.nbit%8)
+		w.nbit++
+	}
+}
+
+func (w *bitPackerRef) finish() []byte {
+	out := make([]byte, 64)
+	copy(out, w.buf)
+	return out
+}
+
+type bitUnpackerRef struct {
+	buf []byte
+	pos uint
+	err error
+}
+
+func (r *bitUnpackerRef) get(n int) uint64 {
+	var v uint64
+	for i := 0; i < n; i++ {
+		if int(r.pos) >= len(r.buf)*8 {
+			r.err = errors.New("ptbcomp: unpack past end")
+			return 0
+		}
+		bit := r.buf[r.pos/8] >> (7 - r.pos%8) & 1
+		v = v<<1 | uint64(bit)
+		r.pos++
+	}
+	return v
+}
+
+// TestBitPackerMatchesReference packs random field sequences (widths
+// 1..64, values with bits above the width set, up to the 512-bit PTB)
+// with both packers and requires the same 64 bytes, then reads the same
+// widths back with both unpackers, one field past the end included, and
+// requires the same values and the same past-end error.
+func TestBitPackerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 5000; iter++ {
+		var widths []int
+		var vals []uint64
+		w, ref := newBitPacker(), &bitPackerRef{}
+		for total := 0; ; {
+			n := 1 + rng.Intn(64)
+			if total+n > ptbBits {
+				break
+			}
+			v := rng.Uint64()
+			w.put(v, n)
+			ref.put(v, n)
+			widths, vals = append(widths, n), append(vals, v)
+			total += n
+		}
+		got, want := w.finish(), ref.finish()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("iter %d: packed %x, reference %x", iter, got, want)
+		}
+		r, rr := &bitUnpacker{buf: got}, &bitUnpackerRef{buf: want}
+		for i, n := range append(widths, 64) {
+			gv, wv := r.get(n), rr.get(n)
+			if gv != wv || (r.err != nil) != (rr.err != nil) {
+				t.Fatalf("iter %d: field %d (%d bits) read %#x err %v, reference %#x err %v",
+					iter, i, n, gv, r.err, wv, rr.err)
+			}
+			if i < len(widths) && gv != vals[i]&(1<<n-1) {
+				t.Fatalf("iter %d: field %d read %#x, packed %#x", iter, i, gv, vals[i])
+			}
+		}
 	}
 }

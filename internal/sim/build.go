@@ -43,7 +43,8 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 }
 
 // ErrGeometry reports a structure the model cannot build: a cache with no
-// whole set, a TLB whose entries do not fill whole sets, no core, issue
+// whole set or more than cache.MaxWays ways per set, a TLB whose entries
+// do not fill whole sets or whose sets are wider than that, no core, issue
 // slot, miss register, DRAM channel, rank, bank, row byte or memory
 // controller, a DRAM burst or CPU cycle shorter than 1 ps, an OS physical
 // space smaller than DRAM, an interleave of zero bytes across several
@@ -54,10 +55,11 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 var ErrGeometry = errors.New("degenerate geometry")
 
 // checkGeometry rejects with ErrGeometry any cache the run would build
-// with fewer than one set, a TLB with no set or a partial one, any count
-// the run divides by or indexes into that is below one, and a TMCC CTE
-// Buffer size NewBuffer refuses. The MC's victim shadow has L3's size and
-// 16 ways, so the L3 row covers it.
+// with fewer than one set or more than cache.MaxWays ways per set, a TLB
+// with no set, a partial one or one that wide, any count the run divides
+// by or indexes into that is below one, and a TMCC CTE Buffer size
+// NewBuffer refuses. The MC's victim shadow has L3's size and 16 ways,
+// so the L3 row covers it.
 func checkGeometry(opt Options, sys config.System) error {
 	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
 	for _, c := range []struct {
@@ -70,14 +72,25 @@ func checkGeometry(opt Options, sys config.System) error {
 		{"L3", sys.Cache.L3SizeMB * config.MiB, sys.Cache.Assoc * 2, true},
 		{"CTE cache", cte.SizeKB * config.KiB, cte.Assoc, opt.Kind != mc.Uncompressed},
 	} {
-		if c.built && cache.Sets(c.size, c.ways) < 1 {
+		if !c.built {
+			continue
+		}
+		if cache.Sets(c.size, c.ways) < 1 {
 			return fmt.Errorf("sim: %s/%s: %w: %s of %d B, %d-way, has no set",
 				opt.Benchmark, opt.Kind, ErrGeometry, c.name, c.size, c.ways)
+		}
+		if w := cache.Ways(c.size, c.ways); w > cache.MaxWays {
+			return fmt.Errorf("sim: %s/%s: %w: %s of %d B has %d ways per set, at most %d",
+				opt.Benchmark, opt.Kind, ErrGeometry, c.name, c.size, w, cache.MaxWays)
 		}
 	}
 	if cpu := sys.CPU; cpu.TLBAssoc < 1 || cpu.TLBEntries < 1 || cpu.TLBEntries%cpu.TLBAssoc != 0 {
 		return fmt.Errorf("sim: %s/%s: %w: TLB of %d entries, %d-way, is not whole sets",
 			opt.Benchmark, opt.Kind, ErrGeometry, cpu.TLBEntries, cpu.TLBAssoc)
+	}
+	if w := cache.Ways(sys.CPU.TLBEntries*config.BlockSize, sys.CPU.TLBAssoc); w > cache.MaxWays {
+		return fmt.Errorf("sim: %s/%s: %w: TLB has %d ways per set, at most %d",
+			opt.Benchmark, opt.Kind, ErrGeometry, w, cache.MaxWays)
 	}
 	if f := sys.CPU.FreqGHz; !(f > 0 && f <= 1000) {
 		return fmt.Errorf("sim: %s/%s: %w: a %g GHz clock has no cycle of at least 1 ps",
@@ -133,7 +146,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		return nil, fmt.Errorf("sim: unknown benchmark %q", opt.Benchmark)
 	}
 	sys := opt.Sys
-	if sys.CPU.Cores == 0 {
+	if sys == (config.System{}) {
 		sys = config.Default()
 	}
 	if err := checkGeometry(opt, sys); err != nil {

@@ -22,7 +22,10 @@ import (
 // page-stream loop; a negative issue width or burst ran with negative
 // time steps, and a clock with no whole-picosecond cycle reported zero
 // cycles. The oversized Buffer is refused because NewBuffer sizes its
-// slot and count types for at most MaxBufferEntries.
+// slot and count types for at most MaxBufferEntries, and a cache or TLB
+// wider than cache.MaxWays because a set packs its recency ranks in one
+// word. Zero cores with the rest of the system set used to build the
+// default system instead.
 func TestDegenerateGeometryRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -62,6 +65,10 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{name: "FreqGHz=-2.8", kind: mc.Uncompressed, edit: func(s *config.System) { s.CPU.FreqGHz = -2.8 }},
 		{name: "FreqGHz=NaN", kind: mc.Compresso, edit: func(s *config.System) { s.CPU.FreqGHz = math.NaN() }},
 		{name: "FreqGHz=1001", kind: mc.OSInspired, edit: func(s *config.System) { s.CPU.FreqGHz = 1001 }},
+		{name: "Cache.Assoc=9", kind: mc.Uncompressed, edit: func(s *config.System) { s.Cache.Assoc = 9 }},
+		{name: "CTEOverride.Assoc=32", kind: mc.TMCC, cte: &config.CTECacheCfg{SizeKB: 64, ReachPerBlock: 32 * config.KiB, Assoc: 32}},
+		{name: "TLBAssoc=32", kind: mc.Compresso, edit: func(s *config.System) { s.CPU.TLBEntries, s.CPU.TLBAssoc = 2048, 32 }},
+		{name: "Cores=0", kind: mc.TMCC, edit: func(s *config.System) { s.CPU.Cores = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()
@@ -80,7 +87,8 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 // structure a kind never builds may have any size. The CTE Buffer exists
 // only on TMCC, and the migration buffer and the page streams that hold
 // MC queue slots only on TMCC and OS-inspired, so zero entries elsewhere
-// must neither be rejected nor crash the run.
+// must neither be rejected nor crash the run. The all-zero system is the
+// default one, not a degenerate one.
 func TestUnusedGeometryAccepted(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -92,6 +100,7 @@ func TestUnusedGeometryAccepted(t *testing.T) {
 		{"MigrationBufPages=0/uncompressed", mc.Uncompressed, func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
 		{"MigrationBufPages=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
 		{"MaxQueueSlots=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
+		{"Sys=zero/uncompressed", mc.Uncompressed, func(s *config.System) { *s = config.System{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()

@@ -34,7 +34,8 @@ import (
 type Options struct {
 	Benchmark string
 	Kind      mc.Kind
-	Sys       config.System
+	// Sys is the simulated system; the zero System means config.Default().
+	Sys config.System
 	// BudgetPages is the DRAM budget in frames; 0 means "Compresso's
 	// natural usage" computed by the planner.
 	BudgetPages uint64

@@ -6,68 +6,30 @@
 // fetches.
 package tlb
 
-// TLB is a set-associative, LRU translation cache keyed by virtual page
-// number.
-type TLB struct {
-	sets  int
-	ways  int
-	tags  []uint64 // sets*ways entries; +1 so 0 means invalid
-	stamp []uint64
-	clock uint64
-}
+import (
+	"tmcc/internal/cache"
+	"tmcc/internal/config"
+)
 
-// New builds a TLB with the given total entries and associativity.
+// TLB is a set-associative, LRU translation cache keyed by virtual page
+// number: a cache.Cache tag store with one 64B line per entry, so the TLB
+// and the caches share one replacement mechanism.
+type TLB struct{ c *cache.Cache }
+
+// New builds a TLB with the given total entries and associativity
+// (at most cache.MaxWays).
 func New(entries, ways int) *TLB {
 	if entries%ways != 0 {
 		panic("tlb: entries must be a multiple of ways")
 	}
-	return &TLB{
-		sets:  entries / ways,
-		ways:  ways,
-		tags:  make([]uint64, entries),
-		stamp: make([]uint64, entries),
-	}
+	return &TLB{c: cache.New(entries*config.BlockSize, ways)}
 }
 
 // Lookup probes for vpn, updating recency on a hit.
-func (t *TLB) Lookup(vpn uint64) bool {
-	set := int(vpn) % t.sets
-	base := set * t.ways
-	t.clock++
-	for w := 0; w < t.ways; w++ {
-		if t.tags[base+w] == vpn+1 {
-			t.stamp[base+w] = t.clock
-			return true
-		}
-	}
-	return false
-}
+func (t *TLB) Lookup(vpn uint64) bool { return t.c.Lookup(vpn) >= 0 }
 
 // Insert fills vpn, evicting the set's LRU entry.
-func (t *TLB) Insert(vpn uint64) {
-	set := int(vpn) % t.sets
-	base := set * t.ways
-	victim := base
-	for w := 0; w < t.ways; w++ {
-		if t.tags[base+w] == 0 {
-			victim = base + w
-			break
-		}
-		if t.stamp[base+w] < t.stamp[victim] {
-			victim = base + w
-		}
-	}
-	t.clock++
-	t.tags[victim] = vpn + 1
-	t.stamp[victim] = t.clock
-}
-
-// Flush empties the TLB (context switch).
-func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = 0
-	}
-}
+func (t *TLB) Insert(vpn uint64) { t.c.Insert(vpn, 0) }
 
 // WalkCache caches upper-level page-table entries so a walk can start below
 // L4. Entry granularity: level 2 entries cover 2MB (one L1 table page),

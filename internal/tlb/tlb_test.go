@@ -60,15 +60,6 @@ func TestCapacityBehaviour(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	tb := New(64, 4)
-	tb.Insert(1)
-	tb.Flush()
-	if tb.Lookup(1) {
-		t.Error("hit after flush")
-	}
-}
-
 func TestWalkCacheLevels(t *testing.T) {
 	wc := NewWalkCache(1024)
 	vpn := uint64(0x12345)
