@@ -1,9 +1,9 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs lint, test,
-# race, smoke, fuzz-smoke, ras-smoke and steady-digests.
+# race, smoke, fuzz-smoke, ras-smoke, steady-digests and full-suite.
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz-smoke fmt bench smoke ras-smoke steady-digests artifact-diff
+.PHONY: all build lint test race fuzz-smoke fmt bench smoke ras-smoke steady-digests full-suite artifact-diff
 
 all: lint test
 
@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault/
 	$(GO) test -run=^$$ -fuzz FuzzBufferMatchesOracle -fuzztime 10s ./internal/ctecache/
 	$(GO) test -run=^$$ -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cache/
+	$(GO) test -run=^$$ -fuzz FuzzML2MatchesReference -fuzztime 10s ./internal/freelist/
 
 fmt:
 	gofmt -w .
@@ -138,6 +139,16 @@ steady-digests:
 		echo "$$out" | grep -q '"correct": *true' || { echo "steady-digests: $$w seed $$s is not correct"; exit 1; }; \
 	done; done
 	@echo "steady-digests: every steady workload matches its digests"
+
+# full-suite pins the paper-size output that EXPERIMENTS.md reports:
+# `tmccsim -all -seed 42` at full windows (~40s on 2 CPUs) must reproduce
+# the committed experiments_full.txt byte for byte. The quick suite's
+# tables are TestQuickSuiteMatchesGolden's. The output lands in SMOKE_DIR.
+full-suite:
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/tmccsim -all -seed 42 > $(SMOKE_DIR)/experiments_full.txt
+	cmp experiments_full.txt $(SMOKE_DIR)/experiments_full.txt
+	@echo "full-suite: paper-size tables match experiments_full.txt"
 
 # artifact-diff proves a refactor moved no simulated byte: it builds
 # tmccsim (plain and race+tmccdebug) and ptbscan from git revision BASE

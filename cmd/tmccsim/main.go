@@ -388,9 +388,12 @@ func run(w io.Writer, id string, cfg exp.Config, format string) error {
 func printStats(w io.Writer, st engine.Stats, workers int, wall time.Duration, ob *obs.Observer) {
 	fmt.Fprintf(w, "engine: %d workers, %d runs executed, %d cache hits (%d coalesced in flight)\n",
 		workers, st.Runs, st.Hits, st.Coalesced)
-	if st.Panics > 0 || st.Failed > 0 {
+	if failed := st.Failed - st.Infeasible; st.Panics > 0 || failed > 0 {
 		fmt.Fprintf(w, "engine: %d worker panics recovered, %d runs failed\n",
-			st.Panics, st.Failed)
+			st.Panics, failed)
+	}
+	if st.Infeasible > 0 {
+		fmt.Fprintf(w, "engine: %d runs infeasible (capacity exhausted at their budget)\n", st.Infeasible)
 	}
 	simTime := time.Duration(st.RunNanos)
 	mean := time.Duration(0)
@@ -403,9 +406,10 @@ func printStats(w io.Writer, st engine.Stats, workers int, wall time.Duration, o
 }
 
 // statsJSON renders the machine-readable one-line engine summary (the last
-// -stats line, for scripts). When an observer rode along, the line also
-// carries the tracer's dropped-span count and the attribution totals, so
-// a run's log captures them without extra files.
+// -stats line, for scripts). failed leaves out the infeasible runs, which
+// infeasible counts. When an observer rode along, the line also carries
+// the tracer's dropped-span count and the attribution totals, so a run's
+// log captures them without extra files.
 func statsJSON(st engine.Stats, wall time.Duration, ob *obs.Observer) string {
 	out := struct {
 		Executed     uint64  `json:"executed"`
@@ -413,12 +417,13 @@ func statsJSON(st engine.Stats, wall time.Duration, ob *obs.Observer) string {
 		WallSeconds  float64 `json:"wallSeconds"`
 		Panics       uint64  `json:"panics,omitempty"`
 		Failed       uint64  `json:"failed,omitempty"`
+		Infeasible   uint64  `json:"infeasible,omitempty"`
 		DroppedSpans uint64  `json:"droppedSpans,omitempty"`
 		AttrAccesses uint64  `json:"attrAccesses,omitempty"`
 		AttrTotalPS  int64   `json:"attrTotalPS,omitempty"`
 	}{
 		Executed: st.Runs, Deduplicated: st.Hits + st.Coalesced, WallSeconds: wall.Seconds(),
-		Panics: st.Panics, Failed: st.Failed,
+		Panics: st.Panics, Failed: st.Failed - st.Infeasible, Infeasible: st.Infeasible,
 	}
 	if ob != nil {
 		out.DroppedSpans = ob.Tr.Dropped()

@@ -71,6 +71,30 @@ func TestStatsOutput(t *testing.T) {
 	if got := sb.String(); !strings.Contains(got, "engine: 1 worker panics recovered, 1 runs failed\n") {
 		t.Errorf("failure line missing or malformed:\n%s", got)
 	}
+
+	// A budget too small by design is reported apart from failures, in
+	// the text and in the JSON line.
+	if err := runSingle(io.Discard, eng, "canneal", "tmcc", 400, exp.Config{Seed: 42, Quick: true}); err == nil {
+		t.Fatal("runSingle(canneal, tmcc, budget 400) succeeded")
+	}
+	st := eng.Stats()
+	if st.Failed != 1 || st.Infeasible != 1 {
+		t.Fatalf("after one infeasible run Failed=%d Infeasible=%d, want 1 and 1", st.Failed, st.Infeasible)
+	}
+	sb.Reset()
+	printStats(&sb, st, 1, time.Second, nil)
+	got = sb.String()
+	if !strings.Contains(got, "engine: 1 runs infeasible") || strings.Contains(got, "runs failed") {
+		t.Errorf("infeasible run not reported apart from failures:\n%s", got)
+	}
+	if line := statsJSON(st, time.Second, nil); !strings.Contains(line, `"infeasible":1`) || strings.Contains(line, `"failed"`) {
+		t.Errorf("stats line = %s, want infeasible 1 and no failed", line)
+	}
+	sb.Reset()
+	printStats(&sb, engine.Stats{Runs: 3, Failed: 3, Infeasible: 1}, 1, time.Second, nil)
+	if got := sb.String(); !strings.Contains(got, "0 worker panics recovered, 2 runs failed\n") || !strings.Contains(got, "1 runs infeasible") {
+		t.Errorf("mixed failures misreported:\n%s", got)
+	}
 }
 
 // TestStatsJSON pins the machine-readable summary line scripts parse.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"compress/flate"
 	"strconv"
 
@@ -120,6 +119,14 @@ func allDumpPages(seed int64, n int, fn func(page []byte)) {
 	}
 }
 
+// byteCount is an io.Writer that keeps only how many bytes it was given.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
+}
+
 func allZero(p []byte) bool {
 	for _, b := range p {
 		if b != 0 {
@@ -155,6 +162,8 @@ func Fig15(cfg Config) (*Table, error) {
 		skipP.DynamicSkip = true
 		skip := memdeflate.New(skipP)
 		best := blockcomp.NewBest()
+		var gz byteCount
+		w, _ := flate.NewWriter(&gz, flate.BestCompression)
 		var in, outBlk, outMD, outSkip, outGz int
 		dumpPages(cfg.Seed+100, si, n, func(page []byte) {
 			in += len(page)
@@ -163,15 +172,11 @@ func Fig15(cfg Config) (*Table, error) {
 			outMD += s
 			s2, _ := skip.CompressedSize(page)
 			outSkip += s2
-			var buf bytes.Buffer
-			w, _ := flate.NewWriter(&buf, flate.BestCompression)
+			gz = 0
+			w.Reset(&gz)
 			w.Write(page)
 			w.Close()
-			g := buf.Len()
-			if g > len(page) {
-				g = len(page)
-			}
-			outGz += g
+			outGz += min(int(gz), len(page))
 		})
 		rows[si] = []float64{
 			float64(in) / float64(outBlk),

@@ -18,6 +18,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -25,6 +26,7 @@ import (
 
 	"tmcc/internal/config"
 	"tmcc/internal/fault"
+	"tmcc/internal/mc"
 	"tmcc/internal/obs"
 	"tmcc/internal/ras"
 	"tmcc/internal/sim"
@@ -60,6 +62,10 @@ type Stats struct {
 	RunNanos  int64  // wall time summed over executed runs (0 without a clock)
 	Panics    uint64 // worker panics recovered into PanicErrors
 	Failed    uint64 // runs that ended with an error, panics included
+	// Infeasible counts the Failed runs whose error wraps
+	// mc.ErrCapacityExhausted: a budget too small for the run, which the
+	// Table IV budget search probes on purpose.
+	Infeasible uint64
 }
 
 // PanicError is a worker panic recovered into a typed per-run error: the
@@ -303,6 +309,9 @@ func (e *Engine) Run(opt sim.Options) (sim.Metrics, error) {
 	if c.err != nil {
 		e.mu.Lock()
 		e.stats.Failed++
+		if errors.Is(c.err, mc.ErrCapacityExhausted) {
+			e.stats.Infeasible++
+		}
 		e.mu.Unlock()
 		e.eob.failed.Inc()
 	}

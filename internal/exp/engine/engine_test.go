@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,5 +298,24 @@ func TestFaultPlanCountersAccumulateDeterministically(t *testing.T) {
 	}
 	if serial.Total() == 0 {
 		t.Error("armed plan fired no faults across two runs")
+	}
+}
+
+// TestInfeasibleCountedApart pins that a run failing with
+// mc.ErrCapacityExhausted counts in Failed and in Infeasible, and any
+// other error in Failed only.
+func TestInfeasibleCountedApart(t *testing.T) {
+	e := New(1)
+	e.exec = func(opt sim.Options) (sim.Metrics, error) {
+		if opt.Benchmark == "tight" {
+			return sim.Metrics{}, fmt.Errorf("placement: %w", mc.ErrCapacityExhausted)
+		}
+		return sim.Metrics{}, errors.New("broken")
+	}
+	e.Run(sim.Options{Benchmark: "tight"})
+	e.Run(sim.Options{Benchmark: "broken"})
+	e.Run(sim.Options{Benchmark: "tight"}) // memo hit: counted once
+	if st := e.Stats(); st.Failed != 2 || st.Infeasible != 1 {
+		t.Errorf("Failed=%d Infeasible=%d, want 2 and 1", st.Failed, st.Infeasible)
 	}
 }

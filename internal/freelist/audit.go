@@ -10,27 +10,12 @@ func (m *ML2) auditSuper(ci, si int) error {
 	if ci < 0 || ci >= len(m.classes) {
 		return fmt.Errorf("class %d out of range", ci)
 	}
-	if si < 0 || si >= len(m.supers[ci]) {
+	l := &m.lists[ci]
+	if si < 0 || si >= len(l.supers) {
 		return fmt.Errorf("class %d: super %d out of range", ci, si)
 	}
-	cl := m.classes[ci]
-	sup := m.supers[ci][si]
-	if len(sup.chunks) == 0 {
-		// Retired (fully freed) super-chunk awaiting recycling; its slices
-		// keep their capacity but hold nothing.
-		if sup.used != 0 || len(sup.freeSlot) != 0 {
-			return fmt.Errorf("class %d super %d: retired but used=%d free=%d",
-				ci, si, sup.used, len(sup.freeSlot))
-		}
-	} else {
-		if len(sup.chunks) != cl.M {
-			return fmt.Errorf("class %d super %d: holds %d chunks, class M=%d",
-				ci, si, len(sup.chunks), cl.M)
-		}
-		if sup.used < 0 || sup.used+len(sup.freeSlot) != cl.N {
-			return fmt.Errorf("class %d super %d: used=%d + free=%d != N=%d",
-				ci, si, sup.used, len(sup.freeSlot), cl.N)
-		}
+	if err := m.checkSuper(ci, si); err != nil {
+		return err
 	}
 	if m.UsedBytes < 0 {
 		return fmt.Errorf("UsedBytes=%d negative", m.UsedBytes)
@@ -41,11 +26,35 @@ func (m *ML2) auditSuper(ci, si int) error {
 	return nil
 }
 
+// checkSuper verifies one super-chunk's slot accounting against its class:
+// a retired super holds no used or free slot, and a live one's used plus
+// free slots equal N.
+func (m *ML2) checkSuper(ci, si int) error {
+	cl, sup := m.classes[ci], m.lists[ci].supers[si]
+	if !sup.live {
+		// Retired (fully freed) super-chunk awaiting recycling; its slab
+		// windows keep their place but hold nothing.
+		if sup.used != 0 || sup.free != 0 {
+			return fmt.Errorf("class %d super %d: retired but used=%d free=%d",
+				ci, si, sup.used, sup.free)
+		}
+		return nil
+	}
+	if sup.used < 0 || sup.free < 0 || sup.used+sup.free != cl.N {
+		return fmt.Errorf("class %d super %d: used=%d + free=%d != N=%d",
+			ci, si, sup.used, sup.free, cl.N)
+	}
+	return nil
+}
+
 // Audit verifies ML2's free-space bookkeeping invariants (Section IV-B's
-// conservation properties) across every class — O(super-chunks), so it runs
-// from the Settle-time deep audit and from tests rather than per mutation:
+// conservation properties) across every class — O(slab), so it runs from
+// the Settle-time deep audit and from tests rather than per mutation:
 //
-//   - every live super-chunk's used + free slots equals its class's N;
+//   - each class's chunk and slot slabs hold exactly M and N entries per
+//     super-chunk;
+//   - every live super-chunk's used + free slots equals its class's N, and
+//     its free-slot stack holds distinct slots below N;
 //   - HeldChunks equals the 4KB chunks owned by live super-chunks;
 //   - UsedBytes is non-negative and fits the live sub-chunk capacity;
 //   - the partial lists index exactly the live super-chunks with free
@@ -54,9 +63,14 @@ func (m *ML2) Audit() error {
 	held := 0
 	var capacity int64
 	for ci, cl := range m.classes {
-		inPartial := make(map[int]bool, len(m.partial[ci]))
-		for _, si := range m.partial[ci] {
-			if si < 0 || si >= len(m.supers[ci]) {
+		l := &m.lists[ci]
+		if len(l.chunks) != len(l.supers)*cl.M || len(l.slots) != len(l.supers)*cl.N {
+			return fmt.Errorf("class %d: slabs hold %d chunks and %d slots for %d supers of M=%d, N=%d",
+				ci, len(l.chunks), len(l.slots), len(l.supers), cl.M, cl.N)
+		}
+		inPartial := make(map[int]bool, len(l.partial))
+		for _, si := range l.partial {
+			if si < 0 || si >= len(l.supers) {
 				return fmt.Errorf("class %d: partial index %d out of range", ci, si)
 			}
 			if inPartial[si] {
@@ -64,31 +78,29 @@ func (m *ML2) Audit() error {
 			}
 			inPartial[si] = true
 		}
-		for si, sup := range m.supers[ci] {
-			if len(sup.chunks) == 0 {
-				// Retired (fully freed) super-chunk.
-				if sup.used != 0 || len(sup.freeSlot) != 0 {
-					return fmt.Errorf("class %d super %d: retired but used=%d free=%d",
-						ci, si, sup.used, len(sup.freeSlot))
-				}
+		for si, sup := range l.supers {
+			if err := m.checkSuper(ci, si); err != nil {
+				return err
+			}
+			if !sup.live {
 				if inPartial[si] {
 					return fmt.Errorf("class %d super %d: retired but in partial list", ci, si)
 				}
 				continue
 			}
-			if len(sup.chunks) != cl.M {
-				return fmt.Errorf("class %d super %d: holds %d chunks, class M=%d",
-					ci, si, len(sup.chunks), cl.M)
-			}
 			held += cl.M
 			capacity += int64(cl.N) * int64(cl.SubSize)
-			if sup.used < 0 || sup.used+len(sup.freeSlot) != cl.N {
-				return fmt.Errorf("class %d super %d: used=%d + free=%d != N=%d",
-					ci, si, sup.used, len(sup.freeSlot), cl.N)
+			var seen [256]bool
+			for _, s := range l.slots[si*cl.N:][:sup.free] {
+				if int(s) >= cl.N || seen[s] {
+					return fmt.Errorf("class %d super %d: free-slot stack repeats or overruns slot %d (N=%d)",
+						ci, si, s, cl.N)
+				}
+				seen[s] = true
 			}
-			if wantPartial := len(sup.freeSlot) > 0; wantPartial != inPartial[si] {
+			if wantPartial := sup.free > 0; wantPartial != inPartial[si] {
 				return fmt.Errorf("class %d super %d: free=%d but partial-listed=%v",
-					ci, si, len(sup.freeSlot), inPartial[si])
+					ci, si, sup.free, inPartial[si])
 			}
 		}
 	}

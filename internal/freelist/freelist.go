@@ -28,12 +28,9 @@ type ML1 struct {
 	retired map[uint32]bool // nil until the first Retire
 }
 
-// NewML1 starts with the given chunks free, in order.
-func NewML1(chunks []uint32) *ML1 {
-	f := &ML1{free: make([]uint32, len(chunks))}
-	copy(f.free, chunks)
-	return f
-}
+// NewML1 starts with the given chunks free, in order. It takes ownership
+// of chunks: the caller must not use the slice afterwards.
+func NewML1(chunks []uint32) *ML1 { return &ML1{free: chunks} }
 
 // Len reports how many chunks are free.
 func (f *ML1) Len() int { return len(f.free) }
@@ -135,11 +132,34 @@ type SubChunk struct {
 	Slot  uint8
 }
 
-// superChunk is the bookkeeping for one carved group of chunks.
+// superChunk is the bookkeeping for one carved group of chunks. Its chunk
+// numbers and its free-slot stack live in its class's slabs (classList).
+// A retired super-chunk (fully freed, awaiting recycling) is !live and
+// holds no used or free slot.
 type superChunk struct {
-	chunks   []uint32
-	freeSlot []int // LIFO of free slots
-	used     int
+	used int  // slots allocated
+	free int  // depth of the free-slot stack
+	live bool // holds M chunks from ML1
+}
+
+// classList is one size class's free list. Its super-chunks sit by value
+// in supers; super si's M chunk numbers are chunks[si*M:][:M] and its LIFO
+// free-slot stack is slots[si*N:][:free], top last. N <= 255 (NewML2), so
+// a slot fits a byte.
+type classList struct {
+	supers []superChunk
+	chunks []uint32
+	slots  []uint8
+	// partial lists super-chunk indexes with free slots; LIFO so
+	// recently-freed-into supers fill first (paper: allocate from the top,
+	// push newly-partial supers to the top).
+	partial []int
+	// retired lists fully-freed super-chunk indexes whose slab windows
+	// the next carve recycles, keeping steady-state Alloc/Free
+	// allocation-free. Index values are pure bookkeeping — DRAM addresses
+	// come from chunk numbers — so reuse does not change simulated
+	// behavior.
+	retired []int
 }
 
 // ML2 manages the per-class free lists. It draws whole 4KB chunks from ML1
@@ -147,18 +167,8 @@ type superChunk struct {
 // ML1 (Section IV-B).
 type ML2 struct {
 	classes []SizeClass
+	lists   []classList // per class
 	ml1     *ML1
-	supers  [][]*superChunk // per class
-	// partial[class] lists super-chunk indexes with free slots; LIFO so
-	// recently-freed-into supers fill first (paper: allocate from the top,
-	// push newly-partial supers to the top).
-	partial [][]int
-	// retired[class] lists fully-freed super-chunk indexes whose structs
-	// (and slice capacity) can be recycled by the next carve, keeping
-	// steady-state Alloc/Free allocation-free. Index values are pure
-	// bookkeeping — DRAM addresses come from chunk numbers — so reuse
-	// does not change simulated behavior.
-	retired [][]int
 
 	// UsedBytes tracks live compressed bytes for capacity accounting.
 	UsedBytes int64
@@ -181,13 +191,7 @@ func NewML2(classes []SizeClass, ml1 *ML1) *ML2 {
 			panic(fmt.Sprintf("freelist: class %d has N=%d sub-chunks, SubChunk.Slot holds %d", i, c.N, math.MaxUint8))
 		}
 	}
-	return &ML2{
-		classes: classes,
-		ml1:     ml1,
-		supers:  make([][]*superChunk, len(classes)),
-		partial: make([][]int, len(classes)),
-		retired: make([][]int, len(classes)),
-	}
+	return &ML2{classes: classes, lists: make([]classList, len(classes)), ml1: ml1}
 }
 
 // ClassFor returns the smallest class whose sub-chunks hold size bytes;
@@ -213,8 +217,8 @@ func (m *ML2) Alloc(size int) (SubChunk, bool) {
 	if !ok {
 		return SubChunk{}, false
 	}
-	cl := m.classes[ci]
-	if len(m.partial[ci]) == 0 {
+	cl, l := m.classes[ci], &m.lists[ci]
+	if len(l.partial) == 0 {
 		// Carve a new super-chunk from ML1. The pops commit only on
 		// success: if ML1 runs dry mid-carve the popped chunks go back in
 		// pop order (preserving the historical LIFO reshuffle on failure).
@@ -233,42 +237,43 @@ func (m *ML2) Alloc(size int) (SubChunk, bool) {
 			}
 			buf = append(buf, c)
 		}
-		var sc *superChunk
 		var si int
-		if nr := len(m.retired[ci]); nr > 0 {
-			// Recycle a fully-freed super-chunk's struct and slice
-			// capacity instead of growing m.supers.
-			si = m.retired[ci][nr-1]
-			m.retired[ci] = m.retired[ci][:nr-1]
-			sc = m.supers[ci][si]
-			sc.chunks = append(sc.chunks[:0], buf...)
-			sc.freeSlot = sc.freeSlot[:0]
+		if nr := len(l.retired); nr > 0 {
+			// Recycle a fully-freed super-chunk's slab windows instead of
+			// growing the slabs.
+			si = l.retired[nr-1]
+			l.retired = l.retired[:nr-1]
+			copy(l.chunks[si*cl.M:], buf)
 		} else {
-			sc = &superChunk{chunks: make([]uint32, 0, cl.M)}
-			sc.chunks = append(sc.chunks, buf...)
-			m.supers[ci] = append(m.supers[ci], sc)
-			si = len(m.supers[ci]) - 1
+			si = len(l.supers)
+			l.supers = append(l.supers, superChunk{})
+			l.chunks = append(l.chunks, buf...)
+			l.slots = append(l.slots, make([]uint8, cl.N)...)
 		}
-		for s := cl.N - 1; s >= 0; s-- {
-			sc.freeSlot = append(sc.freeSlot, s)
+		// Slot 0 on top, then 1, ... (the stack a push of N-1 down to 0
+		// leaves).
+		stack := l.slots[si*cl.N:][:cl.N]
+		for i := range stack {
+			stack[i] = uint8(cl.N - 1 - i)
 		}
-		m.partial[ci] = append(m.partial[ci], si)
+		l.supers[si] = superChunk{free: cl.N, live: true}
+		l.partial = append(l.partial, si)
 		m.HeldChunks += cl.M
 	}
-	si := m.partial[ci][len(m.partial[ci])-1]
-	sc := m.supers[ci][si]
-	slot := sc.freeSlot[len(sc.freeSlot)-1]
-	sc.freeSlot = sc.freeSlot[:len(sc.freeSlot)-1]
+	si := l.partial[len(l.partial)-1]
+	sc := &l.supers[si]
+	sc.free--
+	slot := l.slots[si*cl.N+sc.free]
 	sc.used++
-	if len(sc.freeSlot) == 0 {
-		m.partial[ci] = m.partial[ci][:len(m.partial[ci])-1]
+	if sc.free == 0 {
+		l.partial = l.partial[:len(l.partial)-1]
 	}
 	m.UsedBytes += int64(size)
 	if check.Enabled {
 		check.Invariant("freelist: super-chunk accounting after Alloc",
 			func() error { return m.auditSuper(ci, si) })
 	}
-	return SubChunk{Super: uint32(si), Class: uint8(ci), Slot: uint8(slot)}, true
+	return SubChunk{Super: uint32(si), Class: uint8(ci), Slot: slot}, true
 }
 
 // Free releases a sub-chunk previously returned by Alloc; size must be the
@@ -279,28 +284,28 @@ func (m *ML2) Free(sc SubChunk, size int) error {
 	if ci >= len(m.classes) {
 		return fmt.Errorf("freelist: bad class %d", ci)
 	}
-	sup := m.supers[ci][si]
+	cl, l := m.classes[ci], &m.lists[ci]
+	sup := &l.supers[si]
 	if sup.used <= 0 {
 		return fmt.Errorf("freelist: double free in super %d", si)
 	}
-	wasFull := len(sup.freeSlot) == 0
-	sup.freeSlot = append(sup.freeSlot, int(sc.Slot))
+	wasFull := sup.free == 0
+	l.slots[si*cl.N+sup.free] = sc.Slot
+	sup.free++
 	sup.used--
 	m.UsedBytes -= int64(size)
-	cl := m.classes[ci]
 	if sup.used == 0 {
 		// Fully free: return the chunks to ML1 and retire the super-chunk.
-		for _, c := range sup.chunks {
+		for _, c := range l.chunks[si*cl.M:][:cl.M] {
 			m.ml1.Push(c)
 		}
 		m.HeldChunks -= cl.M
-		sup.freeSlot = sup.freeSlot[:0]
-		sup.chunks = sup.chunks[:0]
-		m.retired[ci] = append(m.retired[ci], si)
+		*sup = superChunk{}
+		l.retired = append(l.retired, si)
 		// Remove from partial list if present.
-		for i, p := range m.partial[ci] {
+		for i, p := range l.partial {
 			if p == si {
-				m.partial[ci] = append(m.partial[ci][:i], m.partial[ci][i+1:]...)
+				l.partial = append(l.partial[:i], l.partial[i+1:]...)
 				break
 			}
 		}
@@ -313,7 +318,7 @@ func (m *ML2) Free(sc SubChunk, size int) error {
 	if wasFull {
 		// Transitioned to having a free slot: track at the top (paper's
 		// policy keeps emptier supers toward the bottom).
-		m.partial[ci] = append(m.partial[ci], si)
+		l.partial = append(l.partial, si)
 	}
 	if check.Enabled {
 		check.Invariant("freelist: super-chunk accounting after Free",
@@ -322,16 +327,19 @@ func (m *ML2) Free(sc SubChunk, size int) error {
 	return nil
 }
 
+// superChunks returns the chunk numbers of sub-chunk sc's super-chunk.
+func (m *ML2) superChunks(sc SubChunk) []uint32 {
+	m1 := m.classes[sc.Class].M
+	return m.lists[sc.Class].chunks[int(sc.Super)*m1:][:m1]
+}
+
 // Address returns the DRAM byte address of a sub-chunk, for the simulator's
 // DRAM accesses: chunkNumber*4KB + slot*subSize, within the super-chunk's
 // first covering chunk. Sub-chunks may straddle chunk boundaries; the
 // simulator issues per-64B reads so straddling is handled by address math.
 func (m *ML2) Address(sc SubChunk) uint64 {
-	sup := m.supers[sc.Class][sc.Super]
-	cl := m.classes[sc.Class]
-	off := int(sc.Slot) * cl.SubSize
-	ci := off / ChunkSize
-	return uint64(sup.chunks[ci])*ChunkSize + uint64(off%ChunkSize)
+	off := int(sc.Slot) * m.classes[sc.Class].SubSize
+	return uint64(m.superChunks(sc)[off/ChunkSize])*ChunkSize + uint64(off%ChunkSize)
 }
 
 // BlockAddresses returns the DRAM addresses of the 64B blocks holding size
@@ -344,16 +352,15 @@ func (m *ML2) BlockAddresses(sc SubChunk, size int) []uint64 {
 // AppendBlockAddresses is BlockAddresses appending into out[:0], so a
 // reused scratch buffer keeps the MC's serve/evict paths allocation-free.
 func (m *ML2) AppendBlockAddresses(out []uint64, sc SubChunk, size int) []uint64 {
-	sup := m.supers[sc.Class][sc.Super]
-	cl := m.classes[sc.Class]
-	off := int(sc.Slot) * cl.SubSize
+	chunks := m.superChunks(sc)
+	off := int(sc.Slot) * m.classes[sc.Class].SubSize
 	out = out[:0]
 	for b := off / config.BlockSize * config.BlockSize; b < off+size; b += config.BlockSize {
 		ci := b / ChunkSize
-		if ci >= len(sup.chunks) {
+		if ci >= len(chunks) {
 			break
 		}
-		out = append(out, uint64(sup.chunks[ci])*ChunkSize+uint64(b%ChunkSize))
+		out = append(out, uint64(chunks[ci])*ChunkSize+uint64(b%ChunkSize))
 	}
 	return out
 }

@@ -1,11 +1,15 @@
 package freelist
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"tmcc/internal/config"
 )
 
 func pool(n int) []uint32 {
@@ -229,5 +233,250 @@ func TestQuickAllocFree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refML2 is the pointer-per-super ML2 the slab layout replaced, kept as
+// the oracle for FuzzML2MatchesReference: each super-chunk is its own
+// struct with its own chunk slice and []int free-slot stack.
+type refML2 struct {
+	classes    []SizeClass
+	ml1        *ML1
+	supers     [][]*refSuper
+	partial    [][]int
+	retired    [][]int
+	UsedBytes  int64
+	HeldChunks int
+}
+
+type refSuper struct {
+	chunks   []uint32
+	freeSlot []int
+	used     int
+}
+
+func newRefML2(classes []SizeClass, ml1 *ML1) *refML2 {
+	return &refML2{
+		classes: classes,
+		ml1:     ml1,
+		supers:  make([][]*refSuper, len(classes)),
+		partial: make([][]int, len(classes)),
+		retired: make([][]int, len(classes)),
+	}
+}
+
+func (m *refML2) Alloc(size int) (SubChunk, bool) {
+	ci := -1
+	for i, c := range m.classes {
+		if c.SubSize >= size {
+			ci = i
+			break
+		}
+	}
+	if ci < 0 {
+		return SubChunk{}, false
+	}
+	cl := m.classes[ci]
+	if len(m.partial[ci]) == 0 {
+		var buf []uint32
+		for i := 0; i < cl.M; i++ {
+			c, popped := m.ml1.Pop()
+			if !popped {
+				for _, cc := range buf {
+					m.ml1.Push(cc)
+				}
+				return SubChunk{}, false
+			}
+			buf = append(buf, c)
+		}
+		var sc *refSuper
+		var si int
+		if nr := len(m.retired[ci]); nr > 0 {
+			si = m.retired[ci][nr-1]
+			m.retired[ci] = m.retired[ci][:nr-1]
+			sc = m.supers[ci][si]
+			sc.chunks = append(sc.chunks[:0], buf...)
+			sc.freeSlot = sc.freeSlot[:0]
+		} else {
+			sc = &refSuper{chunks: buf}
+			m.supers[ci] = append(m.supers[ci], sc)
+			si = len(m.supers[ci]) - 1
+		}
+		for s := cl.N - 1; s >= 0; s-- {
+			sc.freeSlot = append(sc.freeSlot, s)
+		}
+		m.partial[ci] = append(m.partial[ci], si)
+		m.HeldChunks += cl.M
+	}
+	si := m.partial[ci][len(m.partial[ci])-1]
+	sc := m.supers[ci][si]
+	slot := sc.freeSlot[len(sc.freeSlot)-1]
+	sc.freeSlot = sc.freeSlot[:len(sc.freeSlot)-1]
+	sc.used++
+	if len(sc.freeSlot) == 0 {
+		m.partial[ci] = m.partial[ci][:len(m.partial[ci])-1]
+	}
+	m.UsedBytes += int64(size)
+	return SubChunk{Super: uint32(si), Class: uint8(ci), Slot: uint8(slot)}, true
+}
+
+func (m *refML2) Free(sc SubChunk, size int) error {
+	ci, si := int(sc.Class), int(sc.Super)
+	sup := m.supers[ci][si]
+	if sup.used <= 0 {
+		return fmt.Errorf("double free in super %d", si)
+	}
+	wasFull := len(sup.freeSlot) == 0
+	sup.freeSlot = append(sup.freeSlot, int(sc.Slot))
+	sup.used--
+	m.UsedBytes -= int64(size)
+	if sup.used == 0 {
+		for _, c := range sup.chunks {
+			m.ml1.Push(c)
+		}
+		m.HeldChunks -= m.classes[ci].M
+		sup.freeSlot = sup.freeSlot[:0]
+		sup.chunks = sup.chunks[:0]
+		m.retired[ci] = append(m.retired[ci], si)
+		for i, p := range m.partial[ci] {
+			if p == si {
+				m.partial[ci] = append(m.partial[ci][:i], m.partial[ci][i+1:]...)
+				break
+			}
+		}
+		return nil
+	}
+	if wasFull {
+		m.partial[ci] = append(m.partial[ci], si)
+	}
+	return nil
+}
+
+func (m *refML2) BlockAddresses(sc SubChunk, size int) []uint64 {
+	sup := m.supers[sc.Class][sc.Super]
+	off := int(sc.Slot) * m.classes[sc.Class].SubSize
+	var out []uint64
+	for b := off / config.BlockSize * config.BlockSize; b < off+size; b += config.BlockSize {
+		ci := b / ChunkSize
+		if ci >= len(sup.chunks) {
+			break
+		}
+		out = append(out, uint64(sup.chunks[ci])*ChunkSize+uint64(b%ChunkSize))
+	}
+	return out
+}
+
+func (m *refML2) Address(sc SubChunk) uint64 {
+	sup := m.supers[sc.Class][sc.Super]
+	off := int(sc.Slot) * m.classes[sc.Class].SubSize
+	return uint64(sup.chunks[off/ChunkSize])*ChunkSize + uint64(off%ChunkSize)
+}
+
+// wideMenu adds a one-chunk class of 255 sub-chunks, the widest N a slot
+// byte holds, and a five-chunk class to the small end of the menu, so the
+// fuzzer reaches slab windows the default menu never carves.
+var wideMenu = []SizeClass{{SubSize: 16, M: 1, N: 255}, {SubSize: 128, M: 5, N: 160}, {SubSize: 3584, M: 7, N: 8}}
+
+// checkML2MatchesReference replays ops against the slab ML2 and the
+// pointer-per-super oracle over equal pools and fails on the first
+// divergence. Each op byte allocates (even: size drawn from the byte and
+// its successor) or frees the live sub-chunk it selects (odd), and the
+// remaining live sub-chunks are freed at the end.
+func checkML2MatchesReference(t *testing.T, chunks int, menu []SizeClass, ops []byte) {
+	t.Helper()
+	if menu == nil {
+		menu = DefaultClasses()
+	}
+	ml1, refML1 := NewML1(pool(chunks)), NewML1(pool(chunks))
+	got, want := NewML2(menu, ml1), newRefML2(menu, refML1)
+	maxSize := menu[len(menu)-1].SubSize + 64
+	type live struct {
+		sc   SubChunk
+		size int
+	}
+	var l []live
+	step := func(i int, what string) {
+		if got.UsedBytes != want.UsedBytes || got.HeldChunks != want.HeldChunks {
+			t.Fatalf("op %d (%s): UsedBytes/HeldChunks = %d/%d, reference %d/%d",
+				i, what, got.UsedBytes, got.HeldChunks, want.UsedBytes, want.HeldChunks)
+		}
+		if !slices.Equal(ml1.free, refML1.free) {
+			t.Fatalf("op %d (%s): ML1 free list %v, reference %v", i, what, ml1.free, refML1.free)
+		}
+		if err := got.Audit(); err != nil {
+			t.Fatalf("op %d (%s): Audit: %v", i, what, err)
+		}
+	}
+	free := func(i, k int) {
+		e := l[k]
+		if err := got.Free(e.sc, e.size); err != nil {
+			t.Fatalf("op %d: Free(%+v): %v", i, e.sc, err)
+		}
+		if err := want.Free(e.sc, e.size); err != nil {
+			t.Fatalf("op %d: reference Free(%+v): %v", i, e.sc, err)
+		}
+		l = append(l[:k], l[k+1:]...)
+		step(i, "free")
+	}
+	for i := 0; i < len(ops); i++ {
+		if ops[i]%2 == 1 && len(l) > 0 {
+			free(i, int(ops[i]/2)%len(l))
+			continue
+		}
+		size := 1
+		if i+1 < len(ops) {
+			size += (int(ops[i])<<8 | int(ops[i+1])) % maxSize
+			i++
+		}
+		sc, ok := got.Alloc(size)
+		rsc, rok := want.Alloc(size)
+		if sc != rsc || ok != rok {
+			t.Fatalf("op %d: Alloc(%d) = %+v, %v; reference %+v, %v", i, size, sc, ok, rsc, rok)
+		}
+		if ok {
+			if a, ra := got.Address(sc), want.Address(sc); a != ra {
+				t.Fatalf("op %d: Address(%+v) = %#x, reference %#x", i, sc, a, ra)
+			}
+			if b, rb := got.BlockAddresses(sc, size), want.BlockAddresses(sc, size); !slices.Equal(b, rb) {
+				t.Fatalf("op %d: BlockAddresses(%+v, %d) = %v, reference %v", i, sc, size, b, rb)
+			}
+			l = append(l, live{sc, size})
+		}
+		step(i, "alloc")
+	}
+	for len(l) > 0 {
+		free(len(ops), len(l)-1)
+	}
+	if got.HeldChunks != 0 || ml1.Len() != chunks {
+		t.Fatalf("drained ML2 holds %d chunks, ML1 has %d of %d", got.HeldChunks, ml1.Len(), chunks)
+	}
+}
+
+// FuzzML2MatchesReference checks that the slab ML2 hands out the same
+// sub-chunks, at the same addresses, with the same byte and chunk
+// accounting and the same ML1 free list as the pointer-per-super oracle,
+// on small pools where carves fail and supers retire and recycle often.
+func FuzzML2MatchesReference(f *testing.F) {
+	f.Add(uint8(40), false, []byte{0, 10, 0, 200, 1, 0, 255, 3, 5, 7, 2, 9, 9})
+	f.Add(uint8(3), true, []byte{0, 1, 0, 1, 0, 1, 0, 1, 1, 3, 5, 13, 255, 255, 13})
+	f.Fuzz(func(t *testing.T, chunks uint8, wide bool, ops []byte) {
+		var menu []SizeClass
+		if wide {
+			menu = wideMenu
+		}
+		checkML2MatchesReference(t, int(chunks), menu, ops)
+	})
+}
+
+// TestML2MatchesReference runs the fuzzer's comparison over seeded random
+// op streams at several pool sizes, so go test covers it without -fuzz.
+func TestML2MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, chunks := range []int{0, 1, 8, 40, 300} {
+		for _, menu := range [][]SizeClass{nil, wideMenu} {
+			ops := make([]byte, 4000)
+			rng.Read(ops)
+			checkML2MatchesReference(t, chunks, menu, ops)
+		}
 	}
 }

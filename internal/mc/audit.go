@@ -86,7 +86,7 @@ func (m *MC) AuditPages() error {
 			}
 			// The CTE must point inside ML2-held DRAM, i.e. not into the
 			// reserved CTE table above the data pool.
-			if addr := m.ml2.Address(st.sub); addr >= m.chunkPool*config.PageSize {
+			if addr := m.ml2.Address(st.sub()); addr >= m.chunkPool*config.PageSize {
 				return fmt.Errorf("ppn %#x: ML2 address %#x beyond data pool %#x",
 					ppn, addr, m.chunkPool*config.PageSize)
 			}

@@ -139,17 +139,24 @@ type Stats struct {
 }
 
 // pageState is the controller's per-OS-page record. New allocates one per
-// OS page, so it is kept packed at 20 bytes (TestPageStatePacked).
+// OS page, so it is kept packed at 16 bytes (TestPageStatePacked).
 type pageState struct {
-	chunk          uint32 // ML1 frame when !inML2
-	sub            freelist.SubChunk
+	// chunk is the ML1 frame when !inML2. When inML2 it is the ML2
+	// super-chunk, and class and slot complete the sub-chunk (sub).
+	chunk          uint32
 	sum            uint32 // payload checksum while compressed in ML2
+	class, slot    uint8
 	inML2          bool
 	incompressible bool
 	placed         bool
 	// retired pins the page uncompressed on a frame the RAS scoreboard
 	// permanently withdrew from circulation (implies incompressible).
 	retired bool
+}
+
+// sub is the ML2 sub-chunk an inML2 page's payload occupies.
+func (st *pageState) sub() freelist.SubChunk {
+	return freelist.SubChunk{Super: st.chunk, Class: st.class, Slot: st.slot}
 }
 
 // MC is one memory-side controller instance.
@@ -394,7 +401,7 @@ func New(cfg Config) (*MC, error) {
 		// Overflow region: a sliver of extra frames (1/64 of the budget,
 		// at least 16) the degradation ladder may spill into before
 		// declaring exhaustion.
-		m.pressure.overflowCap = uint32(maxInt(16, int(cfg.BudgetPages/64))) //tmcclint:allow magic-literal (1/64-of-budget overflow policy, not address math)
+		m.pressure.overflowCap = uint32(overflowPages(cfg.BudgetPages))
 		chunks := make([]uint32, m.chunkPool)
 		for i := range chunks {
 			chunks[i] = uint32(m.chunkPool - 1 - uint64(i)) // pop low frames first
@@ -573,7 +580,7 @@ func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
 // ML2 entry that first placement and eviction share.
 func (m *MC) storeML2(ppn uint64, st *pageState, sub freelist.SubChunk, size int) {
 	st.inML2 = true
-	st.sub = sub
+	st.chunk, st.class, st.slot = sub.Super, sub.Class, sub.Slot
 	st.sum = pageChecksum(ppn, size)
 	m.ob.ml2CompBytes.Observe(int64(size))
 	m.heat.CompressedSize(ppn, int64(size))
@@ -596,7 +603,7 @@ func (m *MC) CurrentCTE(ppn uint64) cte.Entry {
 	st := &m.pages[ppn]
 	e := cte.Entry{InML2: st.inML2, IsIncompressible: st.incompressible}
 	if st.inML2 {
-		e.DRAMPage = uint32(m.ml2.Address(st.sub) / config.PageSize)
+		e.DRAMPage = uint32(m.ml2.Address(st.sub()) / config.PageSize)
 	} else {
 		e.DRAMPage = st.chunk
 	}
@@ -828,7 +835,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	}
 
 	size, _ := m.cfg.Sizes.PageSizes(ppn)
-	last := m.stream(t, m.subAddrs(st.sub, size), false)
+	last := m.stream(t, m.subAddrs(st.sub(), size), false)
 	// The decompressor starts once the first blocks arrive and the
 	// requested 64B block is ready after the half-page latency on average.
 	respond := last + m.cfg.ML2HalfPage
@@ -883,7 +890,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 // quarantined page stays uncompressed from here on, and with RAS armed
 // may retire the frame it just landed on.
 func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quarantined bool) {
-	if err := m.ml2.Free(st.sub, size); err != nil {
+	if err := m.ml2.Free(st.sub(), size); err != nil {
 		// The sub-block allocation record disagrees with the page state:
 		// ML2 capacity accounting is corrupt and every later placement
 		// decision would be wrong, so this is a simulator bug, not a

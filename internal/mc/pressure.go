@@ -21,6 +21,7 @@ package mc
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"tmcc/internal/config"
 	"tmcc/internal/obs"
@@ -53,6 +54,22 @@ func (e *CapacityError) Error() string {
 
 // Unwrap lets errors.Is(err, ErrCapacityExhausted) match.
 func (e *CapacityError) Unwrap() error { return ErrCapacityExhausted }
+
+// MaxPages bounds the OS pages and the DRAM frames one controller numbers,
+// the overflow region's frames included (Frames): frame numbers and PPNs
+// live in uint32 fields (pageState.chunk, freelist.SubChunk.Super, the
+// Recency List's links), and the Recency List stores PPN+1.
+const MaxPages = math.MaxUint32
+
+// Frames is the span of frame numbers a two-level controller over budget
+// frames may hand out: the budget, then the overflow region the
+// degradation ladder spills into, 1/64 of the budget and at least 16
+// frames.
+func Frames(budget uint64) uint64 { return budget + overflowPages(budget) }
+
+func overflowPages(budget uint64) uint64 {
+	return max(16, budget/64) //tmcclint:allow magic-literal (1/64-of-budget overflow policy, not address math)
+}
 
 // pressureState tracks the controller's degradation machinery.
 type pressureState struct {

@@ -11,50 +11,38 @@
 package recency
 
 // List is an intrusive doubly linked list keyed by physical page number.
-// The next/prev pointers are PPN-indexed slices rather than maps: PPNs
-// come from a bounded OS pool known at build time, so the dense layout
-// turns every link update into two array stores (the hardware analogy —
-// a pointer pair per frame — is also exact). Membership rides in a
-// parallel byte slice.
+// Each PPN owns one link record in a PPN-indexed slice rather than a map:
+// PPNs come from a bounded OS pool known at build time, so the dense
+// layout turns every link update into array stores (the hardware analogy —
+// a pointer pair per frame — is also exact), and a touch reads one record.
+// The list is circular, the tail's next being the head, and a record names
+// its neighbours as PPN+1, so the zero record is a page not in the list. A
+// PPN must therefore be below math.MaxUint32.
 type List struct {
-	next []uint32
-	prev []uint32
-	in   []bool
-	head uint32
-	tail uint32
-	n    int
+	links []link
+	head  uint32 // hottest page's PPN+1; 0 when empty
+	n     int
 }
 
-const nilPPN = ^uint32(0)
+// link is one page's neighbours, each as PPN+1: next toward the cold end,
+// prev toward the hot end (wrapping around at the ends).
+type link struct{ next, prev uint32 }
 
 // New returns an empty list that grows its directory on demand.
 func New() *List { return NewSized(0) }
 
 // NewSized returns an empty list pre-sized for PPNs in [0, capacity), so
 // no directory growth (and no allocation) happens during simulation.
-func NewSized(capacity int) *List {
-	return &List{
-		next: make([]uint32, capacity),
-		prev: make([]uint32, capacity),
-		in:   make([]bool, capacity),
-		head: nilPPN,
-		tail: nilPPN,
-	}
-}
+func NewSized(capacity int) *List { return &List{links: make([]link, capacity)} }
 
 // ensure grows the directory to cover ppn (no-op for pre-sized lists).
 func (l *List) ensure(ppn uint64) {
-	if ppn < uint64(len(l.in)) {
+	if ppn < uint64(len(l.links)) {
 		return
 	}
-	size := ppn + ppn/2 + 64
-	next := make([]uint32, size)
-	copy(next, l.next)
-	prev := make([]uint32, size)
-	copy(prev, l.prev)
-	in := make([]bool, size)
-	copy(in, l.in)
-	l.next, l.prev, l.in = next, prev, in
+	links := make([]link, ppn+ppn/2+64)
+	copy(links, l.links)
+	l.links = links
 }
 
 // Len reports tracked pages.
@@ -62,7 +50,7 @@ func (l *List) Len() int { return l.n }
 
 // Contains reports whether ppn is tracked.
 func (l *List) Contains(ppn uint64) bool {
-	return ppn < uint64(len(l.in)) && l.in[ppn]
+	return ppn < uint64(len(l.links)) && l.links[ppn].next != 0
 }
 
 // Touch moves ppn to the hot end, inserting it if absent.
@@ -71,10 +59,10 @@ func (l *List) Touch(ppn uint64) {
 		l.unlink(uint32(ppn))
 	} else {
 		l.ensure(ppn)
-		l.in[ppn] = true
 		l.n++
 	}
-	l.pushHead(uint32(ppn))
+	l.insert(uint32(ppn))
+	l.head = uint32(ppn) + 1
 }
 
 // Remove drops ppn from the list (page migrated away or marked
@@ -84,16 +72,15 @@ func (l *List) Remove(ppn uint64) {
 		return
 	}
 	l.unlink(uint32(ppn))
-	l.in[ppn] = false
 	l.n--
 }
 
 // Coldest returns the tail without removing it; ok=false when empty.
 func (l *List) Coldest() (uint64, bool) {
-	if l.tail == nilPPN {
+	if l.head == 0 {
 		return 0, false
 	}
-	return uint64(l.tail), true
+	return uint64(l.links[l.head-1].prev - 1), true
 }
 
 // EvictColdest removes and returns the tail.
@@ -114,43 +101,39 @@ func (l *List) InsertCold(ppn uint64) {
 		return
 	}
 	l.ensure(ppn)
-	l.in[ppn] = true
 	l.n++
-	p := uint32(ppn)
-	if l.tail == nilPPN {
-		l.pushHead(p)
+	l.insert(uint32(ppn))
+}
+
+// insert links ppn, which is not in the list, between the tail and the
+// head: it becomes the new tail, or the head too in an empty list.
+func (l *List) insert(ppn uint32) {
+	p := ppn + 1
+	if l.head == 0 {
+		l.links[ppn] = link{next: p, prev: p}
+		l.head = p
 		return
 	}
-	l.next[l.tail] = p
-	l.prev[p] = l.tail
-	l.next[p] = nilPPN
-	l.tail = p
+	h := l.head
+	t := l.links[h-1].prev
+	l.links[ppn] = link{next: h, prev: t}
+	l.links[h-1].prev = p
+	l.links[t-1].next = p
 }
 
-func (l *List) pushHead(ppn uint32) {
-	l.prev[ppn] = nilPPN
-	l.next[ppn] = l.head
-	if l.head != nilPPN {
-		l.prev[l.head] = ppn
-	}
-	l.head = ppn
-	if l.tail == nilPPN {
-		l.tail = ppn
-	}
-}
-
+// unlink removes ppn from the circle and clears its record.
 func (l *List) unlink(ppn uint32) {
-	p, n := l.prev[ppn], l.next[ppn]
-	if p != nilPPN {
-		l.next[p] = n
+	p, lk := ppn+1, l.links[ppn]
+	if lk.next == p {
+		l.head = 0 // the only page
 	} else {
-		l.head = n
+		l.links[lk.prev-1].next = lk.next
+		l.links[lk.next-1].prev = lk.prev
+		if l.head == p {
+			l.head = lk.next
+		}
 	}
-	if n != nilPPN {
-		l.prev[n] = p
-	} else {
-		l.tail = p
-	}
+	l.links[ppn] = link{}
 }
 
 // OverheadBytes models the hardware cost: two pointers plus a PPN per

@@ -1,7 +1,9 @@
 package recency
 
 import (
+	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,5 +122,79 @@ func TestQuickConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMatchesContainerList replays random Touch, Remove, InsertCold and
+// EvictColdest ops against a container/list model (front = hottest) and
+// after every op compares the length, membership, the coldest page and
+// the whole hot-to-cold order, read by walking the link records.
+func TestMatchesContainerList(t *testing.T) {
+	for _, sized := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(3))
+		const pages = 40
+		l := New()
+		if sized {
+			l = NewSized(pages)
+		}
+		model, elem := list.New(), map[uint64]*list.Element{}
+		for i := 0; i < 20000; i++ {
+			p := uint64(rng.Intn(pages))
+			op := rng.Intn(5)
+			switch op {
+			case 0, 1:
+				l.Touch(p)
+				if e := elem[p]; e != nil {
+					model.MoveToFront(e)
+				} else {
+					elem[p] = model.PushFront(p)
+				}
+			case 2:
+				l.Remove(p)
+				if e := elem[p]; e != nil {
+					model.Remove(e)
+					delete(elem, p)
+				}
+			case 3:
+				l.InsertCold(p)
+				if elem[p] == nil {
+					elem[p] = model.PushBack(p)
+				}
+			case 4:
+				got, ok := l.EvictColdest()
+				if back := model.Back(); back == nil {
+					if ok {
+						t.Fatalf("op %d: EvictColdest on empty list = %d", i, got)
+					}
+				} else if want := back.Value.(uint64); !ok || got != want {
+					t.Fatalf("op %d: EvictColdest = %d, %v; model %d", i, got, ok, want)
+				} else {
+					model.Remove(back)
+					delete(elem, want)
+				}
+			}
+			if l.Len() != model.Len() {
+				t.Fatalf("op %d (%d on %d): Len = %d, model %d", i, op, p, l.Len(), model.Len())
+			}
+			for q := uint64(0); q < pages+2; q++ {
+				if l.Contains(q) != (elem[q] != nil) {
+					t.Fatalf("op %d (%d on %d): Contains(%d) = %v", i, op, p, q, l.Contains(q))
+				}
+			}
+			if c, ok := l.Coldest(); ok != (model.Len() > 0) || ok && c != model.Back().Value.(uint64) {
+				t.Fatalf("op %d (%d on %d): Coldest = %d, %v", i, op, p, c, ok)
+			}
+			var order, want []uint64
+			for q, k := l.head, 0; q != 0 && k < l.n; k++ {
+				order = append(order, uint64(q-1))
+				q = l.links[q-1].next
+			}
+			for e := model.Front(); e != nil; e = e.Next() {
+				want = append(want, e.Value.(uint64))
+			}
+			if !slices.Equal(order, want) {
+				t.Fatalf("op %d (%d on %d): hot-to-cold order %v, model %v", i, op, p, order, want)
+			}
+		}
 	}
 }

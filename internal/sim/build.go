@@ -49,17 +49,18 @@ func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
 // controller, a DRAM burst or CPU cycle shorter than 1 ps, an OS physical
 // space smaller than DRAM, an interleave of zero bytes across several
 // channels or controllers, no migration buffer entry or MC queue slot on a
-// design that migrates pages, or a CTE Buffer outside 1..MaxBufferEntries.
-// NewRunnerFull returns it (wrapped, naming the structure) before building
-// anything.
+// design that migrates pages, a CTE Buffer outside 1..MaxBufferEntries, or
+// a budget whose frames or OS pool outnumber the controller's 32-bit frame
+// numbers and PPNs (mc.MaxPages). NewRunnerFull returns it (wrapped, naming
+// the structure) before building anything.
 var ErrGeometry = errors.New("degenerate geometry")
 
 // checkGeometry rejects with ErrGeometry any cache the run would build
 // with fewer than one set or more than cache.MaxWays ways per set, a TLB
 // with no set, a partial one or one that wide, any count the run divides
-// by or indexes into that is below one, and a TMCC CTE Buffer size
-// NewBuffer refuses. The MC's victim shadow has L3's size and 16 ways,
-// so the L3 row covers it.
+// by or indexes into that is below one, a TMCC CTE Buffer size NewBuffer
+// refuses, and a budget past mc.MaxPages. The MC's victim shadow has L3's
+// size and 16 ways, so the L3 row covers it.
 func checkGeometry(opt Options, sys config.System) error {
 	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
 	for _, c := range []struct {
@@ -125,6 +126,14 @@ func checkGeometry(opt Options, sys config.System) error {
 	if n := sys.Comp.CTEBufEntries; opt.Kind == mc.TMCC && (n < 1 || n > ctecache.MaxBufferEntries) {
 		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries, want 1..%d",
 			opt.Benchmark, opt.Kind, ErrGeometry, n, ctecache.MaxBufferEntries)
+	}
+	// The OS pool is at least budget*OSExpansion pages (Uncompressed sizes
+	// its own budget from the footprint), and the controller numbers the
+	// budget's frames plus its overflow region.
+	if b, x := opt.BudgetPages, uint64(sys.Comp.OSExpansion); opt.Kind != mc.Uncompressed &&
+		(b > mc.MaxPages/x || mc.Frames(b) > mc.MaxPages) {
+		return fmt.Errorf("sim: %s/%s: %w: a budget of %d frames at %dx OS expansion numbers more than %d frames or OS pages",
+			opt.Benchmark, opt.Kind, ErrGeometry, b, x, uint64(mc.MaxPages))
 	}
 	return nil
 }

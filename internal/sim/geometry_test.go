@@ -25,13 +25,16 @@ import (
 // slot and count types for at most MaxBufferEntries, and a cache or TLB
 // wider than cache.MaxWays because a set packs its recency ranks in one
 // word. Zero cores with the rest of the system set used to build the
-// default system instead.
+// default system instead. A budget whose frames or OS pages pass
+// mc.MaxPages used to truncate frame numbers to 32 bits and then size the
+// OS pool by the untruncated count.
 func TestDegenerateGeometryRejected(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		kind mc.Kind
-		edit func(*config.System)
-		cte  *config.CTECacheCfg
+		name   string
+		kind   mc.Kind
+		edit   func(*config.System)
+		cte    *config.CTECacheCfg
+		budget uint64
 	}{
 		{name: "L1SizeKB=0", kind: mc.TMCC, edit: func(s *config.System) { s.Cache.L1SizeKB = 0 }},
 		{name: "Assoc=0", kind: mc.Uncompressed, edit: func(s *config.System) { s.Cache.Assoc = 0 }},
@@ -69,13 +72,22 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{name: "CTEOverride.Assoc=32", kind: mc.TMCC, cte: &config.CTECacheCfg{SizeKB: 64, ReachPerBlock: 32 * config.KiB, Assoc: 32}},
 		{name: "TLBAssoc=32", kind: mc.Compresso, edit: func(s *config.System) { s.CPU.TLBEntries, s.CPU.TLBAssoc = 2048, 32 }},
 		{name: "Cores=0", kind: mc.TMCC, edit: func(s *config.System) { s.CPU.Cores = 0 }},
+		{name: "BudgetPages=5e9", kind: mc.TMCC, budget: 5_000_000_000},
+		{name: "BudgetPages=MaxPages/4+1", kind: mc.OSInspired, budget: mc.MaxPages/4 + 1},
+		{name: "BudgetPages=MaxPages/OSExpansion=1", kind: mc.Compresso, edit: func(s *config.System) { s.Comp.OSExpansion = 1 }, budget: mc.MaxPages},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()
 			if tc.edit != nil {
 				tc.edit(&sys)
 			}
-			r, err := NewRunner(Options{Benchmark: "canneal", Kind: tc.kind, Sys: sys, CTEOverride: tc.cte, Seed: 42})
+			opt := Options{Benchmark: "canneal", Kind: tc.kind, Sys: sys, CTEOverride: tc.cte, BudgetPages: tc.budget, Seed: 42}
+			// checkGeometry first: a row it let through could build a system
+			// sized by the degenerate value (an OS pool of billions of pages).
+			if err := checkGeometry(opt, sys); !errors.Is(err, ErrGeometry) {
+				t.Fatalf("checkGeometry = %v; want an error matching ErrGeometry", err)
+			}
+			r, err := NewRunner(opt)
 			if !errors.Is(err, ErrGeometry) {
 				t.Fatalf("NewRunner = %v, %v; want an error matching ErrGeometry", r, err)
 			}
