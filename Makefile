@@ -152,10 +152,11 @@ full-suite:
 
 # artifact-diff proves a refactor moved no simulated byte: it builds
 # tmccsim (plain and race+tmccdebug) and ptbscan from git revision BASE
-# and from the working tree, runs the smoke chaos line, the quick
-# ext-2dwalk CSV and ptbscan (4KB and huge pages) with each, and fails on
-# any output difference; the metrics JSON is compared without its
-# wall-clock engine histograms (needs jq). ARTIFACT_DIR holds the outputs.
+# and from the working tree, runs the smoke chaos line, an observed quick
+# fig17 at -j 2, the quick ext-2dwalk CSV and ptbscan (4KB and huge pages)
+# with each, and fails on any output difference; the metrics JSONs are
+# compared without their wall-clock engine histograms (needs jq).
+# ARTIFACT_DIR holds the outputs.
 artifact-diff:
 	@test -n "$(BASE)" || { echo "usage: make artifact-diff BASE=<rev>"; exit 2; }
 	CHAOS_PLAN='$(CHAOS_PLAN)' bash scripts/artifact-diff.sh $(BASE)

@@ -14,7 +14,6 @@ import (
 	"tmcc/internal/cache"
 	"tmcc/internal/check"
 	"tmcc/internal/config"
-	"tmcc/internal/obs"
 )
 
 // Cache is the MC-side CTE cache.
@@ -22,12 +21,6 @@ type Cache struct {
 	c           *cache.Cache
 	pagesPerBlk uint64
 	cfg         config.CTECacheCfg
-	// Observability counters (nil when not observed): lifetime Lookup
-	// outcomes, bumped live so a registry snapshot mid-run is meaningful.
-	obsHit, obsMiss *obs.Counter
-	// heat, when non-nil, receives the same Lookup outcomes keyed by page
-	// — the heatmap's CTE-locality series (nil-safe methods).
-	heat *obs.RunView
 }
 
 // New builds a CTE cache from its configuration.
@@ -43,27 +36,11 @@ func New(cfg config.CTECacheCfg) *Cache {
 	}
 }
 
-// Observe registers hit/miss counters for Lookup outcomes and the run
-// view whose heatmap also receives them, keyed by the page's region; nil
-// arguments (the default) keep the cache unobserved at zero cost.
-func (c *Cache) Observe(hit, miss *obs.Counter, heat *obs.RunView) {
-	c.obsHit, c.obsMiss, c.heat = hit, miss, heat
-}
-
 // blockFor maps a physical page number to its CTE block id.
 func (c *Cache) blockFor(ppn uint64) uint64 { return ppn / c.pagesPerBlk }
 
 // Lookup probes the cache for the CTE covering ppn.
-func (c *Cache) Lookup(ppn uint64) bool {
-	if c.c.Lookup(c.blockFor(ppn)) >= 0 {
-		c.obsHit.Inc()
-		c.heat.CTE(ppn, true)
-		return true
-	}
-	c.obsMiss.Inc()
-	c.heat.CTE(ppn, false)
-	return false
-}
+func (c *Cache) Lookup(ppn uint64) bool { return c.c.Lookup(c.blockFor(ppn)) >= 0 }
 
 // Fill caches the CTE block covering ppn after a DRAM fetch.
 func (c *Cache) Fill(ppn uint64) { c.c.Insert(c.blockFor(ppn), 0) }
@@ -120,13 +97,8 @@ type Buffer struct {
 	next    int
 	mask    uint64 // len(buckets)-1
 	buckets []bucket
-	// Observability counters (nil when not observed).
-	obsHit, obsMiss *obs.Counter
-}
-
-// Observe registers hit/miss counters for Lookup outcomes.
-func (b *Buffer) Observe(hit, miss *obs.Counter) {
-	b.obsHit, b.obsMiss = hit, miss
+	// Hits and Misses count Lookup outcomes over the buffer's lifetime.
+	Hits, Misses uint64
 }
 
 // NewBuffer returns a buffer with n entries (the paper uses 64); n must
@@ -219,10 +191,10 @@ func (b *Buffer) recount(k, old uint64) error {
 // slot is valid until the next Insert.
 func (b *Buffer) Lookup(ppn uint64) int {
 	if _, i := b.find(ppn + 1); i >= 0 {
-		b.obsHit.Inc()
+		b.Hits++
 		return i
 	}
-	b.obsMiss.Inc()
+	b.Misses++
 	return -1
 }
 

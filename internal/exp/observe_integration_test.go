@@ -2,6 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"tmcc/internal/config"
@@ -31,7 +34,10 @@ func checkObservationDeterministic(t *testing.T, armTL, armHeat bool) {
 	if !ok {
 		t.Fatal("fig17 not registered")
 	}
-	var serialTL, serialHM []byte
+	var (
+		serialTL, serialHM []byte
+		serialReg          obs.Snapshot
+	)
 	for _, workers := range []int{1, 4} {
 		withEngine(t, engine.New(workers))
 		ob := &obs.Observer{Reg: obs.NewRegistry(), At: attr.NewRecorder()}
@@ -67,9 +73,13 @@ func checkObservationDeterministic(t *testing.T, armTL, armHeat bool) {
 				t.Fatal(err)
 			}
 		}
+		reg := runScopedSamples(ob.Reg.Snapshot())
 		if workers == 1 {
-			serialTL, serialHM = tlBuf.Bytes(), hmBuf.Bytes()
+			serialTL, serialHM, serialReg = tlBuf.Bytes(), hmBuf.Bytes(), reg
 			continue
+		}
+		if !reflect.DeepEqual(reg, serialReg) {
+			t.Errorf("registry with %d workers differs from serial:%s", workers, sampleDiff(serialReg, reg))
 		}
 		if !bytes.Equal(tlBuf.Bytes(), serialTL) {
 			t.Errorf("timeline CSV with %d workers differs from serial (%d vs %d bytes)",
@@ -80,6 +90,42 @@ func checkObservationDeterministic(t *testing.T, armTL, armHeat bool) {
 				workers, hmBuf.Len(), len(serialHM))
 		}
 	}
+}
+
+// runScopedSamples drops the samples that legitimately differ between two
+// engines in one process: the wall-clock engine.runMS and
+// engine.queueWaitMS histograms, and the size-model build counters
+// (workload.sizemodel.*, and codec.memdeflate.* from the builds), which
+// count the process-wide memo the first engine fills.
+func runScopedSamples(s obs.Snapshot) obs.Snapshot {
+	var out obs.Snapshot
+	for _, sm := range s.Samples {
+		switch {
+		case sm.Path == "engine.runMS", sm.Path == "engine.queueWaitMS",
+			strings.HasPrefix(sm.Path, "workload.sizemodel."), strings.HasPrefix(sm.Path, "codec.memdeflate."):
+			continue
+		}
+		out.Samples = append(out.Samples, sm)
+	}
+	return out
+}
+
+// sampleDiff lists the paths whose samples differ between two snapshots.
+func sampleDiff(want, got obs.Snapshot) string {
+	var b strings.Builder
+	seen := map[string]bool{}
+	for _, sm := range append(append([]obs.Sample(nil), want.Samples...), got.Samples...) {
+		if seen[sm.Path] {
+			continue
+		}
+		seen[sm.Path] = true
+		w, wok := want.Get(sm.Path)
+		g, gok := got.Get(sm.Path)
+		if wok != gok || !reflect.DeepEqual(w, g) {
+			fmt.Fprintf(&b, "\n  %s: serial %+v, got %+v", sm.Path, w, g)
+		}
+	}
+	return b.String()
 }
 
 // TestTimelineDeterministicAcrossWorkerCounts arms only the timeline

@@ -233,45 +233,24 @@ type Injector struct {
 	plan Plan
 	rng  *rand.Rand
 	c    Counters
-	ob   injObs
 }
 
-// injObs holds the injector's registered instrument handles; every field
-// is a nil-safe *obs.Counter, so an unobserved injector bumps inert
-// handles. Each injection site increments its counter alongside the
-// Counters tally, which puts the injection schedule itself into the
-// registry (and, through the timeline's per-run derived observers, into
-// windowed time-series) instead of only the end-of-run fault line.
-type injObs struct {
-	cteCorrupt *obs.Counter
-	cteStale   *obs.Counter
-	payload    *obs.Counter
-	quarantine *obs.Counter
-	spikes     *obs.Counter
-	busy       *obs.Counter
-	retries    *obs.Counter
-	timeouts   *obs.Counter
-}
-
-// Observe registers the injector's counters under "fault." with the
-// observer. sim.NewRunnerFull calls it with the run's observer — the
-// timeline-derived one when windowing is armed — so injected faults are
-// attributable to the simulated-time window they fired in. Nil-safe on
-// both receiver and observer.
-func (in *Injector) Observe(o *obs.Observer) {
+// Observe registers the injector's counters under "fault." with the run
+// view, which samples them into the registry — and, with the timeline
+// armed, into the simulated-time window they fired in. sim.NewRunnerFull
+// calls it with the run's view. Nil-safe on both receiver and view.
+func (in *Injector) Observe(v *obs.RunView) {
 	if in == nil {
 		return
 	}
-	in.ob = injObs{
-		cteCorrupt: o.Counter("fault.cte.corrupt"),
-		cteStale:   o.Counter("fault.cte.stale"),
-		payload:    o.Counter("fault.payload.flips"),
-		quarantine: o.Counter("fault.payload.quarantines"),
-		spikes:     o.Counter("fault.dram.spikes"),
-		busy:       o.Counter("fault.dram.busy"),
-		retries:    o.Counter("fault.dram.retries"),
-		timeouts:   o.Counter("fault.dram.timeouts"),
-	}
+	v.Count("fault.cte.corrupt", &in.c.CTECorrupt)
+	v.Count("fault.cte.stale", &in.c.CTEStale)
+	v.Count("fault.payload.flips", &in.c.Payload)
+	v.Count("fault.payload.quarantines", &in.c.Quarantines)
+	v.Count("fault.dram.spikes", &in.c.Spikes)
+	v.Count("fault.dram.busy", &in.c.Busy)
+	v.Count("fault.dram.retries", &in.c.Retries)
+	v.Count("fault.dram.timeouts", &in.c.Timeouts)
 }
 
 // NewInjector builds an injector for one run; salt is the run's identity
@@ -332,12 +311,10 @@ func (in *Injector) PerturbCTE(tr uint32, bits int) (uint32, bool) {
 	mask := uint32(uint64(1)<<uint(bits) - 1)
 	if in.plan.CTECorrupt > 0 && in.rng.Float64() < in.plan.CTECorrupt {
 		in.c.CTECorrupt++
-		in.ob.cteCorrupt.Inc()
 		return tr ^ (1 << uint(in.rng.Intn(bits))), true
 	}
 	if in.plan.CTEStale > 0 && in.rng.Float64() < in.plan.CTEStale {
 		in.c.CTEStale++
-		in.ob.cteStale.Inc()
 		return (tr - 1) & mask, true
 	}
 	return tr, false
@@ -352,7 +329,6 @@ func (in *Injector) Payload() bool {
 	}
 	if in.rng.Float64() < in.plan.Payload {
 		in.c.Payload++
-		in.ob.payload.Inc()
 		return true
 	}
 	return false
@@ -363,7 +339,6 @@ func (in *Injector) Payload() bool {
 func (in *Injector) NoteQuarantine() {
 	if in != nil {
 		in.c.Quarantines++
-		in.ob.quarantine.Inc()
 	}
 }
 
@@ -375,7 +350,6 @@ func (in *Injector) Spike() (config.Time, bool) {
 	}
 	if in.rng.Float64() < in.plan.Spike {
 		in.c.Spikes++
-		in.ob.spikes.Inc()
 		return in.plan.SpikeLatency, true
 	}
 	return 0, false
@@ -393,7 +367,6 @@ func (in *Injector) Busy(ch int) bool {
 	}
 	if in.rng.Float64() < in.plan.Busy {
 		in.c.Busy++
-		in.ob.busy.Inc()
 		return true
 	}
 	return false
@@ -409,7 +382,6 @@ func (in *Injector) BusyRetries() int { return in.plan.BusyRetries }
 func (in *Injector) NoteRetry() {
 	if in != nil {
 		in.c.Retries++
-		in.ob.retries.Inc()
 	}
 }
 
@@ -417,6 +389,5 @@ func (in *Injector) NoteRetry() {
 func (in *Injector) NoteTimeout() {
 	if in != nil {
 		in.c.Timeouts++
-		in.ob.timeouts.Inc()
 	}
 }

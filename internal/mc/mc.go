@@ -81,10 +81,10 @@ type Config struct {
 	// is statistics-only — the paper concludes against caching CTEs in
 	// the LLC, and so do we.
 	VictimShadow bool
-	// Obs, when non-nil, registers lifetime counters under
-	// "mc.<kind>." and emits cycle-domain spans. Unlike Stats, the obs
-	// counters survive ResetStats and aggregate across MC instances
-	// sharing a registry. Pure write-only sink: must not affect timing.
+	// Obs, when non-nil, emits cycle-domain spans, and its run view
+	// samples the controller's counts into lifetime "mc.<kind>." counters
+	// (folded in before ResetStats zeroes Stats) that aggregate across MC
+	// instances sharing a registry. Write-only: must not affect timing.
 	Obs *obs.Observer
 	// Inject, when non-nil, arms fault injection on the MC's ML2 payload
 	// and DRAM request paths (the embedded-CTE faults live in the
@@ -177,10 +177,11 @@ type MC struct {
 	chunkPool    uint64 // frames available for data
 	cteTableBase uint64
 
-	// heat is the run view Obs carries (nil unless a timeline or heatmap
-	// is armed): the controller stamps migrations, pressure evictions,
-	// quarantines, ML2 serves, compressed sizes and residency against the
-	// page they hit. Every stamp site pays one nil check inside the method.
+	// heat is the run view Obs carries (nil when unobserved): it samples
+	// the controller's counts, and with the heatmap armed the controller
+	// stamps migrations, pressure evictions, quarantines, ML2 serves, CTE
+	// lookups, compressed sizes and residency against the page they hit.
+	// Every stamp site pays one nil check inside the method.
 	heat *obs.RunView
 
 	// inj is the armed fault injector (nil in healthy runs); pressure and
@@ -213,7 +214,17 @@ type MC struct {
 	shadowPPB uint64
 
 	Stats Stats
-	ob    mcObs
+	tally tally
+	// ml1AtMig is ML1's occupancy (resident pages, free chunks) after the
+	// last migration, which the ml1.pages and ml1.freeChunks gauges report.
+	ml1AtMig [2]int
+
+	// The event-driven instruments, nil when unobserved: the span sink,
+	// demand ML2 latency (now -> respond, ps) and the compressed page
+	// size at ML2 entry (bytes).
+	tr              *obs.Tracer
+	ml2DecompressPS *obs.Histogram
+	ml2CompBytes    *obs.Histogram
 
 	// ab is the per-access attribution scratch, allocated only when the
 	// observer carries an attr.Recorder. Each Access resets and refills
@@ -223,116 +234,92 @@ type MC struct {
 	ab *attr.Access
 }
 
-// mcObs holds the registered instrument handles. All fields are nil when
-// the controller is unobserved (obs handles are nil-safe), so the bump
-// sites pay one predictable branch each.
-type mcObs struct {
-	tr *obs.Tracer // span sink (nil when tracing off)
+// tally holds the controller's per-run counts that Stats does not carry.
+// Unlike Stats, ResetStats leaves them alone.
+type tally struct {
+	pressureStallPS   uint64 // picoseconds demand work waited on emergency migrations
+	pressureExhausted uint64 // placements the exhausted ladder could not serve
+	dramBusy          uint64 // DRAM operations whose first probe found the channel busy
 
-	reads, writes     *obs.Counter
-	cteFetchDRAM      *obs.Counter
-	cteMissWalk       *obs.Counter
-	cteVictimHit      *obs.Counter
-	specVerifyOK      *obs.Counter
-	specVerifyFail    *obs.Counter
-	serialNoEmbed     *obs.Counter
-	ml2Reads          *obs.Counter
-	ml2ToML1          *obs.Counter
-	ml1ToML2          *obs.Counter
-	incompressSkips   *obs.Counter
-	ml2DecompressPS   *obs.Histogram // demand ML2 latency, now -> respond, ps
-	ml2CompBytes      *obs.Histogram // compressed page size at ML2 entry, bytes
-	ml1Pages, ml1Free *obs.Gauge
-
-	// pressure.* — degradation-ladder activity (two-level kinds only).
-	pressureEmergency *obs.Counter // force-migrations on a critical path
-	pressureStallPS   *obs.Counter // picoseconds demand work waited on them
-	pressureExhausted *obs.Counter // ladder exhausted (ErrCapacityExhausted)
-	pressureOverflow  *obs.Gauge   // overflow frames currently in use
-
-	// fault.* — injected-fault recoveries (registered only when armed).
-	faultPayload    *obs.Counter
-	faultQuarantine *obs.Counter
-	faultSpike      *obs.Counter
-	faultBusy       *obs.Counter
-	faultRetry      *obs.Counter
-	faultTimeout    *obs.Counter
-
-	// ras.* — self-healing policy activity (registered only when armed).
-	rasRetired        *obs.Counter // frames permanently retired
-	rasStrikes        *obs.Counter // scoreboard strikes recorded
-	rasBreakerOpen    *obs.Counter // breaker open transitions
-	rasBreakerClose   *obs.Counter // breaker re-arm transitions
-	rasDegradedWrites *obs.Counter // writes served in writethrough mode
-	rasBacklogPS      *obs.Counter // picoseconds of RAS work charged to demand
-	rasScrubPages     *obs.Counter // patrol page visits
-	rasScrubDetect    *obs.Counter // latent corruptions the patrol caught
-	rasScrubCTE       *obs.Counter // PTBs the simulator's CTE patrol examined
-	rasScrubRepair    *obs.Counter // stale embedded CTEs refreshed by patrol
-	rasPages          *obs.Gauge   // OS pool size (patrol coverage basis)
+	rasStrikes        uint64 // scoreboard strikes recorded
+	rasBreakerOpens   uint64 // breaker open transitions
+	rasBreakerCloses  uint64 // breaker re-arm transitions
+	rasDegradedWrites uint64 // writes served in writethrough mode
+	rasBacklogPS      uint64 // picoseconds of RAS work charged to demand
+	rasScrubPages     uint64 // patrol page visits
+	rasScrubDetect    uint64 // latent corruptions the patrol caught
+	rasScrubCTE       uint64 // PTBs the simulator's CTE patrol examined
+	rasScrubRepair    uint64 // stale embedded CTEs refreshed by patrol
 }
 
-// observe registers the controller's instruments under "mc.<kind>.". The
-// registry get-or-creates by path, so several controllers of the same kind
-// (or the same controller rebuilt across runs) aggregate into shared
-// lifetime counters.
+// observe registers the controller's instruments and counts under
+// "mc.<kind>.". The registry get-or-creates by path, so several
+// controllers of the same kind (or the same controller rebuilt across
+// runs) aggregate into shared lifetime counters. The pressure.*, fault.*
+// and ras.* paths exist only for two-level kinds, an armed injector and
+// armed RAS respectively.
 func (m *MC) observe(o *obs.Observer) {
 	if o == nil {
 		return
 	}
 	p := "mc." + m.cfg.Kind.String() + "."
-	m.ob = mcObs{
-		tr:              o.Tr,
-		reads:           o.Counter(p + "reads"),
-		writes:          o.Counter(p + "writes"),
-		cteFetchDRAM:    o.Counter(p + "cte.fetchDRAM"),
-		cteMissWalk:     o.Counter(p + "cte.missWalkRelated"),
-		cteVictimHit:    o.Counter(p + "cte.victimHit"),
-		specVerifyOK:    o.Counter(p + "spec.verifyOK"),
-		specVerifyFail:  o.Counter(p + "spec.verifyFail"),
-		serialNoEmbed:   o.Counter(p + "spec.serialNoEmbed"),
-		ml2Reads:        o.Counter(p + "ml2.reads"),
-		ml2ToML1:        o.Counter(p + "ml2.toML1"),
-		ml1ToML2:        o.Counter(p + "ml1.toML2"),
-		incompressSkips: o.Counter(p + "ml2.incompressSkips"),
-		ml2DecompressPS: o.Histogram(p+"ml2.decompressPS", ml2LatencyBoundsPS),
-		ml2CompBytes:    o.Histogram(p+"ml2.compressedBytes", heatmap.SizeBounds()),
-		ml1Pages:        o.Gauge(p + "ml1.pages"),
-		ml1Free:         o.Gauge(p + "ml1.freeChunks"),
-	}
-	if m.ml1 != nil {
-		m.ob.pressureEmergency = o.Counter(p + "pressure.emergencyMigrations")
-		m.ob.pressureStallPS = o.Counter(p + "pressure.stallPS")
-		m.ob.pressureExhausted = o.Counter(p + "pressure.exhausted")
-		m.ob.pressureOverflow = o.Gauge(p + "pressure.overflowPages")
-	}
-	if m.inj != nil {
-		m.ob.faultPayload = o.Counter(p + "fault.payloadCorrupt")
-		m.ob.faultQuarantine = o.Counter(p + "fault.quarantines")
-		m.ob.faultSpike = o.Counter(p + "fault.dramSpikes")
-		m.ob.faultBusy = o.Counter(p + "fault.dramBusy")
-		m.ob.faultRetry = o.Counter(p + "fault.dramRetries")
-		m.ob.faultTimeout = o.Counter(p + "fault.dramTimeouts")
-	}
-	if m.ras != nil {
-		m.ob.rasRetired = o.Counter(p + "ras.retired")
-		m.ob.rasStrikes = o.Counter(p + "ras.strikes")
-		m.ob.rasBreakerOpen = o.Counter(p + "ras.breaker.opens")
-		m.ob.rasBreakerClose = o.Counter(p + "ras.breaker.closes")
-		m.ob.rasDegradedWrites = o.Counter(p + "ras.degradedWrites")
-		m.ob.rasBacklogPS = o.Counter(p + "ras.backlogPS")
-		m.ob.rasScrubPages = o.Counter(p + "ras.scrub.pages")
-		m.ob.rasScrubDetect = o.Counter(p + "ras.scrub.detections")
-		m.ob.rasScrubCTE = o.Counter(p + "ras.scrub.ctePTBs")
-		m.ob.rasScrubRepair = o.Counter(p + "ras.scrub.cteRepairs")
-		m.ob.rasPages = o.Gauge(p + "ras.pages")
-		m.ob.rasPages.Set(int64(len(m.pages)))
-	}
-	if m.cte != nil {
-		m.cte.Observe(o.Counter(p+"ctecache.hit"), o.Counter(p+"ctecache.miss"), m.heat)
-	}
+	m.tr = o.Tr
+	m.ml2DecompressPS = o.Histogram(p+"ml2.decompressPS", ml2LatencyBoundsPS)
+	m.ml2CompBytes = o.Histogram(p+"ml2.compressedBytes", heatmap.SizeBounds())
 	if o.At != nil {
 		m.ab = new(attr.Access)
+	}
+	v := m.heat
+	count := func(path string, n *uint64) { v.Count(p+path, n) }
+	count("reads", &m.Stats.Reads)
+	count("writes", &m.Stats.Writes)
+	count("cte.fetchDRAM", &m.Stats.CTEFetchesDRAM)
+	count("cte.missWalkRelated", &m.Stats.CTEMissWalkRelated)
+	count("cte.victimHit", &m.Stats.CTEVictimHits)
+	count("spec.verifyOK", &m.Stats.ParallelOK)
+	count("spec.verifyFail", &m.Stats.ParallelWrong)
+	count("spec.serialNoEmbed", &m.Stats.SerialNoEmbed)
+	count("ml2.reads", &m.Stats.ML2Reads)
+	count("ml2.toML1", &m.Stats.ML2ToML1)
+	count("ml1.toML2", &m.Stats.ML1ToML2)
+	count("ml2.incompressSkips", &m.Stats.IncompressSkips)
+	v.Level(p+"ml1.pages", func() int64 { return int64(m.ml1AtMig[0]) })
+	v.Level(p+"ml1.freeChunks", func() int64 { return int64(m.ml1AtMig[1]) })
+	if m.cte != nil {
+		count("ctecache.hit", &m.Stats.CTEHits)
+		count("ctecache.miss", &m.Stats.CTEMisses)
+	}
+	if m.ml1 != nil {
+		count("pressure.emergencyMigrations", &m.pressure.emergencies)
+		count("pressure.stallPS", &m.tally.pressureStallPS)
+		count("pressure.exhausted", &m.tally.pressureExhausted)
+		v.Level(p+"pressure.overflowPages", func() int64 { return int64(m.pressure.overflowUsed) })
+	}
+	if m.inj != nil {
+		// The injector keeps these tallies; fault.dramBusy is the
+		// controller's own, counting operations rather than busy draws.
+		fc := func(path string, read func(fault.Counters) uint64) {
+			v.CountFunc(p+path, func() uint64 { return read(m.inj.Counters()) })
+		}
+		fc("fault.payloadCorrupt", func(c fault.Counters) uint64 { return c.Payload })
+		fc("fault.quarantines", func(c fault.Counters) uint64 { return c.Quarantines })
+		fc("fault.dramSpikes", func(c fault.Counters) uint64 { return c.Spikes })
+		count("fault.dramBusy", &m.tally.dramBusy)
+		fc("fault.dramRetries", func(c fault.Counters) uint64 { return c.Retries })
+		fc("fault.dramTimeouts", func(c fault.Counters) uint64 { return c.Timeouts })
+	}
+	if m.ras != nil {
+		v.CountFunc(p+"ras.retired", m.ras.Retired)
+		count("ras.strikes", &m.tally.rasStrikes)
+		count("ras.breaker.opens", &m.tally.rasBreakerOpens)
+		count("ras.breaker.closes", &m.tally.rasBreakerCloses)
+		count("ras.degradedWrites", &m.tally.rasDegradedWrites)
+		count("ras.backlogPS", &m.tally.rasBacklogPS)
+		count("ras.scrub.pages", &m.tally.rasScrubPages)
+		count("ras.scrub.detections", &m.tally.rasScrubDetect)
+		count("ras.scrub.ctePTBs", &m.tally.rasScrubCTE)
+		count("ras.scrub.cteRepairs", &m.tally.rasScrubRepair)
+		o.Gauge(p + "ras.pages").Set(int64(len(m.pages)))
 	}
 }
 
@@ -349,16 +336,8 @@ var ml2LatencyBoundsPS = []int64{
 	int64(5000 * config.Nanosecond),
 }
 
-// updateGauges refreshes the ML1 occupancy gauges after a migration. The
-// nil check on the first gauge keeps the unobserved path to one branch
-// (and skips the ml1.Len() call entirely).
-func (m *MC) updateGauges() {
-	if m.ob.ml1Pages == nil {
-		return
-	}
-	m.ob.ml1Pages.Set(int64(m.ml1Size))
-	m.ob.ml1Free.Set(int64(m.ml1.Len()))
-}
+// noteML1 records ML1's occupancy after a migration (ml1AtMig).
+func (m *MC) noteML1() { m.ml1AtMig = [2]int{m.ml1Size, m.ml1.Len()} }
 
 // CTECacheConfig is the CTE cache a design of kind builds: the override
 // when set, else Compresso's block-level cache or the system's page-level
@@ -571,7 +550,7 @@ func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
 		if m.ab != nil {
 			m.ab.Add(attr.CPressureStall, ready-now)
 		}
-		m.ob.pressureStallPS.Add(uint64(ready - now))
+		m.tally.pressureStallPS += uint64(ready - now)
 	}
 	return ready
 }
@@ -582,7 +561,7 @@ func (m *MC) storeML2(ppn uint64, st *pageState, sub freelist.SubChunk, size int
 	st.inML2 = true
 	st.chunk, st.class, st.slot = sub.Super, sub.Class, sub.Slot
 	st.sum = pageChecksum(ppn, size)
-	m.ob.ml2CompBytes.Observe(int64(size))
+	m.ml2CompBytes.Observe(int64(size))
 	m.heat.CompressedSize(ppn, int64(size))
 }
 
@@ -625,10 +604,8 @@ func (m *MC) cteAddr(ppn uint64) uint64 {
 func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embedded *cte.Entry, walkRelated bool) Result {
 	if write {
 		m.Stats.Writes++
-		m.ob.writes.Inc()
 	} else {
 		m.Stats.Reads++
-		m.ob.reads.Inc()
 	}
 	if m.ab != nil {
 		m.ab.Reset()
@@ -653,18 +630,17 @@ func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embed
 
 	// Every request, read or write, needs a physical-to-DRAM translation.
 	cteHit := m.cte.Lookup(ppn)
+	m.heat.CTE(ppn, cteHit)
 	if cteHit {
 		m.Stats.CTEHits++
 	} else {
 		m.Stats.CTEMisses++
 		if walkRelated {
 			m.Stats.CTEMissWalkRelated++
-			m.ob.cteMissWalk.Inc()
 		}
 		if m.shadow != nil {
 			if m.shadow.Lookup(ppn/m.shadowPPB) >= 0 {
 				m.Stats.CTEVictimHits++
-				m.ob.cteVictimHit.Inc()
 			}
 			m.shadow.Insert(ppn/m.shadowPPB, 0)
 		}
@@ -770,12 +746,10 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 			}
 			tag = TagParallelOK
 			m.Stats.ParallelOK++
-			m.ob.specVerifyOK.Inc()
 		} else {
 			// Mismatch: re-access at the correct location.
 			tag = TagParallelWrong
 			m.Stats.ParallelWrong++
-			m.ob.specVerifyFail.Inc()
 			redoFrom := done
 			done = m.dramOp(done, m.dataAddr(st, blockOff), write)
 			if check.Enabled {
@@ -799,7 +773,6 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 		}
 		tag = TagSerial
 		m.Stats.SerialNoEmbed++
-		m.ob.serialNoEmbed.Inc()
 	}
 	m.maybeEvict(done)
 	return Result{Done: done, Tag: tag}
@@ -810,7 +783,6 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 // block, respond, and migrate the page to ML1 in the background.
 func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, cteHit bool) config.Time {
 	m.Stats.ML2Reads++
-	m.ob.ml2Reads.Inc()
 	m.heat.Event(ppn, heatmap.EvML2Read)
 	t := now
 	if !cteHit {
@@ -851,8 +823,8 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 			m.ab.Add(attr.CVerifyRedo, m.cfg.ML2HalfPage)
 		}
 	}
-	m.ob.tr.Emit(obs.CatML2, "decompress", obs.TIDMC, now, respond)
-	m.ob.ml2DecompressPS.Observe(int64(respond - now))
+	m.tr.Emit(obs.CatML2, "decompress", obs.TIDMC, now, respond)
+	m.ml2DecompressPS.Observe(int64(respond - now))
 	if m.ab != nil {
 		// cteSerial + migStall + dataML2 + decompress (+ the quarantine
 		// retry above) == respond - now: the ML2 critical path, with the
@@ -881,7 +853,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	// The page write-out occupies the staging slot.
 	wt := m.stream(respond, m.frameAddrs(chunk), true)
 	m.migBuf[slot] = wt
-	m.ob.tr.Emit(obs.CatMigration, "ml2->ml1", obs.TIDMC, respond, wt)
+	m.tr.Emit(obs.CatMigration, "ml2->ml1", obs.TIDMC, respond, wt)
 	return respond
 }
 
@@ -902,7 +874,6 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 	m.ml1Size++
 	m.rec.Touch(ppn)
 	m.Stats.ML2ToML1++
-	m.ob.ml2ToML1.Inc()
 	m.heat.Event(ppn, heatmap.EvML2ToML1)
 	if quarantined {
 		st.incompressible = true
@@ -910,7 +881,7 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 			m.maybeRetire(ppn, st)
 		}
 	}
-	m.updateGauges()
+	m.noteML1()
 	if check.Enabled {
 		check.Invariant("mc: chunk-conservation after ML2 exit", m.audit)
 	}
@@ -922,7 +893,6 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 func (m *MC) payloadFault(st *pageState) {
 	if m.inj != nil && m.inj.Payload() {
 		st.sum ^= 1
-		m.ob.faultPayload.Inc()
 	}
 }
 
@@ -931,7 +901,6 @@ func (m *MC) payloadFault(st *pageState) {
 // uncompressed from here on, and the detection strikes its scoreboard.
 func (m *MC) quarantine(ppn uint64) {
 	m.inj.NoteQuarantine()
-	m.ob.faultQuarantine.Inc()
 	m.heat.Event(ppn, heatmap.EvQuarantine)
 	m.rasStrike(ppn)
 }
@@ -1004,7 +973,6 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 			// List, so we do not repeatedly recompress it (Section IV-B).
 			st.incompressible = true
 			m.Stats.IncompressSkips++
-			m.ob.incompressSkips.Inc()
 			continue
 		}
 		sub, ok := m.ml2.Alloc(size)
@@ -1022,10 +990,9 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		m.storeML2(ppn, st, sub, size)
 		m.ml1Size--
 		m.Stats.ML1ToML2++
-		m.ob.ml1ToML2.Inc()
 		m.heat.Event(ppn, heatmap.EvML1ToML2)
-		m.ob.tr.Emit(obs.CatMigration, "ml1->ml2", obs.TIDMC, now, wlast)
-		m.updateGauges()
+		m.tr.Emit(obs.CatMigration, "ml1->ml2", obs.TIDMC, now, wlast)
+		m.noteML1()
 		if check.Enabled {
 			check.Invariant("mc: chunk-conservation after eviction", m.audit)
 		}
@@ -1038,8 +1005,7 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 func (m *MC) fetchCTE(now config.Time, ppn uint64, span string) config.Time {
 	t := m.dramOp(now, m.cteAddr(ppn), false)
 	m.Stats.CTEFetchesDRAM++
-	m.ob.cteFetchDRAM.Inc()
-	m.ob.tr.Emit(obs.CatCTEFetch, span, obs.TIDMC, now, t)
+	m.tr.Emit(obs.CatCTEFetch, span, obs.TIDMC, now, t)
 	m.cte.Fill(ppn)
 	return t
 }

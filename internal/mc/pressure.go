@@ -111,7 +111,6 @@ func (m *MC) popFrame(now config.Time) (uint32, config.Time, bool) {
 			break
 		}
 		m.pressure.emergencies++
-		m.ob.pressureEmergency.Inc()
 		m.heat.Event(ppn, heatmap.EvEmergency)
 		if done > now {
 			now = done
@@ -135,7 +134,7 @@ func (m *MC) popFrame(now config.Time) (uint32, config.Time, bool) {
 // pressure.* counter deltas on the same simulated-time axis.
 func (m *MC) emitPressure(entry, now config.Time) {
 	if now > entry {
-		m.ob.tr.Emit(obs.CatPressure, "emergency", obs.TIDMC, entry, now)
+		m.tr.Emit(obs.CatPressure, "emergency", obs.TIDMC, entry, now)
 	}
 }
 
@@ -148,7 +147,6 @@ func (m *MC) overflowAlloc() (uint32, bool) {
 		c := p.overflowFree[n-1]
 		p.overflowFree = p.overflowFree[:n-1]
 		p.overflowUsed++
-		m.ob.pressureOverflow.Set(int64(p.overflowUsed))
 		return c, true
 	}
 	if p.overflowNext >= p.overflowCap {
@@ -157,7 +155,6 @@ func (m *MC) overflowAlloc() (uint32, bool) {
 	c := uint32(m.cfg.BudgetPages) + p.overflowNext
 	p.overflowNext++
 	p.overflowUsed++
-	m.ob.pressureOverflow.Set(int64(p.overflowUsed))
 	return c, true
 }
 
@@ -168,13 +165,12 @@ func (m *MC) overflowRelease(c uint32) {
 	p := &m.pressure
 	p.overflowFree = append(p.overflowFree, c)
 	p.overflowUsed--
-	m.ob.pressureOverflow.Set(int64(p.overflowUsed))
 }
 
 // failCapacity records the sticky exhaustion error (first failure wins)
 // and counts the event.
 func (m *MC) failCapacity(ppn uint64) {
-	m.ob.pressureExhausted.Inc()
+	m.tally.pressureExhausted++
 	if m.capErr != nil {
 		return
 	}
@@ -209,22 +205,19 @@ func pageChecksum(ppn uint64, size int) uint32 {
 // is spent (timeout). Called only when an injector is armed.
 func (m *MC) injectDRAM(now config.Time, addr uint64) config.Time {
 	if d, ok := m.inj.Spike(); ok {
-		m.ob.faultSpike.Inc()
 		now += d
 	}
 	if m.inj.Busy(m.dram.ChannelOf(addr)) {
-		m.ob.faultBusy.Inc()
+		m.tally.dramBusy++
 		backoff := m.inj.BusyBackoff()
 		for try := 0; ; try++ {
 			now += backoff << uint(try)
 			m.inj.NoteRetry()
-			m.ob.faultRetry.Inc()
 			if !m.inj.Busy(m.dram.ChannelOf(addr)) {
 				break
 			}
 			if try+1 >= m.inj.BusyRetries() {
 				m.inj.NoteTimeout()
-				m.ob.faultTimeout.Inc()
 				// Feed the RAS breaker: a timeout is a definite fault but
 				// has no page to blame, so it never strikes a scoreboard.
 				m.ras.Fault()

@@ -23,10 +23,10 @@ import (
 func (m *MC) rasTick(now config.Time) config.Time {
 	tk := m.ras.Tick(now)
 	if tk.Opened {
-		m.ob.rasBreakerOpen.Inc()
+		m.tally.rasBreakerOpens++
 	}
 	if tk.Closed {
-		m.ob.rasBreakerClose.Inc()
+		m.tally.rasBreakerCloses++
 	}
 	if tk.ScrubPages > 0 {
 		m.scrubPatrol(tk.ScrubPages)
@@ -35,7 +35,7 @@ func (m *MC) rasTick(now config.Time) config.Time {
 		if m.ab != nil {
 			m.ab.Add(attr.CDegraded, m.rasBacklog)
 		}
-		m.ob.rasBacklogPS.Add(uint64(m.rasBacklog))
+		m.tally.rasBacklogPS += uint64(m.rasBacklog)
 		now += m.rasBacklog
 		m.rasBacklog = 0
 	}
@@ -59,8 +59,8 @@ func (m *MC) rasResult(res Result, write bool) Result {
 	if m.ab != nil {
 		m.ab.Add(attr.CDegraded, w)
 	}
-	m.ob.rasDegradedWrites.Inc()
-	m.ob.rasBacklogPS.Add(uint64(w))
+	m.tally.rasDegradedWrites++
+	m.tally.rasBacklogPS += uint64(w)
 	return res
 }
 
@@ -76,7 +76,7 @@ func (m *MC) rasStrike(ppn uint64) {
 		return
 	}
 	m.ras.Strike(ppn)
-	m.ob.rasStrikes.Inc()
+	m.tally.rasStrikes++
 }
 
 // maybeRetire permanently retires ppn's frame once its scoreboard crosses
@@ -96,7 +96,6 @@ func (m *MC) maybeRetire(ppn uint64, st *pageState) {
 		m.ml1.Retire(st.chunk)
 	}
 	m.ras.MarkRetired()
-	m.ob.rasRetired.Inc()
 	m.heat.Event(ppn, heatmap.EvRetired)
 }
 
@@ -112,7 +111,7 @@ func (m *MC) scrubPatrol(quota int) {
 	}
 	for i := 0; i < quota; i++ {
 		ppn := m.ras.NextScrub(len(m.pages))
-		m.ob.rasScrubPages.Inc()
+		m.tally.rasScrubPages++
 		st := &m.pages[ppn]
 		if !st.placed || !st.inML2 {
 			continue
@@ -130,7 +129,7 @@ func (m *MC) scrubPatrol(quota int) {
 		// the repair cost banks into rasBacklog instead of stalling a
 		// requester. With no free frame the payload is rewritten in place
 		// and the page stays compressed.
-		m.ob.rasScrubDetect.Inc()
+		m.tally.rasScrubDetect++
 		m.quarantine(ppn)
 		m.rasBacklog += m.cfg.ML2HalfPage
 		chunk, ok := m.ml1.Pop()
@@ -151,8 +150,8 @@ func (m *MC) ChargeCTEScrub(pages, repairs int) {
 		return
 	}
 	m.rasBacklog += config.Time(pages) * m.ras.ScrubPagePS()
-	m.ob.rasScrubCTE.Add(uint64(pages))
-	m.ob.rasScrubRepair.Add(uint64(repairs))
+	m.tally.rasScrubCTE += uint64(pages)
+	m.tally.rasScrubRepair += uint64(repairs)
 }
 
 // RASRetired reports how many frames the scoreboard has retired.

@@ -12,7 +12,7 @@ import (
 )
 
 // newRAS builds a TMCC controller with the given RAS policy and injector
-// over the unit-test working set.
+// over the unit-test working set, observed through a run view.
 func newRAS(t testing.TB, rcfg ras.Config, inj *fault.Injector) *MC {
 	t.Helper()
 	return mustNew(t, Config{
@@ -24,16 +24,17 @@ func newRAS(t testing.TB, rcfg ras.Config, inj *fault.Injector) *MC {
 		ML2HalfPage: 140 * config.Nanosecond,
 		ML2Compress: 660 * config.Nanosecond,
 		Seed:        1,
-		Obs:         obs.New(),
+		Obs:         obs.New().RunView("unit", "tmcc").Observer(),
 		Inject:      inj,
 		RAS:         rcfg,
 	})
 }
 
-// counterValue reads one lifetime instrument out of the controller's
-// observer registry.
+// counterValue folds the controller's counts through its run view and
+// reads one lifetime instrument out of the view's registry.
 func counterValue(t *testing.T, m *MC, path string) int64 {
 	t.Helper()
+	m.heat.Close()
 	for _, sm := range m.cfg.Obs.Reg.Snapshot().Samples {
 		if sm.Path == path {
 			return sm.Value

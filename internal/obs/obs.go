@@ -22,9 +22,12 @@
 //     rule obs-sink-purity enforces this for every internal package except
 //     this one).
 //
-// Components register their instruments at construction (get-or-create by
-// path, so repeated construction aggregates into the same instrument) and
-// bump them inline. Snapshots are deterministic: samples sort by path.
+// A simulated event is counted once, in a plain field of the component
+// that sees it; the component registers the field with its run's RunView,
+// which samples it into the registry (see RunView). Histograms and
+// process-wide instruments are registered at construction (get-or-create
+// by path, so repeated construction aggregates into the same instrument)
+// and fed inline. Snapshots are deterministic: samples sort by path.
 package obs
 
 import (
@@ -57,10 +60,10 @@ type Observer struct {
 	Reg *Registry
 	Tr  *Tracer
 	At  *attr.Recorder
-	// TL, when non-nil, arms the windowed timeline: each observed run
-	// gets a private registry and attr recorder (via RunView) whose
-	// per-window deltas fold into TL and merge into Reg/At. Like At, TL
-	// rides outside the experiment engine's memo key.
+	// TL, when non-nil, arms the windowed timeline: each observed run's
+	// RunView folds per-window deltas of its private registry and attr
+	// recorder into TL and merges them into Reg/At. Like At, TL rides
+	// outside the experiment engine's memo key.
 	TL *timeline.Recorder
 	// Heat, when non-nil, arms the address-space heatmap: each observed
 	// run accumulates per-region heat in its RunView and folds it into

@@ -49,6 +49,12 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
+// raise stores v when it exceeds the current value.
+func (g *Gauge) raise(v int64) {
+	for cur := g.v.Load(); v > cur && !g.v.CompareAndSwap(cur, v); cur = g.v.Load() {
+	}
+}
+
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -299,12 +305,11 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Merge folds a snapshot into the registry: counters add their value,
-// gauges take the snapshot's value (last writer wins, like Set), and
-// histograms add bucket-wise — get-or-create with the snapshot's bounds,
-// erroring on a bucket-shape mismatch with an already-registered
-// histogram. Merging the timeline's per-run private registries this way
-// keeps lifetime aggregates identical to direct shared-registry bumping:
-// every fold is commutative. Nil-safe.
+// gauges keep the larger of the two values (a new gauge starts at 0), and
+// histograms add bucket-wise — get-or-create with the
+// snapshot's bounds, erroring on a bucket-shape mismatch with an
+// already-registered histogram. Every fold is commutative, so the run
+// views' merges give the same registry in any run order. Nil-safe.
 func (r *Registry) Merge(s Snapshot) error {
 	if r == nil {
 		return nil
@@ -314,7 +319,7 @@ func (r *Registry) Merge(s Snapshot) error {
 		case "counter":
 			r.Counter(sm.Path).Add(uint64(sm.Value))
 		case "gauge":
-			r.Gauge(sm.Path).Set(sm.Value)
+			r.Gauge(sm.Path).raise(sm.Value)
 		case "histogram":
 			h := r.Histogram(sm.Path, sm.Bounds)
 			if len(h.bounds) != len(sm.Bounds) || len(h.buckets) != len(sm.Counts) {

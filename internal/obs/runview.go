@@ -11,18 +11,24 @@ import (
 	"tmcc/internal/obs/timeline"
 )
 
-// RunView is one run's window into the observer's per-run recorders: the
-// windowed timeline (Observer.TL) and the address-space heatmap
-// (Observer.Heat). The run threads the view's Observer through its
-// components, so both surfaces reach every site the way counters do.
+// RunView is one run's window into the observer's sinks: the run's
+// counts, the windowed timeline (Observer.TL) and the address-space
+// heatmap (Observer.Heat). The run threads the view's Observer through
+// its components, so every site reaches all three.
 //
-// Timeline side: the derived observer carries a PRIVATE registry and attr
-// recorder, so every existing bump site feeds the timeline unchanged and
-// per-run deltas are exact while other runs execute concurrently. At each
-// window edge the view folds the delta of its private sinks into the
-// shared recorder and merges the same delta into the shared registry and
-// attr recorder, so the window deltas of every counter, histogram bucket
-// and attr component sum to the lifetime value by construction.
+// Counts: components keep per-run events in plain uint64 fields and
+// register each once (Count, CountFunc; Level for a gauge). The view
+// samples them into a PRIVATE registry, beside the histograms the
+// components register on the derived observer, so per-run deltas are
+// exact while other runs execute concurrently. Counts fold at each
+// timeline window edge, at Rebase and at Close, gauges at Close only, and
+// each flush merges what changed into the shared registry.
+//
+// Timeline side: with TL armed the derived observer also carries a
+// private attr recorder; each window edge folds the delta of both private
+// sinks into the shared timeline and merges the attr delta into the
+// shared recorder, so the window deltas of every counter, histogram
+// bucket and attr component sum to the lifetime value by construction.
 //
 // Heat side: heat facts carry a physical page number that registry paths
 // cannot express, so components reach the view through (*Observer).View
@@ -39,11 +45,16 @@ type RunView struct {
 	shared *Observer // lifetime sinks
 	ob     *Observer // what the run threads through its components
 
+	// Counts: reg is the run-private registry, prevReg its state at the
+	// last flush; levels sample the gauges into it.
+	reg     *Registry
+	prevReg Snapshot
+	tallies []tally
+	levels  []func()
+
 	// Timeline side; tl is nil when the timeline is off.
 	tl       *timeline.Recorder
-	reg      *Registry      // run-private registry
 	at       *attr.Recorder // run-private attr recorder
-	prevReg  Snapshot
 	prevAttr attr.Snapshot
 	tlEdge   timeline.Edge
 
@@ -62,22 +73,30 @@ type RunView struct {
 	heatEdge timeline.Edge
 }
 
-// RunView derives the per-run view for one (benchmark, kind); nil unless
-// the observer arms a timeline or a heatmap, so the flags-off path stays
-// one nil check.
+// tally is one registered per-run count: read returns the component's
+// field, c is the private counter it folds into, and last is read's
+// value at the previous fold.
+type tally struct {
+	read func() uint64
+	c    *Counter
+	last uint64
+}
+
+// RunView derives the per-run view for one (benchmark, kind); nil for a
+// nil observer.
 func (o *Observer) RunView(bench, kind string) *RunView {
-	if o == nil || (o.TL == nil && o.Heat == nil) {
+	if o == nil {
 		return nil
 	}
-	v := &RunView{bench: bench, kind: kind, shared: o}
+	v := &RunView{bench: bench, kind: kind, shared: o, reg: NewRegistry()}
 	// The derived observer shares the tracer (spans carry simulated
 	// timestamps and need no windowing) and carries no recorders: views
 	// do not nest.
-	v.ob = &Observer{Reg: o.Reg, Tr: o.Tr, At: o.At, view: v}
+	v.ob = &Observer{Reg: v.reg, Tr: o.Tr, At: o.At, view: v}
 	if o.TL != nil {
 		v.tl = o.TL
-		v.reg, v.at = NewRegistry(), attr.NewRecorder()
-		v.ob.Reg, v.ob.At = v.reg, v.at
+		v.at = attr.NewRecorder()
+		v.ob.At = v.at
 		v.tlEdge = timeline.NewEdge(o.TL.Width())
 	}
 	if o.Heat != nil {
@@ -100,6 +119,57 @@ func (o *Observer) View() *RunView {
 // components.
 func (v *RunView) Observer() *Observer { return v.ob }
 
+// Count registers the per-run counter at path, counted in *n; several
+// registrations of one path add up. Nil-safe.
+func (v *RunView) Count(path string, n *uint64) {
+	v.CountFunc(path, func() uint64 { return *n })
+}
+
+// CountFunc registers the per-run counter at path, read through read,
+// which must not decrease between folds except across Rebase. Nil-safe.
+func (v *RunView) CountFunc(path string, read func() uint64) {
+	if v == nil {
+		return
+	}
+	v.tallies = append(v.tallies, tally{read: read, c: v.reg.Counter(path), last: read()})
+}
+
+// Level registers the per-run gauge at path, sampled through read at
+// Close. Nil-safe.
+func (v *RunView) Level(path string, read func() int64) {
+	if v == nil {
+		return
+	}
+	g := v.reg.Gauge(path)
+	v.levels = append(v.levels, func() { g.Set(read()) })
+}
+
+// fold adds every count's growth since the last fold to its counter.
+func (v *RunView) fold() {
+	for i := range v.tallies {
+		t := &v.tallies[i]
+		n := t.read()
+		t.c.Add(n - t.last)
+		t.last = n
+	}
+}
+
+// Rebase folds every count, runs reset (which may zero the fields some
+// counts read, as the end of warmup does) and takes the values after it
+// as the new baseline, so a count stays the lifetime total of its
+// events. With a nil view it only runs reset.
+func (v *RunView) Rebase(reset func()) {
+	if v == nil {
+		reset()
+		return
+	}
+	v.fold()
+	reset()
+	for i := range v.tallies {
+		v.tallies[i].last = v.tallies[i].read()
+	}
+}
+
 // Advance rolls both clocks to the windows holding simulated time now.
 // Leaving a timeline window flushes its deltas; an event exactly on a
 // window edge maps to the earlier window (timeline.Edge). It reports true
@@ -110,34 +180,40 @@ func (v *RunView) Advance(now config.Time) bool {
 		return false
 	}
 	if win := v.tlEdge.Start(); v.tl != nil && v.tlEdge.Cross(now) {
-		v.flush(win)
+		v.flush(win, false)
 	}
 	return v.heat != nil && v.heatEdge.Cross(now)
 }
 
-// Close flushes the current partial timeline window and folds the heat
-// accumulated since the last Close into the shared recorder. Repeatable
-// and nil-safe: Run calls it at the end of every run.
+// Close folds the counts, samples the gauges, flushes the current partial
+// timeline window and folds the heat accumulated since the last Close
+// into the shared recorders. Repeatable and nil-safe: Run calls it at
+// the end of every run.
 func (v *RunView) Close() {
 	if v == nil {
 		return
 	}
-	if v.tl != nil {
-		v.flush(v.tlEdge.Start())
-	}
+	v.flush(v.tlEdge.Start(), true)
 	if v.heat != nil {
 		v.foldHeat()
 	}
 }
 
-// flush diffs the private sinks against their previous snapshots, folds
-// the delta into the shared timeline under window win, and merges it into
-// the shared registry and attr recorder.
-func (v *RunView) flush(win int64) {
+// flush folds the counts and diffs the private sinks against their
+// previous snapshots: the delta goes into the shared timeline under
+// window win (timeline armed) and into the shared registry and attr
+// recorder. Gauges are levels, not flows, so they reach neither the
+// timeline nor, before closing, the shared registry.
+func (v *RunView) flush(win int64, closing bool) {
+	v.fold()
+	if closing {
+		for _, sample := range v.levels {
+			sample()
+		}
+	}
 	curReg := v.reg.Snapshot()
-	curAttr := v.at.Snapshot()
 	var d timeline.Delta
-	// lifetime is what the window adds to the shared registry: every
+	// lifetime is what the flush adds to the shared registry: every
 	// instrument that changed, plus every one not seen before, so paths
 	// registered but never bumped still reach the lifetime snapshot.
 	var lifetime Snapshot
@@ -157,15 +233,12 @@ func (v *RunView) flush(win int64) {
 		if seen {
 			var err error
 			if delta, err = cur.Sub(prev[j]); err != nil {
-				panic(fmt.Sprintf("obs: timeline flush: %v", err))
+				panic(fmt.Sprintf("obs: run view flush: %v", err))
 			}
 		}
 		switch cur.Kind {
 		case "gauge":
-			// Gauges are levels, not flows: per-window deltas of a
-			// last-writer-wins value are meaningless, so gauges stay
-			// lifetime-only.
-			if !seen || delta.Value != 0 {
+			if closing {
 				lifetime.Samples = append(lifetime.Samples, cur)
 			}
 			continue
@@ -188,9 +261,17 @@ func (v *RunView) flush(win int64) {
 			lifetime.Samples = append(lifetime.Samples, delta)
 		}
 	}
+	if err := v.shared.Reg.Merge(lifetime); err != nil {
+		panic(fmt.Sprintf("obs: run view flush: %v", err))
+	}
+	v.prevReg = curReg
+	if v.tl == nil {
+		return
+	}
 
 	// Attr deltas: the run records only into its own (benchmark, kind)
 	// group, so the private snapshot holds at most that one group.
+	curAttr := v.at.Snapshot()
 	var classes []attr.ClassSnapshot
 	for _, gs := range curAttr.Groups {
 		if gs.Benchmark != v.bench || gs.Kind != v.kind {
@@ -234,16 +315,13 @@ func (v *RunView) flush(win int64) {
 	if err := v.tl.Add(v.bench, v.kind, win, &d); err != nil {
 		panic(fmt.Sprintf("obs: timeline flush: %v", err))
 	}
-	if err := v.shared.Reg.Merge(lifetime); err != nil {
-		panic(fmt.Sprintf("obs: timeline flush: %v", err))
-	}
 	if len(classes) > 0 {
 		delta := attr.Snapshot{Groups: []attr.GroupSnapshot{{Benchmark: v.bench, Kind: v.kind, Classes: classes}}}
 		if err := v.shared.At.Merge(delta); err != nil {
 			panic(fmt.Sprintf("obs: timeline flush: %v", err))
 		}
 	}
-	v.prevReg, v.prevAttr = curReg, curAttr
+	v.prevAttr = curAttr
 }
 
 // foldHeat folds the regions and the independently accumulated total into

@@ -52,8 +52,8 @@ func TestSampleSub(t *testing.T) {
 }
 
 // TestRegistryMerge: merging a snapshot adds counters and histogram
-// buckets, overwrites gauges, and rejects shape mismatches — the fold
-// RunView's timeline flush relies on being lossless.
+// buckets, keeps the larger gauge, and rejects shape mismatches — the fold
+// RunView's flush relies on being lossless and order-independent.
 func TestRegistryMerge(t *testing.T) {
 	dst := NewRegistry()
 	dst.Counter("c").Add(5)
@@ -75,6 +75,15 @@ func TestRegistryMerge(t *testing.T) {
 		if s, ok := snap.Get(path); !ok || s.Value != v {
 			t.Errorf("%s = %+v, want value %d", path, s, v)
 		}
+	}
+	low := NewRegistry()
+	low.Gauge("g").Set(3)
+	if err := dst.Merge(low.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	snap = dst.Snapshot()
+	if s, _ := snap.Get("g"); s.Value != 42 {
+		t.Errorf("g = %d after merging a lower 3, want 42", s.Value)
 	}
 	h, _ := snap.Get("h")
 	if h.Count != 2 || h.Sum != 29 || h.Counts[0] != 1 || h.Counts[1] != 1 {
@@ -235,16 +244,26 @@ func TestTimelineViewWindowing(t *testing.T) {
 	}
 }
 
-// TestHeatmapViewNilPaths: an observer arming neither recorder derives no
-// view, and a nil view (flags off) ignores every operation.
+// TestHeatmapViewNilPaths: a nil observer derives no view, an observer
+// arming neither recorder derives one with no heat side, and a nil view
+// (flags off) ignores every operation.
 func TestHeatmapViewNilPaths(t *testing.T) {
 	var o *Observer
 	if o.RunView("b", "k") != nil || o.View() != nil {
 		t.Error("nil observer returned a view")
 	}
-	if New().RunView("b", "k") != nil || New().View() != nil {
-		t.Error("observer without TL or Heat returned a view")
+	if New().View() != nil {
+		t.Error("a process observer carries a view")
 	}
+	pv := New().RunView("b", "k")
+	if pv == nil || pv.Observer().View() != pv {
+		t.Fatal("observer without TL or Heat derived no view")
+	}
+	pv.Event(1, heatmap.EvML2Read)
+	if pv.Advance(config.Millisecond+1) || pv.Sweep() {
+		t.Error("view without a heatmap asked for a residency sweep")
+	}
+	pv.Close()
 	var v *RunView
 	v.Access(1, attr.ClassDemand)
 	v.Event(1, heatmap.EvML2Read)
@@ -471,5 +490,57 @@ func TestHeatmapViewSparseRegions(t *testing.T) {
 	}
 	if g.Total.Heat[attr.ClassDemand] != uint64(len(pages))+1 {
 		t.Errorf("total = %d accesses, want %d", g.Total.Heat[attr.ClassDemand], len(pages)+1)
+	}
+}
+
+// TestRunViewSamplesCounts: counts registered as fields fold into the
+// shared registry at Close and into the timeline at window edges, Rebase
+// keeps what was counted before a reset zeroed the field, and per-run
+// gauges sampled at Close merge to the largest value whatever the order
+// the runs close in.
+func TestRunViewSamplesCounts(t *testing.T) {
+	shared := New()
+	shared.TL = timeline.NewRecorder(config.Microsecond)
+	v := shared.RunView("canneal", "tmcc")
+	var hits, level uint64 = 2, 0 // counted before registration: not the run's
+	v.Count("test.hits", &hits)
+	v.CountFunc("test.double", func() uint64 { return 2 * hits })
+	v.Level("test.level", func() int64 { return int64(level) })
+
+	hits, level = 5, 9
+	v.Advance(config.Microsecond + 1) // window 0 takes 3 hits
+	hits += 4
+	v.Rebase(func() { hits = 0 })
+	hits += 1
+	v.Close() // window 1us takes 5 hits
+
+	reg := shared.Reg.Snapshot()
+	for path, want := range map[string]int64{"test.hits": 8, "test.double": 16, "test.level": 9} {
+		if s, ok := reg.Get(path); !ok || s.Value != want {
+			t.Errorf("%s = %+v, want %d", path, s, want)
+		}
+	}
+	g := shared.TL.Snapshot().Groups[0]
+	for i, want := range []uint64{3, 5} {
+		var got uint64
+		for _, cd := range g.Windows[i].Counters {
+			if cd.Path == "test.hits" {
+				got = cd.Delta
+			}
+		}
+		if got != want {
+			t.Errorf("window %d test.hits = %d, want %d", i, got, want)
+		}
+	}
+	if err := shared.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A later run reporting a lower level leaves the gauge at the larger.
+	w := shared.RunView("mcf", "tmcc")
+	w.Level("test.level", func() int64 { return 4 })
+	w.Close()
+	if s, _ := shared.Reg.Snapshot().Get("test.level"); s.Value != 9 {
+		t.Errorf("test.level = %d after a run reporting 4, want 9", s.Value)
 	}
 }

@@ -168,15 +168,16 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if err != nil {
 		return nil, err
 	}
-	// With a timeline or heatmap armed, shadow ob with the run view's
-	// derived observer: every bump site below then feeds the timeline's
-	// private sinks unchanged, and mc and ctecache reach the heatmap
-	// through ob.View().
+	// Shadow ob with the run view's derived observer: the components
+	// register their counts with its view, record their histograms and
+	// attribution into its private sinks, and reach the heatmap through
+	// ob.View(). Every exit below closes the view, so even a failed build
+	// folds what it counted into the shared registry.
 	view := ob.RunView(opt.Benchmark, opt.Kind.String())
 	if view != nil {
 		ob = view.Observer()
 	}
-	inj.Observe(ob)
+	inj.Observe(view)
 
 	budget := opt.BudgetPages
 	if budget == 0 {

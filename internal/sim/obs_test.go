@@ -2,7 +2,9 @@ package sim
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tmcc/internal/config"
@@ -169,60 +171,101 @@ func TestHookBundlesLeaveMetricsIdentical(t *testing.T) {
 	})
 }
 
+// mcStatsPaths names the mc.<kind>.* counter each mc.Stats field is
+// sampled into.
+var mcStatsPaths = map[string]string{
+	"Reads":              "reads",
+	"Writes":             "writes",
+	"CTEHits":            "ctecache.hit",
+	"CTEMisses":          "ctecache.miss",
+	"CTEFetchesDRAM":     "cte.fetchDRAM",
+	"ParallelOK":         "spec.verifyOK",
+	"ParallelWrong":      "spec.verifyFail",
+	"SerialNoEmbed":      "spec.serialNoEmbed",
+	"ML2Reads":           "ml2.reads",
+	"ML2ToML1":           "ml2.toML1",
+	"ML1ToML2":           "ml1.toML2",
+	"IncompressSkips":    "ml2.incompressSkips",
+	"CTEMissWalkRelated": "cte.missWalkRelated",
+	"CTEVictimHits":      "cte.victimHit",
+}
+
+// faultCounterPaths names the fault.* counter each fault.Counters field
+// is sampled into.
+var faultCounterPaths = map[string]string{
+	"CTECorrupt":  "fault.cte.corrupt",
+	"CTEStale":    "fault.cte.stale",
+	"Payload":     "fault.payload.flips",
+	"Quarantines": "fault.payload.quarantines",
+	"Spikes":      "fault.dram.spikes",
+	"Busy":        "fault.dram.busy",
+	"Retries":     "fault.dram.retries",
+	"Timeouts":    "fault.dram.timeouts",
+}
+
+// checkFieldCounters requires every uint64 field of the struct values
+// (all of one type) to have a path in paths, and the registry counter at
+// prefix+path to equal the field summed over vals exactly.
+func checkFieldCounters(t *testing.T, snap obs.Snapshot, prefix string, paths map[string]string, vals ...any) {
+	t.Helper()
+	typ := reflect.TypeOf(vals[0])
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		path, ok := paths[f.Name]
+		if !ok {
+			t.Errorf("%v.%s has no registry path", typ, f.Name)
+			continue
+		}
+		var want uint64
+		for _, v := range vals {
+			want += reflect.ValueOf(v).Field(i).Uint()
+		}
+		s, ok := snap.Get(prefix + path)
+		if !ok || s.Kind != "counter" {
+			t.Errorf("%s (%v.%s) is not a registered counter", prefix+path, typ, f.Name)
+			continue
+		}
+		if uint64(s.Value) != want {
+			t.Errorf("%s = %d, want exactly %v.%s = %d", prefix+path, s.Value, typ, f.Name, want)
+		}
+	}
+}
+
 // TestObsCountersConsistentWithMetrics pins the acceptance bar: after an
-// observed tight-budget TMCC run, the registry holds nonzero CTE cache,
-// speculation, and ML2 counters, each consistent with the corresponding
-// sim.Metrics aggregate. The obs counters are lifetime (placement + warmup
-// + measure) while Metrics covers only the measured window, so the
-// invariant is obs >= metrics, with obs > 0 wherever metrics > 0.
+// observed tight-budget TMCC run, every mc.Stats field has its
+// mc.tmcc.* counter, and each counter equals the field's lifetime value
+// exactly — the Stats the warmup left (placement included), which the run
+// view folds in before the reset, plus the measured window's. The warmup
+// runs by hand through Steps, so the test can read those Stats; Run then
+// measures with no warmup of its own. CTE cache traffic, speculation and
+// ML2 demand reads must all have happened.
 func TestObsCountersConsistentWithMetrics(t *testing.T) {
+	opt := tightOpts(t)
+	opt.VictimShadow = true
+	warmup := opt.WarmupAccesses
+	opt.WarmupAccesses = 0
 	ob := obs.New()
-	r, err := NewRunnerFull(tightOpts(t), ob, nil, ras.Config{})
+	r, err := NewRunnerFull(opt, ob, nil, ras.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Steps(warmup)
+	warm := r.mcc.StatsSnapshot()
 	m := mustRun(t, r)
 	if m.MC.ML2Reads == 0 {
 		t.Fatal("tight budget produced no ML2 demand reads; the fixture lost its bite")
 	}
 	snap := ob.Reg.Snapshot()
-	counter := func(path string) uint64 {
-		s, ok := snap.Get(path)
-		if !ok {
-			t.Fatalf("counter %q missing from snapshot", path)
-		}
-		return uint64(s.Value)
-	}
-
-	checks := []struct {
-		path string
-		min  uint64 // final measured-window value; lifetime must be >= it
-	}{
-		{"mc.tmcc.ctecache.hit", m.MC.CTEHits},
-		{"mc.tmcc.ctecache.miss", m.MC.CTEMisses},
-		{"mc.tmcc.cte.fetchDRAM", m.MC.CTEFetchesDRAM},
-		{"mc.tmcc.spec.verifyOK", m.MC.ParallelOK},
-		{"mc.tmcc.spec.verifyFail", m.MC.ParallelWrong},
-		{"mc.tmcc.ml2.reads", m.MC.ML2Reads},
-		{"mc.tmcc.ml2.toML1", m.MC.ML2ToML1},
-		{"mc.tmcc.ml1.toML2", m.MC.ML1ToML2},
-	}
-	for _, c := range checks {
-		got := counter(c.path)
-		if got < c.min {
-			t.Errorf("%s = %d, below the measured-window value %d", c.path, got, c.min)
-		}
-		if c.min > 0 && got == 0 {
-			t.Errorf("%s is zero but the run measured %d", c.path, c.min)
+	checkFieldCounters(t, snap, "mc.tmcc.", mcStatsPaths, warm, m.MC)
+	for _, path := range []string{"ctecache.hit", "ctecache.miss", "ml2.reads", "ml1.toML2", "cte.victimHit"} {
+		if counterByPath(snap, "mc.tmcc."+path) == 0 {
+			t.Errorf("mc.tmcc.%s is zero after a tight-budget TMCC run", path)
 		}
 	}
-	// CTE cache traffic and speculation must actually have happened.
-	for _, path := range []string{"mc.tmcc.ctecache.hit", "mc.tmcc.ctecache.miss", "mc.tmcc.ml2.reads"} {
-		if counter(path) == 0 {
-			t.Errorf("%s is zero after a tight-budget TMCC run", path)
-		}
-	}
-	if counter("mc.tmcc.spec.verifyOK")+counter("mc.tmcc.spec.verifyFail") == 0 {
+	if m.MC.ParallelOK+m.MC.ParallelWrong == 0 {
 		t.Error("no speculative verifications recorded")
 	}
 
@@ -257,6 +300,32 @@ func TestObsCountersConsistentWithMetrics(t *testing.T) {
 	}
 	if len(cats) < 4 {
 		t.Errorf("trace has %d span categories, want >= 4: %v", len(cats), cats)
+	}
+}
+
+// TestFaultCountersRegistered: after an observed chaos run every
+// fault.Counters field has its fault.* counter, equal to the injector's
+// tally exactly. The controller's own mc.<kind>.fault.dramBusy counts
+// operations whose first probe found the channel busy, so it is at most
+// the injector's count of busy draws, retries included.
+func TestFaultCountersRegistered(t *testing.T) {
+	opt := quickOpts()
+	opt.Kind = mc.TMCC
+	inj := fault.NewInjector(chaosPlan(), fault.RunSalt("sim-obs", "tmcc"))
+	ob := obs.New()
+	r, err := NewRunnerFull(opt, ob, inj, ras.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, r)
+	c := inj.Counters()
+	if c.Busy == 0 || c.Retries == 0 {
+		t.Fatalf("chaos plan drew no channel-busy faults (%v); the fixture lost its bite", c)
+	}
+	snap := ob.Reg.Snapshot()
+	checkFieldCounters(t, snap, "", faultCounterPaths, c)
+	if busy := uint64(counterByPath(snap, "mc.tmcc.fault.dramBusy")); busy == 0 || busy > c.Busy {
+		t.Errorf("mc.tmcc.fault.dramBusy = %d, want in [1, %d]", busy, c.Busy)
 	}
 }
 
@@ -335,5 +404,42 @@ func TestZeroMeasureWindowRunIsFinite(t *testing.T) {
 		if v != 0 {
 			t.Errorf("%s = %v on an empty measure window, want 0", name, v)
 		}
+	}
+}
+
+// TestCountsSurviveFailedRun: a run that stops on ErrCapacityExhausted
+// still folds its counts into the shared registry, among them the
+// exhaustion itself and the migrations placement made, which the end of
+// warmup zeroes in mc.Stats.
+func TestCountsSurviveFailedRun(t *testing.T) {
+	ob := obs.New()
+	opt := Options{Benchmark: "canneal", Kind: mc.TMCC, WarmupAccesses: 30000, MeasureAccesses: 30000, Seed: 42}
+	r, err := NewRunnerFull(opt, ob, nil, ras.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exhaust the controller the way TestCapacityErrorStopsWithinOneBatch
+	// does: keep placing never-seen pages until the pressure ladder gives
+	// up. Its emergency force-migrations count as ML1 -> ML2 evictions.
+	osPages := r.spec.FootprintPages * 4
+	for ppn := uint64(0); r.mcc.Err() == nil; ppn++ {
+		if ppn >= osPages {
+			t.Fatal("could not exhaust capacity within the OS pool")
+		}
+		r.mcc.Place(ppn, false)
+	}
+	placed := r.mcc.StatsSnapshot().ML1ToML2
+	if placed == 0 {
+		t.Fatal("exhausting placement evicted nothing; the fixture lost its bite")
+	}
+	if _, err := r.Run(); !errors.Is(err, mc.ErrCapacityExhausted) {
+		t.Fatalf("Run = %v, want ErrCapacityExhausted", err)
+	}
+	snap := ob.Reg.Snapshot()
+	if got := counterByPath(snap, "mc.tmcc.pressure.exhausted"); got == 0 {
+		t.Error("mc.tmcc.pressure.exhausted did not reach the shared registry")
+	}
+	if got := uint64(counterByPath(snap, "mc.tmcc.ml1.toML2")); got < placed {
+		t.Errorf("mc.tmcc.ml1.toML2 = %d, below the %d evictions placement made", got, placed)
 	}
 }

@@ -27,13 +27,13 @@ func (r *Runner) Run() (Metrics, error) {
 	r.recording = false
 	w0 := r.maxCoreTime()
 	r.runAccesses(r.opt.WarmupAccesses)
-	r.sob.tr.Emit(obs.CatPhase, "warmup", 0, w0, r.maxCoreTime())
+	r.tr.Emit(obs.CatPhase, "warmup", 0, w0, r.maxCoreTime())
 	r.resetStats()
 	r.recording = true
 	start := r.maxCoreTime()
 	r.runAccesses(r.opt.MeasureAccesses)
 	end := r.maxCoreTime()
-	r.sob.tr.Emit(obs.CatPhase, "measure", 0, start, end)
+	r.tr.Emit(obs.CatPhase, "measure", 0, start, end)
 
 	r.m.Elapsed = end - start
 	r.m.Cycles = uint64(config.CyclesIn(r.m.Elapsed, r.cycle))
@@ -66,8 +66,12 @@ func (r *Runner) maxCoreTime() config.Time {
 }
 
 func (r *Runner) resetStats() {
-	r.m = Metrics{}
-	r.mcc.ResetStats()
+	// The run view folds the warmup's counts in before the reset zeroes
+	// Metrics and mc.Stats, so the mc.* counters stay lifetime.
+	r.view.Rebase(func() {
+		r.m = Metrics{}
+		r.mcc.ResetStats()
+	})
 	// Align cores so the measured window starts together.
 	t := r.maxCoreTime()
 	for _, c := range r.cores {
@@ -192,8 +196,6 @@ func (r *Runner) step(c *core) {
 		if r.recording {
 			r.m.TLBMisses++
 			r.m.Walks++
-			r.sob.tlbMiss.Inc()
-			r.sob.walks.Inc()
 		}
 		wStart := t
 		name := "walk1d"
@@ -204,7 +206,7 @@ func (r *Runner) step(c *core) {
 			t = r.walk(c, t, vpn)
 			c.wc.FillFromWalk(vpn)
 		}
-		r.sob.tr.Emit(obs.CatWalk, name, c.id, wStart, t)
+		r.tr.Emit(obs.CatWalk, name, c.id, wStart, t)
 		c.tlb.Insert(vpn)
 		if r.attrOn() {
 			r.attrWalk = t - wStart
@@ -251,7 +253,6 @@ func (r *Runner) walk(c *core, t config.Time, vpn uint64) config.Time {
 		}
 		if r.recording {
 			r.m.WalkRefs++
-			r.sob.walkRefs.Inc()
 		}
 		block := s.PTBAddr / config.BlockSize
 		t = r.memAccess(c, t, block, false, true, true)
@@ -322,7 +323,6 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	// LLC miss: go to the MC over the NoC.
 	if r.recording {
 		r.m.LLCMisses++
-		r.sob.llcMiss.Inc()
 	}
 	ppn := block / config.BlocksPage
 	off := int(block % config.BlocksPage)
@@ -359,7 +359,7 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	}
 	if r.recording {
 		r.m.L3MissLatencySum += done - t
-		r.sob.missLatNS.Observe(int64((done - t) / config.Nanosecond))
+		r.missLatNS.Observe(int64((done - t) / config.Nanosecond))
 		ns := int((done - t) / config.Nanosecond)
 		for i, ub := range LatHistBounds {
 			if ns < ub {
@@ -471,7 +471,6 @@ func (r *Runner) insertL2(c *core, block uint64, flags uint8, write, isPTB bool,
 func (r *Runner) writeback(block uint64, now config.Time) {
 	if r.recording {
 		r.m.Writebacks++
-		r.sob.writeback.Inc()
 	}
 	r.background(now, block, true, attr.ClassWriteback)
 }

@@ -238,12 +238,17 @@ type Runner struct {
 
 	m         Metrics
 	recording bool
-	sob       simObs
+	// The event-driven instruments, nil when unobserved: the span sink
+	// and the demand L3 miss service latency histogram, in ns. The run's
+	// counts live in m and the CTE Buffers, sampled by the run view.
+	tr        *obs.Tracer
+	missLatNS *obs.Histogram
 
 	// The per-run hooks, each nil when disarmed (one branch per site):
-	//   - view, the run view (timeline and heatmap): advanced at every
-	//     batch edge, stamped with per-page heat while recording, its
-	//     residency swept by the MC at heatmap edges, closed by Run;
+	//   - view, the run view (counts, timeline and heatmap): advanced at
+	//     every batch edge, stamped with per-page heat while recording,
+	//     its residency swept by the MC at heatmap edges, rebased at the
+	//     end of warmup, closed by Run;
 	//   - inj, the fault injector: the simulator owns the embedded-CTE
 	//     fault site, the MC the payload and DRAM sites;
 	//   - rasCTE, the RAS embedded-CTE patrol's policy state (TMCC with
@@ -260,22 +265,12 @@ type Runner struct {
 	attrWalk config.Time
 }
 
-// simObs holds the runner's registered instrument handles. The counters
-// are bumped only while recording, so at the end of a run each one has
-// advanced by exactly the corresponding Metrics field — unlike the
-// lifetime mc.* counters, which also cover placement and warmup.
-type simObs struct {
-	tr        *obs.Tracer // span sink (nil when tracing off)
-	tlbMiss   *obs.Counter
-	walks     *obs.Counter
-	walkRefs  *obs.Counter
-	llcMiss   *obs.Counter
-	writeback *obs.Counter
-	missLatNS *obs.Histogram // demand L3 miss service latency, ns
-}
-
-// observe registers the runner's instruments under "sim.". Shared paths
-// aggregate across runs observed with the same registry.
+// observe registers the runner's instruments and counts under "sim.".
+// Shared paths aggregate across runs observed with the same registry.
+// The sim.* counts read Metrics fields that advance only while recording,
+// so each covers the measured windows alone, unlike the lifetime mc.*
+// counters; sim.ctebuf.* sums the per-core CTE Buffers' lifetime Lookup
+// outcomes, warmup included.
 func (r *Runner) observe(o *obs.Observer) {
 	if o == nil {
 		return
@@ -284,20 +279,25 @@ func (r *Runner) observe(o *obs.Observer) {
 	for i := range bounds {
 		bounds[i] = int64(LatHistBounds[i])
 	}
-	r.sob = simObs{
-		tr:        o.Tr,
-		tlbMiss:   o.Counter("sim.tlb.miss"),
-		walks:     o.Counter("sim.walk.count"),
-		walkRefs:  o.Counter("sim.walk.refs"),
-		llcMiss:   o.Counter("sim.l3.miss"),
-		writeback: o.Counter("sim.l3.writeback"),
-		missLatNS: o.Histogram("sim.l3.missLatencyNS", bounds),
-	}
-	hit, miss := o.Counter("sim.ctebuf.hit"), o.Counter("sim.ctebuf.miss")
-	for _, c := range r.cores {
-		if c.buf != nil {
-			c.buf.Observe(hit, miss)
+	r.tr = o.Tr
+	r.missLatNS = o.Histogram("sim.l3.missLatencyNS", bounds)
+	v := o.View()
+	v.Count("sim.tlb.miss", &r.m.TLBMisses)
+	v.Count("sim.walk.count", &r.m.Walks)
+	v.Count("sim.walk.refs", &r.m.WalkRefs)
+	v.Count("sim.l3.miss", &r.m.LLCMisses)
+	v.Count("sim.l3.writeback", &r.m.Writebacks)
+	bufs := func(n func(*ctecache.Buffer) uint64) func() uint64 {
+		return func() (sum uint64) {
+			for _, c := range r.cores {
+				if c.buf != nil {
+					sum += n(c.buf)
+				}
+			}
+			return sum
 		}
 	}
+	v.CountFunc("sim.ctebuf.hit", bufs(func(b *ctecache.Buffer) uint64 { return b.Hits }))
+	v.CountFunc("sim.ctebuf.miss", bufs(func(b *ctecache.Buffer) uint64 { return b.Misses }))
 	r.ag = o.AttrGroup(r.opt.Benchmark, r.opt.Kind.String())
 }

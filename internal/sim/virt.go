@@ -96,7 +96,6 @@ func (r *Runner) walk2D(c *core, t config.Time, vpn uint64) (config.Time, uint64
 		hostAddr := hp<<12 + s.PTBAddr&4095
 		if r.recording {
 			r.m.WalkRefs++
-			r.sob.walkRefs.Inc()
 		}
 		t = r.memAccess(c, t, hostAddr/config.BlockSize, false, true, true)
 	}

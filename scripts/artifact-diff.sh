@@ -6,9 +6,12 @@
 # from `git archive BASE` and from the working tree, runs with each
 #   - the `make smoke` chaos line (canneal/TMCC, CHAOS_PLAN, -chaos-seed 7,
 #     -ras, every observation output),
+#   - tmccsim -exp fig17 -quick -j 2 with -metrics, -timeline, -heatmap
+#     and -breakdown-csv: many runs folding into one observer
+#     concurrently, which pins the order-independent merge,
 #   - tmccsim -exp ext-2dwalk -quick -format csv,
 #   - ptbscan -pages 16384, with and without -huge,
-# and cmp's every output. The -metrics JSON is compared with the
+# and cmp's every output. The -metrics JSONs are compared with the
 # wall-clock engine.runMS and engine.queueWaitMS histograms removed (needs
 # jq). Exits non-zero on any difference.
 #
@@ -42,8 +45,12 @@ for side in base head; do
 		-metrics "$o/chaos.json" -trace "$o/chaos.trace" -breakdown-csv "$o/chaos.bd.csv" \
 		-flame "$o/chaos.flame" -timeline "$o/chaos.tl.csv" -timeline-window 100us \
 		-heatmap "$o/chaos.hm.csv" > "$o/chaos.out" 2> "$o/chaos.err"
-	jq 'del(.samples[] | select(.path == "engine.runMS" or .path == "engine.queueWaitMS"))' \
-		"$o/chaos.json" > "$o/chaos.sim.json"
+	"$o/tmccsim" -exp fig17 -quick -j 2 -metrics "$o/fig17.json" -timeline "$o/fig17.tl.csv" \
+		-heatmap "$o/fig17.hm.csv" -breakdown-csv "$o/fig17.bd.csv" > "$o/fig17.out" 2> "$o/fig17.err"
+	for m in chaos fig17; do
+		jq 'del(.samples[] | select(.path == "engine.runMS" or .path == "engine.queueWaitMS"))' \
+			"$o/$m.json" > "$o/$m.sim.json"
+	done
 	"$o/tmccsim" -exp ext-2dwalk -quick -format csv > "$o/ext-2dwalk.csv"
 	"$o/ptbscan" -pages 16384 > "$o/ptbscan.txt"
 	"$o/ptbscan" -pages 16384 -huge > "$o/ptbscan-huge.txt"
@@ -51,7 +58,8 @@ done
 
 status=0
 for f in chaos.out chaos.err chaos.trace chaos.bd.csv chaos.flame chaos.tl.csv chaos.hm.csv \
-	chaos.sim.json ext-2dwalk.csv ptbscan.txt ptbscan-huge.txt; do
+	chaos.sim.json fig17.out fig17.err fig17.tl.csv fig17.hm.csv fig17.bd.csv fig17.sim.json \
+	ext-2dwalk.csv ptbscan.txt ptbscan-huge.txt; do
 	if cmp "$dir/base/$f" "$dir/head/$f"; then
 		echo "artifact-diff: $f identical"
 	else
