@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzBufferMatchesOracle -fuzztime 10s ./internal/ctecache/
 	$(GO) test -run=^$$ -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cache/
 	$(GO) test -run=^$$ -fuzz FuzzML2MatchesReference -fuzztime 10s ./internal/freelist/
+	$(GO) test -run=^$$ -fuzz FuzzLZMatchesReference -fuzztime 10s ./internal/lz/
 
 fmt:
 	gofmt -w .
@@ -61,10 +62,11 @@ bench:
 #   1. the per-design access-path microbenchmark, the system-construction
 #      one (cold and address-space memo hit) and the per-layer ones (trace
 #      generation, cold size-model build, L3 cache, CTE Buffer) compile and
-#      complete; the access path also runs at -cpu 1,2, so a single-CPU
-#      regression of the trace-producer pipeline stays visible, and the
-#      producer's determinism, lifecycle and panic tests run at -cpu 1,2,4
-#      three times over;
+#      complete; the access path and the cold size-model build also run at
+#      -cpu 1,2, so a single-CPU regression of the trace-producer pipeline
+#      or of the parallel size-model build stays visible, and the
+#      producer's determinism, lifecycle and panic tests and the size
+#      model's serial-identity test run at -cpu 1,2,4 three times over;
 #   2. a race+tmccdebug canneal/TMCC run with a seeded all-faults plan, RAS
 #      and every observation output armed completes, and a second run gives
 #      identical stdout, stderr and breakdown/timeline/heatmap CSVs;
@@ -82,7 +84,9 @@ smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner|BenchmarkTraceNext|BenchmarkSizeModelBuild|BenchmarkCacheLookupInsert|BenchmarkBufferLoadPTB' \
 		-benchtime 1x ./internal/sim/ ./internal/workload/ ./internal/cache/ ./internal/ctecache/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath' -benchtime 1x -cpu 1,2 ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkSizeModelBuild' -benchtime 1x -cpu 1,2 ./internal/workload/
 	$(GO) test -run '^TestProducer' -cpu 1,2,4 -count=3 ./internal/sim/
+	$(GO) test -run '^TestSizeModelMatchesSerial$$' -cpu 1,2,4 -count=3 ./internal/workload/
 	mkdir -p $(SMOKE_DIR)
 	$(GO) build -race -tags tmccdebug -o $(SMOKE_DIR)/tmccsim_chaos ./cmd/tmccsim
 	$(GO) build -o $(SMOKE_DIR)/tmcctop ./cmd/tmcctop

@@ -11,7 +11,6 @@ package huffman
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -66,36 +65,43 @@ func Analyze(data []byte, maxDepth int) *Table {
 	for _, b := range data {
 		freq[b]++
 	}
-	// Select the 15 hottest characters (Select 15 Chars stage).
-	type cf struct {
-		c byte
-		f int
-	}
-	var present [256]cf
-	all := present[:0]
-	for c := 0; c < 256; c++ {
-		if freq[c] > 0 {
-			all = append(all, cf{byte(c), freq[c]})
-		}
-	}
-	slices.SortFunc(all, func(a, b cf) int {
-		if a.f != b.f {
-			return b.f - a.f
-		}
-		return int(a.c) - int(b.c)
-	})
-	if len(all) > MaxLeaves-1 {
-		all = all[:MaxLeaves-1]
-	}
-	hotChars := make([]byte, len(all))
-	hotFreq := make([]int, len(all))
+	hotChars, hotFreq := hottest(&freq)
 	escFreq := len(data)
-	for i, e := range all {
-		hotChars[i] = e.c
-		hotFreq[i] = e.f
-		escFreq -= e.f
+	for _, f := range hotFreq {
+		escFreq -= f
 	}
 	return build(hotChars, hotFreq, escFreq, maxDepth)
+}
+
+// hottest returns the MaxLeaves-1 most frequent present bytes of freq
+// (the Select 15 Chars stage) and their counts, by descending frequency
+// and then ascending byte. It inserts each present byte into a sorted
+// list of at most MaxLeaves-1 entries; a byte that cannot enter a full
+// list costs one comparison, so no sort runs over all 256 values.
+func hottest(freq *[256]int) ([]byte, []int) {
+	const n = MaxLeaves - 1
+	var chars [n]byte
+	var fs [n]int
+	k := 0
+	for c := 0; c < 256; c++ {
+		f := freq[c]
+		// Bytes arrive in ascending order, so an equal count ranks after
+		// every listed one: f must beat the last entry strictly.
+		if f == 0 || (k == n && f <= fs[n-1]) {
+			continue
+		}
+		i := k
+		if k < n {
+			k++
+		} else {
+			i = n - 1
+		}
+		for ; i > 0 && fs[i-1] < f; i-- {
+			chars[i], fs[i] = chars[i-1], fs[i-1]
+		}
+		chars[i], fs[i] = byte(c), f
+	}
+	return append([]byte(nil), chars[:k]...), append([]int(nil), fs[:k]...)
 }
 
 // build constructs the depth-limited tree and canonical codes.
@@ -140,28 +146,35 @@ func huffLengths(hotFreq []int, escFreq int) []uint8 {
 	if n == 1 {
 		return []uint8{1}
 	}
-	var nodes []*node
+	// The tree's 2n-1 nodes live in one slice whose capacity never
+	// grows, so the pointers into it stay valid.
+	nodes := make([]node, 0, 2*n-1)
 	for i, f := range hotFreq {
-		nodes = append(nodes, &node{freq: f, sym: i})
+		nodes = append(nodes, node{freq: f, sym: i})
 	}
-	nodes = append(nodes, &node{freq: escFreq, sym: escSymbol})
+	nodes = append(nodes, node{freq: escFreq, sym: escSymbol})
+	var liveBuf [MaxLeaves]*node
+	live := liveBuf[:0]
+	for i := range nodes {
+		live = append(live, &nodes[i])
+	}
 	// Repeatedly combine the two lowest-frequency nodes; break frequency
-	// ties by height then by first-symbol order for determinism.
-	live := append([]*node(nil), nodes...)
+	// ties by height then by first-symbol order for determinism. The
+	// insertion sort is stable, and the merged node goes to the front.
 	for len(live) > 1 {
-		sort.SliceStable(live, func(i, j int) bool {
-			if live[i].freq != live[j].freq {
-				return live[i].freq < live[j].freq
+		for i := 1; i < len(live); i++ {
+			for j := i; j > 0 && lighter(live[j], live[j-1]); j-- {
+				live[j], live[j-1] = live[j-1], live[j]
 			}
-			return live[i].height < live[j].height
-		})
+		}
 		a, b := live[0], live[1]
 		h := a.height
 		if b.height > h {
 			h = b.height
 		}
-		m := &node{freq: a.freq + b.freq, sym: -2, l: a, r: b, height: h + 1}
-		live = append([]*node{m}, live[2:]...)
+		nodes = append(nodes, node{freq: a.freq + b.freq, sym: -2, l: a, r: b, height: h + 1})
+		live = live[1:]
+		live[0] = &nodes[len(nodes)-1]
 	}
 	lengths := make([]uint8, n)
 	var walk func(nd *node, depth uint8)
@@ -182,6 +195,14 @@ func huffLengths(hotFreq []int, escFreq int) []uint8 {
 	}
 	walk(live[0], 0)
 	return lengths
+}
+
+// lighter orders huffLengths' live nodes: by frequency, then height.
+func lighter(a, b *node) bool {
+	if a.freq != b.freq {
+		return a.freq < b.freq
+	}
+	return a.height < b.height
 }
 
 // canonical assigns canonical codes for the given lengths in symbol order.

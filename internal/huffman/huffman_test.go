@@ -3,6 +3,8 @@ package huffman
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +224,126 @@ func BenchmarkDecode4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := table.Decode(enc, len(data)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// hottestRef is the hot-set selection Analyze used before hottest: sort
+// every present byte by descending frequency, then ascending byte, and
+// keep the first MaxLeaves-1.
+func hottestRef(freq *[256]int) ([]byte, []int) {
+	type cf struct {
+		c byte
+		f int
+	}
+	var all []cf
+	for c := 0; c < 256; c++ {
+		if freq[c] > 0 {
+			all = append(all, cf{byte(c), freq[c]})
+		}
+	}
+	slices.SortFunc(all, func(a, b cf) int {
+		if a.f != b.f {
+			return b.f - a.f
+		}
+		return int(a.c) - int(b.c)
+	})
+	if len(all) > MaxLeaves-1 {
+		all = all[:MaxLeaves-1]
+	}
+	chars, fs := []byte{}, []int{}
+	for _, e := range all {
+		chars = append(chars, e.c)
+		fs = append(fs, e.f)
+	}
+	return chars, fs
+}
+
+// TestHottestMatchesSort checks the insertion selection against the sort
+// on random frequency tables. Counts come from a small range, so most
+// tables hold many ties, including at the 15th place, where the
+// ascending-byte order decides which byte enters the tree.
+func TestHottestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 20000; trial++ {
+		var freq [256]int
+		present := 1 + rng.Intn(256)
+		span := 1 + rng.Intn(6)
+		for i := 0; i < present; i++ {
+			freq[rng.Intn(256)] = rng.Intn(span + 1)
+		}
+		gotC, gotF := hottest(&freq)
+		wantC, wantF := hottestRef(&freq)
+		if !bytes.Equal(gotC, wantC) || !slices.Equal(gotF, wantF) {
+			t.Fatalf("trial %d: hottest = %v %v, sort gives %v %v", trial, gotC, gotF, wantC, wantF)
+		}
+	}
+}
+
+// huffLengthsRef is huffLengths before its allocation-free rewrite: one
+// heap node per symbol and merge, and sort.SliceStable over the live list.
+func huffLengthsRef(hotFreq []int, escFreq int) []uint8 {
+	n := len(hotFreq) + 1
+	if n == 1 {
+		return []uint8{1}
+	}
+	var nodes []*node
+	for i, f := range hotFreq {
+		nodes = append(nodes, &node{freq: f, sym: i})
+	}
+	nodes = append(nodes, &node{freq: escFreq, sym: escSymbol})
+	live := append([]*node(nil), nodes...)
+	for len(live) > 1 {
+		sort.SliceStable(live, func(i, j int) bool {
+			if live[i].freq != live[j].freq {
+				return live[i].freq < live[j].freq
+			}
+			return live[i].height < live[j].height
+		})
+		a, b := live[0], live[1]
+		h := a.height
+		if b.height > h {
+			h = b.height
+		}
+		m := &node{freq: a.freq + b.freq, sym: -2, l: a, r: b, height: h + 1}
+		live = append([]*node{m}, live[2:]...)
+	}
+	lengths := make([]uint8, n)
+	var walk func(nd *node, depth uint8)
+	walk = func(nd *node, depth uint8) {
+		if nd.sym != -2 {
+			idx := nd.sym
+			if idx == escSymbol {
+				idx = n - 1
+			}
+			if depth == 0 {
+				depth = 1
+			}
+			lengths[idx] = depth
+			return
+		}
+		walk(nd.l, depth+1)
+		walk(nd.r, depth+1)
+	}
+	walk(live[0], 0)
+	return lengths
+}
+
+// TestHuffLengthsMatchesReference compares the code lengths with the
+// sort-based construction on random hot sets of every size, with counts
+// from small ranges so that equal frequencies, which the stable order and
+// the height tie-break resolve, are common.
+func TestHuffLengthsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20000; trial++ {
+		hot := make([]int, rng.Intn(MaxLeaves))
+		span := 1 + rng.Intn(8)
+		for i := range hot {
+			hot[i] = 1 + rng.Intn(span)
+		}
+		esc := rng.Intn(span + 1)
+		if got, want := huffLengths(hot, esc), huffLengthsRef(hot, esc); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: huffLengths(%v, %d) = %v, reference %v", trial, hot, esc, got, want)
 		}
 	}
 }

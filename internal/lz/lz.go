@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"tmcc/internal/config"
 )
@@ -46,18 +47,26 @@ type Stats struct {
 //
 // The 16K-entry head table is invalidated between pages by bumping a
 // generation counter instead of rewriting every slot: a head entry is live
-// only when its stamp matches the current generation. Clearing 64KB of
-// head table per 4KB page dominated Compress for short or incompressible
-// inputs; the stamp makes the per-page reset O(1) while producing the
-// exact same token stream (see TestEpochResetMatchesFreshCompressor).
+// only when its stamp matches the current generation, and the stamp sits
+// next to the position it guards, so a lookup touches one cache line.
+// Clearing the head table per 4KB page dominated Compress for short or
+// incompressible inputs; the stamp makes the per-page reset O(1) while
+// producing the exact same token stream (see
+// TestEpochResetMatchesFreshCompressor).
 type Compressor struct {
 	window   int
 	offBits  uint
 	maxMatch int
-	head     []int32
-	headGen  []uint32
+	head     []headSlot
 	gen      uint32
 	prev     []int32
+}
+
+// headSlot is one hash chain's head: the newest position with the hash,
+// valid only while gen is the Compressor's current generation.
+type headSlot struct {
+	gen uint32
+	pos int32
 }
 
 // New returns a Compressor with the given CAM/window size in bytes.
@@ -71,8 +80,7 @@ func New(window int) *Compressor {
 		window:   window,
 		offBits:  offBits,
 		maxMatch: MinMatch + (1 << (16 - offBits)) - 1,
-		head:     make([]int32, 1<<14),
-		headGen:  make([]uint32, 1<<14),
+		head:     make([]headSlot, 1<<14),
 		gen:      0, // first beginPage bumps to 1, distinct from the zeroed stamps
 		prev:     make([]int32, config.PageSize),
 	}
@@ -84,9 +92,7 @@ func New(window int) *Compressor {
 func (c *Compressor) beginPage() {
 	c.gen++
 	if c.gen == 0 {
-		for i := range c.headGen {
-			c.headGen[i] = 0
-		}
+		clear(c.head)
 		c.gen = 1
 	}
 }
@@ -103,6 +109,9 @@ func hash3(b []byte) uint32 {
 // the extended buffer and the stats. The encoding is deterministic and
 // greedy: at each position the longest match within the window wins
 // (ties to the nearest), matching the hardware's Select Match stage.
+//
+// Tokens go straight into dst: each group's mask byte is appended when
+// its first token is, and a match sets its bit there.
 func (c *Compressor) Compress(dst, src []byte) ([]byte, Stats) {
 	if len(src) > config.PageSize {
 		panic("lz: input larger than a page")
@@ -111,70 +120,29 @@ func (c *Compressor) Compress(dst, src []byte) ([]byte, Stats) {
 	st.InputBytes = len(src)
 	c.beginPage()
 	startLen := len(dst)
-
-	type token struct {
-		lit     byte
-		off     int // 0 for literal
-		matchLn int
-	}
-	var group [8]token
-	n := 0
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		var mask byte
-		for i := 0; i < n; i++ {
-			if group[i].off != 0 {
-				mask |= 1 << uint(i)
-			}
-		}
-		dst = append(dst, mask)
-		for i := 0; i < n; i++ {
-			t := group[i]
-			if t.off == 0 {
-				dst = append(dst, t.lit)
-			} else {
-				v := uint16(t.off-1) | uint16(t.matchLn-MinMatch)<<c.offBits
-				dst = append(dst, byte(v), byte(v>>8))
-			}
-		}
-		n = 0
-	}
-	emit := func(t token) {
-		group[n] = t
-		n++
-		if n == 8 {
-			flush()
-		}
-	}
-	insert := func(pos int) {
-		if pos+MinMatch <= len(src) {
-			h := hash3(src[pos:])
-			if c.headGen[h] == c.gen {
-				c.prev[pos] = c.head[h]
-			} else {
-				c.prev[pos] = -1
-				c.headGen[h] = c.gen
-			}
-			c.head[h] = int32(pos)
-		}
-	}
-	// headAt reads a chain head; a stale-generation slot is an empty chain.
-	headAt := func(h uint32) int32 {
-		if c.headGen[h] != c.gen {
-			return -1
-		}
-		return c.head[h]
-	}
+	// The longest stream is all literals: a byte per input byte and a
+	// mask per 8.
+	dst = slices.Grow(dst, len(src)+(len(src)+7)/8)
+	mask, nTok := 0, 8 // the group's mask index; 8 starts a new group
 
 	pos := 0
 	for pos < len(src) {
 		bestLen, bestOff := 0, 0
-		if pos+MinMatch <= len(src) {
-			h := hash3(src[pos:])
+		var h uint32
+		hashed := pos+MinMatch <= len(src)
+		if hashed {
+			h = hash3(src[pos:])
 			limit := pos - c.window
-			for cand := headAt(h); cand >= 0 && int(cand) >= limit; cand = c.prev[cand] {
+			for cand := c.headAt(h); cand >= 0 && int(cand) >= limit; cand = c.prev[cand] {
+				// Only a strictly longer match replaces the best, so a
+				// candidate that differs at byte bestLen cannot win, and
+				// once the best reaches the end of src nothing can.
+				if pos+bestLen >= len(src) {
+					break
+				}
+				if src[int(cand)+bestLen] != src[pos+bestLen] {
+					continue
+				}
 				l := c.matchLen(src, int(cand), pos)
 				if l > bestLen {
 					bestLen, bestOff = l, pos-int(cand)
@@ -184,25 +152,54 @@ func (c *Compressor) Compress(dst, src []byte) ([]byte, Stats) {
 				}
 			}
 		}
+		if nTok == 8 {
+			mask, nTok = len(dst), 0
+			dst = append(dst, 0)
+		}
 		if bestLen >= MinMatch {
-			emit(token{off: bestOff, matchLn: bestLen})
+			dst[mask] |= 1 << nTok
+			v := uint16(bestOff-1) | uint16(bestLen-MinMatch)<<c.offBits
+			dst = append(dst, byte(v), byte(v>>8))
 			st.Matches++
 			st.MatchedIn += bestLen
 			st.CopyCycles += (bestLen + 7) / 8
-			for j := 0; j < bestLen; j++ {
-				insert(pos + j)
+			c.insert(pos, h)
+			for j := pos + 1; j < pos+bestLen && j+MinMatch <= len(src); j++ {
+				c.insert(j, hash3(src[j:]))
 			}
 			pos += bestLen
 		} else {
-			emit(token{lit: src[pos]})
+			dst = append(dst, src[pos])
 			st.Literals++
-			insert(pos)
+			if hashed {
+				c.insert(pos, h)
+			}
 			pos++
 		}
+		nTok++
 	}
-	flush()
 	st.OutputBytes = len(dst) - startLen
 	return dst, st
+}
+
+// insert puts pos, whose first three bytes hash to h, at the head of
+// its hash chain.
+func (c *Compressor) insert(pos int, h uint32) {
+	hs := &c.head[h]
+	if hs.gen == c.gen {
+		c.prev[pos] = hs.pos
+	} else {
+		c.prev[pos] = -1
+	}
+	*hs = headSlot{c.gen, int32(pos)}
+}
+
+// headAt reads a chain head; a stale-generation slot is an empty chain.
+func (c *Compressor) headAt(h uint32) int32 {
+	if hs := c.head[h]; hs.gen == c.gen {
+		return hs.pos
+	}
+	return -1
 }
 
 // matchLen returns the length of the common prefix of src[cand:] and

@@ -215,9 +215,6 @@ type MC struct {
 
 	Stats Stats
 	tally tally
-	// ml1AtMig is ML1's occupancy (resident pages, free chunks) after the
-	// last migration, which the ml1.pages and ml1.freeChunks gauges report.
-	ml1AtMig [2]int
 
 	// The event-driven instruments, nil when unobserved: the span sink,
 	// demand ML2 latency (now -> respond, ps) and the compressed page
@@ -283,8 +280,8 @@ func (m *MC) observe(o *obs.Observer) {
 	count("ml2.toML1", &m.Stats.ML2ToML1)
 	count("ml1.toML2", &m.Stats.ML1ToML2)
 	count("ml2.incompressSkips", &m.Stats.IncompressSkips)
-	v.Level(p+"ml1.pages", func() int64 { return int64(m.ml1AtMig[0]) })
-	v.Level(p+"ml1.freeChunks", func() int64 { return int64(m.ml1AtMig[1]) })
+	v.Level(p+"ml1.pages", func() int64 { return int64(m.ML1Pages()) })
+	v.Level(p+"ml1.freeChunks", func() int64 { return int64(m.FreeML1Chunks()) })
 	if m.cte != nil {
 		count("ctecache.hit", &m.Stats.CTEHits)
 		count("ctecache.miss", &m.Stats.CTEMisses)
@@ -335,9 +332,6 @@ var ml2LatencyBoundsPS = []int64{
 	int64(1000 * config.Nanosecond), int64(2000 * config.Nanosecond),
 	int64(5000 * config.Nanosecond),
 }
-
-// noteML1 records ML1's occupancy after a migration (ml1AtMig).
-func (m *MC) noteML1() { m.ml1AtMig = [2]int{m.ml1Size, m.ml1.Len()} }
 
 // CTECacheConfig is the CTE cache a design of kind builds: the override
 // when set, else Compresso's block-level cache or the system's page-level
@@ -881,7 +875,6 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 			m.maybeRetire(ppn, st)
 		}
 	}
-	m.noteML1()
 	if check.Enabled {
 		check.Invariant("mc: chunk-conservation after ML2 exit", m.audit)
 	}
@@ -992,7 +985,6 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 		m.Stats.ML1ToML2++
 		m.heat.Event(ppn, heatmap.EvML1ToML2)
 		m.tr.Emit(obs.CatMigration, "ml1->ml2", obs.TIDMC, now, wlast)
-		m.noteML1()
 		if check.Enabled {
 			check.Invariant("mc: chunk-conservation after eviction", m.audit)
 		}

@@ -329,6 +329,33 @@ func TestFaultCountersRegistered(t *testing.T) {
 	}
 }
 
+// TestML1GaugesReadEndOfRun: mc.<kind>.ml1.pages and ml1.freeChunks read
+// ML1's occupancy when the run closes, on every design. The flat designs
+// place every page in ML1, so their page counts are above 0.
+func TestML1GaugesReadEndOfRun(t *testing.T) {
+	for _, kind := range []mc.Kind{mc.Uncompressed, mc.Compresso, mc.OSInspired, mc.TMCC} {
+		opt := quickOpts()
+		opt.Kind = kind
+		ob := obs.New()
+		r, err := NewRunnerFull(opt, ob, nil, ras.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustRun(t, r)
+		snap := ob.Reg.Snapshot()
+		p := "mc." + kind.String() + "."
+		pages, _ := snap.Get(p + "ml1.pages")
+		free, _ := snap.Get(p + "ml1.freeChunks")
+		if pages.Value != int64(r.mcc.ML1Pages()) || free.Value != int64(r.mcc.FreeML1Chunks()) {
+			t.Errorf("%s: ml1.pages %d, ml1.freeChunks %d; the controller holds %d pages and %d free chunks",
+				kind, pages.Value, free.Value, r.mcc.ML1Pages(), r.mcc.FreeML1Chunks())
+		}
+		if (kind == mc.Uncompressed || kind == mc.Compresso) && pages.Value <= 0 {
+			t.Errorf("%sml1.pages = %d after a %s run, want > 0", p, pages.Value, kind)
+		}
+	}
+}
+
 // checkExactSimCounters: recording-gated sim counters advance by exactly
 // the Metrics deltas on a fresh registry (one run, one runner).
 func checkExactSimCounters(t *testing.T, snap obs.Snapshot, m Metrics) {

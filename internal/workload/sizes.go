@@ -2,9 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"tmcc/internal/blockcomp"
+	"tmcc/internal/config"
 	"tmcc/internal/content"
 	"tmcc/internal/memdeflate"
 	"tmcc/internal/obs"
@@ -41,9 +43,11 @@ var (
 // Deterministic in (content profile, nSamples, seed, deflateParams):
 // benchmarks whose profiles have equal content.Keys get the same model.
 //
-// Building the model means compressing nSamples full pages, which used to
-// dominate simulator construction (~35% of a run), so results are memoized
-// per process: every simulation of a content profile shares one model.
+// Building the model means compressing nSamples full pages through both
+// codecs, spread over every CPU (see buildSizeModel); a cold build takes
+// 19–23 ms on 2 CPUs and 35–45 ms on one (BenchmarkSizeModelBuild), about
+// as long as the rest of a TMCC system build. Results are memoized per
+// process: every simulation of a content profile shares one model.
 // The returned *SizeModel is immutable after construction and safe for
 // concurrent use; callers must not modify it. Concurrent first requests
 // for the same key coalesce onto a single build.
@@ -83,26 +87,52 @@ func NewSizeModelObserved(benchmark string, nSamples int, seed int64, deflatePar
 }
 
 // buildSizeModel compresses nSamples (> 0) pages of prof's content with
-// the size-only codec paths; it is the memo's cold path.
+// the size-only codec paths; it is the memo's cold path. The pages are
+// drawn from prof.Generator(seed) in order on this goroutine and
+// compressed by GOMAXPROCS workers, each with its own codecs, as the
+// paper's ASIC pipelines two independent pages. Each result lands in its
+// sample's slot and the timing sums are taken after the workers finish,
+// so the model is the same for any CPU count.
 func buildSizeModel(prof content.Profile, nSamples int, seed int64, deflateParams memdeflate.Params, ob *obs.Observer) *SizeModel {
-	gen := prof.Generator(seed)
-	codec := memdeflate.New(deflateParams)
-	codec.Observe(ob)
-	best := blockcomp.NewBest()
 	m := &SizeModel{
 		deflateSizes: make([]int, nSamples),
 		blockSizes:   make([]int, nSamples),
 		zeroFrac:     prof.ZeroFraction,
 	}
+	halfPS := make([]config.Time, nSamples)
+	compPS := make([]config.Time, nSamples)
+	type sample struct {
+		i    int
+		page []byte
+	}
+	work := make(chan sample, nSamples)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), nSamples) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codec := memdeflate.New(deflateParams)
+			codec.Observe(ob)
+			best := blockcomp.NewBest()
+			for s := range work {
+				size, st := codec.CompressedSize(s.page)
+				m.deflateSizes[s.i] = size
+				tm := codec.Timing(st)
+				halfPS[s.i], compPS[s.i] = tm.HalfPageLatency, tm.CompressorOcc
+				m.blockSizes[s.i] = best.PageSize(s.page)
+			}
+		}()
+	}
+	gen := prof.Generator(seed)
+	for i := range nSamples {
+		work <- sample{i, gen.Page()}
+	}
+	close(work)
+	wg.Wait()
 	var halfSum, compSum int64
-	for i := 0; i < nSamples; i++ {
-		page := gen.Page()
-		size, st := codec.CompressedSize(page)
-		m.deflateSizes[i] = size
-		tm := codec.Timing(st)
-		halfSum += int64(tm.HalfPageLatency)
-		compSum += int64(tm.CompressorOcc)
-		m.blockSizes[i] = best.PageSize(page)
+	for i := range nSamples {
+		halfSum += int64(halfPS[i])
+		compSum += int64(compPS[i])
 	}
 	m.MeanHalfPagePS = halfSum / int64(nSamples)
 	m.MeanCompressPS = compSum / int64(nSamples)

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
+	"tmcc/internal/blockcomp"
 	"tmcc/internal/content"
 	"tmcc/internal/memdeflate"
 	"tmcc/internal/obs"
@@ -81,6 +83,62 @@ func TestSizeModelSharedByContentKey(t *testing.T) {
 	}
 	if fm.zeroFrac == ps.zeroFrac {
 		t.Errorf("both models carry zero fraction %v", fm.zeroFrac)
+	}
+}
+
+// buildSizeModelSerial is the one-goroutine build loop buildSizeModel
+// replaced, kept as the reference its parallel split must reproduce.
+func buildSizeModelSerial(prof content.Profile, nSamples int, seed int64, deflateParams memdeflate.Params) *SizeModel {
+	gen := prof.Generator(seed)
+	codec := memdeflate.New(deflateParams)
+	best := blockcomp.NewBest()
+	m := &SizeModel{
+		deflateSizes: make([]int, nSamples),
+		blockSizes:   make([]int, nSamples),
+		zeroFrac:     prof.ZeroFraction,
+	}
+	var halfSum, compSum int64
+	for i := 0; i < nSamples; i++ {
+		page := gen.Page()
+		size, st := codec.CompressedSize(page)
+		m.deflateSizes[i] = size
+		tm := codec.Timing(st)
+		halfSum += int64(tm.HalfPageLatency)
+		compSum += int64(tm.CompressorOcc)
+		m.blockSizes[i] = best.PageSize(page)
+	}
+	m.MeanHalfPagePS = halfSum / int64(nSamples)
+	m.MeanCompressPS = compSum / int64(nSamples)
+	return m
+}
+
+// TestSizeModelMatchesSerial requires the parallel build to give every
+// SizeModel field the serial loop gives, for each content profile at two
+// seeds. Profiles with equal content keys sample the same pages, so each
+// key is built once. Run it at several -cpu values: the split must not
+// depend on the worker count. The builds share one observer, whose page
+// counter every worker bumps, and it must count every sampled page.
+func TestSizeModelMatchesSerial(t *testing.T) {
+	ob := obs.New()
+	builds := 0
+	for _, seed := range []int64{42, 7} {
+		seen := map[content.Key]bool{}
+		for _, name := range content.Profiles() {
+			prof, _ := content.ProfileFor(name)
+			if seen[prof.Key()] {
+				continue
+			}
+			seen[prof.Key()] = true
+			got := buildSizeModel(prof, defaultSamples, seed, memdeflate.DefaultParams(), ob)
+			builds++
+			want := buildSizeModelSerial(prof, defaultSamples, seed, memdeflate.DefaultParams())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: parallel build differs from the serial loop", name, seed)
+			}
+		}
+	}
+	if n := ob.Counter("codec.memdeflate.pages").Value(); n != uint64(builds*defaultSamples) {
+		t.Errorf("codec.memdeflate.pages = %d after %d builds, want %d", n, builds, builds*defaultSamples)
 	}
 }
 
