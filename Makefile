@@ -10,13 +10,14 @@ all: lint test
 build:
 	$(GO) build ./...
 
-# lint = formatting + vet + the domain-aware tmcclint rules. tmcclint is
-# two-phase: syntactic AST rules (determinism, architectural-constant
-# hygiene, panic conventions) plus type-aware semantic rules (atomic
-# discipline, memo-key purity, error discipline, Time/Cycles unit safety,
-# attribution registration). -time prints per-phase and per-package wall
-# time; the whole-module type-check is loaded once and shared by every
-# rule, keeping the full run well under 10s.
+# lint = formatting + vet + the domain-aware tmcclint rules. tmcclint
+# type-checks the module once (tmccdebug set) and runs every rule in one
+# pass over it: determinism, architectural-constant hygiene, panic
+# conventions, obs-sink purity, atomic discipline, memo-key purity, error
+# discipline, Time/Cycles unit safety and attribution registration. vet
+# runs first, so a tree that does not type-check fails there. -time
+# prints the load and rules phases and per-package wall time; the full
+# run stays well under 10s.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:"; echo "$$out"; exit 1; fi

@@ -1,33 +1,33 @@
 // Command tmcclint runs the TMCC-specific static analyzer over the module.
-// It is stdlib-only and two-phase: the AST rules (determinism,
-// magic-literal, panic-prefix, obs-sink-purity) need only a parse, while
-// the semantic rules (atomic-discipline, memo-key-purity,
-// error-discipline, unit-safety, attr-registration) run over a go/types
-// type-check of the whole module, loaded once and shared by every rule.
+// It is stdlib-only: it type-checks the enclosing module once with go/types
+// and runs every rule — determinism, magic-literal, panic-prefix,
+// obs-sink-purity, atomic-discipline, memo-key-purity, error-discipline,
+// unit-safety and attr-registration — in one pass over it (see
+// internal/lint).
 //
 // Usage:
 //
 //	tmcclint ./...                  # whole module (run from inside it)
-//	tmcclint internal/mc            # scope findings to one directory
-//	tmcclint file.go                # single files work too
-//	tmcclint -json ./...            # machine-readable findings + warnings
+//	tmcclint internal/mc            # findings in one directory
+//	tmcclint internal/...           # findings in a directory tree
+//	tmcclint file.go                # findings in one file
+//	tmcclint -json ./...            # machine-readable findings
 //	tmcclint -rules unit-safety,error-discipline ./...
 //	tmcclint -time ./...            # per-phase and per-package wall time
 //
-// Packages that fail to type-check degrade to AST-only linting with a
-// warning on stderr (or in the JSON "warnings" array); warnings do not
-// affect the exit status. Exit status is 1 when any rule fires, 2 on usage
-// or parse errors.
+// The arguments only select which findings are reported: the whole module
+// is always loaded. Exit status is 1 when any rule fires, and 2 on a usage
+// error, outside a module, or when the module does not type-check.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"io"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -37,45 +37,64 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings and warnings as JSON on stdout")
-	rulesFlag := flag.String("rules", "", "comma-separated rule names to run (default: all)")
-	timing := flag.Bool("time", false, "report per-phase and per-package wall time on stderr")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tmcclint [-json] [-rules r1,r2] [-time] [packages|dirs|files]\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(os.Stderr, "rules: %s\n", strings.Join(lint.AllRules(), ", "))
-	}
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command: it parses args, lints the module enclosing the
+// working directory, writes findings to stdout and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("tmcclint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	jsonOut := flags.Bool("json", false, "emit findings as JSON on stdout")
+	rulesFlag := flags.String("rules", "", "comma-separated rule names to run (default: all)")
+	timing := flags.Bool("time", false, "report per-phase and per-package wall time on stderr")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tmcclint [-json] [-rules r1,r2] [-time] [packages|dirs|files]\n")
+		flags.PrintDefaults()
+		fmt.Fprintf(stderr, "rules: %s\n", strings.Join(lint.AllRules(), ", "))
+	}
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "tmcclint: %v\n", err)
+		return 2
+	}
 	enabled, err := parseRules(*rulesFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmcclint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	files, err := collect(args)
+	root, err := moduleRoot()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmcclint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
+	}
+	patterns := flags.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
 
+	now := func() int64 { return time.Now().UnixNano() }
+	t0 := now()
+	m, err := lint.LoadModule(root, now)
+	if err != nil {
+		return fail(err)
+	}
+	tLoad := now()
+	inScope, err := scope(m, patterns)
+	if err != nil {
+		return fail(err)
+	}
 	var diags []lint.Diag
-	var warnings []string
-	hardFail := false
-
-	root, rootErr := moduleRoot()
-	if rootErr == nil {
-		diags, warnings, hardFail = lintModule(root, files, enabled, *timing)
-	} else {
-		// No enclosing module: degrade to the historical AST-only path so
-		// stray files still get the syntactic rules.
-		warnings = append(warnings,
-			fmt.Sprintf("no module root found (%v); semantic rules skipped, AST rules only", rootErr))
-		diags, hardFail = lintLoose(files, enabled)
+	for _, d := range m.Lint(enabled) {
+		if inScope(d.Pos.Filename) {
+			diags = append(diags, d)
+		}
+	}
+	if *timing {
+		reportTiming(stderr, m, tLoad-t0, now()-tLoad)
 	}
 
 	sort.Slice(diags, func(i, j int) bool {
@@ -91,101 +110,72 @@ func main() {
 		}
 		return diags[i].Rule < diags[j].Rule
 	})
-
 	if *jsonOut {
-		emitJSON(diags, warnings)
+		if err := emitJSON(stdout, diags); err != nil {
+			return fail(err)
+		}
 	} else {
-		for _, w := range warnings {
-			fmt.Fprintf(os.Stderr, "tmcclint: warning: %s\n", w)
-		}
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
-	switch {
-	case hardFail:
-		os.Exit(2)
-	case len(diags) > 0:
+	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "tmcclint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "tmcclint: %d finding(s)\n", len(diags))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// lintModule runs both phases over the enclosing module and filters the
-// findings down to the files the arguments named.
-func lintModule(root string, files []string, enabled func(string) bool, timing bool) (diags []lint.Diag, warnings []string, hardFail bool) {
-	now := func() int64 { return time.Now().UnixNano() }
-	t0 := now()
-	m, err := lint.LoadModuleCached(root, now)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmcclint: %v\n", err)
-		os.Exit(2)
-	}
-	tLoad := now()
-	warnings = m.Warnings
-
-	scope := map[string]bool{}
-	for _, f := range files {
-		if rel, ok := moduleRel(root, f); ok {
-			scope[rel] = true
+// scope turns the command-line patterns into a filter over the loaded
+// module-relative file names. "dir/..." takes the tree under dir, "dir" its
+// own files and "file.go" that file. A pattern that selects no loaded file
+// is an error, so a typo cannot pass as a clean run.
+func scope(m *lint.Module, patterns []string) (func(filename string) bool, error) {
+	var match []func(filename string) bool
+	for _, pat := range patterns {
+		tree := strings.HasSuffix(pat, "/...") || pat == "..."
+		abs, err := filepath.Abs(strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/"))
+		if err != nil {
+			return nil, err
 		}
-	}
-	inScope := func(filename string) bool { return scope[filename] }
-
-	for _, d := range m.ASTDiags() {
-		if inScope(d.Pos.Filename) && enabled(d.Rule) {
-			diags = append(diags, d)
+		rel, err := filepath.Rel(m.Dir, abs)
+		if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+			return nil, fmt.Errorf("%s is outside the module at %s", pat, m.Dir)
 		}
-	}
-	tAST := now()
-	for _, d := range m.Semantic(enabled) {
-		if inScope(d.Pos.Filename) {
-			diags = append(diags, d)
+		rel = filepath.ToSlash(rel)
+		f := func(filename string) bool {
+			dir := path.Dir(filename)
+			switch {
+			case tree:
+				return rel == "." || dir == rel || strings.HasPrefix(dir, rel+"/")
+			case strings.HasSuffix(rel, ".go"):
+				return filename == rel
+			default:
+				return dir == rel
+			}
 		}
-	}
-	tSem := now()
-
-	// Files named on the command line but outside the module (or excluded
-	// by build tags) still get the loose AST pass, so `tmcclint file.go`
-	// keeps working for test fixtures and scratch files.
-	var loose []string
-	for _, f := range files {
-		if rel, ok := moduleRel(root, f); !ok || !moduleHasFile(m, rel) {
-			loose = append(loose, f)
+		if !anyFile(m, f) {
+			return nil, fmt.Errorf("%s matches no non-test Go file of the module", pat)
 		}
+		match = append(match, f)
 	}
-	if len(loose) > 0 {
-		ld, lf := lintLoose(loose, enabled)
-		diags = append(diags, ld...)
-		hardFail = hardFail || lf
-	}
-
-	if timing {
-		reportTiming(m, tLoad-t0, tAST-tLoad, tSem-tAST)
-	}
-	return diags, warnings, hardFail
+	return func(filename string) bool {
+		for _, f := range match {
+			if f(filename) {
+				return true
+			}
+		}
+		return false
+	}, nil
 }
 
-// moduleRel maps a command-line path to the module-relative slash path the
-// loader uses as the fset filename.
-func moduleRel(root, file string) (string, bool) {
-	abs, err := filepath.Abs(file)
-	if err != nil {
-		return "", false
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", false
-	}
-	return filepath.ToSlash(rel), true
-}
-
-func moduleHasFile(m *lint.Module, rel string) bool {
+// anyFile reports whether f accepts some loaded file name.
+func anyFile(m *lint.Module, f func(string) bool) bool {
 	for _, p := range m.Pkgs {
-		for _, fn := range p.FileNames {
-			if fn == rel {
+		for _, name := range p.FileNames {
+			if f(name) {
 				return true
 			}
 		}
@@ -193,34 +183,7 @@ func moduleHasFile(m *lint.Module, rel string) bool {
 	return false
 }
 
-// lintLoose is the pre-type-check path: parse each file independently and
-// run only the AST rules.
-func lintLoose(files []string, enabled func(string) bool) (diags []lint.Diag, hardFail bool) {
-	fset := token.NewFileSet()
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tmcclint: %v\n", err)
-			hardFail = true
-			continue
-		}
-		scope := file
-		if abs, err := filepath.Abs(file); err == nil {
-			scope = abs
-		}
-		for _, d := range lint.File(fset, filepath.ToSlash(scope), f) {
-			if enabled(d.Rule) {
-				diags = append(diags, d)
-			}
-		}
-	}
-	return diags, hardFail
-}
-
-func reportTiming(m *lint.Module, loadNanos, astNanos, semNanos int64) {
+func reportTiming(w io.Writer, m *lint.Module, loadNanos, rulesNanos int64) {
 	ms := func(n int64) string { return fmt.Sprintf("%.1fms", float64(n)/1e6) }
 	var parse, check int64
 	type row struct {
@@ -234,10 +197,10 @@ func reportTiming(m *lint.Module, loadNanos, astNanos, semNanos int64) {
 		rows = append(rows, row{p.ImportPath, p.ParseNanos + p.CheckNanos})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].nanos > rows[j].nanos })
-	fmt.Fprintf(os.Stderr, "tmcclint: phase load %s (parse %s, typecheck %s), ast-rules %s, semantic-rules %s\n",
-		ms(loadNanos), ms(parse), ms(check), ms(astNanos), ms(semNanos))
+	fmt.Fprintf(w, "tmcclint: phase load %s (parse %s, typecheck %s), rules %s\n",
+		ms(loadNanos), ms(parse), ms(check), ms(rulesNanos))
 	for _, r := range rows {
-		fmt.Fprintf(os.Stderr, "tmcclint:   %-40s %s\n", r.path, ms(r.nanos))
+		fmt.Fprintf(w, "tmcclint:   %-40s %s\n", r.path, ms(r.nanos))
 	}
 }
 
@@ -274,26 +237,19 @@ type jsonFinding struct {
 	Msg  string `json:"msg"`
 }
 
-func emitJSON(diags []lint.Diag, warnings []string) {
+func emitJSON(w io.Writer, diags []lint.Diag) error {
 	out := struct {
 		Findings []jsonFinding `json:"findings"`
-		Warnings []string      `json:"warnings"`
-	}{Findings: []jsonFinding{}, Warnings: warnings}
-	if out.Warnings == nil {
-		out.Warnings = []string{}
-	}
+	}{Findings: []jsonFinding{}}
 	for _, d := range diags {
 		out.Findings = append(out.Findings, jsonFinding{
 			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
 			Rule: d.Rule, Msg: d.Msg,
 		})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "tmcclint: %v\n", err)
-		os.Exit(2)
-	}
+	return enc.Encode(out)
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.
@@ -312,58 +268,4 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// collect expands the argument list into .go files. A trailing "/..."
-// recurses; a directory takes its immediate .go files; a .go file is taken
-// as-is.
-func collect(args []string) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	add := func(p string) {
-		p = filepath.Clean(p)
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, arg := range args {
-		switch {
-		case strings.HasSuffix(arg, "/..."):
-			root := filepath.Clean(strings.TrimSuffix(arg, "/..."))
-			err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if d.IsDir() {
-					name := d.Name()
-					if p != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
-						return filepath.SkipDir
-					}
-					return nil
-				}
-				if strings.HasSuffix(p, ".go") {
-					add(p)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		case strings.HasSuffix(arg, ".go"):
-			add(arg)
-		default:
-			entries, err := os.ReadDir(arg)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-					add(filepath.Join(arg, e.Name()))
-				}
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -1,6 +1,10 @@
 // Package lint implements tmcclint, the TMCC-specific static analyzer
-// (stdlib-only: go/ast, go/parser, go/token). It enforces the correctness
-// conventions the simulator's capacity and determinism claims depend on:
+// (stdlib-only: go/parser and go/types). LoadModule type-checks the whole
+// module once and Module.Lint runs every rule over it in one pass, resolving
+// callees and types through go/types rather than through local names. It
+// enforces the correctness conventions the simulator's capacity and
+// determinism claims depend on; the six rules below are per-file checks,
+// the five in rules_sem.go look across packages:
 //
 //   - determinism-rand: simulator code under internal/ must not call the
 //     global math/rand functions (rand.Intn, rand.Float64, ...). All
@@ -40,15 +44,15 @@
 //	//tmcclint:allow                      (all rules on that line)
 //
 // Test files (_test.go) are exempt from every rule: tests pin their own
-// seeds and construct fixtures from raw literals.
+// seeds and construct fixtures from raw literals, and the loader skips them.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"path"
+	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -103,185 +107,246 @@ const (
 	magicPTESize   = 8
 )
 
-// File lints one parsed file. relPath is the module-relative, slash-
-// separated path; it scopes the per-directory rules.
-func File(fset *token.FileSet, relPath string, f *ast.File) []Diag {
-	relPath = path.Clean(strings.ReplaceAll(relPath, "\\", "/"))
-	if strings.HasSuffix(relPath, "_test.go") {
-		return nil
+// Lint runs every rule that enabled accepts (nil means all) over the
+// module and returns the findings no //tmcclint:allow directive waives.
+func (m *Module) Lint(enabled func(rule string) bool) []Diag {
+	if enabled == nil {
+		enabled = func(string) bool { return true }
 	}
-	c := &checker{
-		fset:     fset,
-		file:     f,
-		internal: strings.HasPrefix(relPath, "internal/") || strings.Contains(relPath, "/internal/"),
-		inConfig: strings.Contains(relPath+"/", "internal/config/"),
-		allowed:  collectAllows(fset, f),
-	}
-	c.randPkg, c.timePkg, c.osPkg, c.tlPkg, c.hmPkg = importNames(f)
-	if c.internal {
-		c.checkRand()
-		c.checkWallclock()
-		c.checkMapIter()
-		if !strings.Contains(relPath+"/", "internal/obs/") {
-			c.checkObsSink()
+	c := &checker{m: m, enabled: enabled}
+	c.collectAtomic()
+	for _, p := range m.Pkgs {
+		for _, f := range p.Files {
+			c.visitFile(p, f)
 		}
 	}
-	if !c.inConfig {
-		c.checkMagic()
-	}
-	c.checkPanic()
+	c.checkMemoKey()
+	c.checkAttrReg()
 	return c.diags
 }
 
-// Source parses and lints one file given as source text (used by tests and
-// by the CLI for stdin-style checks).
-func Source(relPath, src string) ([]Diag, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, relPath, src, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return File(fset, relPath, f), nil
-}
-
 type checker struct {
-	fset     *token.FileSet
-	file     *ast.File
-	internal bool
-	inConfig bool
-	randPkg  string
-	timePkg  string
-	osPkg    string
-	tlPkg    string
-	hmPkg    string
-	// allowed maps line -> rules suppressed on that line ("" = all).
-	allowed map[int]map[string]bool
+	m       *Module
+	enabled func(string) bool
 	diags   []Diag
+
+	// The file being visited and the rule scopes its directory sets.
+	p          *Package
+	file       *ast.File
+	internal   bool // under an internal/ directory: determinism, obs-sink
+	inObs      bool // under internal/obs: exempt from obs-sink-purity
+	inConfig   bool // under internal/config: exempt from magic-literal
+	unitConv   bool // not internal/config itself: Time/Cycles conversions
+	unitScoped bool // a timing-critical tree: bare literals in Time positions
+
+	// atomic-discipline: the objects some sync/atomic call takes the
+	// address of (with the first such call), and the identifiers inside
+	// those calls.
+	atomicObjs map[types.Object]token.Pos
+	sanctioned map[token.Pos]bool
 }
 
 func (c *checker) report(pos token.Pos, rule, msg string) {
-	p := c.fset.Position(pos)
-	if m, ok := c.allowed[p.Line]; ok && (m[""] || m[rule]) {
+	p := c.m.Fset.Position(pos)
+	if !c.enabled(rule) || c.m.allowed(p, rule) {
 		return
 	}
 	c.diags = append(c.diags, Diag{Pos: p, Rule: rule, Msg: msg})
 }
 
-// importNames returns the local names under which math/rand, time, os,
-// and the timeline and heatmap packages are imported ("" when not
-// imported, "_"/"." treated as not callable).
-func importNames(f *ast.File) (randName, timeName, osName, tlName, hmName string) {
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
+// visitFile runs the per-node rules over one file in a single walk. stack
+// holds the node's ancestors, file first.
+func (c *checker) visitFile(p *Package, f *ast.File) {
+	dir := "/" + p.RelDir + "/"
+	c.p, c.file = p, f
+	c.internal = strings.Contains(dir, "/internal/")
+	c.inObs = strings.Contains(dir, "/internal/obs/")
+	c.inConfig = strings.Contains(dir, "/internal/config/")
+	c.unitConv = !pkgSuffix(p.ImportPath, "internal/config")
+	c.unitScoped = c.unitConv && slices.ContainsFunc(unitScopedDirs, func(d string) bool { return relScoped(p.RelDir, d) })
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
 		}
-		name := path.Base(p)
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == "_" || name == "." {
-			continue
-		}
-		switch p {
-		case "math/rand", "math/rand/v2":
-			randName = name
-		case "time":
-			timeName = name
-		case "os":
-			osName = name
-		case "tmcc/internal/obs/timeline":
-			tlName = name
-		case "tmcc/internal/obs/heatmap":
-			hmName = name
-		}
-	}
-	return randName, timeName, osName, tlName, hmName
-}
-
-// pkgCall matches a call of the form pkgName.Fun(...) and returns Fun.
-func pkgCall(n ast.Node, pkgName string) (*ast.CallExpr, string) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok || pkgName == "" {
-		return nil, ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != pkgName {
-		return nil, ""
-	}
-	return call, sel.Sel.Name
-}
-
-func (c *checker) checkRand() {
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		if call, fun := pkgCall(n, c.randPkg); call != nil && globalRandFuncs[fun] {
-			c.report(call.Pos(), RuleRand,
-				fmt.Sprintf("global %s.%s uses the shared math/rand source; thread a seeded *rand.Rand instead", c.randPkg, fun))
-		}
+		c.visit(n, stack)
+		stack = append(stack, n)
 		return true
 	})
 }
 
-func (c *checker) checkWallclock() {
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		if call, fun := pkgCall(n, c.timePkg); call != nil && wallclockFuncs[fun] {
-			c.report(call.Pos(), RuleWallclock,
-				fmt.Sprintf("%s.%s reads the wall clock; simulator code must use simulated config.Time", c.timePkg, fun))
+// visit dispatches one node to the rules that inspect its kind.
+func (c *checker) visit(n ast.Node, stack []ast.Node) {
+	switch x := n.(type) {
+	case *ast.CallExpr:
+		c.checkCall(x)
+		c.checkPanic(x)
+		if c.unitConv {
+			c.unitConversion(x)
 		}
-		return true
-	})
+	case *ast.SelectorExpr:
+		c.checkStream(x)
+	case *ast.RangeStmt:
+		c.checkMapIter(x)
+	case *ast.BasicLit:
+		if !c.inConfig && x.Kind == token.INT && !inConst(stack) {
+			c.magicLit(x, stack[len(stack)-1])
+		}
+	case *ast.Ident:
+		c.atomicUse(x, stack)
+	case *ast.CompositeLit:
+		c.atomicKeys(x)
+	case *ast.ExprStmt, *ast.GoStmt, *ast.DeferStmt:
+		c.checkErrDrop(x)
+	}
+	if c.unitScoped {
+		c.unitLiteral(n, stack)
+	}
+}
+
+// inConst reports whether the node under stack sits in a const declaration.
+func inConst(stack []ast.Node) bool {
+	for _, n := range stack {
+		if gd, ok := n.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			return true
+		}
+	}
+	return false
+}
+
+// pkgFunc returns the package-level function call invokes, or nil for
+// methods, builtins, conversions and func values.
+func (c *checker) pkgFunc(call *ast.CallExpr) *types.Func {
+	fn := calleeFunc(c.p.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
+	}
+	return fn
+}
+
+// --- determinism-rand, determinism-wallclock, obs-sink-purity ---------------
+
+// sinkConstructors are the os functions that hand back a writable file.
+var sinkConstructors = map[string]bool{"Create": true, "OpenFile": true, "NewFile": true}
+
+// sinkStreams are the process-level streams internal/ code must not write.
+var sinkStreams = map[string]bool{"Stdout": true, "Stderr": true}
+
+func (c *checker) checkCall(call *ast.CallExpr) {
+	fn := c.pkgFunc(call)
+	if !c.internal || fn == nil {
+		return
+	}
+	pkg, path, name := fn.Pkg().Name(), fn.Pkg().Path(), fn.Name()
+	switch {
+	case (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name]:
+		c.report(call.Pos(), RuleRand,
+			fmt.Sprintf("global %s.%s uses the shared math/rand source; thread a seeded *rand.Rand instead", pkg, name))
+	case path == "time" && wallclockFuncs[name]:
+		c.report(call.Pos(), RuleWallclock,
+			fmt.Sprintf("%s.%s reads the wall clock; simulator code must use simulated config.Time", pkg, name))
+	case c.inObs:
+	case path == "os" && sinkConstructors[name]:
+		c.report(call.Pos(), RuleObsSink,
+			fmt.Sprintf("%s.%s constructs an output sink under internal/; take an io.Writer injected from the cmd layer instead", pkg, name))
+	case name == "NewRecorder" && pkgSuffix(path, "internal/obs/timeline"):
+		// Arming a windowed timeline is an observability decision like
+		// opening a metrics file: it belongs to the cmd layer, which
+		// hands the recorder in via obs.Observer.TL. internal/ building
+		// its own recorder would fork the time-series away from the
+		// conservation-audited one.
+		c.report(call.Pos(), RuleObsSink,
+			fmt.Sprintf("%s.NewRecorder constructs a timeline recorder under internal/; recorders are built at the cmd layer and injected via obs.Observer.TL", pkg))
+	case name == "NewRecorder" && pkgSuffix(path, "internal/obs/heatmap"):
+		// Same layering as the timeline: the spatial heatmap is armed by
+		// the cmd layer and handed in via obs.Observer.Heat; a private
+		// recorder under internal/ would fork the heat series away from
+		// the conservation-audited one.
+		c.report(call.Pos(), RuleObsSink,
+			fmt.Sprintf("%s.NewRecorder constructs a heatmap recorder under internal/; recorders are built at the cmd layer and injected via obs.Observer.Heat", pkg))
+	}
+}
+
+// checkStream flags references to os.Stdout and os.Stderr.
+func (c *checker) checkStream(sel *ast.SelectorExpr) {
+	if !c.internal || c.inObs {
+		return
+	}
+	v, ok := c.p.Info.Uses[sel.Sel].(*types.Var)
+	if !ok || v.IsField() || v.Pkg() == nil || v.Pkg().Path() != "os" || !sinkStreams[v.Name()] {
+		return
+	}
+	c.report(sel.Pos(), RuleObsSink,
+		fmt.Sprintf("%s.%s under internal/ bypasses injected sinks; take an io.Writer from the cmd layer instead", v.Pkg().Name(), v.Name()))
 }
 
 // --- determinism-map-iter ---------------------------------------------------
 
-func (c *checker) checkMapIter() {
-	maps := c.mapTypedNames()
-	accs := c.orderSensitiveNames()
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
+func (c *checker) checkMapIter(rng *ast.RangeStmt) {
+	if !c.internal {
+		return
+	}
+	if _, ok := c.p.Info.TypeOf(rng.X).Underlying().(*types.Map); !ok {
+		return
+	}
+	// outer resolves an identifier to its object when it is declared
+	// outside the loop; appending to a loop-local is order-dependent only
+	// locally and is the collect-then-sort idiom's first half.
+	outer := func(e ast.Expr) types.Object {
+		id, ok := e.(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		obj := c.p.Info.ObjectOf(id)
+		if obj == nil || (obj.Pos() >= rng.Pos() && obj.Pos() < rng.End()) {
+			return nil
+		}
+		return obj
+	}
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		asg, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
 		}
-		if !isMapExpr(rng.X, maps) {
-			return true
-		}
-		locals := localNames(rng)
-		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			asg, ok := m.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			switch asg.Tok {
-			case token.ASSIGN, token.DEFINE:
-				for i, rhs := range asg.Rhs {
-					call, ok := rhs.(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					fun, ok := call.Fun.(*ast.Ident)
-					if !ok || fun.Name != "append" || i >= len(asg.Lhs) {
-						continue
-					}
-					if id, ok := asg.Lhs[i].(*ast.Ident); ok && id.Name != "_" && !locals[id.Name] &&
-						!c.sortedAfter(id.Name, rng.End()) {
-						c.report(asg.Pos(), RuleMapIter,
-							fmt.Sprintf("append to %q inside map iteration depends on map order; sort it before use", id.Name))
-					}
+		switch asg.Tok {
+		case token.ASSIGN, token.DEFINE:
+			for i, rhs := range asg.Rhs {
+				call, ok := rhs.(*ast.CallExpr)
+				if !ok || i >= len(asg.Lhs) {
+					continue
 				}
-			case token.ADD_ASSIGN, token.SUB_ASSIGN:
-				if id, ok := asg.Lhs[0].(*ast.Ident); ok && accs[id.Name] && !locals[id.Name] {
+				if !isBuiltin(c.p.Info, call.Fun, "append") {
+					continue
+				}
+				if obj := outer(asg.Lhs[i]); obj != nil && !c.sortedAfter(obj, rng.End()) {
 					c.report(asg.Pos(), RuleMapIter,
-						fmt.Sprintf("accumulating into %q (float/string) inside map iteration depends on map order; sort the keys first", id.Name))
+						fmt.Sprintf("append to %q inside map iteration depends on map order; sort it before use", obj.Name()))
 				}
 			}
-			return true
-		})
+		case token.ADD_ASSIGN, token.SUB_ASSIGN:
+			// Float addition does not associate and string concatenation
+			// orders its operands; integer accumulation commutes.
+			obj := outer(asg.Lhs[0])
+			if b, ok := c.p.Info.TypeOf(asg.Lhs[0]).Underlying().(*types.Basic); ok && obj != nil &&
+				b.Info()&(types.IsFloat|types.IsString) != 0 {
+				c.report(asg.Pos(), RuleMapIter,
+					fmt.Sprintf("accumulating into %q (float/string) inside map iteration depends on map order; sort the keys first", obj.Name()))
+			}
+		}
 		return true
 	})
+}
+
+// isBuiltin reports whether e names the predeclared function name, not a
+// declaration that shadows it.
+func isBuiltin(info *types.Info, e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 // sortFuncs are the sort/slices calls that restore a deterministic order.
@@ -291,244 +356,33 @@ var sortFuncs = map[string]bool{
 	"Stable": true,
 }
 
-// sortedAfter reports whether name is passed to a sort.*/slices.Sort* call
+// sortedAfter reports whether obj is passed to a sort.*/slices.Sort* call
 // after pos — the standard collect-then-sort idiom, which is deterministic.
-func (c *checker) sortedAfter(name string, pos token.Pos) bool {
+func (c *checker) sortedAfter(obj types.Object, pos token.Pos) bool {
 	found := false
 	ast.Inspect(c.file, func(n ast.Node) bool {
-		if found {
-			return false
-		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos {
-			return true
+		if found || !ok || call.Pos() < pos {
+			return !found
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") || !sortFuncs[sel.Sel.Name] {
+		fn := c.pkgFunc(call)
+		if fn == nil || (fn.Pkg().Path() != "sort" && fn.Pkg().Path() != "slices") || !sortFuncs[fn.Name()] {
 			return true
 		}
 		for _, a := range call.Args {
-			mentions := false
 			ast.Inspect(a, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && id.Name == name {
-					mentions = true
+				if id, ok := m.(*ast.Ident); ok && c.p.Info.Uses[id] == obj {
+					found = true
 				}
-				return !mentions
+				return !found
 			})
-			if mentions {
-				found = true
-				break
-			}
 		}
-		return true
+		return !found
 	})
 	return found
 }
 
-// mapTypedNames collects identifiers this file demonstrably binds to maps:
-// declared with a map type, assigned make(map...) or a map literal, or
-// received as a map-typed parameter.
-func (c *checker) mapTypedNames() map[string]bool {
-	out := map[string]bool{}
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.ValueSpec:
-			if _, ok := d.Type.(*ast.MapType); ok {
-				for _, id := range d.Names {
-					out[id.Name] = true
-				}
-			}
-			for i, v := range d.Values {
-				if isMapExpr(v, out) && i < len(d.Names) {
-					out[d.Names[i].Name] = true
-				}
-			}
-		case *ast.AssignStmt:
-			for i, v := range d.Rhs {
-				if isMapExpr(v, out) && i < len(d.Lhs) {
-					if id, ok := d.Lhs[i].(*ast.Ident); ok {
-						out[id.Name] = true
-					}
-				}
-			}
-		case *ast.Field:
-			if _, ok := d.Type.(*ast.MapType); ok {
-				for _, id := range d.Names {
-					out[id.Name] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// orderSensitiveNames collects identifiers declared as float or string —
-// accumulating those across a map iteration is order-dependent (float
-// addition does not associate; string concat obviously orders).
-func (c *checker) orderSensitiveNames() map[string]bool {
-	out := map[string]bool{}
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.ValueSpec:
-			if id, ok := d.Type.(*ast.Ident); ok &&
-				(id.Name == "float64" || id.Name == "float32" || id.Name == "string") {
-				for _, name := range d.Names {
-					out[name.Name] = true
-				}
-			}
-		case *ast.AssignStmt:
-			if d.Tok != token.DEFINE {
-				return true
-			}
-			for i, v := range d.Rhs {
-				lit, ok := v.(*ast.BasicLit)
-				if !ok || i >= len(d.Lhs) {
-					continue
-				}
-				if lit.Kind == token.FLOAT || lit.Kind == token.STRING {
-					if id, ok := d.Lhs[i].(*ast.Ident); ok {
-						out[id.Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// isMapExpr reports whether e is demonstrably a map: a known map-typed
-// identifier, a map literal, or an inline make(map...).
-func isMapExpr(e ast.Expr, known map[string]bool) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return known[x.Name]
-	case *ast.CompositeLit:
-		_, ok := x.Type.(*ast.MapType)
-		return ok
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-			_, ok := x.Args[0].(*ast.MapType)
-			return ok
-		}
-	case *ast.ParenExpr:
-		return isMapExpr(x.X, known)
-	}
-	return false
-}
-
-// localNames returns identifiers declared by the range statement itself or
-// inside its body (appending to those is order-dependent only locally and
-// is the standard collect-then-sort idiom's first half).
-func localNames(rng *ast.RangeStmt) map[string]bool {
-	out := map[string]bool{}
-	add := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok {
-			out[id.Name] = true
-		}
-	}
-	if rng.Tok == token.DEFINE {
-		if rng.Key != nil {
-			add(rng.Key)
-		}
-		if rng.Value != nil {
-			add(rng.Value)
-		}
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.AssignStmt:
-			if d.Tok == token.DEFINE {
-				for _, l := range d.Lhs {
-					add(l)
-				}
-			}
-		case *ast.ValueSpec:
-			for _, id := range d.Names {
-				out[id.Name] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// --- obs-sink-purity --------------------------------------------------------
-
-// sinkConstructors are the os functions that hand back a writable file.
-var sinkConstructors = map[string]bool{"Create": true, "OpenFile": true, "NewFile": true}
-
-// sinkStreams are the process-level streams internal/ code must not write.
-var sinkStreams = map[string]bool{"Stdout": true, "Stderr": true}
-
-func (c *checker) checkObsSink() {
-	if c.osPkg == "" && c.tlPkg == "" && c.hmPkg == "" {
-		return
-	}
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		if call, fun := pkgCall(n, c.osPkg); call != nil && sinkConstructors[fun] {
-			c.report(call.Pos(), RuleObsSink,
-				fmt.Sprintf("%s.%s constructs an output sink under internal/; take an io.Writer injected from the cmd layer instead", c.osPkg, fun))
-			return true
-		}
-		if call, fun := pkgCall(n, c.tlPkg); call != nil && fun == "NewRecorder" {
-			// Arming a windowed timeline is an observability decision like
-			// opening a metrics file: it belongs to the cmd layer, which
-			// hands the recorder in via obs.Observer.TL. internal/ building
-			// its own recorder would fork the time-series away from the
-			// conservation-audited one.
-			c.report(call.Pos(), RuleObsSink,
-				fmt.Sprintf("%s.NewRecorder constructs a timeline recorder under internal/; recorders are built at the cmd layer and injected via obs.Observer.TL", c.tlPkg))
-			return true
-		}
-		if call, fun := pkgCall(n, c.hmPkg); call != nil && fun == "NewRecorder" {
-			// Same layering as the timeline: the spatial heatmap is armed by
-			// the cmd layer and handed in via obs.Observer.Heat; a private
-			// recorder under internal/ would fork the heat series away from
-			// the conservation-audited one.
-			c.report(call.Pos(), RuleObsSink,
-				fmt.Sprintf("%s.NewRecorder constructs a heatmap recorder under internal/; recorders are built at the cmd layer and injected via obs.Observer.Heat", c.hmPkg))
-			return true
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != c.osPkg || !sinkStreams[sel.Sel.Name] {
-			return true
-		}
-		c.report(sel.Pos(), RuleObsSink,
-			fmt.Sprintf("%s.%s under internal/ bypasses injected sinks; take an io.Writer from the cmd layer instead", c.osPkg, sel.Sel.Name))
-		return true
-	})
-}
-
 // --- magic-literal ----------------------------------------------------------
-
-func (c *checker) checkMagic() {
-	var walk func(n ast.Node, parent ast.Node, inConst bool)
-	walk = func(n ast.Node, parent ast.Node, inConst bool) {
-		if n == nil {
-			return
-		}
-		if gd, ok := n.(*ast.GenDecl); ok && gd.Tok == token.CONST {
-			inConst = true
-		}
-		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.INT && !inConst {
-			c.magicLit(lit, parent)
-		}
-		for _, child := range children(n) {
-			walk(child, n, inConst)
-		}
-	}
-	walk(c.file, nil, false)
-}
 
 func (c *checker) magicLit(lit *ast.BasicLit, parent ast.Node) {
 	v, err := strconv.ParseUint(strings.ReplaceAll(lit.Value, "_", ""), 0, 64)
@@ -588,25 +442,6 @@ func addrContext(e ast.Expr) string {
 	return found
 }
 
-// children enumerates direct AST children (ast.Inspect cannot expose the
-// parent, which the magic-literal context test needs).
-func children(n ast.Node) []ast.Node {
-	var out []ast.Node
-	first := true
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			return false
-		}
-		if first {
-			first = false
-			return true
-		}
-		out = append(out, m)
-		return false
-	})
-	return out
-}
-
 // --- panic-prefix -----------------------------------------------------------
 
 var prefixedMsg = func(s string) bool {
@@ -626,45 +461,37 @@ var prefixedMsg = func(s string) bool {
 	return true
 }
 
-func (c *checker) checkPanic() {
-	ast.Inspect(c.file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+func (c *checker) checkPanic(call *ast.CallExpr) {
+	if len(call.Args) != 1 || !isBuiltin(c.p.Info, call.Fun, "panic") {
+		return
+	}
+	switch arg := call.Args[0].(type) {
+	case *ast.BasicLit:
+		if arg.Kind != token.STRING {
+			c.report(call.Pos(), RulePanic, "panic message must be a string with a \"pkg: \" prefix")
+			return
 		}
-		fun, ok := call.Fun.(*ast.Ident)
-		if !ok || fun.Name != "panic" || len(call.Args) != 1 {
-			return true
+		s, err := strconv.Unquote(arg.Value)
+		if err == nil && !prefixedMsg(s) {
+			c.report(call.Pos(), RulePanic,
+				fmt.Sprintf("panic message %q lacks the \"pkg: \" prefix", s))
 		}
-		switch arg := call.Args[0].(type) {
-		case *ast.BasicLit:
-			if arg.Kind != token.STRING {
-				c.report(call.Pos(), RulePanic, "panic message must be a string with a \"pkg: \" prefix")
-				return true
-			}
-			s, err := strconv.Unquote(arg.Value)
+	case *ast.CallExpr:
+		// fmt.Sprintf / fmt.Errorf with a literal format: check the
+		// format's prefix. Non-literal formats are unverifiable here.
+		fn := c.pkgFunc(arg)
+		if fn == nil || fn.Pkg().Path() != "fmt" || (fn.Name() != "Sprintf" && fn.Name() != "Errorf") || len(arg.Args) == 0 {
+			return
+		}
+		if lit, ok := arg.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, err := strconv.Unquote(lit.Value)
 			if err == nil && !prefixedMsg(s) {
 				c.report(call.Pos(), RulePanic,
-					fmt.Sprintf("panic message %q lacks the \"pkg: \" prefix", s))
+					fmt.Sprintf("panic format %q lacks the \"pkg: \" prefix", s))
 			}
-		case *ast.CallExpr:
-			// fmt.Sprintf / fmt.Errorf with a literal format: check the
-			// format's prefix. Non-literal formats are unverifiable here.
-			if _, fn := pkgCall(arg, "fmt"); fn == "Sprintf" || fn == "Errorf" {
-				if len(arg.Args) > 0 {
-					if lit, ok := arg.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						s, err := strconv.Unquote(lit.Value)
-						if err == nil && !prefixedMsg(s) {
-							c.report(call.Pos(), RulePanic,
-								fmt.Sprintf("panic format %q lacks the \"pkg: \" prefix", s))
-						}
-					}
-				}
-			}
-		default:
-			c.report(call.Pos(), RulePanic,
-				"panic argument must be a \"pkg: \"-prefixed message (wrap errors: fmt.Sprintf(\"pkg: %v\", err))")
 		}
-		return true
-	})
+	default:
+		c.report(call.Pos(), RulePanic,
+			"panic argument must be a \"pkg: \"-prefixed message (wrap errors: fmt.Sprintf(\"pkg: %v\", err))")
+	}
 }

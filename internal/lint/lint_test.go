@@ -1,19 +1,65 @@
 package lint
 
 import (
+	"go/importer"
+	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// testFset and testStdlib are shared by every module a test loads, so the
+// stdlib is type-checked from source once per test binary, not per test.
+var (
+	testFset   = token.NewFileSet()
+	testStdlib = importer.ForCompiler(testFset, "source", nil)
+)
+
+// snippetStubs are the semmod fixture packages a snippet module carries, so
+// snippets can import fix/internal/obs/timeline and fix/internal/obs/heatmap.
+var snippetStubs = []string{"internal/obs/timeline/timeline.go", "internal/obs/heatmap/heatmap.go"}
+
+// lintSnippet lints src as the file relPath of a scratch module "fix" that
+// also holds the snippetStubs, and returns the findings in that file.
+func lintSnippet(t *testing.T, relPath, src string) []Diag {
+	t.Helper()
+	dir := t.TempDir()
+	files := map[string]string{"go.mod": "module fix\n\ngo 1.22\n", relPath: src}
+	for _, stub := range snippetStubs {
+		b, err := os.ReadFile(filepath.Join("testdata", "semmod", stub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[stub] = string(b)
+	}
+	for name, body := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := loadModule(dir, testFset, testStdlib, nil)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var out []Diag
+	for _, d := range m.Lint(nil) {
+		if d.Pos.Filename == relPath {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // run lints src as if it lived at relPath and returns the rule names fired.
 func run(t *testing.T, relPath, src string) []string {
 	t.Helper()
-	diags, err := Source(relPath, src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
 	var rules []string
-	for _, d := range diags {
+	for _, d := range lintSnippet(t, relPath, src) {
 		rules = append(rules, d.Rule)
 	}
 	return rules
@@ -153,6 +199,62 @@ func f(s []int) []int {
 	}
 }
 
+// TestMapIterFieldMapFires ranges over a struct field of map type, which
+// no local declaration names as a map.
+func TestMapIterFieldMapFires(t *testing.T) {
+	src := `package p
+type S struct{ byName map[string]int }
+func (s *S) Names() []string {
+	var out []string
+	for k := range s.byName {
+		out = append(out, k)
+	}
+	return out
+}
+`
+	rules := run(t, "internal/p/p.go", src)
+	if !has(rules, RuleMapIter) {
+		t.Fatalf("want %s for a field map, got %v", RuleMapIter, rules)
+	}
+}
+
+func TestMapIterCallResultFires(t *testing.T) {
+	src := `package p
+func table() map[string]int { return nil }
+func f() []string {
+	var out []string
+	for k := range table() {
+		out = append(out, k)
+	}
+	return out
+}
+`
+	rules := run(t, "internal/p/p.go", src)
+	if !has(rules, RuleMapIter) {
+		t.Fatalf("want %s for a call's map result, got %v", RuleMapIter, rules)
+	}
+}
+
+// TestMapIterTypedFloatAccumFires declares the accumulators without a
+// float literal on the right of :=.
+func TestMapIterTypedFloatAccumFires(t *testing.T) {
+	for _, decl := range []string{"var total = 0.0", "total := float64(0)"} {
+		src := `package p
+func f(m map[int]float64) float64 {
+	` + decl + `
+	for _, v := range m {
+		total += v
+	}
+	return total
+}
+`
+		rules := run(t, "internal/p/p.go", src)
+		if !has(rules, RuleMapIter) {
+			t.Errorf("%s: want %s, got %v", decl, RuleMapIter, rules)
+		}
+	}
+}
+
 func TestMagic4096Fires(t *testing.T) {
 	src := `package p
 func f(n uint64) uint64 { return n * 4096 }
@@ -268,6 +370,32 @@ func f(n int) { panic(fmt.Sprintf("bad size %d", n)) }
 	}
 }
 
+func TestPanicRenamedFmtWithoutPrefixFires(t *testing.T) {
+	src := `package p
+import f "fmt"
+func g(x int) { panic(f.Sprintf("no prefix %d", x)) }
+`
+	rules := run(t, "internal/p/p.go", src)
+	if !has(rules, RulePanic) {
+		t.Fatalf("want %s through a renamed fmt import, got %v", RulePanic, rules)
+	}
+}
+
+// TestShadowedNamesOK calls a package-level func named panic and a method
+// on a *rand.Rand parameter named rand: neither is the builtin nor the
+// global source.
+func TestShadowedNamesOK(t *testing.T) {
+	src := `package p
+import "math/rand"
+func panic(msg string) {}
+func f() { panic("no prefix") }
+func g(rand *rand.Rand) int { return rand.Intn(3) }
+`
+	if rules := run(t, "internal/p/p.go", src); len(rules) != 0 {
+		t.Fatalf("shadowed panic or rand flagged: %v", rules)
+	}
+}
+
 func TestAllowDirectiveSuppresses(t *testing.T) {
 	src := `package p
 func f(n uint64) uint64 {
@@ -314,10 +442,7 @@ func f() int { return rand.Intn(4096) }
 }
 
 func TestDiagStringFormat(t *testing.T) {
-	diags, err := Source("internal/p/p.go", "package p\nfunc f() { panic(\"x\") }\n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := lintSnippet(t, "internal/p/p.go", "package p\nfunc f() { panic(\"x\") }\n")
 	if len(diags) == 0 {
 		t.Fatal("expected a finding")
 	}
@@ -349,10 +474,7 @@ func f() {
 	fmt.Fprintln(os.Stderr, "x")
 }
 `
-	diags, err := Source("internal/p/p.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := lintSnippet(t, "internal/p/p.go", src)
 	n := 0
 	for _, d := range diags {
 		if d.Rule == RuleObsSink {
@@ -406,7 +528,7 @@ func f() { os.Create("x") } //tmcclint:allow obs-sink-purity
 
 func TestObsSinkTimelineRecorderFires(t *testing.T) {
 	src := `package p
-import "tmcc/internal/obs/timeline"
+import "fix/internal/obs/timeline"
 func f() *timeline.Recorder { return timeline.NewRecorder(0) }
 `
 	rules := run(t, "internal/p/p.go", src)
@@ -417,7 +539,7 @@ func f() *timeline.Recorder { return timeline.NewRecorder(0) }
 
 func TestObsSinkTimelineRenamedImportFires(t *testing.T) {
 	src := `package p
-import tl "tmcc/internal/obs/timeline"
+import tl "fix/internal/obs/timeline"
 func f() *tl.Recorder { return tl.NewRecorder(0) }
 `
 	rules := run(t, "internal/p/p.go", src)
@@ -428,7 +550,7 @@ func f() *tl.Recorder { return tl.NewRecorder(0) }
 
 func TestObsSinkTimelineAllowedInObsPackage(t *testing.T) {
 	src := `package obs
-import "tmcc/internal/obs/timeline"
+import "fix/internal/obs/timeline"
 func f() *timeline.Recorder { return timeline.NewRecorder(0) }
 `
 	if rules := run(t, "internal/obs/timelineview.go", src); has(rules, RuleObsSink) {
@@ -438,7 +560,7 @@ func f() *timeline.Recorder { return timeline.NewRecorder(0) }
 
 func TestObsSinkTimelineAllowedAtCmdLayer(t *testing.T) {
 	src := `package main
-import "tmcc/internal/obs/timeline"
+import "fix/internal/obs/timeline"
 func f() *timeline.Recorder { return timeline.NewRecorder(0) }
 `
 	if rules := run(t, "cmd/tmccsim/main.go", src); has(rules, RuleObsSink) {
@@ -448,7 +570,7 @@ func f() *timeline.Recorder { return timeline.NewRecorder(0) }
 
 func TestObsSinkTimelineHarmlessUseOK(t *testing.T) {
 	src := `package p
-import "tmcc/internal/obs/timeline"
+import "fix/internal/obs/timeline"
 func f() int64 { return timeline.WindowStart(5, 10) }
 `
 	if rules := run(t, "internal/p/p.go", src); has(rules, RuleObsSink) {
@@ -458,7 +580,7 @@ func f() int64 { return timeline.WindowStart(5, 10) }
 
 func TestObsSinkHeatmapRecorderFires(t *testing.T) {
 	src := `package p
-import "tmcc/internal/obs/heatmap"
+import "fix/internal/obs/heatmap"
 func f() *heatmap.Recorder { return heatmap.NewRecorder(0, 0) }
 `
 	rules := run(t, "internal/p/p.go", src)
@@ -469,7 +591,7 @@ func f() *heatmap.Recorder { return heatmap.NewRecorder(0, 0) }
 
 func TestObsSinkHeatmapRenamedImportFires(t *testing.T) {
 	src := `package p
-import hm "tmcc/internal/obs/heatmap"
+import hm "fix/internal/obs/heatmap"
 func f() *hm.Recorder { return hm.NewRecorder(0, 0) }
 `
 	rules := run(t, "internal/p/p.go", src)
@@ -480,7 +602,7 @@ func f() *hm.Recorder { return hm.NewRecorder(0, 0) }
 
 func TestObsSinkHeatmapAllowedInObsPackage(t *testing.T) {
 	src := `package obs
-import "tmcc/internal/obs/heatmap"
+import "fix/internal/obs/heatmap"
 func f() *heatmap.Recorder { return heatmap.NewRecorder(0, 0) }
 `
 	if rules := run(t, "internal/obs/heatmapview.go", src); has(rules, RuleObsSink) {
@@ -490,7 +612,7 @@ func f() *heatmap.Recorder { return heatmap.NewRecorder(0, 0) }
 
 func TestObsSinkHeatmapAllowedAtCmdLayer(t *testing.T) {
 	src := `package main
-import "tmcc/internal/obs/heatmap"
+import "fix/internal/obs/heatmap"
 func f() *heatmap.Recorder { return heatmap.NewRecorder(0, 0) }
 `
 	if rules := run(t, "cmd/tmccsim/main.go", src); has(rules, RuleObsSink) {
@@ -500,7 +622,7 @@ func f() *heatmap.Recorder { return heatmap.NewRecorder(0, 0) }
 
 func TestObsSinkHeatmapHarmlessUseOK(t *testing.T) {
 	src := `package p
-import "tmcc/internal/obs/heatmap"
+import "fix/internal/obs/heatmap"
 func f() []int64 { return heatmap.SizeBounds() }
 `
 	if rules := run(t, "internal/p/p.go", src); has(rules, RuleObsSink) {

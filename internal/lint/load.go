@@ -15,42 +15,32 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// Package is one module package after parsing and (when it succeeded)
-// type-checking. Files and FileNames are parallel; FileNames are
-// module-relative slash paths and double as the fset filenames, so every
-// Diag position prints as "internal/mc/mc.go:123:4".
+// Package is one type-checked module package. Files and FileNames are
+// parallel; FileNames are module-relative slash paths and double as the
+// fset filenames, so every Diag position prints as
+// "internal/mc/mc.go:123:4".
 type Package struct {
 	ImportPath string // e.g. "tmcc/internal/mc"
-	Dir        string // absolute directory
 	RelDir     string // module-relative slash path, "" for the root
 	Files      []*ast.File
 	FileNames  []string
 	Types      *types.Package
 	Info       *types.Info
-	// Err is set when type-checking failed; semantic rules skip the
-	// package (and packages importing it degrade the same way), but AST
-	// rules still apply to its files.
-	Err error
 
 	ParseNanos int64
 	CheckNanos int64
 }
 
-// Module is a parsed and type-checked module tree, the input to both lint
-// phases. It is immutable after LoadModule returns, so one Module can be
-// shared by every rule (and across LoadModuleCached callers).
+// Module is a parsed and type-checked module tree, the input to every
+// rule. It is immutable after LoadModule returns.
 type Module struct {
 	Path string // module path from go.mod
 	Dir  string // absolute module root
 	Fset *token.FileSet
 	// Pkgs is in dependency order (imports before importers).
 	Pkgs []*Package
-	// Warnings describes non-fatal degradations (packages whose
-	// type-check failed). They do not affect the exit code.
-	Warnings []string
 
 	byPath map[string]*Package
 	// allows indexes //tmcclint:allow directives per fset filename.
@@ -59,13 +49,19 @@ type Module struct {
 
 // LoadModule parses and type-checks every non-test package under dir, which
 // must contain go.mod. Build constraints are evaluated for the host
-// GOOS/GOARCH with no extra build tags, so debug-only files (tmccdebug) are
-// excluded rather than colliding with their release twins. now supplies
+// GOOS/GOARCH with the tmccdebug tag set (see buildIncluded). now supplies
 // monotonic nanoseconds for the per-package timing fields; pass nil to skip
-// timing. Type-check failures degrade the affected package (Package.Err,
-// Module.Warnings) instead of failing the load: AST rules still see every
-// file that parses.
+// timing. A package that does not type-check fails the load with its first
+// type error.
 func LoadModule(dir string, now func() int64) (*Module, error) {
+	fset := token.NewFileSet()
+	return loadModule(dir, fset, importer.ForCompiler(fset, "source", nil), now)
+}
+
+// loadModule is LoadModule with the file set and the stdlib importer
+// supplied, so tests that load many small modules type-check the stdlib
+// once.
+func loadModule(dir string, fset *token.FileSet, stdlib types.Importer, now func() int64) (*Module, error) {
 	if now == nil {
 		now = func() int64 { return 0 }
 	}
@@ -80,7 +76,7 @@ func LoadModule(dir string, now func() int64) (*Module, error) {
 	m := &Module{
 		Path:   modPath,
 		Dir:    abs,
-		Fset:   token.NewFileSet(),
+		Fset:   fset,
 		byPath: map[string]*Package{},
 		allows: map[string]map[int]map[string]bool{},
 	}
@@ -99,55 +95,14 @@ func LoadModule(dir string, now func() int64) (*Module, error) {
 		}
 	}
 	m.toposort()
-	m.typecheck(now)
-	return m, nil
-}
-
-var (
-	loadMu    sync.Mutex
-	loadCache = map[string]*Module{}
-)
-
-// LoadModuleCached is LoadModule behind a process-wide cache keyed on the
-// absolute module directory. Modules are immutable, so rules and tests that
-// lint the same tree repeatedly share one type-checked package set — this
-// is what keeps a full-module lint run linear in module size, not in
-// rule count.
-func LoadModuleCached(dir string, now func() int64) (*Module, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: resolving %s: %w", dir, err)
-	}
-	loadMu.Lock()
-	defer loadMu.Unlock()
-	if m, ok := loadCache[abs]; ok {
-		return m, nil
-	}
-	m, err := LoadModule(abs, now)
-	if err != nil {
+	if err := m.typecheck(stdlib, now); err != nil {
 		return nil, err
 	}
-	loadCache[abs] = m
 	return m, nil
-}
-
-// Lookup returns the loaded package with the given import path, or nil.
-func (m *Module) Lookup(importPath string) *Package { return m.byPath[importPath] }
-
-// ASTDiags runs the existing per-file AST rules over every loaded file.
-func (m *Module) ASTDiags() []Diag {
-	var out []Diag
-	for _, p := range m.Pkgs {
-		for i, f := range p.Files {
-			out = append(out, File(m.Fset, p.FileNames[i], f)...)
-		}
-	}
-	return out
 }
 
 // allowed reports whether rule is suppressed at position p by a
-// //tmcclint:allow directive (same semantics as the AST phase: the
-// directive's own line and the line below).
+// //tmcclint:allow directive on p's line or the line above.
 func (m *Module) allowed(p token.Position, rule string) bool {
 	if lines, ok := m.allows[p.Filename]; ok {
 		if rs, ok := lines[p.Line]; ok && (rs[""] || rs[rule]) {
@@ -228,7 +183,7 @@ func (m *Module) parseDir(dir string, now func() int64) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: reading %s: %w", dir, err)
 	}
-	pkg := &Package{ImportPath: importPath, Dir: dir, RelDir: relDir}
+	pkg := &Package{ImportPath: importPath, RelDir: relDir}
 	start := now()
 	for _, e := range ents {
 		name := e.Name()
@@ -263,10 +218,11 @@ func (m *Module) parseDir(dir string, now func() int64) (*Package, error) {
 }
 
 // buildIncluded evaluates a file's //go:build constraint for the host
-// GOOS/GOARCH with no custom tags set, mirroring what `go build` does in
-// this repo's CI (tmccdebug and friends default off). Without this, tag
-// pairs like internal/check's check_on.go/check_off.go would both load and
-// collide as duplicate declarations.
+// GOOS/GOARCH with the tmccdebug tag set and no other custom tag. Tag twins
+// such as internal/check's check_on.go/check_off.go would otherwise both
+// load and collide as duplicate declarations. The debug side is the one
+// loaded because it holds the code: check_off.go is one constant and two
+// empty bodies, so no rule can fire on it.
 func buildIncluded(src []byte) bool {
 	for _, line := range strings.Split(string(src), "\n") {
 		trimmed := strings.TrimSpace(line)
@@ -278,7 +234,7 @@ func buildIncluded(src []byte) bool {
 				}
 				return expr.Eval(func(tag string) bool {
 					return tag == runtime.GOOS || tag == runtime.GOARCH ||
-						strings.HasPrefix(tag, "go1.")
+						tag == "tmccdebug" || strings.HasPrefix(tag, "go1.")
 				})
 			}
 			continue
@@ -348,9 +304,6 @@ func (mi *modImporter) Import(ip string) (*types.Package, error) {
 		if p == nil {
 			return nil, fmt.Errorf("lint: unknown module package %s", ip)
 		}
-		if p.Err != nil {
-			return nil, fmt.Errorf("lint: %s did not type-check: %w", ip, p.Err)
-		}
 		if p.Types == nil {
 			return nil, fmt.Errorf("lint: %s not checked yet (import cycle?)", ip)
 		}
@@ -359,40 +312,25 @@ func (mi *modImporter) Import(ip string) (*types.Package, error) {
 	return mi.stdlib.Import(ip)
 }
 
-// typecheck runs go/types over every package in dependency order. A failure
-// degrades that package (and, transitively, its importers) to AST-only
-// linting with a warning; it never aborts the load.
-func (m *Module) typecheck(now func() int64) {
-	mi := &modImporter{m: m, stdlib: importer.ForCompiler(m.Fset, "source", nil)}
+// typecheck runs go/types over every package in dependency order and
+// fails on the first package that does not check.
+func (m *Module) typecheck(stdlib types.Importer, now func() int64) error {
+	mi := &modImporter{m: m, stdlib: stdlib}
 	for _, p := range m.Pkgs {
 		start := now()
 		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
-		var firstErr error
-		conf := types.Config{
-			Importer: mi,
-			Error: func(err error) {
-				if firstErr == nil {
-					firstErr = err
-				}
-			},
-		}
+		conf := types.Config{Importer: mi}
 		tpkg, err := conf.Check(p.ImportPath, m.Fset, p.Files, info)
-		if firstErr != nil {
-			err = firstErr
+		if err != nil {
+			return fmt.Errorf("lint: %s does not type-check: %w", p.ImportPath, err)
 		}
 		p.CheckNanos = now() - start
-		if err != nil {
-			p.Err = err
-			m.Warnings = append(m.Warnings,
-				fmt.Sprintf("%s: type-check failed (%v); semantic rules skipped, AST rules still apply", p.ImportPath, err))
-			continue
-		}
 		p.Types = tpkg
 		p.Info = info
 	}
+	return nil
 }

@@ -1,5 +1,5 @@
-// Semantic (type-aware) rules. These run over a type-checked Module and
-// enforce the cross-package invariants the AST phase cannot see:
+// The cross-package rules. They run in the same Module.Lint pass as the
+// per-file rules in lint.go and enforce invariants that span packages:
 //
 //   - atomic-discipline: a variable or field ever passed to a sync/atomic
 //     function must never be read or written plainly afterwards — outside
@@ -33,7 +33,7 @@ import (
 	"strings"
 )
 
-// Semantic rule names, as reported and as accepted by //tmcclint:allow.
+// Cross-package rule names, as reported and as accepted by //tmcclint:allow.
 const (
 	RuleAtomic  = "atomic-discipline"
 	RuleMemoKey = "memo-key-purity"
@@ -42,53 +42,12 @@ const (
 	RuleAttrReg = "attr-registration"
 )
 
-// AllRules lists every rule name, AST and semantic, for -rules validation.
+// AllRules lists every rule name, for -rules validation.
 func AllRules() []string {
 	return []string{
 		RuleRand, RuleWallclock, RuleMapIter, RuleMagic, RulePanic, RuleObsSink,
 		RuleAtomic, RuleMemoKey, RuleErr, RuleUnits, RuleAttrReg,
 	}
-}
-
-// Semantic runs the type-aware rules over the module. enabled filters by
-// rule name (nil means all). Packages whose type-check failed are skipped;
-// the corresponding Module.Warnings entry is the user-visible signal.
-func (m *Module) Semantic(enabled func(rule string) bool) []Diag {
-	if enabled == nil {
-		enabled = func(string) bool { return true }
-	}
-	s := &semChecker{m: m, enabled: enabled}
-	s.checkAtomic()
-	s.checkMemoKey()
-	s.checkErrDiscipline()
-	s.checkUnits()
-	s.checkAttrReg()
-	return s.diags
-}
-
-type semChecker struct {
-	m       *Module
-	enabled func(string) bool
-	diags   []Diag
-}
-
-func (s *semChecker) report(pos token.Pos, rule, msg string) {
-	p := s.m.Fset.Position(pos)
-	if s.m.allowed(p, rule) {
-		return
-	}
-	s.diags = append(s.diags, Diag{Pos: p, Rule: rule, Msg: msg})
-}
-
-// checked yields the packages that type-checked successfully.
-func (s *semChecker) checked() []*Package {
-	var out []*Package
-	for _, p := range s.m.Pkgs {
-		if p.Err == nil && p.Info != nil {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // pkgSuffix reports whether import path ip ends with the slash-separated
@@ -111,9 +70,8 @@ func relScoped(relDir, dir string) bool {
 // suffix is the width (AddUint64, LoadInt32, ...).
 var atomicFuncPrefixes = []string{"Add", "Load", "Store", "Swap", "CompareAndSwap"}
 
-func isAtomicFunc(obj types.Object) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+func isAtomicFunc(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 		return false
 	}
 	for _, p := range atomicFuncPrefixes {
@@ -124,80 +82,33 @@ func isAtomicFunc(obj types.Object) bool {
 	return false
 }
 
-func (s *semChecker) checkAtomic() {
-	if !s.enabled(RuleAtomic) {
-		return
-	}
-	// Pass 1: collect the objects (fields, package vars) whose addresses
-	// are taken by sync/atomic calls, and the ident positions inside those
-	// calls (which are by definition sanctioned accesses).
-	atomicObjs := map[types.Object]token.Pos{} // object -> first atomic site
-	sanctioned := map[token.Pos]bool{}
-	for _, p := range s.checked() {
+// collectAtomic finds the objects (fields, package vars) whose addresses
+// sync/atomic calls take, and the identifiers inside those calls, which are
+// by definition sanctioned accesses. It runs over the whole module before
+// any file is visited.
+func (c *checker) collectAtomic() {
+	c.atomicObjs = map[types.Object]token.Pos{}
+	c.sanctioned = map[token.Pos]bool{}
+	for _, p := range c.m.Pkgs {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				obj := p.Info.Uses[sel.Sel]
-				if obj == nil || !isAtomicFunc(obj) || len(call.Args) == 0 {
+				if !ok || len(call.Args) == 0 || !isAtomicFunc(calleeFunc(p.Info, call)) {
 					return true
 				}
 				for _, a := range call.Args {
 					ast.Inspect(a, func(m ast.Node) bool {
 						if id, ok := m.(*ast.Ident); ok {
-							sanctioned[id.Pos()] = true
+							c.sanctioned[id.Pos()] = true
 						}
 						return true
 					})
 				}
 				if un, ok := call.Args[0].(*ast.UnaryExpr); ok && un.Op == token.AND {
-					if obj := s.exprObj(p, un.X); obj != nil {
-						if _, seen := atomicObjs[obj]; !seen {
-							atomicObjs[obj] = call.Pos()
+					if obj := exprObj(p.Info, un.X); obj != nil {
+						if _, seen := c.atomicObjs[obj]; !seen {
+							c.atomicObjs[obj] = call.Pos()
 						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	if len(atomicObjs) == 0 {
-		return
-	}
-	// Pass 2: every other use of those objects is a plain access. init
-	// functions and composite-literal keys are exempt: they run before any
-	// concurrent phase (construction-time stores).
-	for _, p := range s.checked() {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.FuncDecl:
-					if x.Recv == nil && x.Name.Name == "init" {
-						return false
-					}
-				case *ast.CompositeLit:
-					for _, e := range x.Elts {
-						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								sanctioned[id.Pos()] = true
-							}
-						}
-					}
-				case *ast.Ident:
-					obj := p.Info.Uses[x]
-					if obj == nil || sanctioned[x.Pos()] {
-						return true
-					}
-					if site, ok := atomicObjs[obj]; ok {
-						s.report(x.Pos(), RuleAtomic, fmt.Sprintf(
-							"%s is accessed via sync/atomic (%s); a plain read/write here races with it — use atomic.Load*/Store*",
-							obj.Name(), s.m.Fset.Position(site)))
 					}
 				}
 				return true
@@ -206,18 +117,46 @@ func (s *semChecker) checkAtomic() {
 	}
 }
 
+// atomicUse flags a plain access to an object that sync/atomic also
+// touches. init functions are exempt: they run before any concurrent phase.
+func (c *checker) atomicUse(id *ast.Ident, stack []ast.Node) {
+	obj := c.p.Info.Uses[id]
+	site, ok := c.atomicObjs[obj]
+	if !ok || c.sanctioned[id.Pos()] {
+		return
+	}
+	if fd, ok := stack[1].(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "init" {
+		return
+	}
+	c.report(id.Pos(), RuleAtomic, fmt.Sprintf(
+		"%s is accessed via sync/atomic (%s); a plain read/write here races with it — use atomic.Load*/Store*",
+		obj.Name(), c.m.Fset.Position(site)))
+}
+
+// atomicKeys sanctions composite-literal keys: construction-time stores
+// are initialization, not racing access.
+func (c *checker) atomicKeys(cl *ast.CompositeLit) {
+	for _, e := range cl.Elts {
+		if kv, ok := e.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				c.sanctioned[id.Pos()] = true
+			}
+		}
+	}
+}
+
 // exprObj resolves the object an addressable expression denotes: the
 // variable for an identifier, the field for a selector.
-func (s *semChecker) exprObj(p *Package, e ast.Expr) types.Object {
+func exprObj(info *types.Info, e ast.Expr) types.Object {
 	switch x := e.(type) {
 	case *ast.Ident:
-		return p.Info.Uses[x]
+		return info.Uses[x]
 	case *ast.SelectorExpr:
-		return p.Info.Uses[x.Sel]
+		return info.Uses[x.Sel]
 	case *ast.ParenExpr:
-		return s.exprObj(p, x.X)
+		return exprObj(info, x.X)
 	case *ast.IndexExpr:
-		return s.exprObj(p, x.X)
+		return exprObj(info, x.X)
 	}
 	return nil
 }
@@ -231,11 +170,8 @@ var memoKeyRoots = []struct{ pkgSuffix, typeName string }{
 	{"exp/engine", "Key"},
 }
 
-func (s *semChecker) checkMemoKey() {
-	if !s.enabled(RuleMemoKey) {
-		return
-	}
-	for _, p := range s.checked() {
+func (c *checker) checkMemoKey() {
+	for _, p := range c.m.Pkgs {
 		for _, root := range memoKeyRoots {
 			if !pkgSuffix(p.ImportPath, root.pkgSuffix) {
 				continue
@@ -246,14 +182,14 @@ func (s *semChecker) checkMemoKey() {
 				continue
 			}
 			seen := map[types.Type]bool{}
-			s.memoWalk(tn.Type(), root.typeName, seen)
+			c.memoWalk(tn.Type(), root.typeName, seen)
 		}
 	}
 }
 
 // memoWalk recurses through the struct graph reachable from a memo-key
 // root, flagging impure field types at their declaration sites.
-func (s *semChecker) memoWalk(t types.Type, path string, seen map[types.Type]bool) {
+func (c *checker) memoWalk(t types.Type, path string, seen map[types.Type]bool) {
 	if seen[t] {
 		return
 	}
@@ -264,45 +200,45 @@ func (s *semChecker) memoWalk(t types.Type, path string, seen map[types.Type]boo
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		s.memoField(f, path+"."+f.Name(), f.Type(), seen)
+		c.memoField(f, path+"."+f.Name(), f.Type(), seen)
 	}
 }
 
-func (s *semChecker) memoField(f *types.Var, path string, t types.Type, seen map[types.Type]bool) {
+func (c *checker) memoField(f *types.Var, path string, t types.Type, seen map[types.Type]bool) {
 	if bad := observerLike(t); bad != "" {
-		s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+		c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 			"memo key field %s carries %s; observer/fault state is canonicalized out of the key by design — keep it out of Options", path, bad))
 		return
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Signature:
-		s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+		c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 			"memo key field %s is a func (%s); closures make memoized runs alias distinct behaviors", path, t))
 	case *types.Chan:
-		s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+		c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 			"memo key field %s is a channel (%s); channels are identity-compared and carry runtime state", path, t))
 	case *types.Map:
-		s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+		c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 			"memo key field %s is a map (%s); maps are not comparable, breaking the engine's key equality", path, t))
 	case *types.Slice:
-		s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+		c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 			"memo key field %s is a slice (%s); slices are not comparable, breaking the engine's key equality", path, t))
 	case *types.Interface:
 		if u.NumMethods() > 0 {
-			s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+			c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 				"memo key field %s is an interface (%s); dynamic values hide funcs and state from key equality", path, t))
 		}
 	case *types.Pointer:
 		if bad := observerLike(u.Elem()); bad != "" {
-			s.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
+			c.report(f.Pos(), RuleMemoKey, fmt.Sprintf(
 				"memo key field %s points at %s; observer/fault state must stay outside the memo key", path, bad))
 			return
 		}
-		s.memoWalk(u.Elem(), path, seen)
+		c.memoWalk(u.Elem(), path, seen)
 	case *types.Array:
-		s.memoField(f, path+"[]", u.Elem(), seen)
+		c.memoField(f, path+"[]", u.Elem(), seen)
 	case *types.Struct:
-		s.memoWalk(t, path, seen)
+		c.memoWalk(t, path, seen)
 	}
 }
 
@@ -326,45 +262,29 @@ func observerLike(t types.Type) string {
 
 // --- error-discipline -------------------------------------------------------
 
-func (s *semChecker) checkErrDiscipline() {
-	if !s.enabled(RuleErr) {
+var errType = types.Universe.Lookup("error").Type()
+
+func (c *checker) checkErrDrop(stmt ast.Node) {
+	var call *ast.CallExpr
+	verb := ""
+	switch x := stmt.(type) {
+	case *ast.ExprStmt:
+		call, _ = x.X.(*ast.CallExpr)
+	case *ast.GoStmt:
+		call, verb = x.Call, "go "
+	case *ast.DeferStmt:
+		call, verb = x.Call, "defer "
+	}
+	if call == nil {
 		return
 	}
-	errType := types.Universe.Lookup("error").Type()
-	for _, p := range s.checked() {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var call *ast.CallExpr
-				verb := ""
-				switch x := n.(type) {
-				case *ast.ExprStmt:
-					call, _ = x.X.(*ast.CallExpr)
-				case *ast.GoStmt:
-					call, verb = x.Call, "go "
-				case *ast.DeferStmt:
-					call, verb = x.Call, "defer "
-				default:
-					return true
-				}
-				if call == nil {
-					return true
-				}
-				fn := calleeFunc(p.Info, call)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				if !strings.Contains("/"+fn.Pkg().Path()+"/", "/internal/") {
-					return true
-				}
-				if !returnsError(p.Info, call, errType) {
-					return true
-				}
-				s.report(call.Pos(), RuleErr, fmt.Sprintf(
-					"%s%s returns an error that is discarded; handle it or waive explicitly with _ =", verb, fn.FullName()))
-				return true
-			})
-		}
+	fn := calleeFunc(c.p.Info, call)
+	if fn == nil || fn.Pkg() == nil || !strings.Contains("/"+fn.Pkg().Path()+"/", "/internal/") ||
+		!returnsError(c.p.Info, call) {
+		return
 	}
+	c.report(call.Pos(), RuleErr, fmt.Sprintf(
+		"%s%s returns an error that is discarded; handle it or waive explicitly with _ =", verb, fn.FullName()))
 }
 
 // calleeFunc resolves the *types.Func a call invokes, or nil for builtins,
@@ -384,7 +304,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // returnsError reports whether any result of the call has type error.
-func returnsError(info *types.Info, call *ast.CallExpr, errType types.Type) bool {
+func returnsError(info *types.Info, call *ast.CallExpr) bool {
 	tv, ok := info.Types[call]
 	if !ok {
 		return false
@@ -418,82 +338,38 @@ func configNamed(t types.Type, name string) bool {
 	return n.Obj().Name() == name && pkgSuffix(n.Obj().Pkg().Path(), "internal/config")
 }
 
-func (s *semChecker) checkUnits() {
-	if !s.enabled(RuleUnits) {
+// unitConversion flags a direct Time(...)/Cycles(...) cast between the two
+// unit domains; only Cycles.Dur and config.CyclesIn scale correctly.
+func (c *checker) unitConversion(call *ast.CallExpr) {
+	if len(call.Args) != 1 {
 		return
 	}
-	for _, p := range s.checked() {
-		if pkgSuffix(p.ImportPath, "internal/config") {
-			continue // config defines the units and the sanctioned conversions
-		}
-		s.unitConversions(p)
-		scoped := false
-		for _, d := range unitScopedDirs {
-			if relScoped(p.RelDir, d) {
-				scoped = true
-				break
-			}
-		}
-		if scoped {
-			s.unitLiterals(p)
-		}
+	tv, ok := c.p.Info.Types[call.Fun]
+	if !ok || !tv.IsType() {
+		return
+	}
+	atv, ok := c.p.Info.Types[call.Args[0]]
+	if !ok {
+		return
+	}
+	switch {
+	case configNamed(tv.Type, "Time") && configNamed(atv.Type, "Cycles"):
+		c.report(call.Pos(), RuleUnits,
+			"direct Time(Cycles) conversion skips cycle-time scaling; use Cycles.Dur(cycle)")
+	case configNamed(tv.Type, "Cycles") && configNamed(atv.Type, "Time"):
+		c.report(call.Pos(), RuleUnits,
+			"direct Cycles(Time) conversion skips cycle-time scaling; use config.CyclesIn(t, cycle)")
 	}
 }
 
-// unitConversions flags direct Time(...)/Cycles(...) casts between the two
-// unit domains; only Cycles.Dur and config.CyclesIn scale correctly.
-func (s *semChecker) unitConversions(p *Package) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			tv, ok := p.Info.Types[call.Fun]
-			if !ok || !tv.IsType() {
-				return true
-			}
-			atv, ok := p.Info.Types[call.Args[0]]
-			if !ok {
-				return true
-			}
-			switch {
-			case configNamed(tv.Type, "Time") && configNamed(atv.Type, "Cycles"):
-				s.report(call.Pos(), RuleUnits,
-					"direct Time(Cycles) conversion skips cycle-time scaling; use Cycles.Dur(cycle)")
-			case configNamed(tv.Type, "Cycles") && configNamed(atv.Type, "Time"):
-				s.report(call.Pos(), RuleUnits,
-					"direct Cycles(Time) conversion skips cycle-time scaling; use config.CyclesIn(t, cycle)")
-			}
-			return true
-		})
-	}
-}
-
-// unitLiterals flags bare nonzero integer literals that land directly in a
-// config.Time position: assignments, declarations, composite-literal
+// unitLiteral flags a bare nonzero integer literal that lands directly in
+// a config.Time position: assignments, declarations, composite-literal
 // fields, returns, and +/-/comparison operands whose sibling is a Time.
 // Multiplicative contexts are exempt — `2500 * config.Picosecond` and
 // `16 * tbl` are the sanctioned scaling idiom.
-func (s *semChecker) unitLiterals(p *Package) {
-	for _, f := range p.Files {
-		s.unitWalk(p, f, nil)
-	}
-}
-
-func (s *semChecker) unitWalk(p *Package, n ast.Node, results *types.Tuple) {
+func (c *checker) unitLiteral(n ast.Node, stack []ast.Node) {
+	p := c.p
 	switch x := n.(type) {
-	case *ast.FuncDecl:
-		if x.Body == nil {
-			return
-		}
-		s.unitWalk(p, x.Body, funcResults(p, x.Name))
-		return
-	case *ast.FuncLit:
-		if sig, ok := p.Info.Types[x].Type.(*types.Signature); ok {
-			s.unitWalk(p, x.Body, sig.Results())
-			return
-		}
 	case *ast.AssignStmt:
 		switch x.Tok {
 		case token.ASSIGN, token.DEFINE, token.ADD_ASSIGN, token.SUB_ASSIGN:
@@ -501,8 +377,8 @@ func (s *semChecker) unitWalk(p *Package, n ast.Node, results *types.Tuple) {
 				if i >= len(x.Lhs) {
 					break
 				}
-				if lit := bareIntLit(rhs); lit != nil && s.isTime(p, x.Lhs[i]) {
-					s.report(lit.Pos(), RuleUnits, fmt.Sprintf(
+				if lit := bareIntLit(rhs); lit != nil && c.isTime(x.Lhs[i]) {
+					c.report(lit.Pos(), RuleUnits, fmt.Sprintf(
 						"bare literal %s assigned to a config.Time; write it as n * config.Picosecond/Nanosecond (or Cycles.Dur)", lit.Value))
 				}
 			}
@@ -512,22 +388,22 @@ func (s *semChecker) unitWalk(p *Package, n ast.Node, results *types.Tuple) {
 			if tv, ok := p.Info.Types[x.Type]; ok && configNamed(tv.Type, "Time") {
 				for _, v := range x.Values {
 					if lit := bareIntLit(v); lit != nil {
-						s.report(lit.Pos(), RuleUnits, fmt.Sprintf(
+						c.report(lit.Pos(), RuleUnits, fmt.Sprintf(
 							"bare literal %s declared as config.Time; write it as n * config.Picosecond/Nanosecond", lit.Value))
 					}
 				}
 			}
 		}
 	case *ast.CompositeLit:
-		s.unitComposite(p, x)
+		c.unitComposite(x)
 	case *ast.ReturnStmt:
-		if results != nil {
+		if results := c.results(stack); results != nil {
 			for i, r := range x.Results {
 				if i >= results.Len() {
 					break
 				}
 				if lit := bareIntLit(r); lit != nil && configNamed(results.At(i).Type(), "Time") {
-					s.report(lit.Pos(), RuleUnits, fmt.Sprintf(
+					c.report(lit.Pos(), RuleUnits, fmt.Sprintf(
 						"bare literal %s returned as config.Time; write it as n * config.Picosecond/Nanosecond", lit.Value))
 				}
 			}
@@ -536,21 +412,19 @@ func (s *semChecker) unitWalk(p *Package, n ast.Node, results *types.Tuple) {
 		switch x.Op {
 		case token.ADD, token.SUB, token.EQL, token.NEQ, token.LSS, token.GTR, token.LEQ, token.GEQ:
 			for _, pair := range [2][2]ast.Expr{{x.X, x.Y}, {x.Y, x.X}} {
-				if lit := bareIntLit(pair[0]); lit != nil && s.isTime(p, pair[1]) {
-					s.report(lit.Pos(), RuleUnits, fmt.Sprintf(
+				if lit := bareIntLit(pair[0]); lit != nil && c.isTime(pair[1]) {
+					c.report(lit.Pos(), RuleUnits, fmt.Sprintf(
 						"bare literal %s %s a config.Time; give it a unit (n * config.Picosecond/Nanosecond)", lit.Value, x.Op))
 				}
 			}
 		}
 	}
-	for _, child := range children(n) {
-		s.unitWalk(p, child, results)
-	}
 }
 
 // unitComposite flags bare literals in Time-typed fields/elements of a
 // composite literal.
-func (s *semChecker) unitComposite(p *Package, cl *ast.CompositeLit) {
+func (c *checker) unitComposite(cl *ast.CompositeLit) {
+	p := c.p
 	tv, ok := p.Info.Types[cl]
 	if !ok {
 		return
@@ -571,7 +445,7 @@ func (s *semChecker) unitComposite(p *Package, cl *ast.CompositeLit) {
 				ft = u.Field(i).Type()
 			}
 			if lit := bareIntLit(val); lit != nil && ft != nil && configNamed(ft, "Time") {
-				s.report(lit.Pos(), RuleUnits, fmt.Sprintf(
+				c.report(lit.Pos(), RuleUnits, fmt.Sprintf(
 					"bare literal %s fills a config.Time field; write it as n * config.Picosecond/Nanosecond", lit.Value))
 			}
 		}
@@ -591,35 +465,30 @@ func (s *semChecker) unitComposite(p *Package, cl *ast.CompositeLit) {
 				val = kv.Value
 			}
 			if lit := bareIntLit(val); lit != nil {
-				s.report(lit.Pos(), RuleUnits, fmt.Sprintf(
+				c.report(lit.Pos(), RuleUnits, fmt.Sprintf(
 					"bare literal %s fills a config.Time element; write it as n * config.Picosecond/Nanosecond", lit.Value))
 			}
 		}
 	}
 }
 
-// funcResults returns the result tuple of the function an ident declares.
-func funcResults(p *Package, id *ast.Ident) *types.Tuple {
-	if fn, ok := p.Info.Defs[id].(*types.Func); ok {
-		return fn.Type().(*types.Signature).Results()
+// results returns the result types of the innermost function declaration
+// or literal enclosing the node under stack.
+func (c *checker) results(stack []ast.Node) *types.Tuple {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch fn := stack[i].(type) {
+		case *ast.FuncDecl:
+			return c.p.Info.Defs[fn.Name].Type().(*types.Signature).Results()
+		case *ast.FuncLit:
+			return c.p.Info.TypeOf(fn).(*types.Signature).Results()
+		}
 	}
 	return nil
 }
 
 // isTime reports whether e's type is the named config.Time.
-func (s *semChecker) isTime(p *Package, e ast.Expr) bool {
-	if tv, ok := p.Info.Types[e]; ok {
-		return configNamed(tv.Type, "Time")
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Info.Defs[id]; obj != nil {
-			return configNamed(obj.Type(), "Time")
-		}
-		if obj := p.Info.Uses[id]; obj != nil {
-			return configNamed(obj.Type(), "Time")
-		}
-	}
-	return false
+func (c *checker) isTime(e ast.Expr) bool {
+	return configNamed(c.p.Info.TypeOf(e), "Time")
 }
 
 // bareIntLit unwraps parens/unary minus and returns the integer literal if
@@ -642,19 +511,16 @@ func bareIntLit(e ast.Expr) *ast.BasicLit {
 
 // --- attr-registration ------------------------------------------------------
 
-func (s *semChecker) checkAttrReg() {
-	if !s.enabled(RuleAttrReg) {
-		return
-	}
-	for _, p := range s.checked() {
+func (c *checker) checkAttrReg() {
+	for _, p := range c.m.Pkgs {
 		if !pkgSuffix(p.ImportPath, "obs/attr") {
 			continue
 		}
-		s.attrPkg(p)
+		c.attrPkg(p)
 	}
 }
 
-func (s *semChecker) attrPkg(attr *Package) {
+func (c *checker) attrPkg(attr *Package) {
 	scope := attr.Types.Scope()
 	numObj, ok := scope.Lookup("NumComponents").(*types.Const)
 	if !ok {
@@ -670,23 +536,23 @@ func (s *semChecker) attrPkg(attr *Package) {
 	// itself, or it is a permanently-zero CSV column that silently
 	// misreports "no time spent here".
 	used := map[types.Object]bool{}
-	for _, p := range s.checked() {
+	for _, p := range c.m.Pkgs {
 		if p == attr {
 			continue
 		}
 		for _, obj := range p.Info.Uses {
-			if c, ok := obj.(*types.Const); ok && types.Identical(c.Type(), compType) {
+			if k, ok := obj.(*types.Const); ok && types.Identical(k.Type(), compType) {
 				used[obj] = true
 			}
 		}
 	}
 	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || c == numObj || !types.Identical(c.Type(), compType) {
+		k, ok := scope.Lookup(name).(*types.Const)
+		if !ok || k == numObj || !types.Identical(k.Type(), compType) {
 			continue
 		}
-		if !used[c] {
-			s.report(c.Pos(), RuleAttrReg, fmt.Sprintf(
+		if !used[k] {
+			c.report(k.Pos(), RuleAttrReg, fmt.Sprintf(
 				"component %s is never attributed outside %s; its breakdown column is permanently zero", name, attr.ImportPath))
 		}
 	}
@@ -711,7 +577,7 @@ func (s *semChecker) attrPkg(attr *Package) {
 				return true
 			}
 			if int64(len(cl.Elts)) < n {
-				s.report(cl.Pos(), RuleAttrReg, fmt.Sprintf(
+				c.report(cl.Pos(), RuleAttrReg, fmt.Sprintf(
 					"component name table in %s covers %d of %d components; unnamed columns break CSV headers",
 					attr.FileNames[i], len(cl.Elts), n))
 			}
@@ -734,7 +600,7 @@ func (s *semChecker) attrPkg(attr *Package) {
 		switch f.Name() {
 		case "Class", "Total", "Comp":
 		default:
-			s.report(f.Pos(), RuleAttrReg, fmt.Sprintf(
+			c.report(f.Pos(), RuleAttrReg, fmt.Sprintf(
 				"Access field %s is outside the Comp array; Snapshot.Conserved() cannot audit it — attribute through a Component instead", f.Name()))
 		}
 	}

@@ -5,14 +5,12 @@ import (
 	"testing"
 )
 
-// loadFixture loads a testdata module through the process-wide cache, so
-// the (expensive) stdlib type-check happens once per module across all
-// tests in this file.
+// loadFixture loads a testdata module with the shared stdlib importer.
 func loadFixture(t *testing.T, name string) *Module {
 	t.Helper()
-	m, err := LoadModuleCached("testdata/"+name, nil)
+	m, err := loadModule("testdata/"+name, testFset, testStdlib, nil)
 	if err != nil {
-		t.Fatalf("LoadModuleCached(%s): %v", name, err)
+		t.Fatalf("loading %s: %v", name, err)
 	}
 	return m
 }
@@ -41,7 +39,7 @@ func semCount(diags []Diag, rule, fileSub string) int {
 
 func TestSemAtomicDiscipline(t *testing.T) {
 	m := loadFixture(t, "semmod")
-	diags := m.Semantic(nil)
+	diags := m.Lint(nil)
 	for _, want := range []string{"n is accessed via sync/atomic", "hits is accessed via sync/atomic"} {
 		if !semHas(diags, RuleAtomic, "atomicbad", want) {
 			t.Errorf("missing atomic-discipline finding %q in:\n%s", want, dump(diags))
@@ -59,7 +57,7 @@ func TestSemAtomicDiscipline(t *testing.T) {
 
 func TestSemMemoKeyPurity(t *testing.T) {
 	m := loadFixture(t, "semmod")
-	diags := m.Semantic(nil)
+	diags := m.Lint(nil)
 	for _, want := range []string{
 		"Options.Hook is a func",
 		"Options.Done is a channel",
@@ -82,7 +80,7 @@ func TestSemMemoKeyPurity(t *testing.T) {
 
 func TestSemErrorDiscipline(t *testing.T) {
 	m := loadFixture(t, "semmod")
-	diags := m.Semantic(nil)
+	diags := m.Lint(nil)
 	if got := semCount(diags, RuleErr, "errdrop"); got != 3 {
 		t.Errorf("error-discipline findings = %d, want 3 (plain, go, defer):\n%s", got, dump(diags))
 	}
@@ -100,7 +98,7 @@ func TestSemErrorDiscipline(t *testing.T) {
 
 func TestSemUnitSafety(t *testing.T) {
 	m := loadFixture(t, "semmod")
-	diags := m.Semantic(nil)
+	diags := m.Lint(nil)
 	for _, want := range []string{
 		"bare literal 13750 declared as config.Time",
 		"bare literal 250 assigned to a config.Time",
@@ -127,7 +125,7 @@ func TestSemUnitSafety(t *testing.T) {
 // appends stay clean.
 func TestSemUnitSafetyBatchScratch(t *testing.T) {
 	m := loadFixture(t, "semmod")
-	diags := m.Semantic(nil)
+	diags := m.Lint(nil)
 	for _, want := range []string{
 		"bare literal 13750 assigned to a config.Time",
 		"bare literal 250 assigned to a config.Time",
@@ -150,7 +148,7 @@ func TestSemUnitSafetyBatchScratch(t *testing.T) {
 
 func TestSemAttrRegistration(t *testing.T) {
 	m := loadFixture(t, "semmod")
-	diags := m.Semantic(nil)
+	diags := m.Lint(nil)
 	for _, want := range []string{
 		"component CGamma is never attributed",
 		"covers 2 of 4 components",
@@ -175,65 +173,57 @@ func TestSemRuleFilter(t *testing.T) {
 		return func(r string) bool { return r == rule }
 	}
 	for _, rule := range []string{RuleAtomic, RuleMemoKey, RuleErr, RuleUnits, RuleAttrReg} {
-		for _, d := range m.Semantic(only(rule)) {
+		for _, d := range m.Lint(only(rule)) {
 			if d.Rule != rule {
 				t.Errorf("Semantic(only %s) produced %s", rule, d)
 			}
 		}
-		if len(m.Semantic(only(rule))) == 0 {
+		if len(m.Lint(only(rule))) == 0 {
 			t.Errorf("Semantic(only %s) found nothing; fixture should trip every rule", rule)
 		}
 	}
 }
 
-// TestSemDegradation checks the contract for packages that fail to
-// type-check: a warning is recorded, semantic rules skip the package,
-// healthy siblings still get semantic findings, and the AST rules still
-// fire on the broken package's parseable source.
-func TestSemDegradation(t *testing.T) {
-	m := loadFixture(t, "brokenmod")
-	bad := m.Lookup("broken/internal/bad")
-	if bad == nil || bad.Err == nil {
-		t.Fatalf("broken/internal/bad should be loaded with a type-check error, got %+v", bad)
+// TestSemBuildTagTwin checks that the loader takes the tmccdebug half of
+// a tag twin: fault_debug.go is linted, and fault_release.go is not loaded
+// (both would collide as duplicate declarations).
+func TestSemBuildTagTwin(t *testing.T) {
+	m := loadFixture(t, "semmod")
+	diags := m.Lint(nil)
+	if !semHas(diags, RulePanic, "fault/fault_debug.go", "audit failed") {
+		t.Errorf("missing panic-prefix finding in the tmccdebug twin:\n%s", dump(diags))
 	}
-	found := false
-	for _, w := range m.Warnings {
-		if strings.Contains(w, "broken/internal/bad") && strings.Contains(w, "AST rules still apply") {
-			found = true
+	for _, p := range m.Pkgs {
+		for _, name := range p.FileNames {
+			if strings.HasSuffix(name, "fault_release.go") {
+				t.Errorf("release twin %s was loaded beside the debug twin", name)
+			}
 		}
 	}
-	if !found {
-		t.Errorf("no degradation warning for broken/internal/bad in %q", m.Warnings)
-	}
-	diags := m.Semantic(nil)
-	if n := semCount(diags, RuleAtomic, "bad/bad.go"); n != 0 {
-		t.Errorf("semantic rules must skip the degraded package, got %d findings", n)
-	}
-	if !semHas(diags, RuleAtomic, "good/good.go", "n is accessed via sync/atomic") {
-		t.Errorf("healthy sibling lost its semantic finding:\n%s", dump(diags))
-	}
-	ast := m.ASTDiags()
-	if !semHas(ast, RuleRand, "bad/bad.go", "rand.Intn") {
-		t.Errorf("AST rules must survive degradation, got:\n%s", dump(ast))
+}
+
+// TestLoadRejectsBrokenModule checks that a package that does not
+// type-check fails the load, naming the package.
+func TestLoadRejectsBrokenModule(t *testing.T) {
+	_, err := loadModule("testdata/brokenmod", testFset, testStdlib, nil)
+	if err == nil || !strings.Contains(err.Error(), "broken/internal/bad") {
+		t.Fatalf("loading brokenmod: err = %v, want a type error naming broken/internal/bad", err)
 	}
 }
 
 // TestSemLiveTreeClean pins the acceptance criterion that the repo's own
-// module has no semantic findings (violations are either fixed or carry a
-// reasoned //tmcclint:allow).
+// module has no findings from any rule (violations are either fixed or
+// carry a reasoned //tmcclint:allow).
 func TestSemLiveTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; skipped with -short")
 	}
-	m, err := LoadModuleCached("../..", nil)
+	m, err := loadModule("../..", testFset, testStdlib, nil)
 	if err != nil {
 		t.Fatalf("loading live module: %v", err)
 	}
-	if len(m.Warnings) != 0 {
-		t.Errorf("live tree should type-check everywhere, warnings: %q", m.Warnings)
-	}
-	if diags := m.Semantic(nil); len(diags) != 0 {
-		t.Errorf("live tree has semantic findings:\n%s", dump(diags))
+	if diags := m.Lint(nil); len(diags) != 0 {
+		t.Errorf("live tree has findings:\n%s", dump(diags))
 	}
 }
 

@@ -1,13 +1,8 @@
-// Package bad fails to type-check (undefined identifier) and also calls
-// the global math/rand — the degradation test asserts the package is
-// skipped by semantic rules with a warning while the AST determinism rule
-// still fires.
+// Package bad fails to type-check (undefined identifier), so loading the
+// module fails with an error that names this package.
 package bad
 
-import "math/rand"
-
-// Roll references an undefined identifier, so go/types rejects the
-// package; the parse still succeeds.
+// Roll references an undefined identifier; the parse still succeeds.
 func Roll() int {
-	return rand.Intn(undefinedLimit)
+	return undefinedLimit
 }
