@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzCacheMatchesReference -fuzztime 10s ./internal/cache/
 	$(GO) test -run=^$$ -fuzz FuzzML2MatchesReference -fuzztime 10s ./internal/freelist/
 	$(GO) test -run=^$$ -fuzz FuzzLZMatchesReference -fuzztime 10s ./internal/lz/
+	$(GO) test -run=^$$ -fuzz FuzzDecodeMatchesReference -fuzztime 10s ./internal/dram/
 
 fmt:
 	gofmt -w .
@@ -62,9 +63,9 @@ bench:
 # surface armed, and CI runs it again under -race -tags tmccdebug.
 #   1. the per-design access-path microbenchmark, the system-construction
 #      one (cold and address-space memo hit) and the per-layer ones (trace
-#      generation, cold size-model build, L3 cache, CTE Buffer) compile and
-#      complete; the access path and the cold size-model build also run at
-#      -cpu 1,2, so a single-CPU regression of the trace-producer pipeline
+#      generation, cold size-model build, L3 cache, CTE Buffer, DRAM read)
+#      compile and complete; the access path and the cold size-model build
+#      also run at -cpu 1,2, so a single-CPU regression of the trace-producer pipeline
 #      or of the parallel size-model build stays visible, and the
 #      producer's determinism, lifecycle and panic tests and the size
 #      model's serial-identity test run at -cpu 1,2,4 three times over;
@@ -82,8 +83,8 @@ bench:
 SMOKE_DIR ?= /tmp/tmcc-smoke
 CHAOS_PLAN = cte=0.05,stale=0.02,payload=0.02,spike=0.01:250ns,busy=0.01:100ns:3
 smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner|BenchmarkTraceNext|BenchmarkSizeModelBuild|BenchmarkCacheLookupInsert|BenchmarkBufferLoadPTB' \
-		-benchtime 1x ./internal/sim/ ./internal/workload/ ./internal/cache/ ./internal/ctecache/
+	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath|BenchmarkNewRunner|BenchmarkTraceNext|BenchmarkSizeModelBuild|BenchmarkCacheLookupInsert|BenchmarkBufferLoadPTB|BenchmarkDRAMRead' \
+		-benchtime 1x ./internal/sim/ ./internal/workload/ ./internal/cache/ ./internal/ctecache/ ./internal/dram/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath' -benchtime 1x -cpu 1,2 ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSizeModelBuild' -benchtime 1x -cpu 1,2 ./internal/workload/
 	$(GO) test -run '^TestProducer' -cpu 1,2,4 -count=3 ./internal/sim/

@@ -11,6 +11,7 @@ import (
 	"math/bits"
 
 	"tmcc/internal/check"
+	"tmcc/internal/fastdiv"
 )
 
 // MaxWays bounds a set's associativity: a set's recency ranks are 4-bit
@@ -24,7 +25,7 @@ const MaxWays = 16
 // live in its one 32 B header, so a fill touches the header's host line
 // and the victim's tag line.
 type Cache struct {
-	sets uint64
+	sets fastdiv.Divisor
 	ways int
 	tags []uint64 // +1 encoding, 0 = invalid
 	hdr  []header // one per set
@@ -81,7 +82,7 @@ func New(sizeBytes, ways int) *Cache {
 		panic(fmt.Sprintf("cache: %d ways per set, at most %d", ways, MaxWays))
 	}
 	c := &Cache{
-		sets: uint64(sets),
+		sets: fastdiv.New(uint64(sets)),
 		ways: ways,
 		tags: make([]uint64, sizeBytes/64),
 		hdr:  make([]header, sets),
@@ -94,7 +95,7 @@ func New(sizeBytes, ways int) *Cache {
 
 // Probe returns block's slot, or -1, without touching recency.
 func (c *Cache) Probe(block uint64) int {
-	s := int(block % c.sets)
+	s := int(c.sets.Mod(block))
 	base, k := s*c.ways, block+1
 	for w, t := range c.tags[base : base+c.ways] {
 		if t == k {
@@ -169,7 +170,7 @@ type Victim struct {
 // in the set stays there too, and no victim is reported only when the
 // chosen way held block itself.
 func (c *Cache) Insert(block uint64, flags uint8) Victim {
-	s := int(block % c.sets)
+	s := int(c.sets.Mod(block))
 	h := &c.hdr[s]
 	var w int
 	if free := ^h.valid & (1<<c.ways - 1); free != 0 {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -283,7 +284,10 @@ func matchReference(t testing.TB, sets, ways, n int, next func() (int, uint64, u
 
 // TestCacheMatchesReference runs the reference comparison on a seeded op
 // mix at the simulator's geometries (8 ways: L1, L2 and the CTE cache; 16:
-// L3 and the victim shadow) and at small, odd and direct-mapped ones.
+// L3 and the victim shadow), among them Table III's L2 and L3 at full
+// size, at a 6 MiB L3, whose 6144 sets take the divide rather than the
+// mask, and at small, odd and direct-mapped ones. Each row runs at least
+// eight ops per line, so the big rows evict too.
 func TestCacheMatchesReference(t *testing.T) {
 	for _, g := range []struct {
 		name       string
@@ -295,11 +299,14 @@ func TestCacheMatchesReference(t *testing.T) {
 		{"pow2-8x8", 8, 8},
 		{"full-4x16", 4, 16},
 		{"odd-3x12", 3, 12},
+		{"L2-512x8", 512, 8},
+		{"L3-8192x16", 8192, 16},
+		{"odd-6MiB-6144x16", 6144, 16},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g.sets*100 + g.ways)))
 			span := 3 * g.sets * g.ways
-			matchReference(t, g.sets, g.ways, 200000, func() (int, uint64, uint8) {
+			matchReference(t, g.sets, g.ways, max(200000, 8*g.sets*g.ways), func() (int, uint64, uint8) {
 				return rng.Intn(refOps), uint64(rng.Intn(span)), uint8(rng.Intn(8))
 			})
 		})
@@ -332,31 +339,43 @@ func FuzzCacheMatchesReference(f *testing.F) {
 // cacheSink keeps BenchmarkCacheLookupInsert's results live.
 var cacheSink Victim
 
-// BenchmarkCacheLookupInsert times one L3 access at the default geometry
-// (8 MiB, 16-way): a Lookup, plus an Insert on a miss. Blocks are uniform
-// over twice the cache's lines (an xorshift stream, so no per-op table
-// read), which makes the LRU steady state about half hits.
+// BenchmarkCacheLookupInsert times one L3 access: a Lookup, plus an
+// Insert on a miss. pow2 is the default geometry (8 MiB, 16-way: 8192
+// sets, indexed by a mask); odd is a 6 MiB L3 (6144 sets, indexed by a
+// divide). Blocks are uniform over the power of two at or above twice the
+// cache's lines (an xorshift stream, so no per-op table read): 2x for
+// pow2, about half hits at the LRU steady state, and 2.7x for odd.
 func BenchmarkCacheLookupInsert(b *testing.B) {
-	const size, ways = 8 << 20, 16
-	const span = 2 * size / 64 // a power of two: the mask below is exact
-	c := New(size, ways)
-	x := uint64(88172645463325252)
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x & (span - 1)
-	}
-	for i := 0; i < 4*span; i++ {
-		if blk := next(); c.Lookup(blk) < 0 {
-			c.Insert(blk, 0)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if blk := next(); c.Lookup(blk) < 0 {
-			cacheSink = c.Insert(blk, 0)
-		}
+	for _, g := range []struct {
+		name string
+		size int
+	}{
+		{"pow2", 8 << 20},
+		{"odd", 6 << 20},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			const ways = 16
+			span := uint64(1) << bits.Len64(uint64(2*g.size/64-1))
+			c := New(g.size, ways)
+			x := uint64(88172645463325252)
+			next := func() uint64 {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return x & (span - 1)
+			}
+			for i := uint64(0); i < 4*span; i++ {
+				if blk := next(); c.Lookup(blk) < 0 {
+					c.Insert(blk, 0)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if blk := next(); c.Lookup(blk) < 0 {
+					cacheSink = c.Insert(blk, 0)
+				}
+			}
+		})
 	}
 }

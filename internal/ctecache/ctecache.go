@@ -14,12 +14,13 @@ import (
 	"tmcc/internal/cache"
 	"tmcc/internal/check"
 	"tmcc/internal/config"
+	"tmcc/internal/fastdiv"
 )
 
 // Cache is the MC-side CTE cache.
 type Cache struct {
 	c           *cache.Cache
-	pagesPerBlk uint64
+	pagesPerBlk fastdiv.Divisor
 	cfg         config.CTECacheCfg
 }
 
@@ -31,13 +32,13 @@ func New(cfg config.CTECacheCfg) *Cache {
 	}
 	return &Cache{
 		c:           cache.New(cfg.SizeKB*config.KiB, cfg.Assoc),
-		pagesPerBlk: ppb,
+		pagesPerBlk: fastdiv.New(ppb),
 		cfg:         cfg,
 	}
 }
 
 // blockFor maps a physical page number to its CTE block id.
-func (c *Cache) blockFor(ppn uint64) uint64 { return ppn / c.pagesPerBlk }
+func (c *Cache) blockFor(ppn uint64) uint64 { return c.pagesPerBlk.Div(ppn) }
 
 // Lookup probes the cache for the CTE covering ppn.
 func (c *Cache) Lookup(ppn uint64) bool { return c.c.Lookup(c.blockFor(ppn)) >= 0 }

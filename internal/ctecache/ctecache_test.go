@@ -63,6 +63,31 @@ func TestCTETableAddr(t *testing.T) {
 	}
 }
 
+// TestBlockForMatchesDivision compares blockFor and CTETableAddr with
+// division by the pages per block at 4 and 32 KiB of reach (1 and 8
+// pages, a shift) and 12 KiB (3 pages, the divide), on seeded PPNs and
+// at the edges of the uint64 range.
+func TestBlockForMatchesDivision(t *testing.T) {
+	const base = uint64(1 << 30)
+	for _, reach := range []int{4, 32, 12} {
+		c := New(config.CTECacheCfg{SizeKB: 64, ReachPerBlock: reach * config.KiB, Assoc: 8})
+		ppb := uint64(reach / 4)
+		ppns := []uint64{0, 1, 2, 3, 7, 8, 9, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+		rng := rand.New(rand.NewSource(int64(reach)))
+		for range 100000 {
+			ppns = append(ppns, uint64(rng.Int63n(1<<40)))
+		}
+		for _, ppn := range ppns {
+			if got, want := c.blockFor(ppn), ppn/ppb; got != want {
+				t.Fatalf("%d KiB reach: blockFor(%d) = %d, want %d", reach, ppn, got, want)
+			}
+			if got, want := c.CTETableAddr(base, ppn), base+ppn/ppb*config.BlockSize; got != want {
+				t.Fatalf("%d KiB reach: CTETableAddr(%#x, %d) = %#x, want %#x", reach, base, ppn, got, want)
+			}
+		}
+	}
+}
+
 // lookup is the test's by-PPN read through the slot API.
 func lookup(b *Buffer, ppn uint64) (BufEntry, bool) {
 	if i := b.Lookup(ppn); i >= 0 {

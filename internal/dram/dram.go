@@ -13,6 +13,7 @@ package dram
 
 import (
 	"tmcc/internal/config"
+	"tmcc/internal/fastdiv"
 )
 
 type bank struct {
@@ -25,6 +26,9 @@ type rank struct {
 	banks     []bank
 	lastWrite bool
 	writeUnt  config.Time // rank is in write mode until this time
+	// refPhase offsets this rank's refresh windows so the channel's ranks
+	// stagger theirs: tREFI/ranks*rank + tRFC.
+	refPhase config.Time
 }
 
 type channel struct {
@@ -128,12 +132,25 @@ type Controller struct {
 
 	// derived
 	turnaround config.Time
+	// decode's divisors: interleave granularities and counts, the row
+	// size, the banks of a channel and of a rank.
+	mcIlv, mcs, chIlv, channels, rowBytes, banksTotal, banksPerRank fastdiv.Divisor
 }
 
 // New builds the controller from Table III parameters.
 func New(cfg config.DRAM) *Controller {
 	n := cfg.MCs * cfg.Channels
-	c := &Controller{cfg: cfg, turnaround: 5 * config.Nanosecond}
+	c := &Controller{
+		cfg:          cfg,
+		turnaround:   5 * config.Nanosecond,
+		mcIlv:        fastdiv.New(uint64(cfg.MCInterleaveBytes)),
+		mcs:          fastdiv.New(uint64(cfg.MCs)),
+		chIlv:        fastdiv.New(uint64(cfg.ChannelInterleaveBytes)),
+		channels:     fastdiv.New(uint64(cfg.Channels)),
+		rowBytes:     fastdiv.New(uint64(cfg.RowBytes)),
+		banksTotal:   fastdiv.New(uint64(cfg.RanksPerChan * cfg.BanksPerRank)),
+		banksPerRank: fastdiv.New(uint64(cfg.BanksPerRank)),
+	}
 	c.chans = make([]channel, n)
 	for i := range c.chans {
 		c.chans[i].sched = newBusSched(cfg.TBL)
@@ -144,6 +161,7 @@ func New(cfg config.DRAM) *Controller {
 				banks[b].openRow = -1
 			}
 			c.chans[i].ranks[r].banks = banks
+			c.chans[i].ranks[r].refPhase = cfg.TREFI/config.Time(cfg.RanksPerChan)*config.Time(r) + cfg.TRFC
 		}
 	}
 	return c
@@ -153,24 +171,22 @@ func New(cfg config.DRAM) *Controller {
 func (c *Controller) decode(addr uint64) (ch, rk, bk int, row int64) {
 	mc := 0
 	if c.cfg.MCs > 1 {
-		mc = int(addr/uint64(c.cfg.MCInterleaveBytes)) % c.cfg.MCs
+		mc = int(c.mcs.Mod(c.mcIlv.Div(addr)))
 	}
 	chIdx := 0
 	if c.cfg.Channels > 1 {
-		chIdx = int(addr/uint64(c.cfg.ChannelInterleaveBytes)) % c.cfg.Channels
+		chIdx = int(c.channels.Mod(c.chIlv.Div(addr)))
 	}
 	ch = mc*c.cfg.Channels + chIdx
-	rowBytes := uint64(c.cfg.RowBytes)
-	rowAddr := addr / rowBytes
+	rowAddr := c.rowBytes.Div(addr)
 	// XOR-based bank hash (Skylake-like): fold upper row bits into the
 	// bank index to spread conflicting strides. The hash uses only bits at
 	// and above the row granularity so adjacent blocks within one row map
 	// to the same bank (row-buffer locality).
-	banksTotal := uint64(c.cfg.RanksPerChan * c.cfg.BanksPerRank)
-	b := (rowAddr ^ rowAddr>>7 ^ rowAddr>>13) % banksTotal
-	rk = int(b) / c.cfg.BanksPerRank
-	bk = int(b) % c.cfg.BanksPerRank
-	row = int64(rowAddr / banksTotal)
+	b := c.banksTotal.Mod(rowAddr ^ rowAddr>>7 ^ rowAddr>>13)
+	rk = int(c.banksPerRank.Div(b))
+	bk = int(c.banksPerRank.Mod(b))
+	row = int64(c.banksTotal.Div(rowAddr))
 	return
 }
 
@@ -217,7 +233,7 @@ func (c *Controller) access(now config.Time, addr uint64, isWrite bool) config.T
 	// Refresh: every tREFI the rank is unavailable for tRFC; ranks are
 	// staggered so the channel never refreshes everything at once.
 	if c.cfg.TREFI > 0 && c.cfg.TRFC > 0 {
-		phase := c.cfg.TREFI/config.Time(c.cfg.RanksPerChan)*config.Time(rk) + c.cfg.TRFC
+		phase := rnk.refPhase
 		refStart := (start-phase)/c.cfg.TREFI*c.cfg.TREFI + phase
 		if start >= refStart && start < refStart+c.cfg.TRFC {
 			start = refStart + c.cfg.TRFC

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tmcc/internal/cache"
 	"tmcc/internal/check"
 	"tmcc/internal/config"
 	"tmcc/internal/cte"
@@ -209,9 +208,9 @@ type MC struct {
 	win   []config.Time
 	addrs []uint64
 
-	// Figure 2's shadow victim structure (stats only).
-	shadow    *cache.Cache
-	shadowPPB uint64
+	// Figure 2's shadow victim structure (stats only): a CTE cache of
+	// L3's size and 16 ways.
+	shadow *ctecache.Cache
 
 	Stats Stats
 	tally tally
@@ -398,14 +397,11 @@ func New(cfg Config) (*MC, error) {
 		m.crit = m.lowMark * cfg.Sys.Comp.FreeListCritical / maxInt(1, cfg.Sys.Comp.FreeListLowChunks)
 	}
 	if cfg.VictimShadow && m.cte != nil {
-		m.shadow = cache.New(cfg.Sys.Cache.L3SizeMB*config.MiB, 16)
-		m.shadowPPB = uint64(1)
+		reach := 4 * config.KiB // one page per block, unless overridden
 		if cfg.CTEOverride != nil {
-			m.shadowPPB = uint64(cfg.CTEOverride.ReachPerBlock / (4 * config.KiB))
+			reach = cfg.CTEOverride.ReachPerBlock
 		}
-		if m.shadowPPB == 0 {
-			m.shadowPPB = 1
-		}
+		m.shadow = ctecache.New(config.CTECacheCfg{SizeKB: cfg.Sys.Cache.L3SizeMB * config.MiB / config.KiB, ReachPerBlock: reach, Assoc: 16})
 	}
 	if cfg.OSPages > 0 {
 		m.pages = make([]pageState, cfg.OSPages)
@@ -633,10 +629,10 @@ func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embed
 			m.Stats.CTEMissWalkRelated++
 		}
 		if m.shadow != nil {
-			if m.shadow.Lookup(ppn/m.shadowPPB) >= 0 {
+			if m.shadow.Lookup(ppn) {
 				m.Stats.CTEVictimHits++
 			}
-			m.shadow.Insert(ppn/m.shadowPPB, 0)
+			m.shadow.Fill(ppn)
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"tmcc/internal/check"
 	"tmcc/internal/config"
 	"tmcc/internal/ctecache"
+	"tmcc/internal/fastdiv"
 	"tmcc/internal/fault"
 	"tmcc/internal/freelist"
 	"tmcc/internal/ibmdeflate"
@@ -262,6 +263,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		rng:   rand.New(rand.NewSource(opt.Seed + 77)),
 		cycle: sys.CPU.Cycle(),
 		noc:   sys.DRAM.NoCLatency,
+		width: fastdiv.New(uint64(sys.CPU.Width)),
 	}
 	r.pcfg = ptbcomp.NewConfig(osPages*config.PageSize, uint64(sys.Comp.DRAMPerMCTB)<<40)
 

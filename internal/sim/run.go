@@ -164,8 +164,9 @@ func (r *Runner) step(c *core) {
 	write := b.write[i]
 	dep := b.dep[i]
 
-	// Non-memory instructions retire at the issue width.
-	c.time += config.Time(gap) * r.cycle / config.Time(r.sys.CPU.Width)
+	// Non-memory instructions retire at the issue width. gap*cycle is
+	// never negative, so the unsigned divide rounds as a signed one.
+	c.time += config.Time(r.width.Div(uint64(config.Time(gap) * r.cycle)))
 	if r.recording {
 		r.m.Instructions += uint64(gap) + 1
 		r.m.MemAccesses++
@@ -229,7 +230,9 @@ func (r *Runner) step(c *core) {
 	// Loads block the window; stores drain via the store buffer but still
 	// occupy the miss register.
 	c.mshr[c.next] = done
-	c.next = (c.next + 1) % len(c.mshr)
+	if c.next++; c.next == len(c.mshr) {
+		c.next = 0
+	}
 	// The core advances past the issue point; it only stalls when the
 	// window fills (handled above through mshr).
 	c.time = issue + r.cycle

@@ -19,6 +19,7 @@ import (
 	"tmcc/internal/config"
 	"tmcc/internal/cte"
 	"tmcc/internal/ctecache"
+	"tmcc/internal/fastdiv"
 	"tmcc/internal/fault"
 	"tmcc/internal/mc"
 	"tmcc/internal/obs"
@@ -225,6 +226,7 @@ type Runner struct {
 
 	cycle config.Time
 	noc   config.Time
+	width fastdiv.Divisor // the issue width
 
 	// Reusable per-Runner scratch keeping the measured loop allocation
 	// free (verified by TestAccessPathAllocFree): page-walk step buffers

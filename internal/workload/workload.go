@@ -192,7 +192,9 @@ func (t *Trace) Next() Access {
 	}
 	vaddr := (t.vbase+t.curPage)*config.PageSize + uint64(t.curBlock*config.BlockSize)
 	t.hist[t.histNext] = vaddr
-	t.histNext = (t.histNext + 1) % len(t.hist)
+	if t.histNext++; t.histNext == len(t.hist) {
+		t.histNext = 0
+	}
 	if t.histN < len(t.hist) {
 		t.histN++
 	}
@@ -211,7 +213,12 @@ func (t *Trace) Next() Access {
 		t.curBlock++
 		if t.curBlock == 64 {
 			t.curBlock = 0
-			t.curPage = (t.curPage + 1) % t.spec.FootprintPages
+			// Every jump lands inside the footprint on the built-in
+			// specs (WarmPages <= FootprintPages), so this wraps only at
+			// its end; the divide keeps any other spec exact.
+			if t.curPage++; t.curPage >= t.spec.FootprintPages {
+				t.curPage %= t.spec.FootprintPages
+			}
 		}
 	}
 	return a
