@@ -51,13 +51,9 @@ const (
 	lanesHi = 0x8888888888888888
 )
 
-// Line flags.
-const (
-	FlagDirty uint8 = 1 << iota
-	// FlagCompressedPTB is TMCC's per-line "new data bit" (Section V-A4):
-	// the line holds a hardware-compressed PTB with embedded CTEs.
-	FlagCompressedPTB
-)
+// FlagDirty marks a line that must be written back on eviction; callers
+// may use the other flag bits.
+const FlagDirty uint8 = 1
 
 // Sets reports how many sets New(sizeBytes, ways) builds; 0 means the
 // geometry is degenerate (no whole line, or no way) and New must not be

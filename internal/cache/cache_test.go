@@ -31,14 +31,15 @@ func TestVictimReported(t *testing.T) {
 }
 
 func TestFlagsLifecycle(t *testing.T) {
+	const flagOther = FlagDirty << 1 // a caller's own flag bit
 	c := New(16*64, 4)
-	c.Insert(3, FlagCompressedPTB)
+	c.Insert(3, flagOther)
 	s := c.Lookup(3)
-	if s < 0 || c.FlagsAt(s) != FlagCompressedPTB {
+	if s < 0 || c.FlagsAt(s) != flagOther {
 		t.Fatalf("slot %d flags = %x", s, c.FlagsAt(s))
 	}
 	c.OrFlagsAt(s, FlagDirty)
-	if f := c.FlagsAt(s); f != FlagCompressedPTB|FlagDirty {
+	if f := c.FlagsAt(s); f != flagOther|FlagDirty {
 		t.Fatalf("flags after Or = %x", f)
 	}
 	c.SetFlagsAt(s, 0)

@@ -128,8 +128,7 @@ func TestAttrTMCCParallelConserves(t *testing.T) {
 func TestAttrOSInspiredSerialConserves(t *testing.T) {
 	m := newTwoLevelObserved(t, OSInspired)
 	m.Place(30, false)
-	correct := m.CurrentCTE(30)
-	res := m.Access(0, 30, 0, false, &correct, true)
+	res := m.Access(0, 30, 0, false, nil, true)
 	if res.Tag != TagSerial {
 		t.Fatalf("tag = %v, want serial", res.Tag)
 	}

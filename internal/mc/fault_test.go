@@ -29,10 +29,12 @@ func newInjected(t testing.TB, kind Kind, bench string, budget, osPages uint64, 
 }
 
 // TestForcedMisSpeculationPerKind drives an injector-perturbed embedded
-// CTE into every design. TMCC (the only speculating kind) must detect the
-// mismatch, re-fetch serially (verifyRedo charged, overlap credit intact,
-// attribution conserved), and classify the access as parallel-wrong; the
-// non-speculating kinds must ignore the poisoned hint entirely.
+// CTE into every design. A two-level controller speculates on any CTE it
+// is handed (the simulator hands one only to a run that embeds, so only
+// TMCC's), and must detect the mismatch, re-fetch serially (verifyRedo
+// charged, overlap credit intact, attribution conserved), and classify the
+// access as parallel-wrong; the other kinds must ignore the poisoned hint
+// entirely.
 func TestForcedMisSpeculationPerKind(t *testing.T) {
 	const ppn, bits = 20, 20
 	for _, kind := range []Kind{Uncompressed, Compresso, OSInspired, TMCC} {
@@ -53,30 +55,30 @@ func TestForcedMisSpeculationPerKind(t *testing.T) {
 		wrong := cte.Entry{DRAMPage: wrongPage}
 		res := m.Access(0, ppn, 0, false, &wrong, true)
 		switch kind {
-		case TMCC:
+		case OSInspired, TMCC:
 			if res.Tag != TagParallelWrong {
-				t.Fatalf("tmcc: tag = %v, want parallel-wrong", res.Tag)
+				t.Fatalf("%s: tag = %v, want parallel-wrong", kind, res.Tag)
 			}
-			a := checkConserved(t, m, 0, res, "tmcc mis-speculation")
+			a := checkConserved(t, m, 0, res, kind.String()+" mis-speculation")
 			if a.Comp[attr.CVerifyRedo] == 0 {
-				t.Error("tmcc: mis-speculation charged no verifyRedo")
+				t.Errorf("%s: mis-speculation charged no verifyRedo", kind)
 			}
 			if a.Comp[attr.COverlap] > a.Comp[attr.CCTEParallel] ||
 				a.Comp[attr.COverlap] > a.Comp[attr.CDataML1] {
-				t.Error("tmcc: overlap credit exceeds a fetch it overlaps")
+				t.Errorf("%s: overlap credit exceeds a fetch it overlaps", kind)
 			}
 			if m.Stats.ParallelWrong != 1 || m.Stats.ParallelOK != 0 {
-				t.Errorf("tmcc: speculation stats %+v", m.Stats)
+				t.Errorf("%s: speculation stats %+v", kind, m.Stats)
 			}
 			// The recovered access must be strictly slower than a correct
 			// speculation on an identical controller.
-			clean := newInjected(t, TMCC, "pageRank", 4096, 16384, nil)
+			clean := newInjected(t, kind, "pageRank", 4096, 16384, nil)
 			clean.Place(ppn, false)
 			good := clean.CurrentCTE(ppn)
 			ok := clean.Access(0, ppn, 0, false, &good, true)
 			if ok.Tag != TagParallelOK || res.Done <= ok.Done {
-				t.Errorf("tmcc: recovery (%d ps) not slower than verified speculation (%d ps)",
-					res.Done, ok.Done)
+				t.Errorf("%s: recovery (%d ps) not slower than verified speculation (%d ps)",
+					kind, res.Done, ok.Done)
 			}
 		case Uncompressed:
 			if res.Tag != TagUncompressed {

@@ -13,7 +13,9 @@
 //     serially and ML2 uses the slow general-purpose Deflate.
 //   - TMCC: OSInspired plus (a) speculative parallel data+CTE DRAM access
 //     verified against CTEs embedded in compressed PTBs (Section V-A) and
-//     (b) the memory-specialized fast Deflate for ML2 (Section V-B).
+//     (b) the memory-specialized fast Deflate for ML2 (Section V-B). Both
+//     arrive as inputs, (a) as Access's embedded CTE and (b) as Config's
+//     ML2 timing, so the two kinds run one code path.
 //
 // The controller is execution-driven for addresses and statistics;
 // per-page compressed sizes come from the workload's SizeModel, which runs
@@ -588,9 +590,10 @@ func (m *MC) cteAddr(ppn uint64) uint64 {
 }
 
 // Access serves one 64B demand read or posted write from the LLC.
-// embedded, when non-nil, is the truncated CTE the request piggybacked
-// (TMCC only); walkRelated tags requests caused by a TLB miss (the PTB
-// fetches and the immediately following data access) for Figure 5.
+// embedded, when non-nil, is the truncated CTE the request piggybacked,
+// to speculate on (only a run that embeds passes one); walkRelated tags
+// requests caused by a TLB miss (the PTB fetches and the immediately
+// following data access) for Figure 5.
 func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embedded *cte.Entry, walkRelated bool) Result {
 	if write {
 		m.Stats.Writes++
@@ -710,7 +713,7 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 		if m.ab != nil {
 			m.ab.Add(attr.CDataML1, done-now)
 		}
-	case m.cfg.Kind == TMCC && embedded != nil:
+	case embedded != nil:
 		// Speculative parallel access (Section V-A3): fetch the data at
 		// the embedded CTE's location and the authoritative CTE at once.
 		truth := m.CurrentCTE(ppn)
@@ -1009,15 +1012,18 @@ func (m *MC) stream(start config.Time, addrs []uint64, write bool) config.Time {
 	}
 	win := m.win[:slots]
 	clear(win)
-	last := start
-	for i, a := range addrs {
-		issue := maxTime(start, win[i%slots])
+	last, slot := start, 0
+	for _, a := range addrs {
+		issue := maxTime(start, win[slot])
 		if write {
 			last = m.dram.Write(issue, a)
 		} else {
 			last = m.dram.Read(issue, a)
 		}
-		win[i%slots] = last
+		win[slot] = last
+		if slot++; slot == slots {
+			slot = 0
+		}
 	}
 	return last
 }

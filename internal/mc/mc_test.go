@@ -109,11 +109,12 @@ func TestTMCCParallelAccess(t *testing.T) {
 	}
 }
 
+// TestOSInspiredSerialWithoutEmbedding pins OS-inspired's CTE miss: its
+// runs embed no CTEs, so the request carries none and resolves serially.
 func TestOSInspiredSerialWithoutEmbedding(t *testing.T) {
 	m := newTwoLevel(t, OSInspired)
 	m.Place(30, false)
-	correct := m.CurrentCTE(30)
-	res := m.Access(0, 30, 0, false, &correct, true)
+	res := m.Access(0, 30, 0, false, nil, true)
 	if res.Tag != TagSerial {
 		t.Fatalf("OS-inspired used speculation: %v", res.Tag)
 	}

@@ -202,17 +202,17 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if !opt.Virtualized {
 		as, vpnToPPN = nativeAddressSpace(spec.FootprintPages, osPages, osCfg)
 	}
-	if opt.HugePages {
-		// Section VIII: a huge-page PTB covers 16MB; its CTEs cannot fit,
-		// so TMCC's ML1 optimization is ineffective (ML2 still applies).
-		opt.DisableEmbed = true
-	}
+	// OS-inspired is TMCC with both of its optimizations off (Figure 20),
+	// and every difference between the two reads one of these switches.
+	// embed is the ML1 one, PTB-embedded CTEs: a huge-page PTB covers 16MB,
+	// too much to embed (Section VIII). fastML2 is the ML2 one: the
+	// measured fast Deflate, not the IBM analytic model.
+	embed := opt.Kind == mc.TMCC && !opt.DisableEmbed && !opt.HugePages
+	fastML2 := opt.Kind == mc.TMCC
 
-	// ML2 codec timing: measured fast-Deflate means for TMCC, the IBM
-	// analytic model for the bare-bone OS-inspired design.
 	half, comp := opt.ML2HalfPage, opt.ML2Compress
 	if half == 0 {
-		if opt.Kind == mc.TMCC {
+		if fastML2 {
 			half = config.Time(sizes.MeanHalfPagePS)
 			comp = config.Time(sizes.MeanCompressPS)
 		} else {
@@ -256,7 +256,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		as:    as,
 		sizes: sizes,
 		mcc:   mcc,
-		embed: opt.Kind == mc.TMCC && !opt.DisableEmbed,
+		embed: embed,
 		inj:   inj,
 		view:  view,
 		l3:    cache.New(sys.Cache.L3SizeMB*config.MiB, sys.Cache.Assoc*2),
@@ -304,7 +304,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 			stride:   cache.NewStride(sys.Cache.StrideDegreeL2),
 			throttle: cache.NewThrottle(256),
 		}
-		if opt.Kind == mc.TMCC {
+		if embed {
 			c.buf = ctecache.NewBuffer(sys.Comp.CTEBufEntries)
 		}
 		r.cores = append(r.cores, c)

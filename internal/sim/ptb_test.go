@@ -41,9 +41,9 @@ func TestEmbeddedPTBsFit(t *testing.T) {
 		t.Logf("virtualized=%v: %d compressible PTBs fit with %d embedded CTEs", virt, ptbs, filled)
 	}
 
-	// Only a run that embeds CTEs allocates per-PTB state: the other
-	// designs, and TMCC with embedding turned off or forced off by huge
-	// pages, build none and still run.
+	// Only a run that embeds CTEs allocates per-PTB state and CTE Buffers:
+	// the other designs, and TMCC with embedding turned off or forced off
+	// by huge pages, build neither and still run.
 	for _, opt := range []Options{
 		{Kind: mc.Uncompressed},
 		{Kind: mc.Compresso},
@@ -61,6 +61,12 @@ func TestEmbeddedPTBsFit(t *testing.T) {
 		if r.ptbs != nil || r.embed {
 			t.Errorf("%v (DisableEmbed=%v, HugePages=%v): %d PTB states, embed=%v; want none",
 				opt.Kind, opt.DisableEmbed, opt.HugePages, len(r.ptbs), r.embed)
+		}
+		for _, c := range r.cores {
+			if c.buf != nil {
+				t.Errorf("%v (DisableEmbed=%v, HugePages=%v): core %d built a CTE Buffer; want none",
+					opt.Kind, opt.DisableEmbed, opt.HugePages, c.id)
+			}
 		}
 	}
 }

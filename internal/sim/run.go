@@ -16,7 +16,7 @@ import (
 
 // FlagPrefetched marks lines brought in by a prefetcher (for the
 // automatic-turn-off accuracy accounting).
-const flagPrefetched = cache.FlagCompressedPTB << 1
+const flagPrefetched = cache.FlagDirty << 1
 
 // Run executes warmup then measurement and returns the metrics. A
 // non-nil error means the run could not complete — today that is the MC's
@@ -317,7 +317,7 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	}
 	if s := r.l3.Lookup(block); s >= 0 {
 		// Exclusive L3: promote to L2.
-		r.insertL2(c, block, r.l3.InvalidateAt(s), write, isPTB, t)
+		r.insertL2(c, block, r.l3.InvalidateAt(s), write, t)
 		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l3Lat)
 		return t + l3Lat
@@ -395,7 +395,7 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 		}
 	}
 
-	r.insertL2(c, block, 0, write, isPTB, t)
+	r.insertL2(c, block, 0, write, t)
 	r.fillL1(c, block, write, isPTB)
 	r.prefetch(c, t, block)
 	return done
@@ -451,14 +451,9 @@ func (r *Runner) fillL1(c *core, block uint64, write, isPTB bool) {
 
 // insertL2 fills a block into L2, spilling the victim into the exclusive
 // L3 and writing back dirty L3 victims through the MC.
-func (r *Runner) insertL2(c *core, block uint64, flags uint8, write, isPTB bool, now config.Time) {
+func (r *Runner) insertL2(c *core, block uint64, flags uint8, write bool, now config.Time) {
 	if write {
 		flags |= cache.FlagDirty
-	}
-	if isPTB && r.opt.Kind == mc.TMCC {
-		// L2 re-compresses PTB lines fetched for the walker (Section
-		// V-A4): the line carries the "new data bit".
-		flags |= cache.FlagCompressedPTB
 	}
 	v := c.l2.Insert(block, flags)
 	if v.Valid {
@@ -511,7 +506,7 @@ func (r *Runner) prefetch(c *core, now config.Time, block uint64) {
 		}
 		c.throttle.Issued()
 		r.background(now, nb, false, attr.ClassPrefetch)
-		r.insertL2(c, nb, flagPrefetched, false, false, now)
+		r.insertL2(c, nb, flagPrefetched, false, now)
 	}
 }
 

@@ -170,7 +170,7 @@ type core struct {
 	gwc   *tlb.TLB // nested (gpa) walk cache under virtualization
 	l1    *cache.Cache
 	l2    *cache.Cache
-	buf   *ctecache.Buffer // nil unless the MC is TMCC
+	buf   *ctecache.Buffer // nil unless the run embeds
 	mshr  []config.Time    // outstanding-miss completion times
 	next  int              // ring index
 	dep   config.Time      // completion of the last dependent access
@@ -200,8 +200,8 @@ type Runner struct {
 	gpaToHost []uint64
 	mcc       *mc.MC
 	l3        *cache.Cache
-	// embed is TMCC's ML1 optimization gate (TMCC without DisableEmbed,
-	// which huge pages force); ptbs is nil unless it is set.
+	// embed is TMCC's ML1 optimization switch (see NewRunnerFull); ptbs
+	// is nil unless it is set.
 	embed bool
 	ptbs  []ptbState
 	pcfg  ptbcomp.Config

@@ -60,9 +60,10 @@ type Spec struct {
 
 // Specs for the paper's twelve large/irregular benchmarks plus the smaller
 // sensitivity workloads. Footprints are scaled down ~100x from the paper
-// (its graph workloads use ~105GB; the simulated machine's TLB(8MB reach),
-// LLC(8MB) and CTE cache scale the same way, so miss behaviour is
-// preserved); relative sizes across benchmarks are kept.
+// (its graph workloads use ~105GB), while the TLB (8MB reach), LLC (8MB)
+// and CTE cache keep their Table III sizes: the scaled footprints still
+// dwarf every translation reach, so the misses stay; relative sizes across
+// benchmarks are kept.
 var specs = map[string]Spec{
 	// GraphBIG kernels: large irregular footprints whose hot sets (vertex
 	// property arrays, frontiers) far exceed every translation reach.
