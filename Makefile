@@ -30,8 +30,9 @@ test:
 # race is CI's second test pass: the race detector plus the tmccdebug
 # check.Invariant audits (ML1/ML2 chunk conservation, free-list
 # accounting, one PTB 64B-fit round-trip per warmed PTB). internal/exp
-# runs the whole quick suite twice under it, so the default 10m test
-# timeout is too tight.
+# runs the whole quick suite once under it (TestQuickSuiteMatchesGolden):
+# about 9 minutes with the rest of the package on 2 CPUs, too close to
+# the default 10m test timeout.
 race:
 	$(GO) test -race -tags tmccdebug -timeout 30m ./...
 
@@ -158,10 +159,11 @@ full-suite:
 
 # artifact-diff proves a refactor moved no simulated byte: it builds
 # tmccsim (plain and race+tmccdebug) and ptbscan from git revision BASE
-# and from the working tree, runs the smoke chaos line, an observed quick
-# fig17 at -j 2, the quick ext-2dwalk CSV and ptbscan (4KB and huge pages)
-# with each, and fails on any output difference; the metrics JSONs are
-# compared without their wall-clock engine histograms (needs jq).
+# and from the working tree, runs the smoke chaos line at -kind tmcc and
+# again at -kind os-inspired, an observed quick fig17 at -j 2, the quick
+# ext-2dwalk CSV and ptbscan (4KB and huge pages) with each, and fails on
+# any output difference; the metrics JSONs are compared without their
+# wall-clock engine histograms (needs jq).
 # ARTIFACT_DIR holds the outputs.
 artifact-diff:
 	@test -n "$(BASE)" || { echo "usage: make artifact-diff BASE=<rev>"; exit 2; }

@@ -12,9 +12,11 @@ import (
 )
 
 // newRAS builds a TMCC controller with the given RAS policy and injector
-// over the unit-test working set, observed through a run view.
-func newRAS(t testing.TB, rcfg ras.Config, inj *fault.Injector) *MC {
+// over the unit-test working set, observed through a run view; it also
+// returns the shared registry the view drains into.
+func newRAS(t testing.TB, rcfg ras.Config, inj *fault.Injector) (*MC, *obs.Registry) {
 	t.Helper()
+	ob := obs.New()
 	return mustNew(t, Config{
 		Kind:        TMCC,
 		Sys:         config.Default(),
@@ -24,18 +26,18 @@ func newRAS(t testing.TB, rcfg ras.Config, inj *fault.Injector) *MC {
 		ML2HalfPage: 140 * config.Nanosecond,
 		ML2Compress: 660 * config.Nanosecond,
 		Seed:        1,
-		Obs:         obs.New().RunView("unit", "tmcc").Observer(),
+		Obs:         ob.RunView("unit", "tmcc").Observer(),
 		Inject:      inj,
 		RAS:         rcfg,
-	})
+	}), ob.Reg
 }
 
-// counterValue folds the controller's counts through its run view and
-// reads one lifetime instrument out of the view's registry.
-func counterValue(t *testing.T, m *MC, path string) int64 {
+// counterValue closes the controller's run view, draining its counts
+// into the shared registry reg, and reads one lifetime instrument there.
+func counterValue(t *testing.T, m *MC, reg *obs.Registry, path string) int64 {
 	t.Helper()
 	m.heat.Close()
-	for _, sm := range m.cfg.Obs.Reg.Snapshot().Samples {
+	for _, sm := range reg.Snapshot().Samples {
 		if sm.Path == path {
 			return sm.Value
 		}
@@ -58,7 +60,7 @@ func TestScrubPatrolDetectsQuarantinesAndRetires(t *testing.T) {
 		ScrubPages:    16384, // whole table per window
 		ScrubPagePS:   25 * config.Nanosecond,
 	}
-	m := newRAS(t, rcfg, inj)
+	m, reg := newRAS(t, rcfg, inj)
 	if !m.Place(40, true) {
 		t.Fatal("ML2 placement failed")
 	}
@@ -93,11 +95,11 @@ func TestScrubPatrolDetectsQuarantinesAndRetires(t *testing.T) {
 		"mc.tmcc.ras.scrub.detections": 1,
 		"mc.tmcc.fault.quarantines":    1,
 	} {
-		if got := counterValue(t, m, path); got != want {
+		if got := counterValue(t, m, reg, path); got != want {
 			t.Errorf("%s = %d, want %d", path, got, want)
 		}
 	}
-	if got := counterValue(t, m, "mc.tmcc.ras.scrub.pages"); got < 16384 {
+	if got := counterValue(t, m, reg, "mc.tmcc.ras.scrub.pages"); got < 16384 {
 		t.Errorf("scrub.pages = %d, want a full-table pass", got)
 	}
 
@@ -160,7 +162,7 @@ func TestBreakerDegradedWritethrough(t *testing.T) {
 		WindowPS:            100 * config.Nanosecond,
 		WritethroughPS:      50 * config.Nanosecond,
 	}
-	m := newRAS(t, rcfg, inj)
+	m, reg := newRAS(t, rcfg, inj)
 	if !m.Place(40, true) {
 		t.Fatal("ML2 placement failed")
 	}
@@ -181,7 +183,7 @@ func TestBreakerDegradedWritethrough(t *testing.T) {
 	if !m.RASDegraded() {
 		t.Fatal("breaker did not open past the faulty window")
 	}
-	if got := counterValue(t, m, "mc.tmcc.ras.breaker.opens"); got != 1 {
+	if got := counterValue(t, m, reg, "mc.tmcc.ras.breaker.opens"); got != 1 {
 		t.Errorf("breaker.opens = %d, want 1", got)
 	}
 
@@ -193,14 +195,14 @@ func TestBreakerDegradedWritethrough(t *testing.T) {
 	if a.Comp[attr.CDegraded] != 50*config.Nanosecond {
 		t.Errorf("degraded write charged %d ps, want 50ns", a.Comp[attr.CDegraded])
 	}
-	if got := counterValue(t, m, "mc.tmcc.ras.degradedWrites"); got != 1 {
+	if got := counterValue(t, m, reg, "mc.tmcc.ras.degradedWrites"); got != 1 {
 		t.Errorf("degradedWrites = %d, want 1", got)
 	}
 
 	// Reads stay penalty-free in degraded mode.
 	now = 170 * config.Nanosecond
 	m.Access(now, 50, 0, false, nil, false)
-	if got := counterValue(t, m, "mc.tmcc.ras.degradedWrites"); got != 1 {
+	if got := counterValue(t, m, reg, "mc.tmcc.ras.degradedWrites"); got != 1 {
 		t.Errorf("a read paid the writethrough penalty (degradedWrites = %d)", got)
 	}
 	if err := m.AuditPages(); err != nil {
@@ -214,7 +216,7 @@ func TestBreakerDegradedWritethrough(t *testing.T) {
 // genuinely one nil branch.
 func TestRASZeroConfigIsByteIdentical(t *testing.T) {
 	plain := newInjected(t, TMCC, "pageRank", 4096, 16384, nil)
-	rassed := newRAS(t, ras.Config{}, nil)
+	rassed, _ := newRAS(t, ras.Config{}, nil)
 	for _, m := range []*MC{plain, rassed} {
 		m.Place(40, true)
 		m.Place(50, false)

@@ -104,17 +104,6 @@ func (c Class) String() string {
 	return classNames[c]
 }
 
-// ClassByName maps a stable class name back onto its Class (the inverse
-// of String); ok=false for unknown names.
-func ClassByName(name string) (Class, bool) {
-	for i, n := range classNames {
-		if n == name {
-			return Class(i), true
-		}
-	}
-	return 0, false
-}
-
 // Access is the per-access scratch record: one measured end-to-end
 // latency and its component decomposition. The MC fills the memory-side
 // components during Access; the simulator folds in walk/NoC time, sets
@@ -200,6 +189,34 @@ func (g *Group) Record(a *Access) {
 	}
 }
 
+// Drain moves class cl's aggregate out of src, which only the calling
+// goroutine records into, adds it to g with the same commutative atomic
+// adds Record uses, and returns it (Count 0 when src recorded none). A
+// nil g only drains: run views drain their private group this way, so
+// lifetime aggregates stay identical at any worker count.
+func (g *Group) Drain(src *Group, cl Class) ClassSnapshot {
+	row := &src.rows[cl]
+	cs := ClassSnapshot{Class: cl.String(), Count: row.count.Swap(0)}
+	if cs.Count == 0 {
+		return cs
+	}
+	cs.TotalPS, cs.CompPS = row.total.Swap(0), make([]int64, NumComponents)
+	for c := range row.comp {
+		cs.CompPS[c] = row.comp[c].Swap(0)
+	}
+	if g != nil {
+		dst := &g.rows[cl]
+		dst.count.Add(cs.Count)
+		dst.total.Add(cs.TotalPS)
+		for c, v := range cs.CompPS {
+			if v != 0 {
+				dst.comp[c].Add(v)
+			}
+		}
+	}
+	return cs
+}
+
 type groupKey struct {
 	bench string
 	kind  string
@@ -234,40 +251,6 @@ func (r *Recorder) Group(bench, kind string) *Group {
 		r.groups[k] = g
 	}
 	return g
-}
-
-// Merge folds a snapshot back into the recorder with the same
-// commutative atomic adds Record uses: merging the per-run private
-// recorders the timeline keeps is order-independent, so lifetime
-// aggregates stay identical at any worker count. It errors on class
-// names the recorder does not know or component vectors of the wrong
-// arity (both mean a corrupted snapshot, never data); nil-safe.
-func (r *Recorder) Merge(s Snapshot) error {
-	if r == nil {
-		return nil
-	}
-	for _, gs := range s.Groups {
-		g := r.Group(gs.Benchmark, gs.Kind)
-		for _, cs := range gs.Classes {
-			cl, ok := ClassByName(cs.Class)
-			if !ok {
-				return fmt.Errorf("attr: merge: unknown class %q", cs.Class)
-			}
-			if len(cs.CompPS) != int(NumComponents) {
-				return fmt.Errorf("attr: merge: %s/%s %s carries %d components, want %d",
-					gs.Benchmark, gs.Kind, cs.Class, len(cs.CompPS), NumComponents)
-			}
-			row := &g.rows[cl]
-			row.count.Add(cs.Count)
-			row.total.Add(cs.TotalPS)
-			for c, v := range cs.CompPS {
-				if v != 0 {
-					row.comp[c].Add(v)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // ClassSnapshot is one class's aggregate inside a group snapshot. CompPS

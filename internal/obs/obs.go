@@ -24,10 +24,11 @@
 //
 // A simulated event is counted once, in a plain field of the component
 // that sees it; the component registers the field with its run's RunView,
-// which samples it into the registry (see RunView). Histograms and
+// which drains its growth into the registry (see RunView). Histograms and
 // process-wide instruments are registered at construction (get-or-create
 // by path, so repeated construction aggregates into the same instrument)
-// and fed inline. Snapshots are deterministic: samples sort by path.
+// and fed inline; a run's observer hands out run-private ones its view
+// drains. Snapshots are deterministic: samples sort by path.
 package obs
 
 import (
@@ -61,9 +62,9 @@ type Observer struct {
 	Tr  *Tracer
 	At  *attr.Recorder
 	// TL, when non-nil, arms the windowed timeline: each observed run's
-	// RunView folds per-window deltas of its private registry and attr
-	// recorder into TL and merges them into Reg/At. Like At, TL rides
-	// outside the experiment engine's memo key.
+	// RunView drains what the run counted and recorded in each window
+	// into TL and into Reg/At. Like At, TL rides outside the experiment
+	// engine's memo key.
 	TL *timeline.Recorder
 	// Heat, when non-nil, arms the address-space heatmap: each observed
 	// run accumulates per-region heat in its RunView and folds it into
@@ -81,10 +82,16 @@ func New() *Observer {
 	return &Observer{Reg: NewRegistry(), Tr: NewTracer(0), At: attr.NewRecorder()}
 }
 
-// Counter registers (or finds) the counter at path; nil-safe.
+// Counter registers (or finds) the counter at path; nil-safe. An
+// observer derived by RunView hands out a new run-private counter on
+// every call instead, so a component registers once, at construction;
+// so do Gauge and Histogram.
 func (o *Observer) Counter(path string) *Counter {
 	if o == nil {
 		return nil
+	}
+	if o.view != nil {
+		return o.view.counter(path)
 	}
 	return o.Reg.Counter(path)
 }
@@ -94,6 +101,9 @@ func (o *Observer) Gauge(path string) *Gauge {
 	if o == nil {
 		return nil
 	}
+	if o.view != nil {
+		return o.view.gauge(path)
+	}
 	return o.Reg.Gauge(path)
 }
 
@@ -102,6 +112,9 @@ func (o *Observer) Gauge(path string) *Gauge {
 func (o *Observer) Histogram(path string, bounds []int64) *Histogram {
 	if o == nil {
 		return nil
+	}
+	if o.view != nil {
+		return o.view.histogram(path, bounds)
 	}
 	return o.Reg.Histogram(path, bounds)
 }

@@ -36,6 +36,9 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// drain returns the count and zeroes it.
+func (c *Counter) drain() uint64 { return c.v.Swap(0) }
+
 // Gauge is a last-writer-wins int64. A nil *Gauge ignores every operation.
 type Gauge struct {
 	v atomic.Int64
@@ -49,8 +52,11 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// raise stores v when it exceeds the current value.
+// raise stores v when it exceeds the current value; nil-safe.
 func (g *Gauge) raise(v int64) {
+	if g == nil {
+		return
+	}
 	for cur := g.v.Load(); v > cur && !g.v.CompareAndSwap(cur, v); cur = g.v.Load() {
 	}
 }
@@ -99,6 +105,41 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
+}
+
+// newHistogram returns an empty histogram over bounds, which must ascend.
+func newHistogram(path string, bounds []int64) *Histogram {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("obs: histogram %q bounds not ascending: %v", path, bounds))
+		}
+	}
+	return &Histogram{
+		bounds:  append([]int64(nil), bounds...),
+		buckets: make([]atomic.Uint64, len(bounds)+1),
+	}
+}
+
+// drain moves what h observed since the last drain into to (nil: nowhere;
+// it has h's bounds) and returns it as a window delta without a path.
+// Only the goroutine that observes into h may drain it.
+func (h *Histogram) drain(to *Histogram) timeline.HistDelta {
+	d := timeline.HistDelta{Count: h.count.Swap(0)}
+	if d.Count == 0 {
+		return d
+	}
+	d.Sum, d.Bounds, d.Counts = h.sum.Swap(0), h.bounds, make([]uint64, len(h.buckets))
+	for i := range h.buckets {
+		d.Counts[i] = h.buckets[i].Swap(0)
+	}
+	if to != nil {
+		for i, n := range d.Counts {
+			to.buckets[i].Add(n)
+		}
+		to.count.Add(d.Count)
+		to.sum.Add(d.Sum)
+	}
+	return d
 }
 
 // Registry is a hierarchical instrument registry keyed by dotted paths.
@@ -169,15 +210,7 @@ func (r *Registry) Histogram(path string, bounds []int64) *Histogram {
 	r.checkKind(path, "histogram")
 	h, ok := r.hists[path]
 	if !ok {
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("obs: histogram %q bounds not ascending: %v", path, bounds))
-			}
-		}
-		h = &Histogram{
-			bounds:  append([]int64(nil), bounds...),
-			buckets: make([]atomic.Uint64, len(bounds)+1),
-		}
+		h = newHistogram(path, bounds)
 		r.hists[path] = h
 	}
 	return h
@@ -232,40 +265,6 @@ func (s Sample) Quantile(q float64) float64 {
 	return timeline.InterpQuantile(s.Bounds, s.Counts, s.Count, q)
 }
 
-// Sub returns the element-wise difference s - prev for two samples of
-// the same path and kind — the primitive the timeline's windowed deltas
-// are built from. Histogram subtraction requires identical bucket
-// shapes; a mismatch returns an error instead of panicking, since
-// snapshots can come from files. Counter and gauge samples subtract
-// Value.
-func (s Sample) Sub(prev Sample) (Sample, error) {
-	if s.Path != prev.Path || s.Kind != prev.Kind {
-		return Sample{}, fmt.Errorf("obs: subtracting sample %s/%s from %s/%s", prev.Path, prev.Kind, s.Path, s.Kind)
-	}
-	out := Sample{Path: s.Path, Kind: s.Kind}
-	if s.Kind != "histogram" {
-		out.Value = s.Value - prev.Value
-		return out, nil
-	}
-	if len(s.Bounds) != len(prev.Bounds) || len(s.Counts) != len(prev.Counts) {
-		return Sample{}, fmt.Errorf("obs: histogram %q bucket-shape mismatch: %d/%d bounds, %d/%d buckets",
-			s.Path, len(s.Bounds), len(prev.Bounds), len(s.Counts), len(prev.Counts))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != prev.Bounds[i] {
-			return Sample{}, fmt.Errorf("obs: histogram %q bound %d differs: %d vs %d", s.Path, i, s.Bounds[i], prev.Bounds[i])
-		}
-	}
-	out.Count = s.Count - prev.Count
-	out.Sum = s.Sum - prev.Sum
-	out.Bounds = append([]int64(nil), s.Bounds...)
-	out.Counts = make([]uint64, len(s.Counts))
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] - prev.Counts[i]
-	}
-	return out, nil
-}
-
 // Snapshot is a point-in-time copy of every registered instrument, sorted
 // by path — a stable, deterministic structure suitable for diffing.
 type Snapshot struct {
@@ -302,44 +301,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return Snapshot{Samples: out}
-}
-
-// Merge folds a snapshot into the registry: counters add their value,
-// gauges keep the larger of the two values (a new gauge starts at 0), and
-// histograms add bucket-wise — get-or-create with the
-// snapshot's bounds, erroring on a bucket-shape mismatch with an
-// already-registered histogram. Every fold is commutative, so the run
-// views' merges give the same registry in any run order. Nil-safe.
-func (r *Registry) Merge(s Snapshot) error {
-	if r == nil {
-		return nil
-	}
-	for _, sm := range s.Samples {
-		switch sm.Kind {
-		case "counter":
-			r.Counter(sm.Path).Add(uint64(sm.Value))
-		case "gauge":
-			r.Gauge(sm.Path).raise(sm.Value)
-		case "histogram":
-			h := r.Histogram(sm.Path, sm.Bounds)
-			if len(h.bounds) != len(sm.Bounds) || len(h.buckets) != len(sm.Counts) {
-				return fmt.Errorf("obs: merge: histogram %q bucket-shape mismatch", sm.Path)
-			}
-			for i := range h.bounds {
-				if h.bounds[i] != sm.Bounds[i] {
-					return fmt.Errorf("obs: merge: histogram %q bound %d differs: %d vs %d", sm.Path, i, h.bounds[i], sm.Bounds[i])
-				}
-			}
-			for i, n := range sm.Counts {
-				h.buckets[i].Add(n)
-			}
-			h.count.Add(sm.Count)
-			h.sum.Add(sm.Sum)
-		default:
-			return fmt.Errorf("obs: merge: sample %q has unknown kind %q", sm.Path, sm.Kind)
-		}
-	}
-	return nil
 }
 
 // Get returns the sample at path, if present.

@@ -17,18 +17,22 @@ import (
 // its components, so every site reaches all three.
 //
 // Counts: components keep per-run events in plain uint64 fields and
-// register each once (Count, CountFunc; Level for a gauge). The view
-// samples them into a PRIVATE registry, beside the histograms the
-// components register on the derived observer, so per-run deltas are
-// exact while other runs execute concurrently. Counts fold at each
-// timeline window edge, at Rebase and at Close, gauges at Close only, and
-// each flush merges what changed into the shared registry.
+// register each once (Count, CountFunc; Level for a gauge). The derived
+// observer has no registry of its own: the counters, gauges and
+// histograms it hands out are run-private, each paired with the shared
+// instrument of its path, created at registration so a path never bumped
+// still shows in the lifetime snapshot. Every flush (each timeline window
+// edge, Rebase and Close) drains the run on its own goroutine: each
+// count's growth since the last flush and everything a private counter or
+// histogram gathered moves into the shared instrument and, with TL
+// armed, into the window's delta. Gauges reach the shared registry at
+// Close only, which keeps the larger value.
 //
 // Timeline side: with TL armed the derived observer also carries a
-// private attr recorder; each window edge folds the delta of both private
-// sinks into the shared timeline and merges the attr delta into the
-// shared recorder, so the window deltas of every counter, histogram
-// bucket and attr component sum to the lifetime value by construction.
+// private attr recorder, whose group each flush drains into the shared
+// one beside the window's delta, so the window deltas of every counter,
+// histogram bucket and attr component sum to the lifetime value by
+// construction.
 //
 // Heat side: heat facts carry a physical page number that registry paths
 // cannot express, so components reach the view through (*Observer).View
@@ -36,7 +40,7 @@ import (
 // accumulator per touched region plus an independently accumulated total,
 // so Σ regions == total stays a real cross-check downstream.
 //
-// Close folds everything not yet folded, every time it is called, so a
+// Close flushes everything not yet flushed, every time it is called, so a
 // runner that keeps going after Run still conserves. A nil *RunView
 // ignores every operation, keeping the flags-off path one branch per site.
 type RunView struct {
@@ -45,18 +49,17 @@ type RunView struct {
 	shared *Observer // lifetime sinks
 	ob     *Observer // what the run threads through its components
 
-	// Counts: reg is the run-private registry, prevReg its state at the
-	// last flush; levels sample the gauges into it.
-	reg     *Registry
-	prevReg Snapshot
+	// Counts, each beside the shared instrument it drains into.
 	tallies []tally
-	levels  []func()
+	hists   []hist
+	levels  []level
 
-	// Timeline side; tl is nil when the timeline is off.
-	tl       *timeline.Recorder
-	at       *attr.Recorder // run-private attr recorder
-	prevAttr attr.Snapshot
-	tlEdge   timeline.Edge
+	// Timeline side; tl is nil when the timeline is off. own is the
+	// run's group in its private attr recorder, to the shared group.
+	tl     *timeline.Recorder
+	own    *attr.Group
+	to     *attr.Group
+	tlEdge timeline.Edge
 
 	// Heat side; heat is nil when the heatmap is off. A stamp finds its
 	// region's accumulator with one load: index[r] is 1 + the position of
@@ -73,13 +76,25 @@ type RunView struct {
 	heatEdge timeline.Edge
 }
 
-// tally is one registered per-run count: read returns the component's
-// field, c is the private counter it folds into, and last is read's
-// value at the previous fold.
+// tally is one registered per-run count: take returns what it counted
+// since the last take.
 type tally struct {
-	read func() uint64
-	c    *Counter
-	last uint64
+	path string
+	take func() uint64
+	to   *Counter
+}
+
+// hist is one run-private histogram the derived observer handed out.
+type hist struct {
+	path string
+	own  *Histogram
+	to   *Histogram
+}
+
+// level is one registered per-run gauge, sampled through read.
+type level struct {
+	read func() int64
+	to   *Gauge
 }
 
 // RunView derives the per-run view for one (benchmark, kind); nil for a
@@ -88,15 +103,16 @@ func (o *Observer) RunView(bench, kind string) *RunView {
 	if o == nil {
 		return nil
 	}
-	v := &RunView{bench: bench, kind: kind, shared: o, reg: NewRegistry()}
+	v := &RunView{bench: bench, kind: kind, shared: o}
 	// The derived observer shares the tracer (spans carry simulated
 	// timestamps and need no windowing) and carries no recorders: views
 	// do not nest.
-	v.ob = &Observer{Reg: v.reg, Tr: o.Tr, At: o.At, view: v}
+	v.ob = &Observer{Tr: o.Tr, At: o.At, view: v}
 	if o.TL != nil {
 		v.tl = o.TL
-		v.at = attr.NewRecorder()
-		v.ob.At = v.at
+		v.ob.At = attr.NewRecorder()
+		v.own = v.ob.At.Group(bench, kind)
+		v.to = o.At.Group(bench, kind)
 		v.tlEdge = timeline.NewEdge(o.TL.Width())
 	}
 	if o.Heat != nil {
@@ -126,12 +142,18 @@ func (v *RunView) Count(path string, n *uint64) {
 }
 
 // CountFunc registers the per-run counter at path, read through read,
-// which must not decrease between folds except across Rebase. Nil-safe.
+// which must not decrease between flushes except across Rebase. Nil-safe.
 func (v *RunView) CountFunc(path string, read func() uint64) {
 	if v == nil {
 		return
 	}
-	v.tallies = append(v.tallies, tally{read: read, c: v.reg.Counter(path), last: read()})
+	last := read()
+	v.tallies = append(v.tallies, tally{path: path, to: v.shared.Reg.Counter(path), take: func() uint64 {
+		n := read()
+		d := n - last
+		last = n
+		return d
+	}})
 }
 
 // Level registers the per-run gauge at path, sampled through read at
@@ -140,33 +162,46 @@ func (v *RunView) Level(path string, read func() int64) {
 	if v == nil {
 		return
 	}
-	g := v.reg.Gauge(path)
-	v.levels = append(v.levels, func() { g.Set(read()) })
+	v.levels = append(v.levels, level{read: read, to: v.shared.Reg.Gauge(path)})
 }
 
-// fold adds every count's growth since the last fold to its counter.
-func (v *RunView) fold() {
-	for i := range v.tallies {
-		t := &v.tallies[i]
-		n := t.read()
-		t.c.Add(n - t.last)
-		t.last = n
+// counter, gauge and histogram hand the derived observer a run-private
+// instrument at path; each registration gets its own, so several add up.
+func (v *RunView) counter(path string) *Counter {
+	c := new(Counter)
+	v.tallies = append(v.tallies, tally{path: path, to: v.shared.Reg.Counter(path), take: c.drain})
+	return c
+}
+
+func (v *RunView) gauge(path string) *Gauge {
+	g := new(Gauge)
+	v.Level(path, g.Value)
+	return g
+}
+
+func (v *RunView) histogram(path string, bounds []int64) *Histogram {
+	to := v.shared.Reg.Histogram(path, bounds)
+	if to != nil {
+		bounds = to.bounds // the first registration's bounds win
 	}
+	h := newHistogram(path, bounds)
+	v.hists = append(v.hists, hist{path: path, own: h, to: to})
+	return h
 }
 
-// Rebase folds every count, runs reset (which may zero the fields some
-// counts read, as the end of warmup does) and takes the values after it
-// as the new baseline, so a count stays the lifetime total of its
-// events. With a nil view it only runs reset.
+// Rebase flushes the run into the current window, runs reset (which
+// may zero the fields some counts read, as the end of warmup does) and
+// takes the values after it as the new baseline, so a count stays the
+// lifetime total of its events. With a nil view it only runs reset.
 func (v *RunView) Rebase(reset func()) {
 	if v == nil {
 		reset()
 		return
 	}
-	v.fold()
+	v.flush(v.tlEdge.Start(), false)
 	reset()
-	for i := range v.tallies {
-		v.tallies[i].last = v.tallies[i].read()
+	for _, t := range v.tallies {
+		t.take()
 	}
 }
 
@@ -185,10 +220,10 @@ func (v *RunView) Advance(now config.Time) bool {
 	return v.heat != nil && v.heatEdge.Cross(now)
 }
 
-// Close folds the counts, samples the gauges, flushes the current partial
-// timeline window and folds the heat accumulated since the last Close
-// into the shared recorders. Repeatable and nil-safe: Run calls it at
-// the end of every run.
+// Close flushes the counts, samples the gauges, flushes the current
+// partial timeline window and folds the heat accumulated since the last
+// Close into the shared recorders. Repeatable and nil-safe: Run calls it
+// at the end of every run.
 func (v *RunView) Close() {
 	if v == nil {
 		return
@@ -199,129 +234,52 @@ func (v *RunView) Close() {
 	}
 }
 
-// flush folds the counts and diffs the private sinks against their
-// previous snapshots: the delta goes into the shared timeline under
-// window win (timeline armed) and into the shared registry and attr
-// recorder. Gauges are levels, not flows, so they reach neither the
-// timeline nor, before closing, the shared registry.
+// flush drains what the run counted since the last flush into the shared
+// registry and attr group and, with the timeline armed, into window win.
+// Gauges are levels, not flows, so they reach neither the timeline nor,
+// before closing, the shared registry.
 func (v *RunView) flush(win int64, closing bool) {
-	v.fold()
-	if closing {
-		for _, sample := range v.levels {
-			sample()
-		}
-	}
-	curReg := v.reg.Snapshot()
 	var d timeline.Delta
-	// lifetime is what the flush adds to the shared registry: every
-	// instrument that changed, plus every one not seen before, so paths
-	// registered but never bumped still reach the lifetime snapshot.
-	var lifetime Snapshot
-
-	// Registry deltas: both snapshots sort by path and the registry only
-	// grows, so the previous snapshot's samples are a prefix-merge of the
-	// current one's — one linear two-pointer walk finds each sample's
-	// predecessor (none when the instrument appeared this window).
-	prev := v.prevReg.Samples
-	j := 0
-	for _, cur := range curReg.Samples {
-		for j < len(prev) && prev[j].Path < cur.Path {
-			j++
-		}
-		seen := j < len(prev) && prev[j].Path == cur.Path
-		delta := cur
-		if seen {
-			var err error
-			if delta, err = cur.Sub(prev[j]); err != nil {
-				panic(fmt.Sprintf("obs: run view flush: %v", err))
-			}
-		}
-		switch cur.Kind {
-		case "gauge":
-			if closing {
-				lifetime.Samples = append(lifetime.Samples, cur)
-			}
-			continue
-		case "counter":
-			if delta.Value != 0 {
-				d.Counters = append(d.Counters, timeline.CounterDelta{Path: cur.Path, Delta: uint64(delta.Value)})
-			}
-		case "histogram":
-			if delta.Count != 0 {
-				d.Hists = append(d.Hists, timeline.HistDelta{
-					Path:   cur.Path,
-					Count:  delta.Count,
-					Sum:    delta.Sum,
-					Bounds: delta.Bounds,
-					Counts: delta.Counts,
-				})
-			}
-		}
-		if !seen || delta.Value != 0 || delta.Count != 0 {
-			lifetime.Samples = append(lifetime.Samples, delta)
+	for _, t := range v.tallies {
+		if n := t.take(); n != 0 {
+			t.to.Add(n)
+			d.Counters = append(d.Counters, timeline.CounterDelta{Path: t.path, Delta: n})
 		}
 	}
-	if err := v.shared.Reg.Merge(lifetime); err != nil {
-		panic(fmt.Sprintf("obs: run view flush: %v", err))
+	for _, h := range v.hists {
+		if hd := h.own.drain(h.to); hd.Count != 0 {
+			hd.Path = h.path
+			d.Hists = append(d.Hists, hd)
+		}
 	}
-	v.prevReg = curReg
+	if closing {
+		for _, l := range v.levels {
+			l.to.raise(l.read())
+		}
+	}
 	if v.tl == nil {
 		return
 	}
-
-	// Attr deltas: the run records only into its own (benchmark, kind)
-	// group, so the private snapshot holds at most that one group.
-	curAttr := v.at.Snapshot()
-	var classes []attr.ClassSnapshot
-	for _, gs := range curAttr.Groups {
-		if gs.Benchmark != v.bench || gs.Kind != v.kind {
+	for cl := attr.Class(0); cl < attr.NumClasses; cl++ {
+		cs := v.to.Drain(v.own, cl)
+		if cs.Count == 0 {
 			continue
 		}
-		for _, cs := range gs.Classes {
-			cl, ok := attr.ClassByName(cs.Class)
-			if !ok {
-				panic(fmt.Sprintf("obs: timeline flush: unknown attr class %q", cs.Class))
-			}
-			ad := timeline.AttrDelta{
-				Class:   cl,
-				Count:   cs.Count,
-				TotalPS: cs.TotalPS,
-				CompPS:  append([]int64(nil), cs.CompPS...),
-			}
-			if pc, ok := attrClass(v.prevAttr, v.bench, v.kind, cs.Class); ok {
-				ad.Count -= pc.Count
-				ad.TotalPS -= pc.TotalPS
-				for c := range ad.CompPS {
-					ad.CompPS[c] -= pc.CompPS[c]
-				}
-			}
-			if ad.Count == 0 && ad.TotalPS == 0 {
-				continue
-			}
-			if check.Enabled {
-				// Per-window conservation audit: every access lands whole
-				// in one window (records happen between flushes on the
-				// run's own thread), so window deltas of a conserved
-				// aggregate must conserve too.
-				check.Assert(ad.Conserved(),
-					"timeline: %s/%s window %d class %s: window delta violates attr conservation",
-					v.bench, v.kind, win, cs.Class)
-			}
-			d.Attr = append(d.Attr, ad)
-			classes = append(classes, attr.ClassSnapshot{Class: cs.Class, Count: ad.Count, TotalPS: ad.TotalPS, CompPS: ad.CompPS})
+		ad := timeline.AttrDelta{Class: cl, Count: cs.Count, TotalPS: cs.TotalPS, CompPS: cs.CompPS}
+		if check.Enabled {
+			// Per-window conservation audit: every access lands whole
+			// in one window (records happen between flushes on the
+			// run's own thread), so window deltas of a conserved
+			// aggregate must conserve too.
+			check.Assert(ad.Conserved(),
+				"timeline: %s/%s window %d class %s: window delta violates attr conservation",
+				v.bench, v.kind, win, cl)
 		}
+		d.Attr = append(d.Attr, ad)
 	}
-
 	if err := v.tl.Add(v.bench, v.kind, win, &d); err != nil {
 		panic(fmt.Sprintf("obs: timeline flush: %v", err))
 	}
-	if len(classes) > 0 {
-		delta := attr.Snapshot{Groups: []attr.GroupSnapshot{{Benchmark: v.bench, Kind: v.kind, Classes: classes}}}
-		if err := v.shared.At.Merge(delta); err != nil {
-			panic(fmt.Sprintf("obs: timeline flush: %v", err))
-		}
-	}
-	v.prevAttr = curAttr
 }
 
 // foldHeat folds the regions and the independently accumulated total into
@@ -435,20 +393,4 @@ func (v *RunView) Residency(ppn uint64, tier heatmap.Tier) {
 	}
 	v.region(ppn).Res[tier]++
 	v.total.Res[tier]++
-}
-
-// attrClass finds one (benchmark, kind) class aggregate in an attr
-// snapshot.
-func attrClass(s attr.Snapshot, bench, kind, class string) (attr.ClassSnapshot, bool) {
-	for _, gs := range s.Groups {
-		if gs.Benchmark != bench || gs.Kind != kind {
-			continue
-		}
-		for _, cs := range gs.Classes {
-			if cs.Class == class {
-				return cs, true
-			}
-		}
-	}
-	return attr.ClassSnapshot{}, false
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,93 +10,6 @@ import (
 	"tmcc/internal/obs/heatmap"
 	"tmcc/internal/obs/timeline"
 )
-
-// TestSampleSub pins the delta primitive: counters and gauges subtract
-// Value, histograms subtract element-wise, and any mismatch (path, kind,
-// bucket shape, bound values) is an error — never a panic, because
-// snapshots can come from files.
-func TestSampleSub(t *testing.T) {
-	a := Sample{Path: "c", Kind: "counter", Value: 10}
-	b := Sample{Path: "c", Kind: "counter", Value: 3}
-	d, err := a.Sub(b)
-	if err != nil || d.Value != 7 {
-		t.Fatalf("counter sub = %+v, %v; want Value 7", d, err)
-	}
-
-	h1 := Sample{Path: "h", Kind: "histogram", Count: 5, Sum: 100, Bounds: []int64{10, 20}, Counts: []uint64{2, 2, 1}}
-	h0 := Sample{Path: "h", Kind: "histogram", Count: 2, Sum: 30, Bounds: []int64{10, 20}, Counts: []uint64{1, 1, 0}}
-	d, err = h1.Sub(h0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Count != 3 || d.Sum != 70 || d.Counts[0] != 1 || d.Counts[2] != 1 {
-		t.Errorf("histogram sub = %+v", d)
-	}
-
-	if _, err := a.Sub(Sample{Path: "other", Kind: "counter"}); err == nil {
-		t.Error("path mismatch accepted")
-	}
-	if _, err := a.Sub(Sample{Path: "c", Kind: "gauge"}); err == nil {
-		t.Error("kind mismatch accepted")
-	}
-	bad := h0
-	bad.Bounds = []int64{10}
-	bad.Counts = []uint64{1, 1}
-	if _, err := h1.Sub(bad); err == nil {
-		t.Error("bucket-count mismatch accepted")
-	}
-	bad = h0
-	bad.Bounds = []int64{10, 30}
-	if _, err := h1.Sub(bad); err == nil {
-		t.Error("bound-value mismatch accepted")
-	}
-}
-
-// TestRegistryMerge: merging a snapshot adds counters and histogram
-// buckets, keeps the larger gauge, and rejects shape mismatches — the fold
-// RunView's flush relies on being lossless and order-independent.
-func TestRegistryMerge(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("c").Add(5)
-	dst.Gauge("g").Set(1)
-	dst.Histogram("h", []int64{10}).Observe(4)
-
-	src := NewRegistry()
-	src.Counter("c").Add(2)
-	src.Counter("new").Add(9)
-	src.Gauge("g").Set(42)
-	src.Histogram("h", []int64{10}).Observe(25) // overflow bucket
-
-	if err := dst.Merge(src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap := dst.Snapshot()
-	want := map[string]int64{"c": 7, "new": 9, "g": 42}
-	for path, v := range want {
-		if s, ok := snap.Get(path); !ok || s.Value != v {
-			t.Errorf("%s = %+v, want value %d", path, s, v)
-		}
-	}
-	low := NewRegistry()
-	low.Gauge("g").Set(3)
-	if err := dst.Merge(low.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap = dst.Snapshot()
-	if s, _ := snap.Get("g"); s.Value != 42 {
-		t.Errorf("g = %d after merging a lower 3, want 42", s.Value)
-	}
-	h, _ := snap.Get("h")
-	if h.Count != 2 || h.Sum != 29 || h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Errorf("merged histogram = %+v", h)
-	}
-
-	clash := NewRegistry()
-	clash.Histogram("h", []int64{10, 20}).Observe(1)
-	if err := dst.Merge(clash.Snapshot()); err == nil {
-		t.Error("bucket-shape mismatch accepted by Merge")
-	}
-}
 
 // record puts one synthetic conserved access into the view's attr group.
 func record(v *RunView, bench, kind string, walk, overlap int64) {
@@ -121,7 +35,7 @@ func TestTimelineViewWindowing(t *testing.T) {
 		t.Fatal("RunView returned nil with TL armed")
 	}
 	ob := v.Observer()
-	if ob.Reg == shared.Reg || ob.At == shared.At {
+	if ob.Reg != nil || ob.At == shared.At {
 		t.Fatal("derived observer shares lifetime sinks; deltas would double-count")
 	}
 	if ob.TL != nil || ob.Heat != nil {
@@ -131,9 +45,9 @@ func TestTimelineViewWindowing(t *testing.T) {
 		t.Fatal("derived observer does not carry its view")
 	}
 
-	c := ob.Reg.Counter("test.hits")
-	h := ob.Reg.Histogram("test.lat", []int64{100})
-	ob.Reg.Gauge("test.level").Set(7) // gauges must stay out of windows
+	c := ob.Counter("test.hits")
+	h := ob.Histogram("test.lat", []int64{100})
+	ob.Gauge("test.level").Set(7) // gauges must stay out of windows
 
 	// Window 0: (0, 1us].
 	c.Add(3)
@@ -301,52 +215,6 @@ func TestTimelineViewNilPaths(t *testing.T) {
 	tv.Close()
 }
 
-// TestAttrClassByNameRoundTrip: every class name maps back onto its class
-// (the timeline flush depends on the inverse being total), unknown names
-// fail.
-func TestAttrClassByNameRoundTrip(t *testing.T) {
-	for cl := attr.Class(0); cl < attr.NumClasses; cl++ {
-		got, ok := attr.ClassByName(cl.String())
-		if !ok || got != cl {
-			t.Errorf("ClassByName(%q) = %v, %v", cl.String(), got, ok)
-		}
-	}
-	if _, ok := attr.ClassByName("nope"); ok {
-		t.Error("unknown class name resolved")
-	}
-}
-
-// TestAttrRecorderMerge: merging a snapshot adds counts, totals, and
-// components; merging twice doubles them (commutative fold).
-func TestAttrRecorderMerge(t *testing.T) {
-	src := attr.NewRecorder()
-	var a attr.Access
-	a.Class = attr.ClassDemand
-	a.Add(attr.CWalk, 300)
-	a.Total = a.AttributedSum()
-	src.Group("canneal", "tmcc").Record(&a)
-	snap := src.Snapshot()
-
-	dst := attr.NewRecorder()
-	if err := dst.Merge(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Merge(snap); err != nil {
-		t.Fatal(err)
-	}
-	got := dst.Snapshot()
-	if len(got.Groups) != 1 || len(got.Groups[0].Classes) != 1 {
-		t.Fatalf("merged snapshot = %+v", got)
-	}
-	cs := got.Groups[0].Classes[0]
-	if cs.Count != 2 || cs.TotalPS != 600 || cs.CompPS[attr.CWalk] != 600 {
-		t.Errorf("double merge = %+v, want count 2 total 600", cs)
-	}
-	if err := got.Conserved(); err != nil {
-		t.Errorf("merged snapshot not conserved: %v", err)
-	}
-}
-
 // heatAttr records one access of class cl into the group, mirroring what
 // the simulator does alongside every RunView.Access.
 func heatAttr(g *attr.Group, cl attr.Class) {
@@ -493,43 +361,85 @@ func TestHeatmapViewSparseRegions(t *testing.T) {
 	}
 }
 
-// TestRunViewSamplesCounts: counts registered as fields fold into the
-// shared registry at Close and into the timeline at window edges, Rebase
-// keeps what was counted before a reset zeroed the field, and per-run
-// gauges sampled at Close merge to the largest value whatever the order
-// the runs close in.
+// TestRunViewSamplesCounts: counts registered as fields, and the counters
+// and histograms the derived observer hands out, drain into the shared
+// registry and into the timeline at window edges, at Rebase and at Close;
+// several registrations of one path add up, Rebase keeps what was counted
+// before a reset zeroed the field, a path never bumped still shows in the
+// lifetime snapshot, per-run gauges sampled at Close merge to the largest
+// value whatever the order the runs close in, and an observer with no
+// registry still conserves attr.
 func TestRunViewSamplesCounts(t *testing.T) {
 	shared := New()
 	shared.TL = timeline.NewRecorder(config.Microsecond)
 	v := shared.RunView("canneal", "tmcc")
-	var hits, level uint64 = 2, 0 // counted before registration: not the run's
+	var hits, more, level uint64 = 2, 0, 0 // counted before registration: not the run's
 	v.Count("test.hits", &hits)
+	v.Count("test.hits", &more) // a second tally on the path adds up
 	v.CountFunc("test.double", func() uint64 { return 2 * hits })
 	v.Level("test.level", func() int64 { return int64(level) })
+	ob := v.Observer()
+	c := ob.Counter("test.bumps")
+	h := ob.Histogram("test.lat", []int64{10})
+	ob.Counter("test.idle") // registered, never bumped
 
-	hits, level = 5, 9
-	v.Advance(config.Microsecond + 1) // window 0 takes 3 hits
+	hits, more, level = 5, 1, 9
+	c.Add(1)
+	h.Observe(3)
+	v.Advance(config.Microsecond + 1) // window 0 takes 3+1 hits
 	hits += 4
-	v.Rebase(func() { hits = 0 })
+	more += 2
+	c.Add(2)
+	h.Observe(20)
+	v.Rebase(func() { hits, more = 0, 0 }) // window 1us takes 4+2 hits
 	hits += 1
-	v.Close() // window 1us takes 5 hits
+	c.Add(4)
+	h.Observe(7)
+	v.Advance(2*config.Microsecond + 1) // window 1us takes 1 more hit
+	c.Add(8)
+	h.Observe(50)
+	v.Close() // window 2us takes the last bumps, no hit
 
 	reg := shared.Reg.Snapshot()
-	for path, want := range map[string]int64{"test.hits": 8, "test.double": 16, "test.level": 9} {
+	for path, want := range map[string]int64{"test.hits": 11, "test.double": 16, "test.level": 9, "test.bumps": 15, "test.idle": 0} {
 		if s, ok := reg.Get(path); !ok || s.Value != want {
 			t.Errorf("%s = %+v, want %d", path, s, want)
 		}
 	}
+	if s, _ := reg.Get("test.lat"); s.Count != 4 || s.Sum != 80 || s.Counts[0] != 2 || s.Counts[1] != 2 {
+		t.Errorf("lifetime test.lat = %+v, want count 4 sum 80 counts [2 2]", s)
+	}
 	g := shared.TL.Snapshot().Groups[0]
-	for i, want := range []uint64{3, 5} {
-		var got uint64
-		for _, cd := range g.Windows[i].Counters {
-			if cd.Path == "test.hits" {
-				got = cd.Delta
+	if len(g.Windows) != 3 {
+		t.Fatalf("windows = %+v", g.Windows)
+	}
+	counterIn := func(w timeline.Window, path string) (got uint64) {
+		for _, cd := range w.Counters {
+			if cd.Path == path {
+				got += cd.Delta
 			}
 		}
-		if got != want {
-			t.Errorf("window %d test.hits = %d, want %d", i, got, want)
+		return got
+	}
+	lat := []timeline.HistDelta{
+		{Count: 1, Sum: 3, Counts: []uint64{1, 0}},
+		{Count: 2, Sum: 27, Counts: []uint64{1, 1}},
+		{Count: 1, Sum: 50, Counts: []uint64{0, 1}},
+	}
+	for i, want := range []struct{ hits, bumps uint64 }{{4, 1}, {7, 6}, {0, 8}} {
+		w := g.Windows[i]
+		if got := counterIn(w, "test.hits"); got != want.hits {
+			t.Errorf("window %d test.hits = %d, want %d", i, got, want.hits)
+		}
+		if got := counterIn(w, "test.bumps"); got != want.bumps {
+			t.Errorf("window %d test.bumps = %d, want %d", i, got, want.bumps)
+		}
+		if got := counterIn(w, "test.idle"); got != 0 {
+			t.Errorf("window %d test.idle = %d, want none", i, got)
+		}
+		if len(w.Hists) != 1 || w.Hists[0].Count != lat[i].Count || w.Hists[0].Sum != lat[i].Sum ||
+			w.Hists[0].Counts[0] != lat[i].Counts[0] || w.Hists[0].Counts[1] != lat[i].Counts[1] {
+			t.Errorf("window %d hists = %+v, want test.lat %+v", i, w.Hists, lat[i])
 		}
 	}
 	if err := shared.Verify(); err != nil {
@@ -542,5 +452,36 @@ func TestRunViewSamplesCounts(t *testing.T) {
 	w.Close()
 	if s, _ := shared.Reg.Snapshot().Get("test.level"); s.Value != 9 {
 		t.Errorf("test.level = %d after a run reporting 4, want 9", s.Value)
+	}
+
+	// No registry (tmccsim -breakdown or -trace alone): the counts drain
+	// nowhere and the attr still reaches both the recorder and the windows.
+	nr := &Observer{At: attr.NewRecorder(), TL: timeline.NewRecorder(config.Microsecond)}
+	nv := nr.RunView("mcf", "tmcc")
+	nv.Count("test.hits", &hits)
+	nv.Level("test.level", func() int64 { return 1 })
+	nob := nv.Observer()
+	nob.Counter("test.bumps").Inc()
+	nob.Histogram("test.lat", []int64{10}).Observe(1)
+	nob.Gauge("test.gauge").Set(1)
+	hits++
+	record(nv, "mcf", "tmcc", 500, 100)
+	nv.Advance(config.Microsecond + 1)
+	record(nv, "mcf", "tmcc", 300, 0)
+	nv.Close()
+	at := nr.At.Snapshot()
+	if err := at.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+	if n, total := at.Totals(); n != 2 || total != 900 {
+		t.Fatalf("attr totals = %d accesses, %d ps; want 2, 900", n, total)
+	}
+	tg := nr.TL.Snapshot().Groups[0]
+	if len(tg.Windows) != 2 {
+		t.Fatalf("windows = %+v", tg.Windows)
+	}
+	lc, tc := at.Groups[0].Classes[0], tg.AttrTotals()[attr.ClassDemand]
+	if tc.Count != lc.Count || tc.TotalPS != lc.TotalPS || !slices.Equal(tc.CompPS, lc.CompPS) {
+		t.Errorf("windowed attr %+v, lifetime %+v", tc, lc)
 	}
 }

@@ -81,6 +81,7 @@ func VerifyTimeline(tl timeline.Snapshot, reg Snapshot, at attr.Snapshot) error 
 			}
 		}
 	}
+	lifetime := attrClasses(at)
 	for _, g := range tl.Groups {
 		totals := g.AttrTotals()
 		for cl := attr.Class(0); cl < attr.NumClasses; cl++ {
@@ -88,7 +89,7 @@ func VerifyTimeline(tl timeline.Snapshot, reg Snapshot, at attr.Snapshot) error 
 			if t.Count == 0 && t.TotalPS == 0 {
 				continue
 			}
-			lc, ok := attrClass(at, g.Benchmark, g.Kind, cl.String())
+			lc, ok := lifetime[[3]string{g.Benchmark, g.Kind, cl.String()}]
 			if !ok {
 				return fmt.Errorf("obs: timeline attr %s/%s %s missing from lifetime recorder", g.Benchmark, g.Kind, cl)
 			}
@@ -140,6 +141,7 @@ func heatCounterPaths(kind string) map[string]heatmap.Event {
 //
 // Observer.Verify runs it before any artifact is exported.
 func VerifyHeatmap(hm heatmap.Snapshot, reg Snapshot, at attr.Snapshot) error {
+	lifetime := attrClasses(at)
 	for _, g := range hm.Groups {
 		sum := g.SumRegions()
 		sum.Sweeps = g.Total.Sweeps
@@ -151,7 +153,7 @@ func VerifyHeatmap(hm heatmap.Snapshot, reg Snapshot, at attr.Snapshot) error {
 		}
 		for cl := attr.Class(0); cl < attr.NumClasses; cl++ {
 			h := g.Total.Heat[cl]
-			lc, ok := attrClass(at, g.Benchmark, g.Kind, cl.String())
+			lc, ok := lifetime[[3]string{g.Benchmark, g.Kind, cl.String()}]
 			if !ok {
 				if h != 0 {
 					return fmt.Errorf("obs: heatmap %s/%s: %d %s accesses but no lifetime attr class",
@@ -223,6 +225,18 @@ func VerifyHeatmap(hm heatmap.Snapshot, reg Snapshot, at attr.Snapshot) error {
 		}
 	}
 	return nil
+}
+
+// attrClasses indexes an attr snapshot's class aggregates by (benchmark,
+// kind, class).
+func attrClasses(at attr.Snapshot) map[[3]string]attr.ClassSnapshot {
+	m := map[[3]string]attr.ClassSnapshot{}
+	for _, g := range at.Groups {
+		for _, cs := range g.Classes {
+			m[[3]string{g.Benchmark, g.Kind, cs.Class}] = cs
+		}
+	}
+	return m
 }
 
 // sortedKeys returns m's keys in ascending order, so a verifier that can

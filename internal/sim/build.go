@@ -59,10 +59,11 @@ var ErrGeometry = errors.New("degenerate geometry")
 // checkGeometry rejects with ErrGeometry any cache the run would build
 // with fewer than one set or more than cache.MaxWays ways per set, a TLB
 // with no set, a partial one or one that wide, any count the run divides
-// by or indexes into that is below one, a TMCC CTE Buffer size NewBuffer
-// refuses, and a budget past mc.MaxPages. The MC's victim shadow has L3's
-// size and 16 ways, so the L3 row covers it.
-func checkGeometry(opt Options, sys config.System) error {
+// by or indexes into that is below one, a CTE Buffer size NewBuffer
+// refuses on a run that builds one (embed), and a budget past
+// mc.MaxPages. The MC's victim shadow has L3's size and 16 ways, so the
+// L3 row covers it.
+func checkGeometry(opt Options, sys config.System, embed bool) error {
 	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
 	for _, c := range []struct {
 		name       string
@@ -124,7 +125,7 @@ func checkGeometry(opt Options, sys config.System) error {
 			return fmt.Errorf("sim: %s/%s: %w: %d %s", opt.Benchmark, opt.Kind, ErrGeometry, f.n, f.name)
 		}
 	}
-	if n := sys.Comp.CTEBufEntries; opt.Kind == mc.TMCC && (n < 1 || n > ctecache.MaxBufferEntries) {
+	if n := sys.Comp.CTEBufEntries; embed && (n < 1 || n > ctecache.MaxBufferEntries) {
 		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries, want 1..%d",
 			opt.Benchmark, opt.Kind, ErrGeometry, n, ctecache.MaxBufferEntries)
 	}
@@ -159,7 +160,14 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if sys == (config.System{}) {
 		sys = config.Default()
 	}
-	if err := checkGeometry(opt, sys); err != nil {
+	// OS-inspired is TMCC with both of its optimizations off (Figure 20),
+	// and every difference between the two reads one of these switches.
+	// embed is the ML1 one, PTB-embedded CTEs: a huge-page PTB covers 16MB,
+	// too much to embed (Section VIII). fastML2 is the ML2 one: the
+	// measured fast Deflate, not the IBM analytic model.
+	embed := opt.Kind == mc.TMCC && !opt.DisableEmbed && !opt.HugePages
+	fastML2 := opt.Kind == mc.TMCC
+	if err := checkGeometry(opt, sys, embed); err != nil {
 		return nil, err
 	}
 	// The size model is memoized process-wide, so it observes the shared
@@ -202,14 +210,6 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if !opt.Virtualized {
 		as, vpnToPPN = nativeAddressSpace(spec.FootprintPages, osPages, osCfg)
 	}
-	// OS-inspired is TMCC with both of its optimizations off (Figure 20),
-	// and every difference between the two reads one of these switches.
-	// embed is the ML1 one, PTB-embedded CTEs: a huge-page PTB covers 16MB,
-	// too much to embed (Section VIII). fastML2 is the ML2 one: the
-	// measured fast Deflate, not the IBM analytic model.
-	embed := opt.Kind == mc.TMCC && !opt.DisableEmbed && !opt.HugePages
-	fastML2 := opt.Kind == mc.TMCC
-
 	half, comp := opt.ML2HalfPage, opt.ML2Compress
 	if half == 0 {
 		if fastML2 {
@@ -312,7 +312,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 
 	if err := r.place(); err != nil {
 		view.Close()
-		return nil, err
+		return nil, fmt.Errorf("sim: %s/%s placement: %w", opt.Benchmark, opt.Kind, err)
 	}
 	// Placement-time capacity exhaustion surfaces here, before any
 	// simulated time elapses — the run could not even be laid out.
@@ -446,7 +446,7 @@ func (r *Runner) planML1(footprint uint64) (uint64, error) {
 	avail := int64(r.mcc.ChunkPool()) - int64(tableReserve) - int64(freeReserve)
 	ml1 := (float64(avail) - float64(footprint)*ratio) / (1 - ratio)
 	if ml1 < 0 {
-		return 0, fmt.Errorf("sim: budget cannot hold footprint %d even fully compressed: %w",
+		return 0, fmt.Errorf("budget cannot hold footprint %d even fully compressed: %w",
 			footprint, mc.ErrCapacityExhausted)
 	}
 	ml1Pages := uint64(ml1)

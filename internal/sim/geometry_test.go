@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tmcc/internal/config"
@@ -84,7 +85,7 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 			opt := Options{Benchmark: "canneal", Kind: tc.kind, Sys: sys, CTEOverride: tc.cte, BudgetPages: tc.budget, Seed: 42}
 			// checkGeometry first: a row it let through could build a system
 			// sized by the degenerate value (an OS pool of billions of pages).
-			if err := checkGeometry(opt, sys); !errors.Is(err, ErrGeometry) {
+			if err := checkGeometry(opt, sys, tc.kind == mc.TMCC); !errors.Is(err, ErrGeometry) {
 				t.Fatalf("checkGeometry = %v; want an error matching ErrGeometry", err)
 			}
 			r, err := NewRunner(opt)
@@ -96,28 +97,37 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 }
 
 // TestUnusedGeometryAccepted pins the other side of checkGeometry: a
-// structure a kind never builds may have any size. The CTE Buffer exists
-// only on TMCC, and the migration buffer and the page streams that hold
-// MC queue slots only on TMCC and OS-inspired, so zero entries elsewhere
+// structure a run never builds may have any size. The CTE Buffer exists
+// only on a run that embeds CTEs (TMCC without DisableEmbed or
+// HugePages), and the migration buffer and the page streams that hold MC
+// queue slots only on TMCC and OS-inspired, so zero entries elsewhere
 // must neither be rejected nor crash the run. The all-zero system is the
 // default one, not a degenerate one.
 func TestUnusedGeometryAccepted(t *testing.T) {
+	noBuffer := func(s *config.System) { s.Comp.CTEBufEntries = 0 }
 	for _, tc := range []struct {
 		name string
 		kind mc.Kind
 		edit func(*config.System)
+		opt  func(*Options)
 	}{
-		{"CTEBufEntries=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.CTEBufEntries = 0 }},
-		{"CTEBufEntries=0/os-inspired", mc.OSInspired, func(s *config.System) { s.Comp.CTEBufEntries = 0 }},
-		{"MigrationBufPages=0/uncompressed", mc.Uncompressed, func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
-		{"MigrationBufPages=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MigrationBufPages = 0 }},
-		{"MaxQueueSlots=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MaxQueueSlots = 0 }},
-		{"Sys=zero/uncompressed", mc.Uncompressed, func(s *config.System) { *s = config.System{} }},
+		{"CTEBufEntries=0/compresso", mc.Compresso, noBuffer, nil},
+		{"CTEBufEntries=0/os-inspired", mc.OSInspired, noBuffer, nil},
+		{"CTEBufEntries=0/tmcc+DisableEmbed", mc.TMCC, noBuffer, func(o *Options) { o.DisableEmbed = true }},
+		{"CTEBufEntries=0/tmcc+HugePages", mc.TMCC, noBuffer, func(o *Options) { o.HugePages = true }},
+		{"MigrationBufPages=0/uncompressed", mc.Uncompressed, func(s *config.System) { s.Comp.MigrationBufPages = 0 }, nil},
+		{"MigrationBufPages=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MigrationBufPages = 0 }, nil},
+		{"MaxQueueSlots=0/compresso", mc.Compresso, func(s *config.System) { s.Comp.MaxQueueSlots = 0 }, nil},
+		{"Sys=zero/uncompressed", mc.Uncompressed, func(s *config.System) { *s = config.System{} }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()
 			tc.edit(&sys)
-			r, err := NewRunner(Options{Benchmark: "canneal", Kind: tc.kind, Sys: sys, Seed: 42, WarmupAccesses: 1000, MeasureAccesses: 2000})
+			opt := Options{Benchmark: "canneal", Kind: tc.kind, Sys: sys, Seed: 42, WarmupAccesses: 1000, MeasureAccesses: 2000}
+			if tc.opt != nil {
+				tc.opt(&opt)
+			}
+			r, err := NewRunner(opt)
 			if err != nil {
 				t.Fatalf("NewRunner: %v", err)
 			}
@@ -125,5 +135,19 @@ func TestUnusedGeometryAccepted(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 		})
+	}
+}
+
+// TestPlacementErrorNamesRun: a budget too small to place the footprint
+// fails NewRunner with an error naming the run, with one "sim:" prefix,
+// that still matches mc.ErrCapacityExhausted.
+func TestPlacementErrorNamesRun(t *testing.T) {
+	opt := Options{Benchmark: "canneal", Kind: mc.TMCC, BudgetPages: CompressoBudget("canneal", 42) * 75 / 100, Seed: 42}
+	_, err := NewRunner(opt)
+	if !errors.Is(err, mc.ErrCapacityExhausted) {
+		t.Fatalf("NewRunner = %v; want an error matching ErrCapacityExhausted", err)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "sim: canneal/tmcc placement: ") || strings.Count(msg, "sim:") != 1 {
+		t.Errorf("error %q does not name canneal/tmcc's placement once", msg)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"tmcc/internal/blockcomp"
 	"tmcc/internal/config"
 	"tmcc/internal/content"
+	"tmcc/internal/fastdiv"
 	"tmcc/internal/memdeflate"
 	"tmcc/internal/obs"
 )
@@ -97,6 +98,7 @@ func buildSizeModel(prof content.Profile, nSamples int, seed int64, deflateParam
 	m := &SizeModel{
 		deflateSizes: make([]int, nSamples),
 		blockSizes:   make([]int, nSamples),
+		samples:      fastdiv.New(uint64(nSamples)),
 		zeroFrac:     prof.ZeroFraction,
 	}
 	halfPS := make([]config.Time, nSamples)

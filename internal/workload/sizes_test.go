@@ -6,6 +6,7 @@ import (
 
 	"tmcc/internal/blockcomp"
 	"tmcc/internal/content"
+	"tmcc/internal/fastdiv"
 	"tmcc/internal/memdeflate"
 	"tmcc/internal/obs"
 )
@@ -95,6 +96,7 @@ func buildSizeModelSerial(prof content.Profile, nSamples int, seed int64, deflat
 	m := &SizeModel{
 		deflateSizes: make([]int, nSamples),
 		blockSizes:   make([]int, nSamples),
+		samples:      fastdiv.New(uint64(nSamples)),
 		zeroFrac:     prof.ZeroFraction,
 	}
 	var halfSum, compSum int64
@@ -156,5 +158,23 @@ func BenchmarkSizeModelBuild(b *testing.B) {
 				sizeModelSink = buildSizeModel(prof, defaultSamples, 42, memdeflate.DefaultParams(), nil)
 			}
 		})
+	}
+}
+
+// TestPageSizesMatchesModulo: PageSizes picks sample (h>>16) % n through
+// the model's Divisor, with the shift and mask at the power-of-two sample
+// counts and the divide at 100.
+func TestPageSizesMatchesModulo(t *testing.T) {
+	for _, n := range []int{8, 64, 256, 100} {
+		m := &SizeModel{deflateSizes: make([]int, n), blockSizes: make([]int, n), samples: fastdiv.New(uint64(n))}
+		for i := range n {
+			m.deflateSizes[i], m.blockSizes[i] = i, n+i
+		}
+		for ppn := uint64(0); ppn < 5000; ppn++ {
+			want := int((ppn * 0x9E3779B97F4A7C15 >> 16) % uint64(n))
+			if d, b := m.PageSizes(ppn); d != want || b != n+want {
+				t.Fatalf("n=%d ppn=%d: sample %d/%d, want %d", n, ppn, d, b-n, want)
+			}
+		}
 	}
 }

@@ -10,7 +10,10 @@
 // calibrated per-benchmark mixes.
 package workload
 
-import "tmcc/internal/config"
+import (
+	"tmcc/internal/config"
+	"tmcc/internal/fastdiv"
+)
 
 // Access is one memory operation of the trace.
 type Access struct {
@@ -239,6 +242,7 @@ func (t *Trace) gap() int {
 type SizeModel struct {
 	deflateSizes []int // sampled distribution, bytes per 4KB page
 	blockSizes   []int
+	samples      fastdiv.Divisor // by len(deflateSizes)
 	zeroFrac     float64
 
 	// Mean per-page ASIC timing measured over the samples (feeds the MC's
@@ -255,7 +259,7 @@ func (m *SizeModel) PageSizes(ppn uint64) (deflate, block int) {
 	if float64(h%10000)/10000 < m.zeroFrac {
 		return 64, 64 // all-zero page: one tag block either way
 	}
-	i := int((h >> 16) % uint64(len(m.deflateSizes)))
+	i := int(m.samples.Mod(h >> 16))
 	return m.deflateSizes[i], m.blockSizes[i]
 }
 

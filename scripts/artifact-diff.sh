@@ -5,7 +5,8 @@
 # It builds tmccsim (plain, and with -race -tags tmccdebug) and ptbscan
 # from `git archive BASE` and from the working tree, runs with each
 #   - the `make smoke` chaos line (canneal/TMCC, CHAOS_PLAN, -chaos-seed 7,
-#     -ras, every observation output),
+#     -ras, every observation output), and the same line at -kind
+#     os-inspired, the other design the armed benchmark runs,
 #   - tmccsim -exp fig17 -quick -j 2 with -metrics, -timeline, -heatmap
 #     and -breakdown-csv: many runs folding into one observer
 #     concurrently, which pins the order-independent merge,
@@ -40,14 +41,17 @@ for side in base head; do
 		go build -race -tags tmccdebug -o "$o/tmccsim_chaos" ./cmd/tmccsim &&
 		go build -o "$o/ptbscan" ./cmd/ptbscan)
 	echo "artifact-diff: running $side"
-	"$o/tmccsim_chaos" -run canneal -kind tmcc -quick \
-		-faults "$plan" -chaos-seed 7 -ras \
-		-metrics "$o/chaos.json" -trace "$o/chaos.trace" -breakdown-csv "$o/chaos.bd.csv" \
-		-flame "$o/chaos.flame" -timeline "$o/chaos.tl.csv" -timeline-window 100us \
-		-heatmap "$o/chaos.hm.csv" > "$o/chaos.out" 2> "$o/chaos.err"
+	for k in tmcc os-inspired; do
+		c=$o/chaos-$k
+		"$o/tmccsim_chaos" -run canneal -kind "$k" -quick \
+			-faults "$plan" -chaos-seed 7 -ras \
+			-metrics "$c.json" -trace "$c.trace" -breakdown-csv "$c.bd.csv" \
+			-flame "$c.flame" -timeline "$c.tl.csv" -timeline-window 100us \
+			-heatmap "$c.hm.csv" > "$c.out" 2> "$c.err"
+	done
 	"$o/tmccsim" -exp fig17 -quick -j 2 -metrics "$o/fig17.json" -timeline "$o/fig17.tl.csv" \
 		-heatmap "$o/fig17.hm.csv" -breakdown-csv "$o/fig17.bd.csv" > "$o/fig17.out" 2> "$o/fig17.err"
-	for m in chaos fig17; do
+	for m in chaos-tmcc chaos-os-inspired fig17; do
 		jq 'del(.samples[] | select(.path == "engine.runMS" or .path == "engine.queueWaitMS"))' \
 			"$o/$m.json" > "$o/$m.sim.json"
 	done
@@ -57,8 +61,11 @@ for side in base head; do
 done
 
 status=0
-for f in chaos.out chaos.err chaos.trace chaos.bd.csv chaos.flame chaos.tl.csv chaos.hm.csv \
-	chaos.sim.json fig17.out fig17.err fig17.tl.csv fig17.hm.csv fig17.bd.csv fig17.sim.json \
+chaos=
+for k in tmcc os-inspired; do
+	for e in out err trace bd.csv flame tl.csv hm.csv sim.json; do chaos+=" chaos-$k.$e"; done
+done
+for f in $chaos fig17.out fig17.err fig17.tl.csv fig17.hm.csv fig17.bd.csv fig17.sim.json \
 	ext-2dwalk.csv ptbscan.txt ptbscan-huge.txt; do
 	if cmp "$dir/base/$f" "$dir/head/$f"; then
 		echo "artifact-diff: $f identical"
