@@ -60,8 +60,8 @@ func (c *Cache) CTETableAddr(tableBase uint64, ppn uint64) uint64 {
 // maps to, carrying the truncated CTE embedded in the PTB (if any) and the
 // PTB that held the PTE — needed for the lazy write-back of corrected
 // CTEs. The hardware keeps the PTB's physical address; the model keeps its
-// dense pagetable.Table slot, which names the same PTB without a
-// directory probe.
+// dense pagetable.Table slot (as the walk step carries it), which names
+// the same PTB without a lookup.
 type BufEntry struct {
 	PPN     uint64
 	CTE     uint32

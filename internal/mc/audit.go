@@ -55,30 +55,33 @@ func (m *MC) AuditPages() error {
 	retired := 0
 	for ppn := range m.pages {
 		st := &m.pages[ppn]
-		if st.retired {
+		if st.is(pgRetired) {
 			// A retired page must sit pinned uncompressed on its frame:
 			// never in ML2, never a compression candidate again.
 			retired++
-			if st.inML2 {
+			if st.is(pgInML2) {
 				return fmt.Errorf("ppn %#x: retired page stored in ML2", ppn)
 			}
-			if !st.incompressible {
+			if !st.is(pgIncompressible) {
 				return fmt.Errorf("ppn %#x: retired page still marked compressible", ppn)
 			}
-			if !st.placed {
+			if !st.is(pgPlaced) {
 				return fmt.Errorf("ppn %#x: retired page not placed", ppn)
 			}
 		}
-		if !st.placed {
-			if st.inML2 {
+		if st.is(pgCorrupt) && !st.is(pgInML2) {
+			return fmt.Errorf("ppn %#x: corrupt mark on a page outside ML2", ppn)
+		}
+		if !st.is(pgPlaced) {
+			if st.is(pgInML2) {
 				return fmt.Errorf("ppn %#x: in ML2 but never placed", ppn)
 			}
 			continue
 		}
 		e := m.CurrentCTE(uint64(ppn))
-		if st.inML2 {
+		if st.is(pgInML2) {
 			inML2++
-			if st.incompressible {
+			if st.is(pgIncompressible) {
 				return fmt.Errorf("ppn %#x: incompressible page stored in ML2", ppn)
 			}
 			if !e.InML2 {

@@ -140,19 +140,43 @@ type Stats struct {
 }
 
 // pageState is the controller's per-OS-page record. New allocates one per
-// OS page, so it is kept packed at 16 bytes (TestPageStatePacked).
+// OS page, so it is kept packed at 8 bytes (TestPageStatePacked).
 type pageState struct {
 	// chunk is the ML1 frame when !inML2. When inML2 it is the ML2
 	// super-chunk, and class and slot complete the sub-chunk (sub).
-	chunk          uint32
-	sum            uint32 // payload checksum while compressed in ML2
-	class, slot    uint8
-	inML2          bool
-	incompressible bool
-	placed         bool
-	// retired pins the page uncompressed on a frame the RAS scoreboard
+	chunk       uint32
+	class, slot uint8
+	flags       pageFlags
+}
+
+// pageFlags are a pageState's one-bit facts.
+type pageFlags uint8
+
+const (
+	pgInML2 pageFlags = 1 << iota
+	pgIncompressible
+	pgPlaced
+	// pgRetired pins the page uncompressed on a frame the RAS scoreboard
 	// permanently withdrew from circulation (implies incompressible).
-	retired bool
+	pgRetired
+	// pgCorrupt marks an ML2 payload whose stored checksum no longer
+	// matches what decompression yields. A payload fault toggles it, as a
+	// flipped checksum bit would (two faults cancel), and storing or
+	// rewriting the payload clears it. The checksum itself needs no room:
+	// it is a pure function of the page's number and compressed size.
+	pgCorrupt
+)
+
+// is reports whether every flag in f is set.
+func (st *pageState) is(f pageFlags) bool { return st.flags&f == f }
+
+// set sets or clears the flags in f.
+func (st *pageState) set(f pageFlags, on bool) {
+	if on {
+		st.flags |= f
+	} else {
+		st.flags &^= f
+	}
 }
 
 // sub is the ML2 sub-chunk an inML2 page's payload occupies.
@@ -478,25 +502,25 @@ func (m *MC) UsedPages() uint64 {
 // space ran out (the page lands in ML1 instead).
 func (m *MC) Place(ppn uint64, toML2 bool) bool {
 	st := &m.pages[ppn]
-	if st.placed {
+	if st.is(pgPlaced) {
 		return true
 	}
 	if m.ml2 == nil {
 		m.placeML1(0, ppn)
 		return true
 	}
-	if toML2 && !st.incompressible {
+	if toML2 && !st.is(pgIncompressible) {
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
 		// No size class holds a page that does not compress.
 		if sub, ok := m.ml2.Alloc(size); ok {
-			st.placed = true
+			st.set(pgPlaced, true)
 			m.storeML2(ppn, st, sub, size)
 			if check.Enabled {
 				check.Invariant("mc: chunk-conservation after ML2 place", m.audit)
 			}
 			return true
 		}
-		st.incompressible = size >= config.PageSize
+		st.set(pgIncompressible, size >= config.PageSize)
 	}
 	_, ok := m.placeML1(0, ppn)
 	return ok && !toML2
@@ -510,7 +534,7 @@ func (m *MC) Place(ppn uint64, toML2 bool) bool {
 // capacity failure and leaves the page unplaced.
 func (m *MC) placeML1(now config.Time, ppn uint64) (config.Time, bool) {
 	st := &m.pages[ppn]
-	st.placed = true
+	st.set(pgPlaced, true)
 	if m.ml1 == nil {
 		st.chunk = uint32(ppn % m.chunkPool)
 		m.ml1Size++
@@ -518,7 +542,7 @@ func (m *MC) placeML1(now config.Time, ppn uint64) (config.Time, bool) {
 	}
 	c, ready, ok := m.popFrame(now)
 	if !ok {
-		st.placed = false
+		st.set(pgPlaced, false)
 		m.failCapacity(ppn)
 		return now, false
 	}
@@ -550,9 +574,9 @@ func (m *MC) lazyPlace(now config.Time, ppn uint64) config.Time {
 // storeML2 records ppn's compressed payload in ML2 sub-chunk sub: the
 // ML2 entry that first placement and eviction share.
 func (m *MC) storeML2(ppn uint64, st *pageState, sub freelist.SubChunk, size int) {
-	st.inML2 = true
+	st.set(pgInML2, true)
 	st.chunk, st.class, st.slot = sub.Super, sub.Class, sub.Slot
-	st.sum = pageChecksum(ppn, size)
+	st.set(pgCorrupt, false)
 	m.ml2CompBytes.Observe(int64(size))
 	m.heat.CompressedSize(ppn, int64(size))
 }
@@ -564,7 +588,7 @@ func (m *MC) TouchPage(ppn uint64) {
 		return
 	}
 	st := &m.pages[ppn]
-	if st.placed && !st.inML2 && !st.incompressible {
+	if st.is(pgPlaced) && !st.is(pgInML2) && !st.is(pgIncompressible) {
 		m.rec.Touch(ppn)
 	}
 }
@@ -572,8 +596,8 @@ func (m *MC) TouchPage(ppn uint64) {
 // CurrentCTE snapshots the page's translation for embedding into PTBs.
 func (m *MC) CurrentCTE(ppn uint64) cte.Entry {
 	st := &m.pages[ppn]
-	e := cte.Entry{InML2: st.inML2, IsIncompressible: st.incompressible}
-	if st.inML2 {
+	e := cte.Entry{InML2: st.is(pgInML2), IsIncompressible: st.is(pgIncompressible)}
+	if st.is(pgInML2) {
 		e.DRAMPage = uint32(m.ml2.Address(st.sub()) / config.PageSize)
 	} else {
 		e.DRAMPage = st.chunk
@@ -604,7 +628,7 @@ func (m *MC) Access(now config.Time, ppn uint64, blockOff int, write bool, embed
 		m.ab.Reset()
 	}
 	st := &m.pages[ppn]
-	if !st.placed {
+	if !st.is(pgPlaced) {
 		now = m.lazyPlace(now, ppn)
 	}
 	if m.ras != nil {
@@ -686,20 +710,20 @@ func (m *MC) accessCompresso(now config.Time, st *pageState, ppn uint64, blockOf
 
 func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff int, write bool, cteHit bool, embedded *cte.Entry) Result {
 	// Sample 1% of ML1 accesses into the Recency List (Section IV-B).
-	if !st.inML2 && m.rng.Float64() < m.cfg.Sys.Comp.RecencySampleRate {
-		if st.incompressible {
+	if !st.is(pgInML2) && m.rng.Float64() < m.cfg.Sys.Comp.RecencySampleRate {
+		if st.is(pgIncompressible) {
 			// Retired pages never re-candidate: their frame is permanently
 			// pinned uncompressed.
-			if !st.retired && write && m.rng.Float64() < 0.01 {
+			if !st.is(pgRetired) && write && m.rng.Float64() < 0.01 {
 				m.rec.InsertCold(ppn) // re-candidate after writebacks
-				st.incompressible = false
+				st.set(pgIncompressible, false)
 			}
 		} else {
 			m.rec.Touch(ppn)
 		}
 	}
 
-	if st.inML2 {
+	if st.is(pgInML2) {
 		done := m.serveML2(now, st, ppn, blockOff, cteHit)
 		m.maybeEvict(done)
 		return Result{Done: done, Tag: TagML2}
@@ -806,7 +830,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 	respond := last + m.cfg.ML2HalfPage
 
 	m.payloadFault(st)
-	quarantined := st.sum != pageChecksum(ppn, size)
+	quarantined := st.is(pgCorrupt)
 	if quarantined {
 		// One bounded re-read and re-decompress (charged like a verify
 		// redo) before the page is quarantined out of ML2.
@@ -837,7 +861,7 @@ func (m *MC) serveML2(now config.Time, st *pageState, ppn uint64, blockOff int, 
 			// No frame even after an eviction attempt: the scrubber
 			// rewrites the payload in place and the page stays in ML2
 			// with its checksum restored.
-			st.sum = pageChecksum(ppn, size)
+			st.set(pgCorrupt, false)
 		}
 		// No room: serve from ML2 without migrating.
 		return respond
@@ -862,14 +886,14 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 		// recoverable condition.
 		panic(fmt.Sprintf("mc: freeing ML2 sub-blocks for ppn %#x: %v", ppn, err))
 	}
-	st.inML2 = false
+	st.set(pgInML2|pgCorrupt, false)
 	st.chunk = chunk
 	m.ml1Size++
 	m.rec.Touch(ppn)
 	m.Stats.ML2ToML1++
 	m.heat.Event(ppn, heatmap.EvML2ToML1)
 	if quarantined {
-		st.incompressible = true
+		st.set(pgIncompressible, true)
 		if m.ras != nil {
 			m.maybeRetire(ppn, st)
 		}
@@ -884,7 +908,7 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 // matches what decompression produces.
 func (m *MC) payloadFault(st *pageState) {
 	if m.inj != nil && m.inj.Payload() {
-		st.sum ^= 1
+		st.flags ^= pgCorrupt
 	}
 }
 
@@ -955,15 +979,15 @@ func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 			return 0, now, false
 		}
 		st := &m.pages[ppn]
-		if st.inML2 || !st.placed {
+		if st.is(pgInML2) || !st.is(pgPlaced) {
 			continue
 		}
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
-		if st.incompressible || size >= config.PageSize {
+		if st.is(pgIncompressible) || size >= config.PageSize {
 			// Quarantined after a payload fault, re-candidated and then
 			// flagged, or incompressible: retain in ML1, off the Recency
 			// List, so we do not repeatedly recompress it (Section IV-B).
-			st.incompressible = true
+			st.set(pgIncompressible, true)
 			m.Stats.IncompressSkips++
 			continue
 		}
@@ -1094,14 +1118,14 @@ func (m *MC) SampleResidency() {
 	}
 	for ppn := range m.pages {
 		st := &m.pages[ppn]
-		if !st.placed {
+		if !st.is(pgPlaced) {
 			continue
 		}
 		tier := heatmap.TierML1
 		switch {
-		case st.retired:
+		case st.is(pgRetired):
 			tier = heatmap.TierRetired
-		case st.inML2:
+		case st.is(pgInML2):
 			tier = heatmap.TierML2
 		case uint64(st.chunk) >= m.cfg.BudgetPages:
 			tier = heatmap.TierOverflow
@@ -1111,9 +1135,9 @@ func (m *MC) SampleResidency() {
 }
 
 // InML2 reports whether ppn currently lives compressed.
-func (m *MC) InML2(ppn uint64) bool { return m.pages[ppn].inML2 }
+func (m *MC) InML2(ppn uint64) bool { return m.pages[ppn].is(pgInML2) }
 
 // Placed reports whether ppn has a resident location.
 func (m *MC) Placed(ppn uint64) bool {
-	return ppn < uint64(len(m.pages)) && m.pages[ppn].placed
+	return ppn < uint64(len(m.pages)) && m.pages[ppn].is(pgPlaced)
 }

@@ -10,12 +10,12 @@ import (
 	"tmcc/internal/workload"
 )
 
-// TestPageStatePacked pins the per-page controller state at 16 bytes: New
+// TestPageStatePacked pins the per-page controller state at 8 bytes: New
 // allocates one per OS page, so a new field grows every system's largest
 // build allocation.
 func TestPageStatePacked(t *testing.T) {
-	if got := unsafe.Sizeof(pageState{}); got != 16 {
-		t.Fatalf("unsafe.Sizeof(pageState{}) = %d, want 16", got)
+	if got := unsafe.Sizeof(pageState{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(pageState{}) = %d, want 8", got)
 	}
 }
 

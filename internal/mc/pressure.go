@@ -190,15 +190,6 @@ func (m *MC) failCapacity(ppn uint64) {
 	}
 }
 
-// pageChecksum models the checksum the MC stores with each compressed ML2
-// payload (computed at compression time, verified after decompression). A
-// mix of page number and compressed size stands in for a real CRC: the
-// simulator tracks payload provenance, not payload bytes.
-func pageChecksum(ppn uint64, size int) uint32 {
-	h := ppn*0x9e3779b97f4a7c15 ^ uint64(size) //tmcclint:allow magic-literal (golden-ratio hash constant)
-	return uint32(h ^ h>>32)
-}
-
 // injectDRAM applies armed DRAM faults to one request-path operation:
 // latency spikes delay the issue, and transient channel busy makes the MC
 // back off exponentially and retry, issuing anyway once the retry budget

@@ -87,11 +87,11 @@ func (m *MC) rasStrike(ppn uint64) {
 // is stamped on the heatmap as a churn event conserved against the
 // lifetime ras.retired counter.
 func (m *MC) maybeRetire(ppn uint64, st *pageState) {
-	if st.retired || st.inML2 || !st.placed || !m.ras.ShouldRetire(ppn) {
+	if st.is(pgRetired) || st.is(pgInML2) || !st.is(pgPlaced) || !m.ras.ShouldRetire(ppn) {
 		return
 	}
-	st.retired = true
-	st.incompressible = true
+	st.set(pgRetired, true)
+	st.set(pgIncompressible, true)
 	if m.ml1 != nil && uint64(st.chunk) < m.cfg.BudgetPages {
 		m.ml1.Retire(st.chunk)
 	}
@@ -113,15 +113,14 @@ func (m *MC) scrubPatrol(quota int) {
 		ppn := m.ras.NextScrub(len(m.pages))
 		m.tally.rasScrubPages++
 		st := &m.pages[ppn]
-		if !st.placed || !st.inML2 {
+		if !st.is(pgPlaced) || !st.is(pgInML2) {
 			continue
 		}
 		m.rasBacklog += m.ras.ScrubPagePS()
-		size, _ := m.cfg.Sizes.PageSizes(ppn)
 		// A latent fault surfaces here rather than on a demand read: same
 		// injection site, drawn on the patrol's deterministic schedule.
 		m.payloadFault(st)
-		if st.sum == pageChecksum(ppn, size) {
+		if !st.is(pgCorrupt) {
 			continue
 		}
 		// The page is repaired from its (modeled) redundant copy and
@@ -134,9 +133,10 @@ func (m *MC) scrubPatrol(quota int) {
 		m.rasBacklog += m.cfg.ML2HalfPage
 		chunk, ok := m.ml1.Pop()
 		if !ok {
-			st.sum = pageChecksum(ppn, size)
+			st.set(pgCorrupt, false)
 			continue
 		}
+		size, _ := m.cfg.Sizes.PageSizes(ppn)
 		m.promote(ppn, st, chunk, size, true)
 	}
 }

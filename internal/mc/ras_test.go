@@ -83,7 +83,7 @@ func TestScrubPatrolDetectsQuarantinesAndRetires(t *testing.T) {
 		t.Fatalf("RASRetired = %d, want 1", got)
 	}
 	st := &m.pages[40]
-	if !st.retired || !st.incompressible {
+	if !st.is(pgRetired) || !st.is(pgIncompressible) {
 		t.Fatalf("page state after retirement: %+v", st)
 	}
 	if c := inj.Counters(); c.Quarantines != 1 {
@@ -233,5 +233,59 @@ func TestRASZeroConfigIsByteIdentical(t *testing.T) {
 	}
 	if rassed.RASRetired() != 0 || rassed.RASDegraded() {
 		t.Error("zero config built live RAS state")
+	}
+}
+
+// TestPayloadFaultsCancelInPairs pins the corrupt mark's parity: a
+// payload fault flips the stored checksum's low bit, so two faults on one
+// ML2 page before it is read leave the checksum matching and the page is
+// served and migrated normally, while one fault quarantines it. A demand
+// read and the RAS patrol must agree.
+func TestPayloadFaultsCancelInPairs(t *testing.T) {
+	const ppn = 40
+	for _, patrol := range []bool{false, true} {
+		for _, faults := range []int{1, 2} {
+			var rcfg ras.Config
+			if patrol {
+				rcfg = ras.Config{WindowPS: 100 * config.Nanosecond, ScrubPages: 16384, ScrubPagePS: 25 * config.Nanosecond}
+			}
+			m, _ := newRAS(t, rcfg, nil)
+			if !m.Place(ppn, true) {
+				t.Fatal("ML2 placement failed")
+			}
+			m.Place(50, false)
+			// Draw the faults from an always-firing injector, then disarm it
+			// so the read itself draws none.
+			m.inj = fault.NewInjector(fault.Plan{Seed: 5, Payload: 1}, fault.RunSalt("unit", "parity"))
+			for i := 0; i < faults; i++ {
+				m.payloadFault(&m.pages[ppn])
+			}
+			m.inj = nil
+
+			// Past the first window edge the patrol visits the whole table
+			// on an access to another page; without it, read the page.
+			target := uint64(ppn)
+			if patrol {
+				target = 50
+			}
+			m.Access(150*config.Nanosecond, target, 0, false, nil, false)
+
+			st := &m.pages[ppn]
+			quarantined := st.is(pgIncompressible)
+			if want := faults == 1; quarantined != want {
+				t.Errorf("patrol=%v, %d faults: quarantined=%v, want %v", patrol, faults, quarantined, want)
+			}
+			if st.is(pgCorrupt) {
+				t.Errorf("patrol=%v, %d faults: corrupt mark survives the read", patrol, faults)
+			}
+			// The patrol leaves a clean page in ML2; a demand read migrates
+			// it either way.
+			if wantML2 := patrol && faults == 2; m.InML2(ppn) != wantML2 {
+				t.Errorf("patrol=%v, %d faults: InML2=%v, want %v", patrol, faults, m.InML2(ppn), wantML2)
+			}
+			if patrol && m.tally.rasScrubDetect != uint64(faults%2) {
+				t.Errorf("patrol=%v, %d faults: %d patrol detections, want %d", patrol, faults, m.tally.rasScrubDetect, faults%2)
+			}
+		}
 	}
 }

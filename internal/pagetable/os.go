@@ -1,6 +1,9 @@
 package pagetable
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // OSConfig tunes the modeled OS allocator that builds an address space.
 // The noise rates are calibrated so a Figure 6 scan of the resulting tables
@@ -46,6 +49,11 @@ type AddressSpace struct {
 	// OSPages is the size of the OS physical page pool the allocator drew
 	// from (sets the PPN width; Section V-A5 truncation depends on it).
 	OSPages uint64
+	// PPNs is the dense translation of the mapped range: PPNs[vpn-VBase]
+	// is the data PPN of every vpn in VPNRange, filled as the build maps
+	// it. A built table is static, so a simulator can collapse the
+	// per-access radix descent to one bounds check and one load.
+	PPNs []uint64
 }
 
 // regionFlagChoices are the status-bit combinations regions draw from;
@@ -80,40 +88,34 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 	// Physical allocator: sequential runs with random restarts, never
 	// handing out the same frame twice. Table pages and data pages
 	// interleave in the same pool, like a buddy allocator under load.
-	used := make([]bool, osPages)
+	used := newFrameSet(osPages)
 	next := uint64(rng.Int63n(int64(osPages / 4)))
 	allocPPN := func() uint64 {
 		if rng.Float64() < cfg.Fragmentation {
 			next = uint64(rng.Int63n(int64(osPages)))
 		}
-		for {
-			p := next % osPages
-			next++
-			if !used[p] {
-				used[p] = true
-				return p
-			}
-		}
+		p := used.claimFrom(next)
+		next = p + 1
+		return p
 	}
 	// Huge-page data allocations must be 512-aligned; keep a separate
-	// aligned bump pointer for them.
+	// aligned bump pointer for them. A frame is taken when its first page
+	// is free.
 	nextHuge := uint64(0)
 	allocHugePPN := func() uint64 {
 		for {
 			p := nextHuge % osPages
 			nextHuge += EntriesPer
-			if !used[p] {
+			if !used.has(p) {
 				for i := uint64(0); i < EntriesPer; i++ {
-					used[p+i] = true
+					used.add(p + i)
 				}
 				return p
 			}
 		}
 	}
 
-	// Every table PPN comes from the pool, so a pool-sized directory never
-	// regrows.
-	t := newTable(allocPPN, cfg.HugePages, osPages)
+	t := New(allocPPN, cfg.HugePages)
 	as := &AddressSpace{Table: t, DataPages: dataPages, VBase: 0x10000, OSPages: osPages}
 
 	// Carve the footprint into regions with uniform flags.
@@ -137,11 +139,18 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 		vpn = vpn / EntriesPer * EntriesPer
 		as.VBase = vpn
 	}
+	lo, hi := as.VPNRange()
+	as.PPNs = make([]uint64, hi-lo)
 	for _, r := range regions {
 		if cfg.HugePages {
-			// Round the region to whole 2MB frames.
+			// Round the region to whole 2MB frames. Rounding each region
+			// can map past VPNRange; the dense table stops at its end.
 			for mapped := uint64(0); mapped < r.pages; mapped += EntriesPer {
-				t.Map(vpn, allocHugePPN(), r.flags)
+				ppn := allocHugePPN()
+				t.Map(vpn, ppn, r.flags)
+				for i := uint64(0); i < EntriesPer && vpn+i < hi; i++ {
+					as.PPNs[vpn+i-lo] = ppn + i
+				}
 				vpn += EntriesPer
 			}
 			continue
@@ -151,7 +160,9 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 			if rng.Float64() < cfg.L1FlagNoise {
 				flags = oddFlagChoices[rng.Intn(len(oddFlagChoices))]
 			}
-			t.Map(vpn, allocPPN(), flags)
+			ppn := allocPPN()
+			t.Map(vpn, ppn, flags)
+			as.PPNs[vpn-lo] = ppn
 			vpn++
 		}
 	}
@@ -163,7 +174,7 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 		t.perturbLevel(2, cfg.L2FlagNoise, rng)
 	}
 	// Freeze the table. This also releases the allocator's closure, which
-	// would pin the pool-sized used bitmap and the rng for as long as the
+	// would pin the pool-sized frame set and the rng for as long as the
 	// table lives.
 	t.alloc = nil
 	return as
@@ -198,4 +209,43 @@ func (as *AddressSpace) VPNRange() (lo, hi uint64) {
 		n = (n + EntriesPer - 1) / EntriesPer * EntriesPer
 	}
 	return as.VBase, as.VBase + n
+}
+
+// frameSet is the allocator's set of taken frames: one bit per page of
+// the pool, the bits past the pool preset so a scan never returns them.
+type frameSet []uint64
+
+const setWord = 64 // frames per frameSet word
+
+func newFrameSet(pages uint64) frameSet {
+	s := make(frameSet, (pages+setWord-1)/setWord)
+	if tail := pages % setWord; tail != 0 {
+		s[len(s)-1] = ^uint64(0) << tail
+	}
+	return s
+}
+
+func (s frameSet) has(p uint64) bool { return s[p/setWord]&(1<<(p%setWord)) != 0 }
+func (s frameSet) add(p uint64)      { s[p/setWord] |= 1 << (p % setWord) }
+
+// claimFrom takes and returns the first free frame at or after p,
+// wrapping past the end of the pool to frame 0. It panics when every
+// frame is taken.
+func (s frameSet) claimFrom(p uint64) uint64 {
+	w := p / setWord
+	if w >= uint64(len(s)) {
+		w, p = 0, 0
+	}
+	free := ^s[w] &^ (1<<(p%setWord) - 1) // free frames at or after p in word w
+	for scanned := 0; free == 0; scanned++ {
+		if scanned == len(s) {
+			panic("pagetable: OS page pool exhausted")
+		}
+		if w++; w == uint64(len(s)) {
+			w = 0
+		}
+		free = ^s[w]
+	}
+	s[w] |= free & -free
+	return w*setWord + uint64(bits.TrailingZeros64(free))
 }

@@ -57,12 +57,14 @@ func MakePTE(ppn uint64, flags uint64) uint64 {
 	return flags&^ppnMask | ppn<<ppnShift&ppnMask
 }
 
-// node is one 4KB table page.
+// node is one 4KB table page. Only interior pages point at children:
+// a leaf-level page (most of any table) carries no child array, and its
+// one pointer field leads the struct so the GC scans no PTE.
 type node struct {
+	children *[EntriesPer]*node // nil at the leaf level
 	ppn      uint64
 	idx      int32 // dense creation-order index, for flat per-PTB state
 	ptes     [EntriesPer]uint64
-	children [EntriesPer]*node // nil at level 1
 }
 
 // Table is a 4-level page table for one address space.
@@ -75,39 +77,26 @@ type Table struct {
 	hugePgs bool // map at 2MB granularity (Section VIII)
 	// nodes lists the table pages in creation order: nodes[n.idx] == n.
 	nodes []*node
-	// byPPN is a PPN-indexed directory of table pages holding node idx+1
-	// (0 marks a data page). Table PPNs are drawn from a bounded OS pool,
-	// so directory probes on the walk/repair hot path are one bounds check
-	// and one load, and the pointer-free slice costs the GC nothing to
-	// scan. BuildAddressSpace sizes it to the pool once; New grows it on
-	// demand.
-	byPPN []int32
 }
 
 // New creates an empty table; alloc hands out PPNs for the table pages
 // themselves (they live in physical memory too). hugePages selects 2MB
 // mappings, which terminate the walk at L2.
-func New(alloc func() uint64, hugePages bool) *Table { return newTable(alloc, hugePages, 0) }
-
-// newTable is New with the directory presized to dirLen PPNs, so a table
-// whose page PPNs all fall below dirLen never regrows it.
-func newTable(alloc func() uint64, hugePages bool, dirLen uint64) *Table {
-	t := &Table{alloc: alloc, hugePgs: hugePages, byPPN: make([]int32, dirLen)}
-	t.root = &node{ppn: alloc()}
-	t.addNode(t.root)
+func New(alloc func() uint64, hugePages bool) *Table {
+	t := &Table{alloc: alloc, hugePgs: hugePages}
+	t.root = t.newNode(Levels)
 	return t
 }
 
-// addNode registers a freshly allocated table page in the dense directory.
-func (t *Table) addNode(n *node) {
-	n.idx = int32(len(t.nodes))
-	t.nodes = append(t.nodes, n)
-	if n.ppn >= uint64(len(t.byPPN)) {
-		grown := make([]int32, n.ppn+n.ppn/2+64)
-		copy(grown, t.byPPN)
-		t.byPPN = grown
+// newNode allocates and registers the table page for one level: it gets
+// the next creation index and, above the leaf level, a child array.
+func (t *Table) newNode(level int) *node {
+	n := &node{ppn: t.alloc(), idx: int32(len(t.nodes))}
+	if level > t.leafLevel() {
+		n.children = new([EntriesPer]*node)
 	}
-	t.byPPN[n.ppn] = n.idx + 1
+	t.nodes = append(t.nodes, n)
+	return n
 }
 
 // TablePages reports how many 4KB pages the table itself occupies.
@@ -143,10 +132,9 @@ func (t *Table) Map(vpn, ppn uint64, flags uint64) {
 	for level := Levels; level > leaf; level-- {
 		i := index(vpn, level)
 		if n.children[i] == nil {
-			child := &node{ppn: t.alloc()}
+			child := t.newNode(level - 1)
 			n.children[i] = child
 			n.ptes[i] = MakePTE(child.ppn, FlagPresent|FlagWrite|FlagUser|FlagAccessed)
-			t.addNode(child)
 		}
 		n = n.children[i]
 	}
@@ -161,11 +149,14 @@ func (t *Table) Map(vpn, ppn uint64, flags uint64) {
 }
 
 // Step describes one page-walk access: the physical address of the 64B PTB
-// fetched and the raw PTE the walker reads from it.
+// fetched, its dense slot, and the raw PTE the walker reads from it.
 type Step struct {
 	Level   int    // 4 (root) down to the leaf
 	PTBAddr uint64 // physical byte address of the 64B PTB
-	PTE     uint64 // the entry consumed at this level
+	// Slot is the PTB's dense slot (see PTBSlots): the walker holds the
+	// table page, so per-PTB state needs no lookup by address.
+	Slot int
+	PTE  uint64 // the entry consumed at this level
 	// NextPPN is the PPN the PTE points at: the next table page, or the
 	// data page at the leaf.
 	NextPPN uint64
@@ -197,6 +188,7 @@ func (t *Table) WalkAppend(buf []Step, vpn uint64) (steps []Step, ppn uint64, ok
 		steps = append(steps, Step{
 			Level:   level,
 			PTBAddr: n.ppn<<PageShift + uint64(i/PTEsPerPTB*PTBSize),
+			Slot:    int(n.idx)*PTBsPerPage + i/PTEsPerPTB,
 			PTE:     pte,
 			NextPPN: next,
 		})
@@ -280,44 +272,21 @@ func (t *Table) TablePagePPNs() []uint64 {
 }
 
 // PTBSlots reports the size of the dense PTB-slot space: every table page
-// contributes PTBsPerPage consecutive slots in creation order. The table
-// is static once built, so per-PTB simulator state can live in a flat
-// slice indexed by PTBSlot instead of a map keyed by address.
+// contributes PTBsPerPage consecutive slots in creation order, so the PTB
+// at PTE index i of the n-th page created is slot n*PTBsPerPage +
+// i/PTEsPerPTB. Walk steps carry their slot. The table is static once
+// built, so per-PTB simulator state can live in a flat slice indexed by
+// slot instead of a map keyed by address.
 func (t *Table) PTBSlots() int { return len(t.nodes) * PTBsPerPage }
 
-// PTBSlot maps the physical byte address of a PTB (as produced in walk
-// steps) to its dense slot index; ok=false when addr does not fall in a
-// table page.
-func (t *Table) PTBSlot(addr uint64) (int, bool) {
-	ppn := addr >> PageShift
-	if ppn >= uint64(len(t.byPPN)) || t.byPPN[ppn] == 0 {
-		return 0, false
-	}
-	return int(t.byPPN[ppn]-1)*PTBsPerPage + int(addr%PageSizeBytes)/PTBSize, true
-}
-
-// PTBAt returns the eight raw PTEs of the PTB at a dense slot (as PTBSlot
-// returns it) in place, with no copy and no directory probe: table pages
-// are listed in creation order, matching the idx each node carries. The
-// table is read-only once built, so callers must not write through the
-// pointer. It panics for a slot outside [0, PTBSlots()).
+// PTBAt returns the eight raw PTEs of the PTB at a dense slot (as a walk
+// step carries it) in place, with no copy: table pages are listed in
+// creation order, matching the idx each node carries. The table is
+// read-only once built, so callers must not write through the pointer. It
+// panics for a slot outside [0, PTBSlots()).
 func (t *Table) PTBAt(slot int) *[PTEsPerPTB]uint64 {
 	b := slot % PTBsPerPage * PTEsPerPTB
 	return (*[PTEsPerPTB]uint64)(t.nodes[slot/PTBsPerPage].ptes[b : b+PTEsPerPTB])
-}
-
-// DensePPNs returns the data PPN of each vpn in [lo, lo+n), with missing
-// where the vpn is unmapped. A built table is static, so a simulator can
-// collapse the per-access radix descent to one bounds check and one load.
-func (t *Table) DensePPNs(lo, n, missing uint64) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = missing
-		if ppn, ok := t.Lookup(lo + uint64(i)); ok {
-			out[i] = ppn
-		}
-	}
-	return out
 }
 
 // Lookup returns the data PPN for vpn without recording walk steps. It

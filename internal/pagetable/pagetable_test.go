@@ -142,30 +142,149 @@ func TestPTBsVisitsPresent(t *testing.T) {
 	}
 }
 
-// TestPTBAtMatchesPTBs pins the slot accessor: every present PTB the
-// table reports resolves through PTBSlot to a slot whose PTBAt holds its
-// PTEs, and distinct PTBs get distinct slots below PTBSlots.
+// TestPTBAtMatchesPTBs pins the slot accessor: every walk step's slot
+// lies below PTBSlots and holds the PTE the step consumed, distinct PTBs
+// get distinct slots, and every present PTB the table reports holds at its
+// walked slot the PTEs PTBAt returns.
 func TestPTBAtMatchesPTBs(t *testing.T) {
 	pt := New(seqAlloc(), false)
+	var vpns []uint64
 	for vpn := uint64(0); vpn < 3000; vpn += 3 {
-		pt.Map(vpn<<9|vpn&511, vpn+5000, FlagPresent|FlagWrite)
+		vpns = append(vpns, vpn<<9|vpn&511)
+		pt.Map(vpns[len(vpns)-1], vpn+5000, FlagPresent|FlagWrite)
 	}
-	seen := map[int]bool{}
+	slotOf := map[uint64]int{}
+	addrOf := map[int]uint64{}
+	for _, vpn := range vpns {
+		steps, _, ok := pt.Walk(vpn)
+		if !ok {
+			t.Fatalf("vpn %#x unmapped", vpn)
+		}
+		for _, s := range steps {
+			if s.Slot < 0 || s.Slot >= pt.PTBSlots() {
+				t.Fatalf("vpn %#x level %d: slot %d, want one below %d", vpn, s.Level, s.Slot, pt.PTBSlots())
+			}
+			if !ptbHolds(pt.PTBAt(s.Slot), s.PTE) {
+				t.Fatalf("vpn %#x level %d: PTBAt(%d) does not hold the step's PTE %#x", vpn, s.Level, s.Slot, s.PTE)
+			}
+			if a, ok := addrOf[s.Slot]; ok && a != s.PTBAddr {
+				t.Fatalf("PTBs %#x and %#x share slot %d", a, s.PTBAddr, s.Slot)
+			}
+			addrOf[s.Slot] = s.PTBAddr
+			slotOf[s.PTBAddr] = s.Slot
+		}
+	}
 	pt.PTBs(func(b PTB) {
-		slot, ok := pt.PTBSlot(b.Addr)
-		if !ok || slot < 0 || slot >= pt.PTBSlots() {
-			t.Fatalf("PTBSlot(%#x) = %d, %v; want a slot below %d", b.Addr, slot, ok, pt.PTBSlots())
+		slot, ok := slotOf[b.Addr]
+		if !ok {
+			t.Fatalf("present PTB %#x on no walk", b.Addr)
 		}
-		if seen[slot] {
-			t.Fatalf("PTB %#x shares slot %d", b.Addr, slot)
-		}
-		seen[slot] = true
 		if got := *pt.PTBAt(slot); got != b.PTEs {
 			t.Errorf("PTBAt(%d) = %x, PTB %#x holds %x", slot, got, b.Addr, b.PTEs)
 		}
 	})
-	if _, ok := pt.PTBSlot(5000 << PageShift); ok {
-		t.Error("a data page resolved to a PTB slot")
+}
+
+// ptbHolds reports whether pte is one of a PTB's eight entries.
+func ptbHolds(ptes *[PTEsPerPTB]uint64, pte uint64) bool {
+	for _, p := range ptes {
+		if p == pte {
+			return true
+		}
+	}
+	return false
+}
+
+// directory is the PPN-indexed table-page directory a walk used to
+// resolve a PTB's slot through: creation index of the table page holding
+// the PTB, times PTBsPerPage, plus the PTB's index in its page.
+type directory map[uint64]int
+
+func (d directory) slot(ptbAddr uint64) (int, bool) {
+	idx, ok := d[ptbAddr>>PageShift]
+	return idx*PTBsPerPage + int(ptbAddr%PageSizeBytes)/PTBSize, ok
+}
+
+// checkStepSlots walks every vpn in [lo, hi) and requires each step's
+// Slot to equal the directory's slot for its PTB address.
+func checkStepSlots(t *testing.T, name string, pt *Table, dir directory, lo, hi uint64) {
+	t.Helper()
+	buf := make([]Step, 0, Levels)
+	for vpn := lo; vpn < hi; vpn++ {
+		steps, _, ok := pt.WalkAppend(buf, vpn)
+		if !ok {
+			t.Fatalf("%s: vpn %#x unmapped", name, vpn)
+		}
+		for _, s := range steps {
+			want, ok := dir.slot(s.PTBAddr)
+			if !ok {
+				t.Fatalf("%s: vpn %#x level %d: PTB %#x in no table page", name, vpn, s.Level, s.PTBAddr)
+			}
+			if s.Slot != want {
+				t.Fatalf("%s: vpn %#x level %d: step slot %d, directory slot %d", name, vpn, s.Level, s.Slot, want)
+			}
+		}
+	}
+}
+
+// TestWalkSlotsMatchDirectory pins each walk step's Slot to the slot a
+// PPN-indexed directory of table pages gives its PTB address. For a
+// hand-mapped table the directory comes from the order the allocator
+// handed out table pages; a built address space maps its vpns in
+// ascending order, creating table pages top-down as it goes, so the order
+// in which ascending walks first reach each table page is creation order.
+// The shapes cover native, huge-page, and a virtualized guest and host
+// pair shaped as the simulator builds them.
+func TestWalkSlotsMatchDirectory(t *testing.T) {
+	t.Run("mapped", func(t *testing.T) {
+		dir := directory{}
+		next := seqAlloc()
+		pt := New(func() uint64 {
+			p := next()
+			dir[p] = len(dir)
+			return p
+		}, false)
+		rng := rand.New(rand.NewSource(4))
+		var vpns []uint64
+		for i := 0; i < 3000; i++ {
+			vpns = append(vpns, uint64(rng.Intn(1<<27)))
+			pt.Map(vpns[i], uint64(i), FlagPresent)
+		}
+		for _, vpn := range vpns {
+			checkStepSlots(t, "mapped", pt, dir, vpn, vpn+1)
+		}
+	})
+	huge := DefaultOSConfig(9)
+	huge.HugePages = true
+	const guestPages = 30000
+	guestPool := uint64(guestPages + guestPages/64 + 2048)
+	for _, tc := range []struct {
+		name              string
+		dataPages, osPool uint64
+		cfg               OSConfig
+	}{
+		{"native", 20000, 80000, DefaultOSConfig(7)},
+		{"huge", 40000, 1 << 20, huge},
+		{"guest", guestPages, guestPool, DefaultOSConfig(42 + 5)},
+		{"host", guestPool, 4 * guestPool, DefaultOSConfig(42 + 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := BuildAddressSpace(tc.dataPages, tc.osPool, tc.cfg)
+			lo, hi := as.VPNRange()
+			dir := directory{}
+			for vpn := lo; vpn < hi; vpn++ {
+				steps, _, _ := as.Table.Walk(vpn)
+				for _, s := range steps {
+					if _, ok := dir[s.PTBAddr>>PageShift]; !ok {
+						dir[s.PTBAddr>>PageShift] = len(dir)
+					}
+				}
+			}
+			if len(dir) != as.Table.TablePages() {
+				t.Fatalf("walks reach %d table pages, table has %d", len(dir), as.Table.TablePages())
+			}
+			checkStepSlots(t, tc.name, as.Table, dir, lo, hi)
+		})
 	}
 }
 
@@ -251,28 +370,23 @@ func TestFig6StatusHomogeneity(t *testing.T) {
 		l1, l2, total[1], total[2])
 }
 
+// TestDensePPNsMatchesLookup pins the dense translation a build fills as
+// it maps: every vpn of VPNRange holds what the radix Lookup returns,
+// including huge-page builds whose per-region rounding maps past the
+// range's end.
 func TestDensePPNsMatchesLookup(t *testing.T) {
 	for _, huge := range []bool{false, true} {
-		pt := New(seqAlloc(), huge)
-		step := uint64(3) // leave holes between mappings
-		if huge {
-			step = 2 * EntriesPer
+		cfg := DefaultOSConfig(5)
+		cfg.HugePages = huge
+		as := BuildAddressSpace(20000+77, 1<<18, cfg)
+		lo, hi := as.VPNRange()
+		if uint64(len(as.PPNs)) != hi-lo {
+			t.Fatalf("huge=%v: %d dense entries, VPNRange holds %d", huge, len(as.PPNs), hi-lo)
 		}
-		for vpn := uint64(EntriesPer); vpn < 8*EntriesPer; vpn += step {
-			pt.Map(vpn, vpn*7, FlagPresent)
-		}
-		const lo, n, missing = EntriesPer - 100, 8 * EntriesPer, ^uint64(0)
-		got := pt.DensePPNs(lo, n, missing)
-		if len(got) != n {
-			t.Fatalf("huge=%v: %d entries, want %d", huge, len(got), n)
-		}
-		for i, ppn := range got {
-			want, ok := pt.Lookup(lo + uint64(i))
-			if !ok {
-				want = missing
-			}
-			if ppn != want {
-				t.Fatalf("huge=%v: vpn %#x -> %#x, Lookup says %#x", huge, lo+uint64(i), ppn, want)
+		for i, ppn := range as.PPNs {
+			want, ok := as.Table.Lookup(lo + uint64(i))
+			if !ok || ppn != want {
+				t.Fatalf("huge=%v: vpn %#x -> %#x, Lookup says %#x (ok=%v)", huge, lo+uint64(i), ppn, want, ok)
 			}
 		}
 	}

@@ -20,10 +20,10 @@ func TestMemoAuditCatchesSharedTableWrite(t *testing.T) {
 	if _, err := NewRunner(opt); err != nil {
 		t.Fatal(err)
 	}
-	lastASMu.Lock()
+	asMu.Lock()
 	b := lastAS
-	lastASMu.Unlock()
-	b.vpnToPPN[len(b.vpnToPPN)/2] ^= 1
+	asMu.Unlock()
+	b.as.PPNs[len(b.as.PPNs)/2] ^= 1
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "sim: memoized address space unchanged") {

@@ -3,17 +3,20 @@ package sim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tmcc/internal/mc"
+	"tmcc/internal/pagetable"
 )
 
 // resetASMemo empties the address-space memo, so the next native build is
 // cold.
 func resetASMemo() {
-	lastASMu.Lock()
+	asMu.Lock()
 	lastAS = nil
-	lastASMu.Unlock()
+	asMu.Unlock()
 }
 
 func buildAndRun(t testing.TB, opt Options) (*Runner, Metrics) {
@@ -93,5 +96,118 @@ func TestConcurrentBuildsMatchSerial(t *testing.T) {
 		} else if m != want[g%len(sets)] {
 			t.Errorf("%s differs from a cold serial run:\n%+v\n%+v", name, m, want[g%len(sets)])
 		}
+	}
+}
+
+// swapBuilder replaces the memo's builder for one test: each build counts
+// into builds, then runs hook (nil: none) before the real build.
+func swapBuilder(t *testing.T, builds *atomic.Int64, hook func()) {
+	t.Helper()
+	resetASMemo()
+	t.Cleanup(func() {
+		buildAddressSpace = pagetable.BuildAddressSpace
+		resetASMemo()
+	})
+	buildAddressSpace = func(dataPages, osPages uint64, cfg pagetable.OSConfig) *pagetable.AddressSpace {
+		builds.Add(1)
+		if hook != nil {
+			hook()
+		}
+		return pagetable.BuildAddressSpace(dataPages, osPages, cfg)
+	}
+}
+
+// TestMemoWaitsForBuildInFlight starts two callers on one key while the
+// first one's build is held open: the second must wait for that build and
+// share it instead of building its own copy.
+func TestMemoWaitsForBuildInFlight(t *testing.T) {
+	var builds atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	swapBuilder(t, &builds, func() {
+		once.Do(func() { close(started) })
+		<-release
+	})
+	cfg := pagetable.DefaultOSConfig(3)
+	got := make([]*pagetable.AddressSpace, 2)
+	var wg sync.WaitGroup
+	call := func(i int) {
+		defer wg.Done()
+		got[i] = nativeAddressSpace(4000, 16000, cfg)
+	}
+	wg.Add(2)
+	go call(0)
+	<-started
+	go call(1)
+	// Give the second caller time to find the build in flight; it shares
+	// the build whether it arrives before or after the release.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("two callers on one key built %d address spaces, want 1", n)
+	}
+	if got[0] == nil || got[0] != got[1] {
+		t.Fatalf("callers got %p and %p, want one shared address space", got[0], got[1])
+	}
+}
+
+// TestMemoPanickedBuildLeavesNoEntry fails a build with a panic while a
+// second caller waits on it: the waiter must be released and build the
+// key itself. A failed build must leave no entry: the retained build
+// stays, and nothing is left in flight.
+func TestMemoPanickedBuildLeavesNoEntry(t *testing.T) {
+	var builds atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	swapBuilder(t, &builds, func() {
+		if builds.Load() == 1 {
+			close(started)
+			<-release
+			panic("sim: injected build failure")
+		}
+	})
+	cfg := pagetable.DefaultOSConfig(3)
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		nativeAddressSpace(4000, 16000, cfg)
+	}()
+	<-started
+	waited := make(chan *pagetable.AddressSpace, 1)
+	go func() { waited <- nativeAddressSpace(4000, 16000, cfg) }()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if r := <-recovered; r == nil {
+		t.Fatal("the failing build did not panic")
+	}
+	select {
+	case as := <-waited:
+		if as == nil {
+			t.Fatal("the waiter got no address space")
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the waiter was not released by the failed build")
+	}
+	if n := builds.Load(); n != 2 {
+		t.Errorf("%d builds, want the failed one and the waiter's own", n)
+	}
+
+	// Alone, a failed build leaves nothing behind: the waiter's build
+	// stays the retained entry.
+	buildAddressSpace = func(uint64, uint64, pagetable.OSConfig) *pagetable.AddressSpace {
+		panic("sim: injected build failure")
+	}
+	func() {
+		defer func() { _ = recover() }()
+		nativeAddressSpace(5000, 20000, cfg)
+	}()
+	asMu.Lock()
+	b, inFlight := lastAS, len(building)
+	asMu.Unlock()
+	if b == nil || b.key.dataPages != 4000 {
+		t.Errorf("a panicked build replaced the memo entry: %+v", b)
+	}
+	if inFlight != 0 {
+		t.Errorf("a panicked build left %d builds in flight", inFlight)
 	}
 }

@@ -203,12 +203,9 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	// Build the address space (data pages + the page table itself).
 	osCfg := pagetable.DefaultOSConfig(opt.Seed)
 	osCfg.HugePages = opt.HugePages
-	var (
-		as       *pagetable.AddressSpace
-		vpnToPPN []uint64
-	)
+	var as *pagetable.AddressSpace
 	if !opt.Virtualized {
-		as, vpnToPPN = nativeAddressSpace(spec.FootprintPages, osPages, osCfg)
+		as = nativeAddressSpace(spec.FootprintPages, osPages, osCfg)
 	}
 	half, comp := opt.ML2HalfPage, opt.ML2Compress
 	if half == 0 {
@@ -270,7 +267,7 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 	if opt.Virtualized {
 		buildVirt(r, osPages, opt.Seed) // fills vpnToPPN/gpaToHost
 	} else {
-		r.vlo, r.vpnToPPN = as.VBase, vpnToPPN
+		r.vlo, r.vpnToPPN = as.VBase, as.PPNs
 	}
 	// Per-PTB hardware state of an embedding run, flat over the (now
 	// final) table's PTB slots.

@@ -260,7 +260,7 @@ func (r *Runner) walk(c *core, t config.Time, vpn uint64) config.Time {
 		block := s.PTBAddr / config.BlockSize
 		t = r.memAccess(c, t, block, false, true, true)
 		if r.embed {
-			r.loadCTEBuffer(c, s.PTBAddr)
+			r.loadCTEBuffer(c, s.Slot)
 		}
 	}
 	return t
@@ -510,14 +510,10 @@ func (r *Runner) prefetch(c *core, now config.Time, block uint64) {
 	}
 }
 
-// loadCTEBuffer copies the embedded CTEs of a fetched PTB into the core's
-// CTE Buffer (Figure 10). One directory probe resolves the PTB's slot;
-// its state and PTEs are then read in place.
-func (r *Runner) loadCTEBuffer(c *core, ptbAddr uint64) {
-	slot, ok := r.as.Table.PTBSlot(ptbAddr)
-	if !ok {
-		return
-	}
+// loadCTEBuffer copies the embedded CTEs of the fetched PTB at a table
+// slot (as its walk step carries it) into the core's CTE Buffer (Figure
+// 10); its state and PTEs are read in place.
+func (r *Runner) loadCTEBuffer(c *core, slot int) {
 	st := r.ptbState(slot)
 	if !st.compressible {
 		return

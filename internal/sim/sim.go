@@ -126,9 +126,9 @@ func (m Metrics) AvgL3MissLatencyNS() float64 {
 // ptbState tracks one hardware-compressed PTB and its embedded CTEs: the
 // slots hold truncated CTEs taken at embed time, so they go stale when
 // pages migrate — exactly the hazard TMCC's verify-in-parallel handles.
-// The states live in a flat slice indexed by pagetable.Table.PTBSlot; init
-// marks slots whose compressibility has been derived (the walker first
-// pulling the PTB through L2).
+// The states live in a flat slice indexed by PTB slot (pagetable.Step.Slot);
+// init marks slots whose compressibility has been derived (the walker
+// first pulling the PTB through L2).
 type ptbState struct {
 	init         bool
 	compressible bool

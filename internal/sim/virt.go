@@ -20,9 +20,9 @@ import (
 
 // buildVirt constructs the guest and host address spaces. The host maps
 // every guest-physical page (data + guest table pages); the MC's OS pool is
-// the host pool. Both functional translation tables are dense slices filled
-// eagerly here — the tables are static after build, so per-access probes
-// reduce to a bounds check and a load.
+// the host pool. Both functional translation tables are the builds' dense
+// slices — the tables are static after build, so per-access probes reduce
+// to a bounds check and a load.
 func buildVirt(r *Runner, osPages uint64, seed int64) {
 	spec := r.spec
 	// Guest table: vpn -> gpn over a guest-physical pool sized to the
@@ -38,16 +38,15 @@ func buildVirt(r *Runner, osPages uint64, seed int64) {
 	r.guest = guest
 	r.as = host // the "physical" space the MC sees is host-physical
 
-	// The host maps exactly the guestPool guest-physical pages.
-	hostLo, _ := host.VPNRange()
-	r.gpaToHost = host.Table.DensePPNs(hostLo, guestPool, unmappedPPN)
-	guestLo, guestHi := guest.VPNRange()
-	r.vlo = guestLo
-	r.vpnToPPN = guest.Table.DensePPNs(guestLo, guestHi-guestLo, unmappedPPN)
+	// The host maps exactly the guestPool guest-physical pages, so its
+	// dense table is indexed by gpn. The guest's is translated to
+	// host-physical in place and handed to the runner: nothing else
+	// reads the guest's gpns.
+	r.gpaToHost = host.PPNs
+	r.vlo = guest.VBase
+	r.vpnToPPN, guest.PPNs = guest.PPNs, nil
 	for i, gpn := range r.vpnToPPN {
-		if gpn != unmappedPPN {
-			r.vpnToPPN[i] = translate(r.gpaToHost, 0, gpn)
-		}
+		r.vpnToPPN[i] = translate(r.gpaToHost, 0, gpn)
 	}
 }
 
