@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz FuzzML2MatchesReference -fuzztime 10s ./internal/freelist/
 	$(GO) test -run=^$$ -fuzz FuzzLZMatchesReference -fuzztime 10s ./internal/lz/
 	$(GO) test -run=^$$ -fuzz FuzzDecodeMatchesReference -fuzztime 10s ./internal/dram/
+	$(GO) test -run=^$$ -fuzz FuzzRecencyMatchesReference -fuzztime 10s ./internal/recency/
 
 fmt:
 	gofmt -w .

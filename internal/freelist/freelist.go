@@ -10,6 +10,7 @@ package freelist
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tmcc/internal/check"
 	"tmcc/internal/config"
@@ -19,30 +20,47 @@ import (
 const ChunkSize = 4096
 
 // ML1 tracks free 4KB DRAM chunks as a LIFO (the paper pushes freed chunks
-// to the top and pops from the top). Chunks the RAS layer has retired are
-// permanently out of circulation: Push drops them and any free copy is
-// removed at retirement, so a faulty frame can never be re-issued — not
-// even through ML2's direct carve path, which pops chunks from here.
+// to the top and pops from the top). The stack is never materialised: a
+// new list is chunks [0, pool) with the lowest on top, held as a bump
+// pointer over the never-issued chunks, and every Push lands above all of
+// those, on a stack of returned chunks. Pop takes a returned chunk while
+// there is one, else the next never-issued chunk, in exactly the order the
+// full stack would pop. Chunks the RAS layer has retired are permanently
+// out of circulation: Push drops them and a free copy is withdrawn at
+// retirement, so a faulty frame can never be re-issued — not even through
+// ML2's direct carve path, which pops chunks from here.
 type ML1 struct {
-	free    []uint32        // chunk numbers
-	retired map[uint32]bool // nil until the first Retire
+	next, pool uint32   // chunks [next, pool) were never issued
+	free       []uint32 // returned chunks, top last
+	retired    map[uint32]bool
+	// ahead counts retired chunks in [next, pool): they are free no more,
+	// and the bump pointer steps over them.
+	ahead int
 }
 
-// NewML1 starts with the given chunks free, in order. It takes ownership
-// of chunks: the caller must not use the slice afterwards.
-func NewML1(chunks []uint32) *ML1 { return &ML1{free: chunks} }
+// NewML1 starts with chunks [0, pool) free, chunk 0 on top.
+func NewML1(pool uint32) *ML1 { return &ML1{pool: pool} }
 
 // Len reports how many chunks are free.
-func (f *ML1) Len() int { return len(f.free) }
+func (f *ML1) Len() int { return len(f.free) + int(f.pool-f.next) - f.ahead }
 
 // Pop takes a chunk from the top; ok=false when empty.
 func (f *ML1) Pop() (uint32, bool) {
-	if len(f.free) == 0 {
-		return 0, false
+	if n := len(f.free); n > 0 {
+		c := f.free[n-1]
+		f.free = f.free[:n-1]
+		return c, true
 	}
-	c := f.free[len(f.free)-1]
-	f.free = f.free[:len(f.free)-1]
-	return c, true
+	for f.next < f.pool {
+		c := f.next
+		f.next++
+		if f.ahead > 0 && f.retired[c] {
+			f.ahead--
+			continue
+		}
+		return c, true
+	}
+	return 0, false
 }
 
 // Push returns a chunk to the top; retired chunks are silently dropped.
@@ -55,7 +73,8 @@ func (f *ML1) Push(c uint32) {
 
 // Retire withdraws a chunk from circulation for good: a later Push is a
 // no-op, and a free copy (belt and braces — the RAS layer retires frames
-// under resident pages, which are never free) is removed immediately.
+// under resident pages, which are never free) is withdrawn immediately,
+// the bottom-most copy first, as a scan of the full stack would find it.
 // Idempotent.
 func (f *ML1) Retire(c uint32) {
 	if f.retired == nil {
@@ -65,11 +84,12 @@ func (f *ML1) Retire(c uint32) {
 		return
 	}
 	f.retired[c] = true
-	for i, fc := range f.free {
-		if fc == c {
-			f.free = append(f.free[:i], f.free[i+1:]...)
-			return
-		}
+	if c >= f.next && c < f.pool {
+		f.ahead++
+		return
+	}
+	if i := slices.Index(f.free, c); i >= 0 {
+		f.free = slices.Delete(f.free, i, i+1)
 	}
 }
 

@@ -12,19 +12,11 @@ import (
 	"tmcc/internal/config"
 )
 
-func pool(n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = uint32(i)
-	}
-	return out
-}
-
 func TestML1LIFO(t *testing.T) {
-	f := NewML1(pool(3))
+	f := NewML1(3)
 	c, ok := f.Pop()
-	if !ok || c != 2 {
-		t.Fatalf("pop = %d %v, want 2 (top)", c, ok)
+	if !ok || c != 0 {
+		t.Fatalf("pop = %d %v, want 0 (top)", c, ok)
 	}
 	f.Push(9)
 	if c, _ = f.Pop(); c != 9 {
@@ -34,6 +26,156 @@ func TestML1LIFO(t *testing.T) {
 	f.Pop()
 	if _, ok = f.Pop(); ok {
 		t.Error("pop from empty succeeded")
+	}
+}
+
+// refML1 is the slice-stack ML1 that the bump pointer and returned-chunk
+// stack replaced, kept as the oracle for TestML1MatchesReference and under
+// refML2: a new list holds every chunk of the pool, lowest on top.
+type refML1 struct {
+	free    []uint32
+	retired map[uint32]bool
+}
+
+func newRefML1(pool int) *refML1 {
+	f := &refML1{free: make([]uint32, pool)}
+	for i := range f.free {
+		f.free[i] = uint32(pool - 1 - i)
+	}
+	return f
+}
+
+func (f *refML1) Len() int { return len(f.free) }
+
+func (f *refML1) Pop() (uint32, bool) {
+	if len(f.free) == 0 {
+		return 0, false
+	}
+	c := f.free[len(f.free)-1]
+	f.free = f.free[:len(f.free)-1]
+	return c, true
+}
+
+func (f *refML1) Push(c uint32) {
+	if f.retired != nil && f.retired[c] {
+		return
+	}
+	f.free = append(f.free, c)
+}
+
+func (f *refML1) Retire(c uint32) {
+	if f.retired == nil {
+		f.retired = make(map[uint32]bool)
+	}
+	if f.retired[c] {
+		return
+	}
+	f.retired[c] = true
+	for i, fc := range f.free {
+		if fc == c {
+			f.free = append(f.free[:i], f.free[i+1:]...)
+			return
+		}
+	}
+}
+
+// stack materialises f's free stack, bottom first, as refML1 holds it.
+func (f *ML1) stack() []uint32 {
+	var s []uint32
+	for c := f.pool; c > f.next; c-- {
+		if !f.retired[c-1] {
+			s = append(s, c-1)
+		}
+	}
+	return append(s, f.free...)
+}
+
+// checkML1MatchesReference replays ops against ML1 and refML1 over equal
+// pools, each also feeding an ML2 (the slab one over ML1, refML2 over
+// refML1) on a menu whose carves take up to seven chunks, so carves that
+// run dry roll back. An op byte pops (0), pushes a chunk the test popped
+// (1), pushes an arbitrary chunk (2), retires an arbitrary chunk, free,
+// issued or never issued (3), allocates in ML2 (4) or frees an ML2
+// allocation (5); the next byte picks the chunk, size or allocation.
+// After every op the pop sequence so far, Len, Retired and the whole
+// stack must agree.
+func checkML1MatchesReference(t *testing.T, pool int, ops []byte) {
+	t.Helper()
+	got, want := NewML1(uint32(pool)), newRefML1(pool)
+	m2, rm2 := NewML2(wideMenu, got), newRefML2(wideMenu, want)
+	var held []uint32
+	var subs []SubChunk
+	var sizes []int
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i]%6, int(ops[i+1])
+		switch op {
+		case 0:
+			c, ok := got.Pop()
+			rc, rok := want.Pop()
+			if c != rc || ok != rok {
+				t.Fatalf("op %d: Pop = %d, %v; reference %d, %v", i, c, ok, rc, rok)
+			}
+			if ok {
+				held = append(held, c)
+			}
+		case 1:
+			if len(held) > 0 {
+				k := arg % len(held)
+				got.Push(held[k])
+				want.Push(held[k])
+				held = append(held[:k], held[k+1:]...)
+			}
+		case 2:
+			c := uint32(arg % (pool + 2))
+			got.Push(c)
+			want.Push(c)
+		case 3:
+			c := uint32(arg % (pool + 2))
+			got.Retire(c)
+			want.Retire(c)
+		case 4:
+			size := 1 + arg*15
+			sc, ok := m2.Alloc(size)
+			rsc, rok := rm2.Alloc(size)
+			if sc != rsc || ok != rok {
+				t.Fatalf("op %d: Alloc(%d) = %+v, %v; reference %+v, %v", i, size, sc, ok, rsc, rok)
+			}
+			if ok {
+				subs, sizes = append(subs, sc), append(sizes, size)
+			}
+		case 5:
+			if len(subs) > 0 {
+				k := arg % len(subs)
+				if err := m2.Free(subs[k], sizes[k]); err != nil {
+					t.Fatalf("op %d: Free: %v", i, err)
+				}
+				if err := rm2.Free(subs[k], sizes[k]); err != nil {
+					t.Fatalf("op %d: reference Free: %v", i, err)
+				}
+				subs, sizes = append(subs[:k], subs[k+1:]...), append(sizes[:k], sizes[k+1:]...)
+			}
+		}
+		if got.Len() != want.Len() || got.Retired() != len(want.retired) {
+			t.Fatalf("op %d (%d): Len/Retired = %d/%d, reference %d/%d",
+				i, op, got.Len(), got.Retired(), want.Len(), len(want.retired))
+		}
+		if s := got.stack(); !slices.Equal(s, want.free) {
+			t.Fatalf("op %d (%d): stack %v, reference %v", i, op, s, want.free)
+		}
+	}
+}
+
+// TestML1MatchesReference checks the bump+LIFO ML1 against the slice
+// stack it replaced over seeded random op streams and pool sizes, among
+// them an empty pool and one smaller than the widest carve.
+func TestML1MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, pool := range []int{0, 1, 5, 40, 300} {
+		for rep := 0; rep < 4; rep++ {
+			ops := make([]byte, 6000)
+			rng.Read(ops)
+			checkML1MatchesReference(t, pool, ops)
+		}
 	}
 }
 
@@ -61,7 +203,7 @@ func TestDefaultClassesGeometry(t *testing.T) {
 	}
 	// The paper's Figure 3c example: 1.5KB sub-chunks should exist with
 	// low waste.
-	m2 := NewML2(classes, NewML1(pool(10)))
+	m2 := NewML2(classes, NewML1(10))
 	ci, ok := m2.ClassFor(1500)
 	if !ok {
 		t.Fatal("no class for 1.5KB")
@@ -94,10 +236,10 @@ func TestNewML2RejectsUnpackableMenu(t *testing.T) {
 					t.Fatalf("NewML2 recovered %v, want a freelist: panic", r)
 				}
 			}()
-			NewML2(tc.classes, NewML1(pool(10)))
+			NewML2(tc.classes, NewML1(10))
 		})
 	}
-	NewML2([]SizeClass{{SubSize: 16, M: 1, N: 255}}, NewML1(pool(10))) // widest N that fits
+	NewML2([]SizeClass{{SubSize: 16, M: 1, N: 255}}, NewML1(10)) // widest N that fits
 }
 
 // TestSubChunkPacked pins SubChunk at 8 bytes: the MC keeps one per OS
@@ -109,7 +251,7 @@ func TestSubChunkPacked(t *testing.T) {
 }
 
 func TestAllocFreeCycle(t *testing.T) {
-	ml1 := NewML1(pool(100))
+	ml1 := NewML1(100)
 	m2 := NewML2(nil, ml1)
 	start := ml1.Len()
 
@@ -141,14 +283,14 @@ func TestAllocFreeCycle(t *testing.T) {
 }
 
 func TestAllocTooBig(t *testing.T) {
-	m2 := NewML2(nil, NewML1(pool(10)))
+	m2 := NewML2(nil, NewML1(10))
 	if _, ok := m2.Alloc(4000); ok {
 		t.Error("4000B (incompressible) should not fit any class")
 	}
 }
 
 func TestAllocExhaustsML1(t *testing.T) {
-	m2 := NewML2(nil, NewML1(pool(1)))
+	m2 := NewML2(nil, NewML1(1))
 	// Largest class may need M>1 chunks; a 3.5KB alloc with 1 chunk may
 	// fail; a small alloc must succeed.
 	if _, ok := m2.Alloc(256); !ok {
@@ -157,7 +299,7 @@ func TestAllocExhaustsML1(t *testing.T) {
 }
 
 func TestDoubleFreeDetected(t *testing.T) {
-	m2 := NewML2(nil, NewML1(pool(10)))
+	m2 := NewML2(nil, NewML1(10))
 	sc, _ := m2.Alloc(1000)
 	if err := m2.Free(sc, 1000); err != nil {
 		t.Fatal(err)
@@ -168,7 +310,7 @@ func TestDoubleFreeDetected(t *testing.T) {
 }
 
 func TestUniqueSubChunkAddresses(t *testing.T) {
-	m2 := NewML2(nil, NewML1(pool(200)))
+	m2 := NewML2(nil, NewML1(200))
 	seen := map[uint64]bool{}
 	for i := 0; i < 50; i++ {
 		sc, ok := m2.Alloc(1500)
@@ -184,7 +326,7 @@ func TestUniqueSubChunkAddresses(t *testing.T) {
 }
 
 func TestBlockAddressesCoverSize(t *testing.T) {
-	m2 := NewML2(nil, NewML1(pool(50)))
+	m2 := NewML2(nil, NewML1(50))
 	sc, _ := m2.Alloc(1500)
 	blocks := m2.BlockAddresses(sc, 1500)
 	if len(blocks) < 1500/64 || len(blocks) > 1500/64+2 {
@@ -202,7 +344,7 @@ func TestBlockAddressesCoverSize(t *testing.T) {
 func TestQuickAllocFree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ml1 := NewML1(pool(300))
+		ml1 := NewML1(300)
 		m2 := NewML2(nil, ml1)
 		start := ml1.Len()
 		type live struct {
@@ -238,10 +380,11 @@ func TestQuickAllocFree(t *testing.T) {
 
 // refML2 is the pointer-per-super ML2 the slab layout replaced, kept as
 // the oracle for FuzzML2MatchesReference: each super-chunk is its own
-// struct with its own chunk slice and []int free-slot stack.
+// struct with its own chunk slice and []int free-slot stack. It draws its
+// chunks from refML1, so the oracle side is the old code throughout.
 type refML2 struct {
 	classes    []SizeClass
-	ml1        *ML1
+	ml1        *refML1
 	supers     [][]*refSuper
 	partial    [][]int
 	retired    [][]int
@@ -255,7 +398,7 @@ type refSuper struct {
 	used     int
 }
 
-func newRefML2(classes []SizeClass, ml1 *ML1) *refML2 {
+func newRefML2(classes []SizeClass, ml1 *refML1) *refML2 {
 	return &refML2{
 		classes: classes,
 		ml1:     ml1,
@@ -377,8 +520,9 @@ func (m *refML2) Address(sc SubChunk) uint64 {
 // fuzzer reaches slab windows the default menu never carves.
 var wideMenu = []SizeClass{{SubSize: 16, M: 1, N: 255}, {SubSize: 128, M: 5, N: 160}, {SubSize: 3584, M: 7, N: 8}}
 
-// checkML2MatchesReference replays ops against the slab ML2 and the
-// pointer-per-super oracle over equal pools and fails on the first
+// checkML2MatchesReference replays ops against the slab ML2 over ML1 and
+// the pointer-per-super oracle over refML1, on equal pools, comparing the
+// two ML1 stacks too, and fails on the first
 // divergence. Each op byte allocates (even: size drawn from the byte and
 // its successor) or frees the live sub-chunk it selects (odd), and the
 // remaining live sub-chunks are freed at the end.
@@ -387,8 +531,8 @@ func checkML2MatchesReference(t *testing.T, chunks int, menu []SizeClass, ops []
 	if menu == nil {
 		menu = DefaultClasses()
 	}
-	ml1, refML1 := NewML1(pool(chunks)), NewML1(pool(chunks))
-	got, want := NewML2(menu, ml1), newRefML2(menu, refML1)
+	ml1, ref1 := NewML1(uint32(chunks)), newRefML1(chunks)
+	got, want := NewML2(menu, ml1), newRefML2(menu, ref1)
 	maxSize := menu[len(menu)-1].SubSize + 64
 	type live struct {
 		sc   SubChunk
@@ -400,8 +544,8 @@ func checkML2MatchesReference(t *testing.T, chunks int, menu []SizeClass, ops []
 			t.Fatalf("op %d (%s): UsedBytes/HeldChunks = %d/%d, reference %d/%d",
 				i, what, got.UsedBytes, got.HeldChunks, want.UsedBytes, want.HeldChunks)
 		}
-		if !slices.Equal(ml1.free, refML1.free) {
-			t.Fatalf("op %d (%s): ML1 free list %v, reference %v", i, what, ml1.free, refML1.free)
+		if s := ml1.stack(); !slices.Equal(s, ref1.free) {
+			t.Fatalf("op %d (%s): ML1 free list %v, reference %v", i, what, s, ref1.free)
 		}
 		if err := got.Audit(); err != nil {
 			t.Fatalf("op %d (%s): Audit: %v", i, what, err)

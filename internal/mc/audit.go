@@ -41,10 +41,10 @@ func (m *MC) audit() error {
 }
 
 // AuditPages is the deep O(pages) audit: it walks the whole page-state
-// table and checks it against the ML1/ML2 byte accounting and the CTE
-// contents the MC would serve — the metadata whose silent drift corrupts
-// capacity results. Exported for tests; simulation runs invoke it once per
-// Settle under tmccdebug.
+// table and checks it against the ML1/ML2 byte accounting, the CTE
+// contents the MC would serve and the Recency List — the metadata whose
+// silent drift corrupts capacity results. Exported for tests; simulation
+// runs invoke it once per Settle under tmccdebug.
 func (m *MC) AuditPages() error {
 	if m.ml1 == nil {
 		return nil
@@ -124,6 +124,9 @@ func (m *MC) AuditPages() error {
 		return fmt.Errorf("overflowUsed=%d but %d pages sit on overflow frames",
 			m.pressure.overflowUsed, overflowResident)
 	}
+	if err := m.auditRecency(); err != nil {
+		return err
+	}
 	if uint64(retired) != m.ras.Retired() {
 		return fmt.Errorf("ras reports %d retired frames but %d pages are marked retired",
 			m.ras.Retired(), retired)
@@ -132,4 +135,34 @@ func (m *MC) AuditPages() error {
 		return fmt.Errorf("ml2: %w", err)
 	}
 	return m.audit()
+}
+
+// auditRecency checks the frame-keyed Recency List against the page
+// table: every listed frame's owner is a placed page outside ML2 that sits
+// on that frame, and the list tracks no more pages than ML1 holds.
+func (m *MC) auditRecency() error {
+	listed := 0
+	for f := uint64(0); f < Frames(m.cfg.BudgetPages); f++ {
+		ppn, ok := m.rec.Owner(uint32(f))
+		if !ok {
+			continue
+		}
+		listed++
+		if ppn >= uint64(len(m.pages)) {
+			return fmt.Errorf("recency: frame %d names ppn %#x beyond the %d-page pool", f, ppn, len(m.pages))
+		}
+		switch st := &m.pages[ppn]; {
+		case !st.is(pgPlaced) || st.is(pgInML2):
+			return fmt.Errorf("recency: frame %d names ppn %#x, which is unplaced or in ML2", f, ppn)
+		case uint64(st.chunk) != f:
+			return fmt.Errorf("recency: frame %d names ppn %#x, which sits on frame %d", f, ppn, st.chunk)
+		}
+	}
+	if listed != m.rec.Len() {
+		return fmt.Errorf("recency: %d frames listed but Len reports %d", listed, m.rec.Len())
+	}
+	if listed > m.ml1Size {
+		return fmt.Errorf("recency: %d frames listed but ML1 holds %d pages", listed, m.ml1Size)
+	}
+	return nil
 }

@@ -400,15 +400,11 @@ func New(cfg Config) (*MC, error) {
 		// at least 16) the degradation ladder may spill into before
 		// declaring exhaustion.
 		m.pressure.overflowCap = uint32(overflowPages(cfg.BudgetPages))
-		chunks := make([]uint32, m.chunkPool)
-		for i := range chunks {
-			chunks[i] = uint32(m.chunkPool - 1 - uint64(i)) // pop low frames first
-		}
-		m.ml1 = freelist.NewML1(chunks)
+		m.ml1 = freelist.NewML1(uint32(m.chunkPool)) // pops low frames first
 		m.ml2 = freelist.NewML2(nil, m.ml1)
-		// Pre-size the Recency List for the whole OS pool so its dense
-		// next/prev directory never grows during simulation.
-		m.rec = recency.NewSized(int(cfg.OSPages))
+		// One Recency List record per frame a page can sit on in ML1,
+		// the overflow region's included.
+		m.rec = recency.New(int(Frames(cfg.BudgetPages)))
 		m.migBuf = make([]config.Picos, cfg.Sys.Comp.MigrationBufPages)
 		// The paper's watermarks (4000/3000 chunks) fit 100GB machines;
 		// scale them down with the budget so small runs keep the same
@@ -548,7 +544,7 @@ func (m *MC) placeML1(now config.Time, ppn uint64) (config.Time, bool) {
 	}
 	st.chunk = c
 	m.ml1Size++
-	m.rec.Touch(ppn)
+	m.rec.Touch(c, ppn)
 	if check.Enabled {
 		check.Invariant("mc: chunk-conservation after ML1 placement", m.audit)
 	}
@@ -589,7 +585,7 @@ func (m *MC) TouchPage(ppn uint64) {
 	}
 	st := &m.pages[ppn]
 	if st.is(pgPlaced) && !st.is(pgInML2) && !st.is(pgIncompressible) {
-		m.rec.Touch(ppn)
+		m.rec.Touch(st.chunk, ppn)
 	}
 }
 
@@ -715,11 +711,11 @@ func (m *MC) accessTwoLevel(now config.Time, st *pageState, ppn uint64, blockOff
 			// Retired pages never re-candidate: their frame is permanently
 			// pinned uncompressed.
 			if !st.is(pgRetired) && write && m.rng.Float64() < 0.01 {
-				m.rec.InsertCold(ppn) // re-candidate after writebacks
+				m.rec.InsertCold(st.chunk, ppn) // re-candidate after writebacks
 				st.set(pgIncompressible, false)
 			}
 		} else {
-			m.rec.Touch(ppn)
+			m.rec.Touch(st.chunk, ppn)
 		}
 	}
 
@@ -889,7 +885,7 @@ func (m *MC) promote(ppn uint64, st *pageState, chunk uint32, size int, quaranti
 	st.set(pgInML2|pgCorrupt, false)
 	st.chunk = chunk
 	m.ml1Size++
-	m.rec.Touch(ppn)
+	m.rec.Touch(chunk, ppn)
 	m.Stats.ML2ToML1++
 	m.heat.Event(ppn, heatmap.EvML2ToML1)
 	if quarantined {
@@ -974,13 +970,15 @@ func (m *MC) maybeEvict(now config.Time) {
 // force-migrating on a requester's critical path.
 func (m *MC) evictOne(now config.Time) (uint64, config.Time, bool) {
 	for {
-		ppn, ok := m.rec.EvictColdest()
+		frame, ppn, ok := m.rec.EvictColdest()
 		if !ok {
 			return 0, now, false
 		}
 		st := &m.pages[ppn]
-		if st.is(pgInML2) || !st.is(pgPlaced) {
-			continue
+		if check.Enabled {
+			// A listed page keeps its frame until it leaves the list.
+			check.Assert(st.is(pgPlaced) && !st.is(pgInML2) && st.chunk == frame,
+				"mc: Recency List frame %d names ppn %#x, which is not resident on it", frame, ppn)
 		}
 		size, _ := m.cfg.Sizes.PageSizes(ppn)
 		if st.is(pgIncompressible) || size >= config.PageSize {

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -209,5 +210,58 @@ func TestCurrentCTETracksMigration(t *testing.T) {
 	}
 	if before.Pack() == after.Pack() {
 		t.Error("CTE unchanged across migration")
+	}
+}
+
+// TestAuditPagesChecksRecency: the deep audit reads the frame-keyed
+// Recency List back against the page table. A settled controller passes;
+// a record naming a page off its frame, a page in ML2 or an unplaced page
+// fails it.
+func TestAuditPagesChecksRecency(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		owner func(m *MC) uint64
+	}{
+		{"off its frame", func(m *MC) uint64 {
+			for ppn := range m.pages {
+				if st := &m.pages[ppn]; st.is(pgPlaced) && !st.is(pgInML2) {
+					return uint64(ppn)
+				}
+			}
+			t.Fatal("no ML1-resident page")
+			return 0
+		}},
+		{"in ML2", func(m *MC) uint64 {
+			for ppn := range m.pages {
+				if m.pages[ppn].is(pgInML2) {
+					return uint64(ppn)
+				}
+			}
+			t.Fatal("no page in ML2")
+			return 0
+		}},
+		{"unplaced", func(*MC) uint64 { return 10000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTwoLevel(t, TMCC)
+			for ppn := uint64(0); ppn < 3980; ppn++ {
+				m.Place(ppn, false)
+			}
+			m.Settle()
+			if err := m.AuditPages(); err != nil {
+				t.Fatalf("settled controller: %v", err)
+			}
+			// A free frame keeps chunk conservation intact, so only the
+			// list can fail the audit.
+			frame, ok := m.ml1.Pop()
+			if !ok {
+				t.Fatal("no free frame")
+			}
+			m.ml1.Push(frame)
+			m.rec.Touch(frame, tc.owner(m))
+			if err := m.AuditPages(); err == nil || !strings.Contains(err.Error(), "recency: ") {
+				t.Fatalf("AuditPages = %v, want a recency: error", err)
+			}
+		})
 	}
 }

@@ -58,7 +58,7 @@ func (e *CapacityError) Unwrap() error { return ErrCapacityExhausted }
 // MaxPages bounds the OS pages and the DRAM frames one controller numbers,
 // the overflow region's frames included (Frames): frame numbers and PPNs
 // live in uint32 fields (pageState.chunk, freelist.SubChunk.Super, the
-// Recency List's links), and the Recency List stores PPN+1.
+// Recency List's records), and the Recency List stores frame+1.
 const MaxPages = math.MaxUint32
 
 // Frames is the span of frame numbers a two-level controller over budget

@@ -1,6 +1,8 @@
 package pagetable
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -52,8 +54,10 @@ type AddressSpace struct {
 	// PPNs is the dense translation of the mapped range: PPNs[vpn-VBase]
 	// is the data PPN of every vpn in VPNRange, filled as the build maps
 	// it. A built table is static, so a simulator can collapse the
-	// per-access radix descent to one bounds check and one load.
-	PPNs []uint64
+	// per-access radix descent to one bounds check and one load. An entry
+	// is 32 bits wide: BuildAddressSpace refuses a pool whose PPNs do not
+	// all fit below math.MaxUint32, which stays free as a sentinel.
+	PPNs []uint32
 }
 
 // regionFlagChoices are the status-bit combinations regions draw from;
@@ -78,8 +82,12 @@ var oddFlagChoices = []uint64{
 // resulting address space. osPages is the OS physical pool size (>=
 // dataPages plus table overhead); PPNs are drawn from it with the
 // configured fragmentation. The returned table is frozen: it is
-// read-only, so runs may share it.
+// read-only, so runs may share it. It panics on a pool of more than
+// math.MaxUint32 pages, whose PPNs the dense table cannot hold.
 func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
+	if osPages > math.MaxUint32 {
+		panic(fmt.Sprintf("pagetable: a pool of %d pages numbers PPNs past the 32-bit dense table", osPages))
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Regions <= 0 {
 		cfg.Regions = 1
@@ -140,7 +148,7 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 		as.VBase = vpn
 	}
 	lo, hi := as.VPNRange()
-	as.PPNs = make([]uint64, hi-lo)
+	as.PPNs = make([]uint32, hi-lo)
 	for _, r := range regions {
 		if cfg.HugePages {
 			// Round the region to whole 2MB frames. Rounding each region
@@ -149,7 +157,7 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 				ppn := allocHugePPN()
 				t.Map(vpn, ppn, r.flags)
 				for i := uint64(0); i < EntriesPer && vpn+i < hi; i++ {
-					as.PPNs[vpn+i-lo] = ppn + i
+					as.PPNs[vpn+i-lo] = uint32(ppn + i)
 				}
 				vpn += EntriesPer
 			}
@@ -162,7 +170,7 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 			}
 			ppn := allocPPN()
 			t.Map(vpn, ppn, flags)
-			as.PPNs[vpn-lo] = ppn
+			as.PPNs[vpn-lo] = uint32(ppn)
 			vpn++
 		}
 	}

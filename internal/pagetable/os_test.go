@@ -2,7 +2,9 @@ package pagetable
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -139,11 +141,24 @@ func TestBuildMatchesReference(t *testing.T) {
 					t.Fatalf("%d dense entries, reference %d", len(as.PPNs), len(wantDense))
 				}
 				for i := range wantDense {
-					if as.PPNs[i] != wantDense[i] {
+					if uint64(as.PPNs[i]) != wantDense[i] {
 						t.Fatalf("vpn %#x -> %#x, reference %#x", as.VBase+uint64(i), as.PPNs[i], wantDense[i])
 					}
 				}
 			})
 		}
 	}
+}
+
+// TestBuildRefusesWidePool: a pool with PPNs past 32 bits cannot fill the
+// uint32 dense table, so the build panics before allocating anything
+// pool-sized; a pool of exactly math.MaxUint32 pages would still fit.
+func TestBuildRefusesWidePool(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "pagetable: ") {
+			t.Fatalf("BuildAddressSpace recovered %q, want a pagetable: panic", msg)
+		}
+	}()
+	BuildAddressSpace(1, math.MaxUint32+1, DefaultOSConfig(1))
 }

@@ -385,7 +385,7 @@ func TestDensePPNsMatchesLookup(t *testing.T) {
 		}
 		for i, ppn := range as.PPNs {
 			want, ok := as.Table.Lookup(lo + uint64(i))
-			if !ok || ppn != want {
+			if !ok || uint64(ppn) != want {
 				t.Fatalf("huge=%v: vpn %#x -> %#x, Lookup says %#x (ok=%v)", huge, lo+uint64(i), ppn, want, ok)
 			}
 		}

@@ -111,7 +111,7 @@ func sumAS(as *pagetable.AddressSpace) uint64 {
 		}
 	}
 	for _, ppn := range as.PPNs {
-		h = (h ^ ppn) * prime
+		h = (h ^ uint64(ppn)) * prime
 	}
 	return h
 }

@@ -48,41 +48,43 @@ func BenchmarkAccessPath(b *testing.B) {
 	}
 }
 
-// BenchmarkNewRunner times system construction on canneal/TMCC: cold
-// rebuilds the address space on every build, memo-hit reuses the last
-// one. Both share the process-wide size model, warmed before timing.
-// live-MB is the process's live heap (HeapAlloc after a full GC) with the
-// last built runner held: what one built system costs in memory, on top
-// of the process-wide memos.
+// BenchmarkNewRunner times system construction on canneal for every
+// design: cold rebuilds the address space on every build, memo-hit reuses
+// the last one. All share the process-wide size model, warmed before
+// timing. live-MB is the process's live heap (HeapAlloc after a full GC)
+// with the last built runner held: what one built system costs in
+// memory, on top of the process-wide memos.
 func BenchmarkNewRunner(b *testing.B) {
-	opt := Options{Benchmark: "canneal", Kind: mc.TMCC, WarmupAccesses: 1000, MeasureAccesses: 1000, Seed: 42}
-	for _, tc := range []struct {
-		name string
-		cold bool
-	}{{"cold", true}, {"memo-hit", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			if _, err := NewRunner(opt); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var r *Runner
-			for i := 0; i < b.N; i++ {
-				if tc.cold {
-					resetASMemo()
-				}
-				var err error
-				if r, err = NewRunner(opt); err != nil {
+	for _, kind := range benchKinds {
+		opt := Options{Benchmark: "canneal", Kind: kind, WarmupAccesses: 1000, MeasureAccesses: 1000, Seed: 42}
+		for _, tc := range []struct {
+			name string
+			cold bool
+		}{{"cold", true}, {"memo-hit", false}} {
+			b.Run(kind.String()+"/"+tc.name, func(b *testing.B) {
+				if _, err := NewRunner(opt); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
-			runtime.KeepAlive(r)
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				var r *Runner
+				for i := 0; i < b.N; i++ {
+					if tc.cold {
+						resetASMemo()
+					}
+					var err error
+					if r, err = NewRunner(opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
+				runtime.KeepAlive(r)
+			})
+		}
 	}
 }
 

@@ -36,7 +36,14 @@ type Plan struct {
 // benchmark: block-compressed pages in 512B chunks plus the 64B-per-page
 // metadata table over the OS physical space (Table IV column B).
 func CompressoBudgetPages(footprint uint64, sizes *workload.SizeModel) uint64 {
-	data := uint64(float64(footprint)*sizes.MeanCompressoPageBytes()/config.PageSize) + 1
+	return compressoBudget(footprint, sizes.MeanCompressoPageBytes())
+}
+
+// compressoBudget is CompressoBudgetPages for a mean block-compressed page
+// of meanBytes, at most config.PageSize: the budget is largest for an
+// incompressible footprint.
+func compressoBudget(footprint uint64, meanBytes float64) uint64 {
+	data := uint64(float64(footprint)*meanBytes/config.PageSize) + 1
 	// OS physical space is 4x the budget; solve usage = data + os*64/4096
 	// with os = 4*usage: usage = data / (1 - 4*64/4096).
 	usage := float64(data) / (1 - 4*config.BlockSize/float64(config.PageSize))
@@ -60,9 +67,9 @@ var ErrGeometry = errors.New("degenerate geometry")
 // with fewer than one set or more than cache.MaxWays ways per set, a TLB
 // with no set, a partial one or one that wide, any count the run divides
 // by or indexes into that is below one, a CTE Buffer size NewBuffer
-// refuses on a run that builds one (embed), and a budget past
-// mc.MaxPages. The MC's victim shadow has L3's size and 16 ways, so the
-// L3 row covers it.
+// refuses on a run that builds one (embed), and a budget or OS pool past
+// mc.MaxPages on any kind. The MC's victim shadow has L3's size and 16
+// ways, so the L3 row covers it.
 func checkGeometry(opt Options, sys config.System, embed bool) error {
 	cte := mc.CTECacheConfig(opt.Kind, sys, opt.CTEOverride)
 	for _, c := range []struct {
@@ -129,15 +136,41 @@ func checkGeometry(opt Options, sys config.System, embed bool) error {
 		return fmt.Errorf("sim: %s/%s: %w: CTE Buffer of %d entries, want 1..%d",
 			opt.Benchmark, opt.Kind, ErrGeometry, n, ctecache.MaxBufferEntries)
 	}
-	// The OS pool is at least budget*OSExpansion pages (Uncompressed sizes
-	// its own budget from the footprint), and the controller numbers the
-	// budget's frames plus its overflow region.
-	if b, x := opt.BudgetPages, uint64(sys.Comp.OSExpansion); opt.Kind != mc.Uncompressed &&
-		(b > mc.MaxPages/x || mc.Frames(b) > mc.MaxPages) {
+	// Every PPN of the OS pool must fit the 32-bit dense translation
+	// tables and page records, whatever the kind, and a compressed
+	// controller numbers the budget's frames plus its overflow region.
+	// Uncompressed sizes its budget from the footprint; a budget derived
+	// from the size model is at most Compresso's for an incompressible
+	// footprint.
+	spec, _ := workload.SpecFor(opt.Benchmark)
+	b, x := opt.BudgetPages, sys.Comp.OSExpansion
+	switch {
+	case opt.Kind == mc.Uncompressed:
+		b = uncompressedBudget(spec.FootprintPages)
+	case b == 0:
+		b = compressoBudget(spec.FootprintPages, config.PageSize)
+	}
+	if b > mc.MaxPages/uint64(x) || osPoolPages(spec.FootprintPages, b, x, opt.Virtualized) > mc.MaxPages ||
+		opt.Kind != mc.Uncompressed && mc.Frames(b) > mc.MaxPages {
 		return fmt.Errorf("sim: %s/%s: %w: a budget of %d frames at %dx OS expansion numbers more than %d frames or OS pages",
 			opt.Benchmark, opt.Kind, ErrGeometry, b, x, uint64(mc.MaxPages))
 	}
 	return nil
+}
+
+// uncompressedBudget is the DRAM Uncompressed holds a footprint in: the
+// pages themselves plus a little slack.
+func uncompressedBudget(footprint uint64) uint64 { return footprint + footprint/256 + 64 }
+
+// osPoolPages sizes the OS physical pool: osExpansion pages per budget
+// frame, but always room for the footprint and its page tables, and under
+// virtualization for every guest-physical page the host maps.
+func osPoolPages(footprint, budget uint64, osExpansion int, virtualized bool) uint64 {
+	pool := max(budget*uint64(osExpansion), footprint+footprint/64+1024) //tmcclint:allow magic-literal (table-page slack heuristic)
+	if virtualized {
+		pool = max(pool, footprint+footprint/32+4096) //tmcclint:allow magic-literal (slack pages, not the page size)
+	}
+	return pool
 }
 
 // NewRunner builds a complete simulated system for the options, with no
@@ -193,12 +226,9 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		budget = CompressoBudgetPages(spec.FootprintPages, sizes)
 	}
 	if opt.Kind == mc.Uncompressed {
-		budget = spec.FootprintPages + spec.FootprintPages/256 + 64
+		budget = uncompressedBudget(spec.FootprintPages)
 	}
-	osPages := budget * uint64(sys.Comp.OSExpansion)
-	if min := spec.FootprintPages + spec.FootprintPages/64 + 1024; osPages < min { //tmcclint:allow magic-literal (table-page slack heuristic)
-		osPages = min
-	}
+	osPages := osPoolPages(spec.FootprintPages, budget, sys.Comp.OSExpansion, opt.Virtualized)
 
 	// Build the address space (data pages + the page table itself).
 	osCfg := pagetable.DefaultOSConfig(opt.Seed)
@@ -220,12 +250,6 @@ func NewRunnerFull(opt Options, ob *obs.Observer, inj *fault.Injector, rcfg ras.
 		}
 	}
 
-	if opt.Virtualized {
-		// The host pool must cover every guest-physical page.
-		if min := spec.FootprintPages + spec.FootprintPages/32 + 4096; osPages < min { //tmcclint:allow magic-literal (slack pages, not the page size)
-			osPages = min
-		}
-	}
 	mcc, err := mc.New(mc.Config{
 		Kind:         opt.Kind,
 		Sys:          sys,

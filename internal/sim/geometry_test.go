@@ -76,6 +76,10 @@ func TestDegenerateGeometryRejected(t *testing.T) {
 		{name: "BudgetPages=5e9", kind: mc.TMCC, budget: 5_000_000_000},
 		{name: "BudgetPages=MaxPages/4+1", kind: mc.OSInspired, budget: mc.MaxPages/4 + 1},
 		{name: "BudgetPages=MaxPages/OSExpansion=1", kind: mc.Compresso, edit: func(s *config.System) { s.Comp.OSExpansion = 1 }, budget: mc.MaxPages},
+		// Uncompressed sizes its budget from the footprint, and a compressed
+		// kind with no budget derives one; their pools must fit 32 bits too.
+		{name: "OSExpansion=2^30/uncompressed", kind: mc.Uncompressed, edit: func(s *config.System) { s.Comp.OSExpansion = 1 << 30 }},
+		{name: "OSExpansion=2^30/tmcc-derived-budget", kind: mc.TMCC, edit: func(s *config.System) { s.Comp.OSExpansion = 1 << 30 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := config.Default()

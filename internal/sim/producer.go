@@ -27,7 +27,7 @@ type producer struct {
 	free     chan *accessBatch   // used batches of any core
 	quit     chan struct{}       // closed once the Runner is unreachable
 	vlo      uint64              // see Runner.vlo
-	vpnToPPN []uint64            // frozen after build, see Runner.vpnToPPN
+	vpnToPPN []uint32            // frozen after build, see Runner.vpnToPPN
 	fault    any                 // a recovered panic, set before full closes
 }
 
@@ -125,10 +125,10 @@ func (r *Runner) nextBatch(c *core) *accessBatch {
 // translate resolves a trace virtual page through a dense table offset by
 // vlo to the PPN the MC sees (host-physical under virtualization), or
 // unmappedPPN.
-func translate(vpnToPPN []uint64, vlo, vpn uint64) uint64 {
+func translate(vpnToPPN []uint32, vlo, vpn uint64) uint64 {
 	idx := vpn - vlo
-	if idx >= uint64(len(vpnToPPN)) {
+	if idx >= uint64(len(vpnToPPN)) || vpnToPPN[idx] == noPPN {
 		return unmappedPPN
 	}
-	return vpnToPPN[idx]
+	return uint64(vpnToPPN[idx])
 }

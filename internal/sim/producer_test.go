@@ -33,10 +33,10 @@ func (r *Runner) refill(c *core) {
 // moved to the package-level helper the producer shares.
 func (r *Runner) translateInline(vpn uint64) uint64 {
 	idx := vpn - r.vlo
-	if idx >= uint64(len(r.vpnToPPN)) {
+	if idx >= uint64(len(r.vpnToPPN)) || r.vpnToPPN[idx] == noPPN {
 		return unmappedPPN
 	}
-	return r.vpnToPPN[idx]
+	return uint64(r.vpnToPPN[idx])
 }
 
 // preloadInline makes r consume inline-generated records with no producer

@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 
 	"tmcc/internal/cache"
@@ -141,8 +142,13 @@ type ptbState struct {
 // runAccesses happens once per batch.
 const batchSize = 64
 
-// unmappedPPN is the dense translation tables' "no mapping" sentinel.
-const unmappedPPN = ^uint64(0)
+// unmappedPPN is translate's "no mapping" result. The dense tables
+// themselves are 32 bits wide and hold noPPN there: checkGeometry keeps
+// every OS pool within mc.MaxPages, so no PPN reaches it.
+const (
+	unmappedPPN = ^uint64(0)
+	noPPN       = math.MaxUint32
+)
 
 // accessBatch is a struct-of-arrays block of pre-generated, pre-translated
 // trace records. The producer fills it off the timing goroutine: that is
@@ -195,9 +201,9 @@ type Runner struct {
 	sizes *workload.SizeModel
 	// Virtualization state (nil when not virtualized): the guest address
 	// space, plus dense functional translation tables filled at build time
-	// (gpn-indexed and vpn-indexed, unmappedPPN where unmapped).
+	// (gpn-indexed and vpn-indexed, noPPN where unmapped).
 	guest     *pagetable.AddressSpace
-	gpaToHost []uint64
+	gpaToHost []uint32
 	mcc       *mc.MC
 	l3        *cache.Cache
 	// embed is TMCC's ML1 optimization switch (see NewRunnerFull); ptbs
@@ -213,7 +219,7 @@ type Runner struct {
 	// A native runner shares it (and as) with the other runners built from
 	// the same inputs (nativeAddressSpace), and the producer goroutine
 	// reads it unlocked, so it is read-only after build.
-	vpnToPPN []uint64
+	vpnToPPN []uint32
 	vlo      uint64
 
 	cores []*core

@@ -46,17 +46,17 @@ func buildVirt(r *Runner, osPages uint64, seed int64) {
 	r.vlo = guest.VBase
 	r.vpnToPPN, guest.PPNs = guest.PPNs, nil
 	for i, gpn := range r.vpnToPPN {
-		r.vpnToPPN[i] = translate(r.gpaToHost, 0, gpn)
+		r.vpnToPPN[i] = uint32(translate(r.gpaToHost, 0, uint64(gpn))) // unmappedPPN narrows to noPPN
 	}
 }
 
 // hostPPN resolves a guest-physical page to its host-physical page
 // (functional; the timing cost is modeled by walk2D).
 func (r *Runner) hostPPN(gpn uint64) (uint64, bool) {
-	if gpn >= uint64(len(r.gpaToHost)) || r.gpaToHost[gpn] == unmappedPPN {
-		return 0, false
+	if hp := translate(r.gpaToHost, 0, gpn); hp != unmappedPPN {
+		return hp, true
 	}
-	return r.gpaToHost[gpn], true
+	return 0, false
 }
 
 // hostWalk performs one constituent host walk for a guest-physical page:
