@@ -69,8 +69,10 @@ bench:
 #      compile and complete; the access path and the cold size-model build
 #      also run at -cpu 1,2, so a single-CPU regression of the trace-producer pipeline
 #      or of the parallel size-model build stays visible, and the
-#      producer's determinism, lifecycle and panic tests and the size
-#      model's serial-identity test run at -cpu 1,2,4 three times over;
+#      producer's determinism, lifecycle and panic tests (under -race:
+#      the producer runs the cores' TLBs and L1s while the timing goroutine
+#      runs L2 and L3) and the size model's serial-identity test run at
+#      -cpu 1,2,4 three times over;
 #   2. a race+tmccdebug canneal/TMCC run with a seeded all-faults plan, RAS
 #      and every observation output armed completes, and a second run gives
 #      identical stdout, stderr and breakdown/timeline/heatmap CSVs;
@@ -89,7 +91,7 @@ smoke:
 		-benchtime 1x ./internal/sim/ ./internal/workload/ ./internal/cache/ ./internal/ctecache/ ./internal/dram/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessPath' -benchtime 1x -cpu 1,2 ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSizeModelBuild' -benchtime 1x -cpu 1,2 ./internal/workload/
-	$(GO) test -run '^TestProducer' -cpu 1,2,4 -count=3 ./internal/sim/
+	$(GO) test -race -run '^TestProducer' -cpu 1,2,4 -count=3 ./internal/sim/
 	$(GO) test -run '^TestSizeModelMatchesSerial$$' -cpu 1,2,4 -count=3 ./internal/workload/
 	mkdir -p $(SMOKE_DIR)
 	$(GO) build -race -tags tmccdebug -o $(SMOKE_DIR)/tmccsim_chaos ./cmd/tmccsim

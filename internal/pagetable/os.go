@@ -108,19 +108,27 @@ func BuildAddressSpace(dataPages, osPages uint64, cfg OSConfig) *AddressSpace {
 	}
 	// Huge-page data allocations must be 512-aligned; keep a separate
 	// aligned bump pointer for them. A frame is taken when its first page
-	// is free.
+	// is free; a free start whose frame runs past the pool ends the build.
+	// The pointer cycles through hugeStarts distinct starts (osPages /
+	// gcd(osPages, EntriesPer)), and a taken start never frees, so once a
+	// whole cycle of them is taken no frame is left.
 	nextHuge := uint64(0)
+	hugeStarts := osPages >> min(bits.TrailingZeros64(osPages), bits.TrailingZeros64(EntriesPer))
 	allocHugePPN := func() uint64 {
-		for {
+		for tried := uint64(0); tried < hugeStarts; tried++ {
 			p := nextHuge % osPages
 			nextHuge += EntriesPer
 			if !used.has(p) {
+				if p+EntriesPer > osPages {
+					panic(fmt.Sprintf("pagetable: the 2MB frame at page %d runs past a pool of %d pages", p, osPages))
+				}
 				for i := uint64(0); i < EntriesPer; i++ {
 					used.add(p + i)
 				}
 				return p
 			}
 		}
+		panic(fmt.Sprintf("pagetable: no free 2MB frame left in a pool of %d pages", osPages))
 	}
 
 	t := New(allocPPN, cfg.HugePages)

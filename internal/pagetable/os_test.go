@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // refBuildAddressSpace is BuildAddressSpace as it was before the frame
@@ -161,4 +162,39 @@ func TestBuildRefusesWidePool(t *testing.T) {
 		}
 	}()
 	BuildAddressSpace(1, math.MaxUint32+1, DefaultOSConfig(1))
+}
+
+// TestHugeBuildRefusesFullPool: a huge-page build whose pool has no free
+// 2MB frame left, or whose next free start's frame runs past the pool,
+// panics with a pagetable: message instead of spinning on the taken
+// starts or indexing past the pool. Each build runs under a deadline, so
+// a spinning allocator fails the test instead of hanging it.
+func TestHugeBuildRefusesFullPool(t *testing.T) {
+	huge := DefaultOSConfig(42)
+	huge.HugePages = true
+	for _, c := range []struct {
+		dataPages, osPages uint64
+		want               string
+	}{
+		{1, 4, "no free 2MB frame left in a pool of 4 pages"},         // the root table takes the only start
+		{600, 1024, "no free 2MB frame left in a pool of 1024 pages"}, // table pages take both starts
+		{1000, 4000, "the 2MB frame at page 3584 runs past a pool of 4000 pages"},
+	} {
+		done := make(chan string, 1)
+		go func() {
+			defer func() {
+				msg, _ := recover().(string)
+				done <- msg
+			}()
+			BuildAddressSpace(c.dataPages, c.osPages, huge)
+		}()
+		select {
+		case msg := <-done:
+			if msg != "pagetable: "+c.want {
+				t.Errorf("huge build of %d pages in %d: recovered %q, want %q", c.dataPages, c.osPages, msg, "pagetable: "+c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("huge build of %d pages in %d still running after 10s", c.dataPages, c.osPages)
+		}
+	}
 }

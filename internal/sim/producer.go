@@ -3,6 +3,9 @@ package sim
 import (
 	"runtime"
 
+	"tmcc/internal/cache"
+	"tmcc/internal/config"
+	"tmcc/internal/tlb"
 	"tmcc/internal/workload"
 )
 
@@ -11,10 +14,14 @@ import (
 const ringDepth = 8
 
 // producer generates and translates trace records on its own goroutine,
-// ringDepth batches per core ahead of the timing loop. It owns the cores'
-// traces; the timing goroutine owns everything else. It holds no reference
-// to the Runner, only what generation needs, so a dropped Runner is
-// collectable while its producer is parked.
+// ringDepth batches per core ahead of the timing loop, and runs each
+// record through its core's TLB and L1. It owns the cores' traces, TLBs and
+// L1s; the timing goroutine owns everything else. That is exact because a
+// core's TLB and L1 see only that core's records, in stream order: no walk
+// cache, L2, L3, MC, fault, RAS or observer reads or writes them, L1
+// victims are dropped, and no simulated time feeds back into either. It
+// holds no reference to the Runner, only what generation needs, so a
+// dropped Runner is collectable while its producer is parked.
 //
 // Batches circulate: the timing goroutine hands each used batch back on
 // free, the producer refills it for the core that owns it and sends it on
@@ -22,13 +29,21 @@ const ringDepth = 8
 // used ones come back and consumed in the order they were filled, so every
 // core sees exactly the record stream of its trace.
 type producer struct {
-	traces   []*workload.Trace   // indexed by core id
+	fronts   []frontEnd          // indexed by core id
 	full     []chan *accessBatch // per core, filled batches in trace order
 	free     chan *accessBatch   // used batches of any core
 	quit     chan struct{}       // closed once the Runner is unreachable
 	vlo      uint64              // see Runner.vlo
 	vpnToPPN []uint32            // frozen after build, see Runner.vpnToPPN
 	fault    any                 // a recovered panic, set before full closes
+}
+
+// frontEnd is one core's share of the producer: its trace and the two
+// structures only its own records touch.
+type frontEnd struct {
+	trace *workload.Trace
+	tlb   *tlb.TLB
+	l1    *cache.Cache
 }
 
 // feed is the Runner's handle on its producer. Only the Runner references
@@ -45,7 +60,7 @@ func (r *Runner) startProducer() {
 	// (all batches on free, one core's ring on its full channel), so
 	// neither side ever blocks on a send.
 	p := &producer{
-		traces:   make([]*workload.Trace, n),
+		fronts:   make([]frontEnd, n),
 		full:     make([]chan *accessBatch, n),
 		free:     make(chan *accessBatch, n*ringDepth),
 		quit:     make(chan struct{}),
@@ -53,7 +68,8 @@ func (r *Runner) startProducer() {
 		vpnToPPN: r.vpnToPPN,
 	}
 	for i, c := range r.cores {
-		p.traces[i], c.trace = c.trace, nil
+		p.fronts[i] = frontEnd{trace: c.trace, tlb: c.tlb, l1: c.l1}
+		c.trace, c.tlb, c.l1 = nil, nil, nil
 		p.full[i] = make(chan *accessBatch, ringDepth)
 		ring := make([]accessBatch, ringDepth)
 		for j := range ring {
@@ -95,16 +111,41 @@ func (p *producer) run() {
 	}
 }
 
-// fill generates and translates the next batchSize records of b's core.
+// fill generates and translates the next batchSize records of b's core
+// and runs each through the core's TLB (a miss fills it) and, when mapped,
+// its L1 (a write hit marks the line dirty, a miss fills it with the
+// write's flag).
 func (p *producer) fill(b *accessBatch) {
-	tr := p.traces[b.core]
+	fe := &p.fronts[b.core]
 	for i := range b.vaddr {
-		a := tr.Next()
+		a := fe.trace.Next()
+		vpn := a.VAddr >> 12
+		ppn := translate(p.vpnToPPN, p.vlo, vpn)
+		miss := !fe.tlb.Lookup(vpn)
+		if miss {
+			fe.tlb.Insert(vpn)
+		}
+		hit := false
+		if ppn != unmappedPPN {
+			var f uint8
+			if a.Write {
+				f = cache.FlagDirty
+			}
+			block := dataBlock(ppn, a.VAddr)
+			if s := fe.l1.Lookup(block); s >= 0 {
+				fe.l1.OrFlagsAt(s, f)
+				hit = true
+			} else {
+				fe.l1.Insert(block, f)
+			}
+		}
 		b.vaddr[i] = a.VAddr
-		b.ppn[i] = translate(p.vpnToPPN, p.vlo, a.VAddr>>12)
+		b.ppn[i] = ppn
 		b.gap[i] = int32(a.Gap)
 		b.write[i] = a.Write
 		b.dep[i] = a.Dep
+		b.tlbMiss[i] = miss
+		b.l1Hit[i] = hit
 	}
 	b.pos = 0
 }
@@ -120,6 +161,11 @@ func (r *Runner) nextBatch(c *core) *accessBatch {
 	r.feed.free <- c.batch
 	c.batch = b
 	return b
+}
+
+// dataBlock is the 64B block a record at vaddr touches on data page ppn.
+func dataBlock(ppn, vaddr uint64) uint64 {
+	return ppn*config.BlocksPage + vaddr>>6&(config.BlocksPage-1)
 }
 
 // translate resolves a trace virtual page through a dense table offset by

@@ -9,13 +9,16 @@ import (
 	"testing"
 	"time"
 
+	"tmcc/internal/cache"
+	"tmcc/internal/config"
 	"tmcc/internal/mc"
 )
 
 // refill is the inline generation step the producer goroutine replaced,
 // kept verbatim as the reference except that it fills the batch c.batch
 // points at (batches are no longer embedded in the core) and a batch has no
-// fill count (every fill is a full one).
+// fill count (every fill is a full one). Each record then takes the TLB and
+// L1 steps the timing loop used to run itself (frontInline).
 func (r *Runner) refill(c *core) {
 	b := c.batch
 	for i := 0; i < batchSize; i++ {
@@ -25,8 +28,38 @@ func (r *Runner) refill(c *core) {
 		b.gap[i] = int32(a.Gap)
 		b.write[i] = a.Write
 		b.dep[i] = a.Dep
+		b.tlbMiss[i], b.l1Hit[i] = frontInline(c, a.VAddr, b.ppn[i], a.Write)
 	}
 	b.pos = 0
+}
+
+// frontInline is what step and memAccess did to a core's TLB and L1 before
+// the producer took them over: step probed the TLB and filled it after the
+// walk a miss took; an unmapped record went no further; a demand L1 hit
+// dirtied the line on a write, and a demand L1 miss (fillL1, after the
+// L2, L3 or MC served it) filled the block, dirty for a write.
+func frontInline(c *core, vaddr, ppn uint64, write bool) (tlbMiss, l1Hit bool) {
+	vpn := vaddr >> 12
+	if !c.tlb.Lookup(vpn) {
+		tlbMiss = true
+		c.tlb.Insert(vpn)
+	}
+	if ppn == unmappedPPN {
+		return tlbMiss, false
+	}
+	block := ppn*config.BlocksPage + uint64(int(vaddr>>6)&63)
+	if s := c.l1.Lookup(block); s >= 0 {
+		if write {
+			c.l1.OrFlagsAt(s, cache.FlagDirty)
+		}
+		return tlbMiss, true
+	}
+	var f uint8
+	if write {
+		f = cache.FlagDirty
+	}
+	c.l1.Insert(block, f)
+	return tlbMiss, false
 }
 
 // translateInline is the Runner method refill used before translation
@@ -62,20 +95,33 @@ func preloadInline(r *Runner, records int) {
 	r.feed = &feed{p}
 }
 
-// producerCases are the systems the producer is checked on: TMCC native on
-// two benchmarks with different footprints and access mixes, and TMCC
-// under virtualization, whose vpnToPPN is the composed guest/host table.
+// producerCases are the systems the producer is checked on, covering every
+// front-end path: TMCC native on two benchmarks with different footprints
+// and access mixes; TMCC under virtualization, whose vpnToPPN is the
+// composed guest/host table; TMCC on huge pages, which embeds nothing; and
+// Compresso, whose MC is flat.
 var producerCases = []Options{
 	{Benchmark: "canneal", Kind: mc.TMCC},
 	{Benchmark: "shortestPath", Kind: mc.TMCC},
 	{Benchmark: "canneal", Kind: mc.TMCC, Virtualized: true},
+	{Benchmark: "canneal", Kind: mc.TMCC, HugePages: true},
+	{Benchmark: "canneal", Kind: mc.Compresso},
 }
 
+// caseName names a case by its benchmark and how it differs from native
+// TMCC.
 func caseName(opt Options) string {
-	if opt.Virtualized {
-		return opt.Benchmark + "-virt"
+	name := opt.Benchmark
+	if opt.Kind != mc.TMCC {
+		name += "-" + opt.Kind.String()
 	}
-	return opt.Benchmark
+	if opt.Virtualized {
+		name += "-virt"
+	}
+	if opt.HugePages {
+		name += "-huge"
+	}
+	return name
 }
 
 // TestProducerMatchesInlineGeneration pins the pipeline's determinism:
@@ -122,10 +168,8 @@ func checkStream(t *testing.T, opt Options) {
 		got.core, want.core = 0, 0
 		if got != want {
 			for i := range got.vaddr {
-				g := fmt.Sprint(got.vaddr[i], got.ppn[i], got.gap[i], got.write[i], got.dep[i])
-				w := fmt.Sprint(want.vaddr[i], want.ppn[i], want.gap[i], want.write[i], want.dep[i])
-				if g != w {
-					t.Fatalf("core %d record %d: (vaddr ppn gap write dep) = %s, inline reference %s",
+				if g, w := got.record(i), want.record(i); g != w {
+					t.Fatalf("core %d record %d: (vaddr ppn gap write dep tlbMiss l1Hit) = %s, inline reference %s",
 						id, taken[id]*batchSize+i, g, w)
 				}
 			}
@@ -133,6 +177,11 @@ func checkStream(t *testing.T, opt Options) {
 		}
 		taken[id]++
 	}
+}
+
+// record prints every field of b's record i, in declaration order.
+func (b *accessBatch) record(i int) string {
+	return fmt.Sprint(b.vaddr[i], b.ppn[i], b.gap[i], b.write[i], b.dep[i], b.tlbMiss[i], b.l1Hit[i])
 }
 
 // checkRunMatches runs a producer-fed runner and an inline-fed reference
@@ -202,10 +251,11 @@ func settleGoroutines(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestProducerLifecycle pins the producer's lifetime: a runner starts one
-// producer on its first Steps and reuses it on every later call, and a
-// dropped runner's producer exits once the runner is collected, which
-// proves the producer pins no Runner.
+// TestProducerLifecycle pins the producer's lifetime and what it owns: a
+// runner starts one producer on its first Steps, which takes every core's
+// trace, TLB and L1, and reuses it on every later call, and a dropped
+// runner's producer, front ends and all, exits once the runner is
+// collected, which proves the producer pins no Runner.
 func TestProducerLifecycle(t *testing.T) {
 	settleGoroutines(t, "earlier tests' producers", func() bool { return producerGoroutines() == 0 })
 	base := runtime.NumGoroutine()
@@ -222,6 +272,17 @@ func TestProducerLifecycle(t *testing.T) {
 		r.Steps(1000)
 		if n := producerGoroutines(); n != 1 {
 			t.Fatalf("after Steps call %d: %d producers, want 1", i+1, n)
+		}
+	}
+	for _, c := range r.cores {
+		if c.trace != nil || c.tlb != nil || c.l1 != nil {
+			t.Fatalf("core %d still holds (trace, tlb, l1) = (%p, %p, %p) after the producer started; want all nil",
+				c.id, c.trace, c.tlb, c.l1)
+		}
+	}
+	for i, fe := range r.feed.fronts {
+		if fe.trace == nil || fe.tlb == nil || fe.l1 == nil {
+			t.Fatalf("producer front end %d lacks its trace, TLB or L1: %+v", i, fe)
 		}
 	}
 	mustRun(t, r)

@@ -163,6 +163,8 @@ func (r *Runner) step(c *core) {
 	gap := int(b.gap[i])
 	write := b.write[i]
 	dep := b.dep[i]
+	tlbMiss := b.tlbMiss[i]
+	l1Hit := b.l1Hit[i]
 
 	// Non-memory instructions retire at the issue width. gap*cycle is
 	// never negative, so the unsigned divide rounds as a signed one.
@@ -187,12 +189,12 @@ func (r *Runner) step(c *core) {
 		issue = c.dep
 	}
 
-	vpn := vaddr >> 12
-	blockOff := int(vaddr>>6) & 63
 	t := issue
 	walkRelated := false
 
-	if !c.tlb.Lookup(vpn) {
+	// The producer ran the core's TLB; a miss walks.
+	if tlbMiss {
+		vpn := vaddr >> 12
 		walkRelated = true
 		if r.recording {
 			r.m.TLBMisses++
@@ -208,7 +210,6 @@ func (r *Runner) step(c *core) {
 			c.wc.FillFromWalk(vpn)
 		}
 		r.tr.Emit(obs.CatWalk, name, c.id, wStart, t)
-		c.tlb.Insert(vpn)
 		if r.attrOn() {
 			r.attrWalk = t - wStart
 		}
@@ -221,8 +222,13 @@ func (r *Runner) step(c *core) {
 		c.time = t
 		return
 	}
-	block := ppn*config.BlocksPage + uint64(blockOff)
-	done := r.memAccess(c, t, block, write, false, walkRelated)
+	block := dataBlock(ppn, vaddr)
+	var done config.Time
+	if l1Hit {
+		done = r.hitL1(c, t, block, write)
+	} else {
+		done = r.memAccess(c, t, block, write, false, walkRelated)
+	}
 	if dep {
 		c.dep = done
 	}
@@ -276,8 +282,26 @@ func (r *Runner) heat(block uint64, cl attr.Class) {
 	r.view.Access(block/config.BlocksPage, cl)
 }
 
-// memAccess sends one 64B access through L1/L2/L3/MC and returns when the
-// data is available to the requester.
+// hitL1 serves a demand access that hit its core's L1 (the producer ran
+// the lookup and marked a written line dirty) and returns when the data is
+// available: a write also dirties the block's L2 copy.
+func (r *Runner) hitL1(c *core, t config.Time, block uint64, write bool) config.Time {
+	r.heat(block, attr.ClassDemand)
+	// L2 does not back-invalidate L1, so the line may be gone.
+	if write {
+		if s := c.l2.Probe(block); s >= 0 {
+			c.l2.OrFlagsAt(s, cache.FlagDirty)
+		}
+	}
+	l1Lat := r.sys.Cache.L1Cycles.Dur(r.cycle)
+	r.attrCacheHit(false, l1Lat)
+	return t + l1Lat
+}
+
+// memAccess sends one 64B access that L1 does not serve (a demand L1 miss,
+// which the producer has already filled into L1, or a walker PTB fetch,
+// which stays out of L1) through L2/L3/MC and returns when the data is
+// available to the requester.
 func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, walkRelated bool) config.Time {
 	// Spatial heat: exactly one stamp per access, hit or miss, mirroring
 	// the one attr record every path below performs.
@@ -286,23 +310,9 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	} else {
 		r.heat(block, attr.ClassDemand)
 	}
-	l1Lat := r.sys.Cache.L1Cycles.Dur(r.cycle)
-	l2Lat := l1Lat + r.sys.Cache.L2Cycles.Dur(r.cycle)
+	l2Lat := r.sys.Cache.L1Cycles.Dur(r.cycle) + r.sys.Cache.L2Cycles.Dur(r.cycle)
 	l3Lat := l2Lat + r.sys.Cache.L3Cycles.Dur(r.cycle)
 
-	if !isPTB {
-		if s := c.l1.Lookup(block); s >= 0 {
-			if write {
-				c.l1.OrFlagsAt(s, cache.FlagDirty)
-				// L2 does not back-invalidate L1, so the line may be gone.
-				if s2 := c.l2.Probe(block); s2 >= 0 {
-					c.l2.OrFlagsAt(s2, cache.FlagDirty)
-				}
-			}
-			r.attrCacheHit(isPTB, l1Lat)
-			return t + l1Lat
-		}
-	}
 	if s := c.l2.Lookup(block); s >= 0 {
 		if f := c.l2.FlagsAt(s); f&flagPrefetched != 0 {
 			c.throttle.Useful()
@@ -311,14 +321,12 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 		if write {
 			c.l2.OrFlagsAt(s, cache.FlagDirty)
 		}
-		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l2Lat)
 		return t + l2Lat
 	}
 	if s := r.l3.Lookup(block); s >= 0 {
 		// Exclusive L3: promote to L2.
 		r.insertL2(c, block, r.l3.InvalidateAt(s), write, t)
-		r.fillL1(c, block, write, isPTB)
 		r.attrCacheHit(isPTB, l3Lat)
 		return t + l3Lat
 	}
@@ -396,7 +404,6 @@ func (r *Runner) memAccess(c *core, t config.Time, block uint64, write, isPTB, w
 	}
 
 	r.insertL2(c, block, 0, write, t)
-	r.fillL1(c, block, write, isPTB)
 	r.prefetch(c, t, block)
 	return done
 }
@@ -434,19 +441,6 @@ func (r *Runner) finishAttr(a *attr.Access, isPTB bool) {
 		r.attrWalk = 0
 	}
 	r.ag.Record(a)
-}
-
-// fillL1 caches the block in L1 for demand accesses. A write's L2 line is
-// already dirty: every caller has just marked or inserted it so.
-func (r *Runner) fillL1(c *core, block uint64, write, isPTB bool) {
-	if isPTB {
-		return // walker data stays out of L1
-	}
-	var f uint8
-	if write {
-		f = cache.FlagDirty
-	}
-	c.l1.Insert(block, f)
 }
 
 // insertL2 fills a block into L2, spilling the victim into the exclusive

@@ -151,30 +151,34 @@ const (
 )
 
 // accessBatch is a struct-of-arrays block of pre-generated, pre-translated
-// trace records. The producer fills it off the timing goroutine: that is
-// safe because each core's trace is private (streams never interleave
-// across cores) and vpnToPPN is frozen after build; only the timing loop
-// consumes simulated time. A batch belongs to one core for life; the
-// producer owns it from a hand-back on free until it arrives on the core's
-// full channel, the timing goroutine from then on.
+// trace records with their TLB and L1 outcomes. The producer fills it off
+// the timing goroutine: that is safe because each core's trace, TLB and L1
+// are private (streams never interleave across cores) and vpnToPPN is
+// frozen after build; only the timing loop consumes simulated time. A
+// batch belongs to one core for life; the producer owns it from a
+// hand-back on free until it arrives on the core's full channel, the
+// timing goroutine from then on.
 type accessBatch struct {
-	vaddr [batchSize]uint64
-	ppn   [batchSize]uint64 // data PPN, unmappedPPN when unmapped
-	gap   [batchSize]int32
-	write [batchSize]bool
-	dep   [batchSize]bool
-	pos   int // next record to consume; batchSize when used
-	core  int // owning core id
+	vaddr   [batchSize]uint64
+	ppn     [batchSize]uint64 // data PPN, unmappedPPN when unmapped
+	gap     [batchSize]int32
+	write   [batchSize]bool
+	dep     [batchSize]bool
+	tlbMiss [batchSize]bool // the core's TLB missed (and was filled)
+	l1Hit   [batchSize]bool // a mapped record's block hit the core's L1
+	pos     int             // next record to consume; batchSize when used
+	core    int             // owning core id
 }
 
 type core struct {
-	id    int
-	time  config.Time
-	trace *workload.Trace // handed to the producer when it starts
+	id   int
+	time config.Time
+	// The front end, handed to the producer when it starts (nil after).
+	trace *workload.Trace
 	tlb   *tlb.TLB
+	l1    *cache.Cache
 	wc    *tlb.WalkCache
 	gwc   *tlb.TLB // nested (gpa) walk cache under virtualization
-	l1    *cache.Cache
 	l2    *cache.Cache
 	buf   *ctecache.Buffer // nil unless the run embeds
 	mshr  []config.Time    // outstanding-miss completion times
@@ -235,7 +239,7 @@ type Runner struct {
 	width fastdiv.Divisor // the issue width
 
 	// Reusable per-Runner scratch keeping the measured loop allocation
-	// free (verified by TestAccessPathAllocFree): page-walk step buffers
+	// free (verified by TestMeasuredLoopAllocationFree): page-walk step buffers
 	// (host and guest — walk2D holds guest steps across nested host
 	// walks), prefetch candidates, and the embedded-CTE copy handed to
 	// the MC.
